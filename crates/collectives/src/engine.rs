@@ -12,6 +12,7 @@
 //!   jobs/tenants (§III-B).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use c4_netsim::{drain, DrainConfig, FlowKey, FlowSpec, PathChoice, PathSelector};
@@ -817,8 +818,8 @@ pub fn run_concurrent_cached(
         let sub_report = c4_netsim::DrainReport {
             outcomes: outcomes.to_vec(),
             end: finished.unwrap_or(report.end),
-            link_bytes: report.link_bytes.clone(),
-            cnp_per_port: report.cnp_per_port.clone(),
+            link_bytes: Arc::clone(&report.link_bytes),
+            cnp_per_port: Arc::clone(&report.cnp_per_port),
             congested_flows: report.congested_flows,
             solver: report.solver,
         };
@@ -955,10 +956,10 @@ pub fn run_tree_collective(
     let factor = bus_factor(req.kind, comm.nranks());
     let edge_bytes = message_bytes.scaled(factor);
     let mut qp_outcomes = up_report.outcomes.clone();
-    let mut link_bytes = up_report.link_bytes.clone();
+    let mut link_bytes = up_report.link_bytes.to_vec();
     if let Some(down) = &down_report {
         qp_outcomes.extend(down.outcomes.iter().cloned());
-        for (a, b) in link_bytes.iter_mut().zip(&down.link_bytes) {
+        for (a, b) in link_bytes.iter_mut().zip(down.link_bytes.iter()) {
             *a += b;
         }
     }
@@ -981,7 +982,7 @@ pub fn run_tree_collective(
         report: c4_netsim::DrainReport {
             outcomes: qp_outcomes,
             end,
-            link_bytes,
+            link_bytes: link_bytes.into(),
             cnp_per_port: up_report.cnp_per_port,
             congested_flows: up_report.congested_flows,
             solver,

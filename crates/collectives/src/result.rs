@@ -110,8 +110,8 @@ mod tests {
             report: DrainReport {
                 outcomes: vec![],
                 end: finished.unwrap_or(SimTime::ZERO),
-                link_bytes: vec![],
-                cnp_per_port: vec![],
+                link_bytes: vec![].into(),
+                cnp_per_port: vec![].into(),
                 congested_flows: 0,
                 solver: Default::default(),
             },

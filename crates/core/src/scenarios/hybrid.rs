@@ -295,7 +295,6 @@ fn solver_json(s: &DrainSolverStats) -> JsonValue {
         .push("fallback_solves", s.fallback_solves)
         .push("batched_instants", s.batched_instants)
         .push("batched_completions", s.batched_completions)
-        .push("components", s.components)
         .push("arena_hwm_bytes", s.arena_hwm_bytes);
     o
 }

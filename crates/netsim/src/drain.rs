@@ -1,12 +1,27 @@
 //! The drain loop: advances virtual time until a set of flows completes.
 //!
-//! Between re-solve points the rate allocation is constant, so the loop only
-//! needs events at flow completions, epoch boundaries (when congestion noise
-//! is enabled) and the optional deadline. Flows whose route crosses a dead
-//! link receive rate 0 and are reported as *stalled* — exactly the syndrome
-//! C4D's hang detector consumes.
+//! Between events the rate allocation is constant, so the loop only needs
+//! events at flow completions, noise-grid instants (when congestion noise or
+//! CNP accounting is enabled) and the optional deadline. Flows whose route
+//! crosses a dead link receive rate 0 and are reported as *stalled* —
+//! exactly the syndrome C4D's hang detector consumes.
 //!
-//! Two implementations share the [`DrainConfig`]/[`DrainReport`] surface:
+//! ## The DCQCN noise model
+//!
+//! DCQCN updates sender rates on timers, so noise lives on a fixed grid:
+//! the instants `start + k·epoch` (k = 0, 1, …). At each grid instant every
+//! active flow, in ascending flow order, draws its throttle factor
+//! `φ = 1 − rate_noise·u` (when `rate_noise > 0`) and then its CNP jitter
+//! `j = u` (when `cnp` is set). Nothing is drawn between grid instants, so
+//! RNG use depends on the grid and the active set, never on how many
+//! unrelated completions happen nearby. A congested flow — score > 0: it
+//! crosses a saturated link shared with a competitor — runs at `base·φ`;
+//! every other flow runs at its max-min base rate. When a base rate moves
+//! between grid instants the flow is re-rated with its current `φ`. Every
+//! flow accrues `cnp_rate(score, j)` CNPs per second.
+//!
+//! Two implementations share the model and the
+//! [`DrainConfig`]/[`DrainReport`] surface:
 //!
 //! * [`drain`] — the production path, an event-driven engine whose
 //!   per-event work is proportional to *what changed*, not to what exists:
@@ -16,24 +31,29 @@
 //!     congestion scores are maintained incrementally off the solver's
 //!     dirty-component feed ([`MaxMinState::refresh`]) instead of being
 //!     rebuilt over every active flow each event.
-//!   * DCQCN noise needs no second solver: a noise cap only ever lands on a
-//!     flow crossing a saturated link shared with a competitor, and every
-//!     subscriber of such a link is capped, so the capped max-min
-//!     allocation is exactly `min(base_rate, cap)` per flow — a one-pass
-//!     re-cap from the resident base allocation.
+//!   * noise needs no second solver: a throttle only ever lands on a flow
+//!     crossing a saturated link shared with a competitor, and every
+//!     subscriber of such a link is throttled, so the capped max-min
+//!     allocation is exactly `min(base, base·φ)` per flow — a one-pass
+//!     re-rate from the resident base allocation.
+//!   * CNPs integrate per (score, jitter) episode: one multiply when a
+//!     flow's score flips, at a grid redraw, at its completion and at the
+//!     drain end.
 //!   * the next completion comes from an indexed min-heap with lazy
 //!     invalidation (rate changes bump a per-flow stamp) instead of a
 //!     linear scan, and completions landing within the one-byte tolerance
 //!     of one instant batch their removals so a shared component re-solves
 //!     once per batch rather than once per flow.
-//! * [`drain_reference`] — the retained from-scratch implementation
-//!   (re-solves the whole allocation at every event). It consumes the RNG
-//!   in exactly the same order as [`drain`], so for any topology, flow set,
-//!   noise level and deadline the two produce the same report up to
-//!   floating-point association; `tests/maxmin_differential.rs` holds them
-//!   to 1e-9 — with identical RNG positions afterwards.
+//! * [`drain_reference`] — the retained from-scratch implementation: it
+//!   re-solves the whole allocation, capped by the throttles, at every
+//!   event and sums CNPs event by event. It consumes the RNG in exactly the
+//!   same order as [`drain`], so for any topology, flow set, noise level
+//!   and deadline the two produce the same report up to floating-point
+//!   association; `tests/maxmin_differential.rs` holds them to 1e-9 — with
+//!   identical RNG positions afterwards.
 
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use c4_simcore::{Bandwidth, DetRng, ParallelPolicy, SimDuration, SimTime};
 use c4_topology::{LinkKind, Topology};
@@ -50,13 +70,19 @@ pub struct DrainConfig {
     /// Absolute give-up time for stalled flows (`None` = stop as soon as all
     /// movable flows finished; stalled flows are reported immediately).
     pub deadline: Option<SimTime>,
-    /// Re-solve cadence when `rate_noise` or `cnp` is active.
+    /// Spacing of the noise grid. When `rate_noise` or `cnp` is active,
+    /// every active flow redraws its throttle factor and CNP jitter at the
+    /// instants `start + k·epoch` (k = 0, 1, …) and at no other time; the
+    /// drain steps onto every grid instant.
     pub epoch: SimDuration,
-    /// DCQCN-style multiplicative rate jitter applied to congested flows
-    /// (0 = off). A value of `a` throttles each congested flow by a uniform
-    /// factor in `[1−a, 1]`, re-drawn every epoch.
+    /// DCQCN-style multiplicative rate jitter on congested flows (0 = off).
+    /// A value of `a` runs each congested flow at `φ` times its max-min base
+    /// rate, with `φ` uniform in `(1−a, 1]` and redrawn at every noise-grid
+    /// instant (see [`DrainConfig::epoch`]). A flow whose base rate moves
+    /// between grid instants keeps its `φ`.
     pub rate_noise: f64,
-    /// CNP accounting model (`None` = no CNP accounting).
+    /// CNP accounting model (`None` = no CNP accounting). Each flow's CNP
+    /// jitter is redrawn on the same grid as `rate_noise`.
     pub cnp: Option<CnpModel>,
     /// Thread budget for the solver's batched component re-solves (and for
     /// the collective layer's route assembly, which reuses the drain
@@ -66,7 +92,8 @@ pub struct DrainConfig {
     /// Base-allocation solver strategy. [`SolveMode::Exact`] (the default)
     /// is bit-identical to the historical behaviour; `TwoTier` trades an
     /// ε-bounded rate error across the spine tier for sparse per-event
-    /// re-solves (see [`MaxMinState::set_solve_mode`]).
+    /// re-solves (see [`MaxMinState::set_solve_mode`]). The noise model is
+    /// the same in both modes.
     pub solve_mode: SolveMode,
 }
 
@@ -91,11 +118,13 @@ pub struct DrainReport {
     pub outcomes: Vec<FlowOutcome>,
     /// When the drain ended (last completion, or deadline).
     pub end: SimTime,
-    /// Bytes carried per link (indexed by `LinkId`).
-    pub link_bytes: Vec<f64>,
+    /// Bytes carried per link (indexed by `LinkId`). Shared rather than
+    /// copied when one drain's report is split across several requests.
+    pub link_bytes: Arc<[f64]>,
     /// Average CNPs/s received per sender port (indexed by `PortId`) over
-    /// the drain; all zeros when CNP accounting is off.
-    pub cnp_per_port: Vec<f64>,
+    /// the drain; all zeros when CNP accounting is off. Shared like
+    /// `link_bytes`.
+    pub cnp_per_port: Arc<[f64]>,
     /// Number of flows that crossed at least one saturated shared link.
     pub congested_flows: usize,
     /// Solver/engine counters for the run (replaces the old
@@ -112,12 +141,11 @@ pub struct DrainReport {
 /// aggregate per-phase reports into one summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DrainSolverStats {
-    /// Events the drain loop processed (completions, epochs, deadline).
+    /// Events the drain loop processed (completions, noise-grid instants,
+    /// deadline).
     pub events: u64,
     /// Flows in the drained spec set.
     pub flows: u64,
-    /// Distinct links referenced by at least one flow (dense table size).
-    pub dense_links: u64,
     /// Full (global) base-allocation solves.
     pub full_solves: u64,
     /// Dirty-component re-solves (exact mode's incremental path).
@@ -137,8 +165,6 @@ pub struct DrainSolverStats {
     /// Completions beyond the first at a batched instant — i.e. removals
     /// that did *not* cost their own re-solve.
     pub batched_completions: u64,
-    /// Connected components the solver tracked at the end of the drain.
-    pub components: u64,
     /// High-water mark of the solver's reusable scratch arena, in bytes.
     pub arena_hwm_bytes: u64,
 }
@@ -149,7 +175,6 @@ impl DrainSolverStats {
     pub fn merge(&mut self, other: &DrainSolverStats) {
         self.events += other.events;
         self.flows += other.flows;
-        self.dense_links += other.dense_links;
         self.full_solves += other.full_solves;
         self.component_solves += other.component_solves;
         self.sparse_solves += other.sparse_solves;
@@ -158,7 +183,6 @@ impl DrainSolverStats {
         self.fallback_solves += other.fallback_solves;
         self.batched_instants += other.batched_instants;
         self.batched_completions += other.batched_completions;
-        self.components += other.components;
         self.arena_hwm_bytes = self.arena_hwm_bytes.max(other.arena_hwm_bytes);
     }
 }
@@ -187,6 +211,122 @@ impl DrainReport {
 
 /// Rates below this (bytes/s) count as stalled.
 const STALL_RATE: f64 = 1.0;
+
+/// The epoch-cadence DCQCN noise model of the module docs, shared by both
+/// implementations so they agree on the grid, the draw order and the
+/// throttle rule.
+struct Noise {
+    rate_noise: f64,
+    cnp: bool,
+    epoch_s: f64,
+    /// The pending grid instant, in seconds since the drain start.
+    next_grid_s: f64,
+    /// Per flow: throttle factor `φ` (1 until drawn).
+    phi: Vec<f64>,
+    /// Per flow: CNP jitter draw in `[0, 1)`.
+    jitter: Vec<f64>,
+}
+
+impl Noise {
+    fn new(cfg: &DrainConfig, nf: usize) -> Self {
+        Noise {
+            rate_noise: cfg.rate_noise,
+            cnp: cfg.cnp.is_some(),
+            epoch_s: cfg.epoch.as_secs_f64(),
+            next_grid_s: 0.0,
+            phi: vec![1.0; nf],
+            jitter: vec![0.5; nf],
+        }
+    }
+
+    /// Whether the drain runs on the noise grid at all.
+    fn enabled(&self) -> bool {
+        self.rate_noise > 0.0 || self.cnp
+    }
+
+    /// True when `now_s` has reached the pending grid instant, which then
+    /// moves on by one epoch: the caller redraws every active flow.
+    fn redraw_due(&mut self, now_s: f64) -> bool {
+        let due = self.enabled() && now_s >= self.next_grid_s;
+        if due {
+            self.next_grid_s += self.epoch_s;
+        }
+        due
+    }
+
+    /// Flow `f`'s draws at a grid instant: `φ` first, then the CNP jitter.
+    fn draw(&mut self, f: usize, rng: &mut DetRng) {
+        if self.rate_noise > 0.0 {
+            self.phi[f] = 1.0 - self.rate_noise * rng.uniform();
+        }
+        if self.cnp {
+            self.jitter[f] = rng.uniform();
+        }
+    }
+
+    /// Flow `f`'s actual rate for base rate `base` at congestion score
+    /// `score`.
+    fn rate(&self, f: usize, base: f64, score: f64) -> f64 {
+        if score > 0.0 {
+            base * self.phi[f]
+        } else {
+            base
+        }
+    }
+
+    /// Clamps the completion horizon `dt` to the pending grid instant and
+    /// the deadline. Returns the step and the clock (seconds since the drain
+    /// start) it lands on; when the grid clamp binds the clock snaps to the
+    /// grid instant itself, so both implementations redraw at the same
+    /// events.
+    fn clamp_step(
+        &self,
+        mut dt: f64,
+        now_s: f64,
+        now: SimTime,
+        deadline: Option<SimTime>,
+    ) -> (f64, f64) {
+        let mut grid_s = None;
+        if self.enabled() && self.next_grid_s - now_s <= dt {
+            dt = self.next_grid_s - now_s;
+            grid_s = Some(self.next_grid_s);
+        }
+        if let Some(deadline) = deadline {
+            let to_deadline = (deadline - now).as_secs_f64();
+            if to_deadline < dt {
+                dt = to_deadline;
+                grid_s = None;
+            }
+        }
+        (dt, grid_s.unwrap_or(now_s + dt))
+    }
+}
+
+/// Episodic CNP integration for [`drain`]. A flow's CNP rate
+/// `cnp_rate(score, jitter)` is constant between its score flips and the
+/// grid redraws, so each episode is integrated in one multiply when it
+/// closes — the reference sums the same series event by event.
+struct CnpEpisodes {
+    model: CnpModel,
+    /// Per flow: when its open episode began (seconds since drain start).
+    since_s: Vec<f64>,
+    /// Per sender port: CNPs of the closed episodes.
+    accum: Vec<f64>,
+}
+
+impl CnpEpisodes {
+    /// Closes flow `f`'s open episode at `now_s`, crediting its sender port
+    /// with `cnp_rate(score, jitter) × Δt`, and opens the next one.
+    fn flush(&mut self, f: usize, port: Option<usize>, now_s: f64, score: f64, jitter: f64) {
+        if let Some(port) = port {
+            let dt = now_s - self.since_s[f];
+            if dt > 0.0 {
+                self.accum[port] += self.model.cnp_rate(score, jitter) * dt;
+            }
+        }
+        self.since_s[f] = now_s;
+    }
+}
 
 /// A projected flow completion in the drain's event heap (min-heap over
 /// `(t_zero, flow)`).
@@ -268,30 +408,6 @@ fn release_completed(
     base_prev[f] = 0.0;
 }
 
-/// Closes a flow's current CNP score episode (two-tier mode only):
-/// accumulates `cnp_rate(score) × Δt` at the model's mean jitter onto the
-/// flow's sender port and restamps the episode start. Called whenever a
-/// flow's score is about to change, when it completes, and once at drain
-/// end — exact integration of the piecewise-constant score signal, without
-/// the exact mode's per-event per-flow draws.
-fn flush_cnp_episode(
-    f: usize,
-    now_s: f64,
-    score: &[f64],
-    src_port_of: &[Option<usize>],
-    cnp_model: &CnpModel,
-    cnp_last_s: &mut [f64],
-    cnp_accum: &mut [f64],
-) {
-    if let Some(port) = src_port_of[f] {
-        let dt = now_s - cnp_last_s[f];
-        if dt > 0.0 {
-            cnp_accum[port] += cnp_model.cnp_rate(score[f], 0.5) * dt;
-        }
-    }
-    cnp_last_s[f] = now_s;
-}
-
 /// Static per-flow tables shared by both drain implementations.
 struct Problem {
     /// Dense capacity table over links referenced by at least one flow.
@@ -333,23 +449,27 @@ impl Problem {
             dense_routes.push(dense);
             orig_routes.push(orig);
         }
-        let src_port_of: Vec<Option<usize>> = specs
-            .iter()
-            .map(|s| {
-                s.route.iter().find_map(|&l| match topo.link(l).kind() {
-                    LinkKind::HostUp(p) => Some(p.index()),
-                    _ => None,
-                })
-            })
-            .collect();
         Problem {
             dense_capacity,
             dense_routes,
             orig_routes,
-            src_port_of,
+            src_port_of: sender_ports(topo, specs),
             spine_mask,
         }
     }
+}
+
+/// Sender port of each flow: the first HostUp link on its route.
+fn sender_ports(topo: &Topology, specs: &[FlowSpec]) -> Vec<Option<usize>> {
+    specs
+        .iter()
+        .map(|s| {
+            s.route.iter().find_map(|&l| match topo.link(l).kind() {
+                LinkKind::HostUp(p) => Some(p.index()),
+                _ => None,
+            })
+        })
+        .collect()
 }
 
 /// Drains `specs` over the topology's current link state.
@@ -373,7 +493,6 @@ pub fn drain(
     let mut finish: Vec<Option<SimTime>> = vec![None; nf];
     let mut min_rate = vec![f64::INFINITY; nf];
     let mut max_rate = vec![0.0_f64; nf];
-    let mut cnp_accum = vec![0.0_f64; topo.ports().len()];
     let mut congested_flags = vec![false; nf];
 
     // Flows with zero bytes complete instantly. Their min_rate keeps the
@@ -385,25 +504,37 @@ pub fn drain(
         }
     }
 
-    let noisy = cfg.rate_noise > 0.0 || cfg.cnp.is_some();
+    let mut noise = Noise::new(cfg, nf);
+    let mut cnp = cfg.cnp.map(|model| CnpEpisodes {
+        model,
+        since_s: vec![0.0; nf],
+        accum: vec![0.0; topo.ports().len()],
+    });
     let mut now = cfg.start;
     // Seconds since `cfg.start`, accumulated from the same raw `dt` chain
     // the byte accounting uses. (Deriving elapsed time from the quantized
     // `now` would lose up to half a nanosecond per event — enough to drift
     // completion times outside the differential tolerance.)
     let mut now_s = 0.0_f64;
-    let mut active: Vec<usize> = (0..nf).filter(|&f| finish[f].is_none()).collect();
+    // The live flows in ascending order, plus completed entries not yet
+    // compacted away (every pass skips them). Compaction waits until the
+    // dead entries reach the live count, as `MaxMinState`'s dead-mass rule
+    // does, so completions cost amortized O(1) here.
+    let mut active: Vec<u32> = (0..nf as u32)
+        .filter(|&f| finish[f as usize].is_none())
+        .collect();
+    let mut live = active.len();
 
-    // The persistent base (uncapped) allocation, perturbed only by flow
-    // completions. DCQCN noise needs no second solver: a noise cap is only
-    // ever applied to a congested flow — one crossing a saturated link it
-    // shares with a competitor — and *every* flow crossing such a link is
-    // congested, so the caps cover all of a saturated link's subscribers
-    // and the freed capacity has no taker. The capped max-min allocation
-    // is therefore exactly `min(base_rate, cap)` per flow: capped flows
-    // pin to their caps, uncapped flows stay at their private bottlenecks.
-    // The differential harness holds this identity against the reference's
-    // full capped re-solve at 1e-9.
+    // The persistent base (unthrottled) allocation, perturbed only by flow
+    // completions. Noise needs no second solver: a throttle only ever
+    // applies to a congested flow — one crossing a saturated link it shares
+    // with a competitor — and *every* flow crossing such a link is
+    // congested, so the throttles cover all of a saturated link's
+    // subscribers and the freed capacity has no taker. The capped max-min
+    // allocation is therefore exactly `min(base, base·φ)` per flow:
+    // throttled flows pin to `base·φ`, the rest stay at their private
+    // bottlenecks. The differential harness holds this identity against the
+    // reference's full capped re-solve at 1e-9.
     let two_tier = matches!(cfg.solve_mode, SolveMode::TwoTier { .. });
     let mut base = MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes, None)
         .with_parallel(cfg.parallel)
@@ -418,20 +549,21 @@ pub fn drain(
     }
 
     // Incrementally-maintained derived state. `rate` is each flow's actual
-    // (possibly noise-capped) rate; `touch_s` is when its `remaining` was
-    // last materialized; `stamp` versions its completion-heap entries.
+    // (possibly throttled) rate; `touch_s` is when its `remaining` was last
+    // materialized; `stamp` versions its completion-heap entries.
     let mut rate = vec![0.0_f64; nf];
     let mut touch_s = vec![0.0_f64; nf];
     let mut score = vec![0.0_f64; nf];
     let mut stamp = vec![0u32; nf];
     let mut link_load = vec![0.0_f64; ndl];
     let mut link_flows = vec![0u32; ndl];
-    // Active flows with score > 0, ascending — exactly the flows the noise
-    // model re-draws each event, in the order the reference draws them.
-    let mut congested: Vec<u32> = Vec::new();
+    // Flows whose base rate or score may have moved this event.
+    let mut moved: Vec<u32> = Vec::new();
     // Flows whose rate was set this event (they need exact per-event
     // remaining/dt bookkeeping; everything else rides the heap).
     let mut scan: Vec<usize> = Vec::new();
+    // Flows that completed this event.
+    let mut done: Vec<usize> = Vec::new();
     let mut heap: BinaryHeap<CompletionEvent> = BinaryHeap::new();
     let cnp_model = cfg.cnp.unwrap_or_default();
     let mut events = 0u64;
@@ -445,22 +577,8 @@ pub fn drain(
     let mut base_prev = vec![0.0_f64; if two_tier { nf } else { 0 }];
     let mut touched_mask = vec![false; if two_tier { ndl } else { 0 }];
     let mut touched_links: Vec<u32> = Vec::new();
-    let mut decongested: Vec<u32> = Vec::new();
-    // Two-tier noise/CNP sparsification. The exact mode redraws every
-    // congested flow's noise cap and draws a CNP jitter for every active
-    // flow *per event* — reference semantics, but O(active) per event,
-    // which dwarfs the sparse solver at 16k+. The ε mode instead redraws
-    // caps only for flows whose base rate actually moved, with a full
-    // congested redraw once per `epoch` of simulated time (so the cap
-    // distribution still refreshes on the DCQCN cadence), and integrates
-    // CNP per score *episode* at the model's mean jitter — exact for the
-    // piecewise-constant scores the drain maintains.
-    let epoch_s = cfg.epoch.as_secs_f64();
-    let mut next_redraw_s = epoch_s;
-    let episodic_cnp = two_tier && cfg.cnp.is_some();
-    let mut cnp_last_s = vec![0.0_f64; if episodic_cnp { nf } else { 0 }];
 
-    while !active.is_empty() {
+    while live > 0 {
         if let Some(deadline) = cfg.deadline {
             if now >= deadline {
                 break;
@@ -471,332 +589,149 @@ pub fn drain(
         // 1. Bring the base allocation up to date; only the components
         //    dirtied by completions re-solve.
         let scope = base.refresh();
+        let base_rates = base.current_rates();
 
-        // 2. Refresh link loads/counts and congestion scores for exactly
-        //    what the solver re-solved. Components partition the links, and
-        //    component flow lists are ascending, so per-link accumulation
-        //    order — and hence every bit of the sums — matches a
-        //    from-scratch rebuild over all active flows.
-        if scope != SolveScope::Unchanged {
-            let rates = base.current_rates();
-            let mut rebuild_congested = true;
-            decongested.clear();
-            match scope {
-                SolveScope::Full => {
-                    link_load.fill(0.0);
-                    link_flows.fill(0);
-                    for &f in &active {
-                        for &l in &p.dense_routes[f] {
-                            link_load[l as usize] += rates[f];
+        // 2. Refresh link loads/counts for exactly what the solver
+        //    re-solved, and collect the flows whose base rate or score may
+        //    have moved. Components partition the links, and component flow
+        //    lists are ascending, so per-link accumulation order — and hence
+        //    every bit of the sums — matches a from-scratch rebuild over all
+        //    active flows.
+        moved.clear();
+        match scope {
+            SolveScope::Unchanged => {}
+            SolveScope::Full => {
+                link_load.fill(0.0);
+                link_flows.fill(0);
+                for &f in &active {
+                    if finish[f as usize].is_none() {
+                        for &l in &p.dense_routes[f as usize] {
+                            link_load[l as usize] += base_rates[f as usize];
                             link_flows[l as usize] += 1;
                         }
-                    }
-                    if episodic_cnp {
-                        // Scores are about to be rebuilt wholesale: close
-                        // every open episode at its old score first.
-                        for &f in &active {
-                            flush_cnp_episode(
-                                f,
-                                now_s,
-                                &score,
-                                &p.src_port_of,
-                                &cnp_model,
-                                &mut cnp_last_s,
-                                &mut cnp_accum,
-                            );
-                        }
-                    }
-                    for &f in &active {
-                        score[f] = cnp_model.flow_score(
-                            &p.dense_routes[f],
-                            &link_load,
-                            &p.dense_capacity,
-                            &link_flows,
-                        );
-                    }
-                    if two_tier {
-                        // Loads were rebuilt wholesale — the delta mirror
-                        // restarts from the fresh base rates.
-                        for &l in &touched_links {
-                            touched_mask[l as usize] = false;
-                        }
-                        touched_links.clear();
-                        base_prev.fill(0.0);
-                        for &f in &active {
-                            base_prev[f] = rates[f];
-                        }
+                        moved.push(f);
                     }
                 }
-                SolveScope::Components => {
-                    for &c in base.resolved_components() {
-                        for &l in base.component_links(c) {
-                            link_load[l as usize] = 0.0;
-                            link_flows[l as usize] = 0;
-                        }
-                        for &f in base.component_flows(c) {
-                            let f = f as usize;
-                            if finish[f].is_none() {
-                                for &l in &p.dense_routes[f] {
-                                    link_load[l as usize] += rates[f];
-                                    link_flows[l as usize] += 1;
-                                }
-                            }
-                        }
-                    }
-                    for &c in base.resolved_components() {
-                        for &f in base.component_flows(c) {
-                            let f = f as usize;
-                            if finish[f].is_none() {
-                                score[f] = cnp_model.flow_score(
-                                    &p.dense_routes[f],
-                                    &link_load,
-                                    &p.dense_capacity,
-                                    &link_flows,
-                                );
-                            }
-                        }
-                    }
-                }
-                SolveScope::Sparse => {
-                    // Two-tier sparse feed: only `changed_flows` moved.
-                    // Apply their rate deltas to the link loads in place
-                    // (completed flows already released theirs in step 6),
-                    // then recompute scores for the alive subscribers of
-                    // every touched link. The congested list is rebuilt
-                    // only when a score actually flips.
-                    for &f in base.changed_flows() {
-                        let f = f as usize;
-                        if finish[f].is_some() {
-                            continue;
-                        }
-                        let delta = rates[f] - base_prev[f];
-                        if delta != 0.0 {
-                            for &l in &p.dense_routes[f] {
-                                let l = l as usize;
-                                link_load[l] += delta;
-                                if !touched_mask[l] {
-                                    touched_mask[l] = true;
-                                    touched_links.push(l as u32);
-                                }
-                            }
-                            base_prev[f] = rates[f];
-                        }
-                    }
-                    let mut flipped = false;
-                    for &l in &touched_links {
-                        for &fid in base.two_tier_subscribers(l as usize) {
-                            let f = fid as usize;
-                            if finish[f].is_some() {
-                                continue;
-                            }
-                            let s = cnp_model.flow_score(
-                                &p.dense_routes[f],
-                                &link_load,
-                                &p.dense_capacity,
-                                &link_flows,
-                            );
-                            if s != score[f] {
-                                if s == 0.0 {
-                                    // Leaving the congested set: the noise
-                                    // pass stops re-capping it, so it must
-                                    // re-adopt its base rate in step 3.
-                                    decongested.push(f as u32);
-                                }
-                                if episodic_cnp {
-                                    flush_cnp_episode(
-                                        f,
-                                        now_s,
-                                        &score,
-                                        &p.src_port_of,
-                                        &cnp_model,
-                                        &mut cnp_last_s,
-                                        &mut cnp_accum,
-                                    );
-                                }
-                                score[f] = s;
-                                flipped = true;
-                            }
-                        }
-                    }
+                if two_tier {
+                    // Loads were rebuilt wholesale — the delta mirror
+                    // restarts from the fresh base rates.
                     for &l in &touched_links {
                         touched_mask[l as usize] = false;
                     }
                     touched_links.clear();
-                    rebuild_congested = flipped;
-                }
-                SolveScope::Unchanged => unreachable!(),
-            }
-            if rebuild_congested {
-                congested.clear();
-                for &f in &active {
-                    if score[f] > 0.0 {
-                        congested_flags[f] = true;
-                        congested.push(f as u32);
+                    base_prev.fill(0.0);
+                    for &f in &moved {
+                        base_prev[f as usize] = base_rates[f as usize];
                     }
                 }
+            }
+            SolveScope::Components => {
+                for &c in base.resolved_components() {
+                    for &l in base.component_links(c) {
+                        link_load[l as usize] = 0.0;
+                        link_flows[l as usize] = 0;
+                    }
+                    for &f in base.component_flows(c) {
+                        if finish[f as usize].is_none() {
+                            for &l in &p.dense_routes[f as usize] {
+                                link_load[l as usize] += base_rates[f as usize];
+                                link_flows[l as usize] += 1;
+                            }
+                            moved.push(f);
+                        }
+                    }
+                }
+            }
+            SolveScope::Sparse => {
+                // Two-tier sparse feed: only `changed_flows` moved. Apply
+                // their rate deltas to the link loads in place (completed
+                // flows already released theirs in step 6); every alive
+                // subscriber of a touched link may change score.
+                for &f in base.changed_flows() {
+                    let fu = f as usize;
+                    if finish[fu].is_some() {
+                        continue;
+                    }
+                    let delta = base_rates[fu] - base_prev[fu];
+                    if delta != 0.0 {
+                        for &l in &p.dense_routes[fu] {
+                            let l = l as usize;
+                            link_load[l] += delta;
+                            if !touched_mask[l] {
+                                touched_mask[l] = true;
+                                touched_links.push(l as u32);
+                            }
+                        }
+                        base_prev[fu] = base_rates[fu];
+                    }
+                    moved.push(f);
+                }
+                for &l in &touched_links {
+                    touched_mask[l as usize] = false;
+                    let subscribers = base.two_tier_subscribers(l as usize);
+                    moved.extend(
+                        subscribers
+                            .iter()
+                            .filter(|&&f| finish[f as usize].is_none()),
+                    );
+                }
+                touched_links.clear();
+            }
+        }
+        for &f in &moved {
+            let f = f as usize;
+            let s = cnp_model.flow_score(
+                &p.dense_routes[f],
+                &link_load,
+                &p.dense_capacity,
+                &link_flows,
+            );
+            if s != score[f] {
+                if let Some(c) = &mut cnp {
+                    c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+                }
+                score[f] = s;
+                congested_flags[f] |= s > 0.0;
             }
         }
 
-        // 3. Rate updates. Noise first: every congested flow draws a fresh
-        //    cap this event (ascending flow order — the sequence the
-        //    reference consumes the RNG in). Congested flows re-enter
-        //    `scan` every event, so they never need heap entries.
-        scan.clear();
-        let base_rates = base.current_rates();
-        if cfg.rate_noise > 0.0 {
-            let redraw = |f: usize,
-                          rate: &mut [f64],
-                          stamp: &mut [u32],
-                          scan: &mut Vec<usize>,
-                          remaining: &mut [f64],
-                          touch_s: &mut [f64],
-                          rng: &mut DetRng| {
-                let b = base_rates[f];
-                let cap = b * (1.0 - cfg.rate_noise * rng.uniform());
-                let nr = if cap < b { cap } else { b };
-                materialize(f, now_s, rate[f], remaining, touch_s);
-                if nr.to_bits() != rate[f].to_bits() {
-                    stamp[f] = stamp[f].wrapping_add(1);
-                    rate[f] = nr;
-                }
-                scan.push(f);
-            };
-            if !two_tier {
-                // Reference semantics: every congested flow redraws its cap
-                // every event, in ascending flow order.
-                for &f in &congested {
-                    redraw(
-                        f as usize,
-                        &mut rate,
-                        &mut stamp,
-                        &mut scan,
-                        &mut remaining,
-                        &mut touch_s,
-                        rng,
-                    );
-                }
-            } else if now_s >= next_redraw_s || scope == SolveScope::Full {
-                // ε mode: the full congested redraw runs on the epoch
-                // cadence (and after a wholesale rebuild, whose fresh base
-                // rates may undercut standing caps), not per event.
-                next_redraw_s = now_s + epoch_s;
-                for &f in &congested {
-                    redraw(
-                        f as usize,
-                        &mut rate,
-                        &mut stamp,
-                        &mut scan,
-                        &mut remaining,
-                        &mut touch_s,
-                        rng,
-                    );
-                }
-            } else if scope == SolveScope::Sparse {
-                // Between epochs only the solver-reported movers recap:
-                // an unmoved base keeps its cap ≤ base valid, and the flow
-                // keeps riding its completion-heap entry.
-                for &f in base.changed_flows() {
-                    let f = f as usize;
-                    if finish[f].is_none() && score[f] > 0.0 {
-                        redraw(
-                            f,
-                            &mut rate,
-                            &mut stamp,
-                            &mut scan,
-                            &mut remaining,
-                            &mut touch_s,
-                            rng,
-                        );
+        // 3. Rate updates. At a grid instant every active flow redraws, in
+        //    ascending order (the reference's draw order), closing its CNP
+        //    episode at the old jitter first, and every flow re-rates;
+        //    between instants only the moved flows can change rate. A flow
+        //    whose new rate is bit-identical keeps its completion-heap
+        //    entry.
+        let redraw = noise.redraw_due(now_s);
+        if redraw {
+            for &f in &active {
+                let f = f as usize;
+                if finish[f].is_none() {
+                    if let Some(c) = &mut cnp {
+                        c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
                     }
+                    noise.draw(f, rng);
                 }
             }
         }
-        // Uncongested flows of re-solved components adopt their fresh base
-        // rate; a flow whose recomputed rate is bit-identical keeps its
-        // completion-heap entry untouched.
-        if scope != SolveScope::Unchanged {
-            let adopt = |f: usize,
-                         rate: &mut [f64],
-                         stamp: &mut [u32],
-                         scan: &mut Vec<usize>,
-                         remaining: &mut [f64],
-                         touch_s: &mut [f64]| {
-                if cfg.rate_noise > 0.0 && score[f] > 0.0 {
-                    return; // handled by the noise pass
-                }
-                let nr = base_rates[f];
-                if nr.to_bits() != rate[f].to_bits() {
-                    materialize(f, now_s, rate[f], remaining, touch_s);
-                    stamp[f] = stamp[f].wrapping_add(1);
-                    rate[f] = nr;
-                    scan.push(f);
-                }
-            };
-            match scope {
-                SolveScope::Full => {
-                    for &f in &active {
-                        adopt(
-                            f,
-                            &mut rate,
-                            &mut stamp,
-                            &mut scan,
-                            &mut remaining,
-                            &mut touch_s,
-                        );
-                    }
-                }
-                SolveScope::Components => {
-                    for &c in base.resolved_components() {
-                        for &f in base.component_flows(c) {
-                            let f = f as usize;
-                            if finish[f].is_none() {
-                                adopt(
-                                    f,
-                                    &mut rate,
-                                    &mut stamp,
-                                    &mut scan,
-                                    &mut remaining,
-                                    &mut touch_s,
-                                );
-                            }
-                        }
-                    }
-                }
-                SolveScope::Sparse => {
-                    // Only the solver-reported movers — plus flows that
-                    // just left the congested set (their last rate was a
-                    // noise cap the noise pass will no longer refresh).
-                    for &f in base.changed_flows() {
-                        let f = f as usize;
-                        if finish[f].is_none() {
-                            adopt(
-                                f,
-                                &mut rate,
-                                &mut stamp,
-                                &mut scan,
-                                &mut remaining,
-                                &mut touch_s,
-                            );
-                        }
-                    }
-                    for &f in &decongested {
-                        adopt(
-                            f as usize,
-                            &mut rate,
-                            &mut stamp,
-                            &mut scan,
-                            &mut remaining,
-                            &mut touch_s,
-                        );
-                    }
-                }
-                SolveScope::Unchanged => unreachable!(),
+        scan.clear();
+        let rerate = if redraw { &active } else { &moved };
+        for &f in rerate {
+            let f = f as usize;
+            if finish[f].is_some() {
+                continue;
+            }
+            let nr = noise.rate(f, base_rates[f], score[f]);
+            if nr.to_bits() != rate[f].to_bits() {
+                materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
+                stamp[f] = stamp[f].wrapping_add(1);
+                rate[f] = nr;
+                scan.push(f);
             }
         }
 
         // 4. Time to next event: earliest completion (re-rated flows by
-        //    direct scan, stable flows from the heap), epoch boundary,
-        //    deadline.
+        //    direct scan, stable flows from the heap), then the grid-instant
+        //    and deadline clamps.
         let mut dt = f64::INFINITY;
         for &f in &scan {
             if rate[f] > STALL_RATE {
@@ -828,47 +763,31 @@ pub fn drain(
             stamp[f] = stamp[f].wrapping_add(1);
             scan.push(f);
         }
-        let any_moving = dt.is_finite();
-        if noisy {
-            dt = dt.min(cfg.epoch.as_secs_f64());
-        }
-        if let Some(deadline) = cfg.deadline {
-            dt = dt.min((deadline - now).as_secs_f64());
-        }
-        if !any_moving {
+        if !dt.is_finite() {
             // Every remaining flow is at (effectively) zero rate. Whether
-            // that is permanent is decided by the *unperturbed* base
-            // allocation: noise only multiplies it by a factor ≤ 1, so a
-            // base rate at or below the stall floor can never be revived by
-            // a re-draw — but a base rate just above the floor can be
-            // noise-scaled under it for one epoch and resume at the next
-            // draw. Only when no base rate clears the floor do we end the
-            // drain with a stalled report (waiting out a deadline
-            // epoch-by-epoch would spin through millions of no-op events);
-            // otherwise step to the epoch boundary and re-draw.
-            let revivable = noisy && active.iter().any(|&f| base_rates[f] > STALL_RATE);
+            // that is permanent is decided by the *unthrottled* base
+            // allocation: noise only multiplies it by φ ≤ 1, so a base rate
+            // at or below the stall floor can never be revived by a redraw
+            // — but a base rate just above the floor can be throttled under
+            // it until the next grid instant. Only when no base rate clears
+            // the floor do we end the drain with a stalled report (waiting
+            // out a deadline instant by instant would spin through millions
+            // of no-op events); otherwise step to the grid instant and
+            // redraw.
+            let revivable = noise.enabled()
+                && active
+                    .iter()
+                    .any(|&f| finish[f as usize].is_none() && base_rates[f as usize] > STALL_RATE);
             if !revivable {
                 break;
             }
         }
+        let (dt, next_s) = noise.clamp_step(dt, now_s, now, cfg.deadline);
         if !dt.is_finite() || dt <= 0.0 {
             break;
         }
 
         // 5. Advance.
-        let step = SimDuration::from_secs_f64(dt);
-        if let Some(cnp) = cfg.cnp {
-            if !two_tier {
-                for &f in &active {
-                    if let Some(port) = p.src_port_of[f] {
-                        cnp_accum[port] += cnp.cnp_rate(score[f], rng.uniform()) * dt;
-                    }
-                }
-            }
-            // Two-tier: CNP integrates per score episode instead — see
-            // `flush_cnp_episode` (score flips, completions, drain end).
-        }
-        let next_s = now_s + dt;
         for &f in &scan {
             remaining[f] = (remaining[f] - rate[f] * dt).max(0.0);
             touch_s[f] = next_s;
@@ -878,40 +797,17 @@ pub fn drain(
             }
         }
         now_s = next_s;
-        now += step;
+        now += SimDuration::from_secs_f64(dt);
 
         // 6. Completions (one-byte tolerance): re-rated flows by direct
         //    check, stable flows by popping every heap entry now due. A
         //    batch completing at one instant issues its removals together,
         //    so the dirtied components re-solve once next event.
-        let mut completions_now = 0u64;
+        done.clear();
         for &f in &scan {
             if remaining[f] <= 1.0 && finish[f].is_none() {
                 finish[f] = Some(now);
-                base.remove_flow(f);
-                completions_now += 1;
-                if episodic_cnp {
-                    flush_cnp_episode(
-                        f,
-                        now_s,
-                        &score,
-                        &p.src_port_of,
-                        &cnp_model,
-                        &mut cnp_last_s,
-                        &mut cnp_accum,
-                    );
-                }
-                if two_tier {
-                    release_completed(
-                        f,
-                        &p.dense_routes[f],
-                        &mut base_prev,
-                        &mut link_load,
-                        &mut link_flows,
-                        &mut touched_mask,
-                        &mut touched_links,
-                    );
-                }
+                done.push(f);
             }
         }
         while let Some(&top) = heap.peek() {
@@ -922,60 +818,18 @@ pub fn drain(
             }
             // An entry is due once the flow is inside the one-byte
             // tolerance, which precedes its zero instant by 1/rate.
-            if top.t_zero - 1.0 / rate[f] <= now_s {
-                heap.pop();
-                materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
-                if remaining[f] <= 1.0 {
-                    // min/max folds happened when this rate episode began.
-                    finish[f] = Some(now);
-                    base.remove_flow(f);
-                    completions_now += 1;
-                    if episodic_cnp {
-                        flush_cnp_episode(
-                            f,
-                            now_s,
-                            &score,
-                            &p.src_port_of,
-                            &cnp_model,
-                            &mut cnp_last_s,
-                            &mut cnp_accum,
-                        );
-                    }
-                    if two_tier {
-                        release_completed(
-                            f,
-                            &p.dense_routes[f],
-                            &mut base_prev,
-                            &mut link_load,
-                            &mut link_flows,
-                            &mut touched_mask,
-                            &mut touched_links,
-                        );
-                    }
-                } else {
-                    // Floating-point shy of the tolerance: re-arm.
-                    stamp[f] = stamp[f].wrapping_add(1);
-                    heap.push(CompletionEvent {
-                        t_zero: now_s + remaining[f] / rate[f],
-                        flow: f as u32,
-                        stamp: stamp[f],
-                    });
-                }
-            } else {
+            if top.t_zero - 1.0 / rate[f] > now_s {
                 break;
             }
-        }
-
-        // 7. Re-arm completion events for this event's re-rated movers.
-        //    In exact mode congested flows under noise skip the heap —
-        //    they are re-scanned every event until a refresh clears their
-        //    score. In two-tier mode caps persist between redraws, so
-        //    capped flows ride the heap like everyone else.
-        for &f in &scan {
-            if finish[f].is_none()
-                && rate[f] > STALL_RATE
-                && (two_tier || !(cfg.rate_noise > 0.0 && score[f] > 0.0))
-            {
+            heap.pop();
+            materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
+            if remaining[f] <= 1.0 {
+                // min/max folds happened when this rate episode began.
+                finish[f] = Some(now);
+                done.push(f);
+            } else {
+                // Floating-point shy of the tolerance: re-arm.
+                stamp[f] = stamp[f].wrapping_add(1);
                 heap.push(CompletionEvent {
                     t_zero: now_s + remaining[f] / rate[f],
                     flow: f as u32,
@@ -983,32 +837,57 @@ pub fn drain(
                 });
             }
         }
-        if completions_now > 0 {
-            active.retain(|&f| finish[f].is_none());
-            if completions_now >= 2 {
+        for &f in &done {
+            base.remove_flow(f);
+            if let Some(c) = &mut cnp {
+                c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+            }
+            if two_tier {
+                release_completed(
+                    f,
+                    &p.dense_routes[f],
+                    &mut base_prev,
+                    &mut link_load,
+                    &mut link_flows,
+                    &mut touched_mask,
+                    &mut touched_links,
+                );
+            }
+        }
+
+        // 7. Re-arm completion events for this event's re-rated movers, and
+        //    retire the completed flows from the active list.
+        for &f in &scan {
+            if finish[f].is_none() && rate[f] > STALL_RATE {
+                heap.push(CompletionEvent {
+                    t_zero: now_s + remaining[f] / rate[f],
+                    flow: f as u32,
+                    stamp: stamp[f],
+                });
+            }
+        }
+        if !done.is_empty() {
+            live -= done.len();
+            if active.len() - live >= live {
+                active.retain(|&f| finish[f as usize].is_none());
+            }
+            if done.len() >= 2 {
                 batched_instants += 1;
-                batched_completions += completions_now - 1;
+                batched_completions += done.len() as u64 - 1;
             }
         }
     }
 
-    // Materialize the lazily-tracked remaining bytes of survivors so the
-    // byte accounting below sees the full elapsed drain.
+    // Materialize the survivors' lazily-tracked remaining bytes, so the
+    // byte accounting below sees the full elapsed drain, and close their
+    // open CNP episodes at the drain end.
     for &f in &active {
-        materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
-    }
-    if episodic_cnp {
-        // Close the surviving flows' open score episodes at the drain end.
-        for &f in &active {
-            flush_cnp_episode(
-                f,
-                now_s,
-                &score,
-                &p.src_port_of,
-                &cnp_model,
-                &mut cnp_last_s,
-                &mut cnp_accum,
-            );
+        let f = f as usize;
+        if finish[f].is_none() {
+            materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
+            if let Some(c) = &mut cnp {
+                c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+            }
         }
     }
 
@@ -1028,7 +907,6 @@ pub fn drain(
     let solver = DrainSolverStats {
         events,
         flows: nf as u64,
-        dense_links: ndl as u64,
         full_solves: base.full_solves(),
         component_solves: base.component_solves(),
         sparse_solves: base.sparse_solves(),
@@ -1037,7 +915,6 @@ pub fn drain(
         fallback_solves: base.fallback_solves(),
         batched_instants,
         batched_completions,
-        components: base.component_count() as u64,
         arena_hwm_bytes: base.arena_hwm_bytes() as u64,
     };
 
@@ -1049,7 +926,7 @@ pub fn drain(
         min_rate,
         max_rate,
         link_bytes,
-        cnp_accum,
+        cnp.map_or_else(|| vec![0.0; topo.ports().len()], |c| c.accum),
         congested_flags,
         solver,
     )
@@ -1080,16 +957,7 @@ pub fn drain_reference(
         .iter()
         .map(|s| s.route.iter().map(|l| l.index() as u32).collect())
         .collect();
-
-    let src_port_of: Vec<Option<usize>> = specs
-        .iter()
-        .map(|s| {
-            s.route.iter().find_map(|&l| match topo.link(l).kind() {
-                LinkKind::HostUp(p) => Some(p.index()),
-                _ => None,
-            })
-        })
-        .collect();
+    let src_port_of = sender_ports(topo, specs);
 
     let mut remaining: Vec<f64> = specs.iter().map(|s| s.bytes.as_bytes() as f64).collect();
     let mut finish: Vec<Option<SimTime>> = vec![None; nf];
@@ -1107,8 +975,10 @@ pub fn drain_reference(
         }
     }
 
-    let noisy = cfg.rate_noise > 0.0 || cfg.cnp.is_some();
+    let mut noise = Noise::new(cfg, nf);
+    let cnp_model = cfg.cnp.unwrap_or_default();
     let mut now = cfg.start;
+    let mut now_s = 0.0_f64;
     let mut active: Vec<usize> = (0..nf).filter(|&f| finish[f].is_none()).collect();
     let mut events = 0u64;
     let mut full_solves = 0u64;
@@ -1138,23 +1008,29 @@ pub fn drain_reference(
                 link_flows[l as usize] += 1;
             }
         }
-        let cnp_model = cfg.cnp.unwrap_or_default();
         let scores: Vec<f64> = act_routes
             .iter()
             .map(|r| cnp_model.flow_score(r, &link_load, &capacity, &link_flows))
             .collect();
 
+        // Noise: every active flow redraws at a grid instant; congested
+        // flows are then throttled through a full capped re-solve.
+        if noise.redraw_due(now_s) {
+            for &f in &active {
+                noise.draw(f, rng);
+            }
+        }
         // Whether any *base* allocation clears the stall floor — recorded
-        // before the noise re-solve overwrites `rates`, because the stall
-        // decision below must look through the per-epoch noise draw.
+        // before the capped re-solve overwrites `rates`, because the stall
+        // decision below must look through the throttles.
         let base_moving = rates.iter().any(|&r| r > STALL_RATE);
         if cfg.rate_noise > 0.0 {
-            let caps: Vec<f64> = rates
+            let caps: Vec<f64> = active
                 .iter()
-                .zip(&scores)
-                .map(|(&r, &s)| {
+                .zip(rates.iter().zip(&scores))
+                .map(|(&f, (&r, &s))| {
                     if s > 0.0 {
-                        r * (1.0 - cfg.rate_noise * rng.uniform())
+                        noise.rate(f, r, s)
                     } else {
                         f64::INFINITY
                     }
@@ -1170,41 +1046,35 @@ pub fn drain_reference(
             }
         }
 
-        // Time to next event: earliest completion, epoch boundary, deadline.
+        // Time to next event: earliest completion, then the grid-instant
+        // and deadline clamps.
         let mut dt = f64::INFINITY;
         for (i, &f) in active.iter().enumerate() {
             if rates[i] > STALL_RATE {
                 dt = dt.min(remaining[f] / rates[i]);
             }
         }
-        let any_moving = dt.is_finite();
-        if noisy {
-            dt = dt.min(cfg.epoch.as_secs_f64());
-        }
-        if let Some(deadline) = cfg.deadline {
-            dt = dt.min((deadline - now).as_secs_f64());
-        }
-        if !any_moving {
+        if !dt.is_finite() {
             // All-stalled: permanent only if no *base* rate clears the stall
-            // floor — noise multiplies the allocation by a factor ≤ 1, so a
+            // floor — a throttle multiplies the allocation by φ ≤ 1, so a
             // zero base rate stays zero, but a base rate just above the
-            // floor can dip under it for one epoch and resume at the next
-            // draw. Mirrors the event-driven loop's termination exactly.
-            let revivable = noisy && base_moving;
+            // floor can dip under it until the next grid instant. Mirrors
+            // the event-driven loop's termination exactly.
+            let revivable = noise.enabled() && base_moving;
             if !revivable {
                 break;
             }
         }
+        let (dt, next_s) = noise.clamp_step(dt, now_s, now, cfg.deadline);
         if !dt.is_finite() || dt <= 0.0 {
             break;
         }
 
         // Advance.
-        let step = SimDuration::from_secs_f64(dt);
-        if let Some(cnp) = cfg.cnp {
+        if cfg.cnp.is_some() {
             for (i, &f) in active.iter().enumerate() {
                 if let Some(port) = src_port_of[f] {
-                    cnp_accum[port] += cnp.cnp_rate(scores[i], rng.uniform()) * dt;
+                    cnp_accum[port] += cnp_model.cnp_rate(scores[i], noise.jitter[f]) * dt;
                 }
             }
         }
@@ -1222,7 +1092,8 @@ pub fn drain_reference(
                 link_bytes[l as usize] += moved;
             }
         }
-        now += step;
+        now_s = next_s;
+        now += SimDuration::from_secs_f64(dt);
         for &f in &active {
             if remaining[f] <= 1.0 && finish[f].is_none() {
                 finish[f] = Some(now);
@@ -1274,7 +1145,7 @@ fn finalize_report(
         .max(now.min(cfg.deadline.unwrap_or(now)));
 
     let span = (end - cfg.start).as_secs_f64().max(1e-12);
-    let cnp_per_port: Vec<f64> = cnp_accum.iter().map(|c| c / span).collect();
+    let cnp_per_port: Arc<[f64]> = cnp_accum.iter().map(|c| c / span).collect();
 
     let outcomes = specs
         .iter()
@@ -1310,7 +1181,7 @@ fn finalize_report(
     DrainReport {
         outcomes,
         end,
-        link_bytes,
+        link_bytes: link_bytes.into(),
         cnp_per_port,
         congested_flows: congested_flags.iter().filter(|c| **c).count(),
         solver,
@@ -1348,6 +1219,60 @@ mod tests {
         t.inter_node_route(a, pa, None, pb, b)
     }
 
+    /// Two flows from node0 and node2 into one receive port on node1: both
+    /// are congested while both are active.
+    fn shared_rx_specs(t: &Topology, a_bytes: ByteSize, b_bytes: ByteSize) -> Vec<FlowSpec> {
+        let a = t.gpu_at(NodeId::from_index(0), 0);
+        let b = t.gpu_at(NodeId::from_index(2), 0);
+        let dst = t.gpu_at(NodeId::from_index(1), 0);
+        let pd = t.port_of_gpu(dst, PortSide::Left);
+        let ra = t.inter_node_route(a, t.port_of_gpu(a, PortSide::Left), None, pd, dst);
+        let rb = t.inter_node_route(b, t.port_of_gpu(b, PortSide::Left), None, pd, dst);
+        vec![
+            FlowSpec::new(key(0, 8, 0), a_bytes, ra),
+            FlowSpec::new(key(16, 8, 1), b_bytes, rb),
+        ]
+    }
+
+    /// Single flows from `node0 + i` to `node1 + i` on GPU `gpu`, each alone
+    /// on its ports (its own solver component), sized `sizes[i]`.
+    fn lone_specs(
+        t: &Topology,
+        node0: usize,
+        node1: usize,
+        gpu: usize,
+        sizes: &[ByteSize],
+    ) -> Vec<FlowSpec> {
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| {
+                let a = t.gpu_at(NodeId::from_index(node0 + i), gpu);
+                let b = t.gpu_at(NodeId::from_index(node1 + i), gpu);
+                let pa = t.port_of_gpu(a, PortSide::Left);
+                let pb = t.port_of_gpu(b, PortSide::Left);
+                let route = t.inter_node_route(a, pa, None, pb, b);
+                FlowSpec::new(key(a.index(), b.index(), 0), bytes, route)
+            })
+            .collect()
+    }
+
+    type DrainFn = fn(&Topology, &[FlowSpec], &DrainConfig, &mut DetRng) -> DrainReport;
+
+    /// Both implementations, and the event-driven one under both solve
+    /// modes: one noise model for all three.
+    fn every_drain(cfg: &DrainConfig) -> [(&'static str, DrainFn, DrainConfig); 3] {
+        let two_tier = DrainConfig {
+            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
+            ..cfg.clone()
+        };
+        [
+            ("drain", drain, cfg.clone()),
+            ("two-tier drain", drain, two_tier),
+            ("reference", drain_reference, cfg.clone()),
+        ]
+    }
+
     #[test]
     fn single_flow_gets_port_bandwidth() {
         let t = topo();
@@ -1368,16 +1293,7 @@ mod tests {
     fn two_flows_share_receive_port() {
         let t = topo();
         // Two flows into the same destination port → 100 Gbps each.
-        let a = t.gpu_at(NodeId::from_index(0), 0);
-        let b = t.gpu_at(NodeId::from_index(2), 0);
-        let dst = t.gpu_at(NodeId::from_index(1), 0);
-        let pd = t.port_of_gpu(dst, PortSide::Left);
-        let ra = t.inter_node_route(a, t.port_of_gpu(a, PortSide::Left), None, pd, dst);
-        let rb = t.inter_node_route(b, t.port_of_gpu(b, PortSide::Left), None, pd, dst);
-        let specs = vec![
-            FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), ra),
-            FlowSpec::new(key(16, 8, 1), ByteSize::from_gib(1), rb),
-        ];
+        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
         let mut rng = DetRng::seed_from(2);
         let report = drain(&t, &specs, &DrainConfig::default(), &mut rng);
         assert!(report.all_completed());
@@ -1421,12 +1337,12 @@ mod tests {
     }
 
     /// Regression (PR 1 open item): a fully dead port used to hang a *noisy*
-    /// drain. With `rate_noise`/CNP enabled the loop clamped `dt` to the
-    /// epoch and kept spinning even though every remaining flow sat at zero
-    /// rate — noise multiplies the allocation by a factor ≤ 1, so a stalled
-    /// flow can never revive. Without a deadline that spun forever; with a
-    /// far deadline it stepped hundreds of millions of no-op epochs. Both
-    /// must now end at the stall instant with a stalled report.
+    /// drain. With `rate_noise`/CNP enabled the loop kept stepping from one
+    /// noise instant to the next even though every remaining flow sat at
+    /// zero rate — a throttle multiplies the allocation by a factor ≤ 1, so
+    /// a stalled flow can never revive. Without a deadline that spun
+    /// forever; with a far deadline it stepped hundreds of millions of no-op
+    /// epochs. Both must now end at the stall instant with a stalled report.
     #[test]
     fn noisy_stalled_drain_ends_without_deadline() {
         let mut t = topo();
@@ -1566,16 +1482,7 @@ mod tests {
         assert_eq!(report.congested_flows, 0);
 
         // Two flows sharing an rx port → CNPs on both sender ports.
-        let a = t.gpu_at(NodeId::from_index(0), 0);
-        let b = t.gpu_at(NodeId::from_index(2), 0);
-        let dst = t.gpu_at(NodeId::from_index(1), 0);
-        let pd = t.port_of_gpu(dst, PortSide::Left);
-        let ra = t.inter_node_route(a, t.port_of_gpu(a, PortSide::Left), None, pd, dst);
-        let rb = t.inter_node_route(b, t.port_of_gpu(b, PortSide::Left), None, pd, dst);
-        let specs = vec![
-            FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), ra),
-            FlowSpec::new(key(16, 8, 1), ByteSize::from_gib(1), rb),
-        ];
+        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
         let mut rng = DetRng::seed_from(8);
         let report = drain(&t, &specs, &cfg, &mut rng);
         assert_eq!(report.congested_flows, 2);
@@ -1594,16 +1501,7 @@ mod tests {
     #[test]
     fn noise_reduces_rates_slightly() {
         let t = topo();
-        let a = t.gpu_at(NodeId::from_index(0), 0);
-        let b = t.gpu_at(NodeId::from_index(2), 0);
-        let dst = t.gpu_at(NodeId::from_index(1), 0);
-        let pd = t.port_of_gpu(dst, PortSide::Left);
-        let ra = t.inter_node_route(a, t.port_of_gpu(a, PortSide::Left), None, pd, dst);
-        let rb = t.inter_node_route(b, t.port_of_gpu(b, PortSide::Left), None, pd, dst);
-        let specs = vec![
-            FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), ra),
-            FlowSpec::new(key(16, 8, 1), ByteSize::from_gib(1), rb),
-        ];
+        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
         let mut rng = DetRng::seed_from(9);
         let cfg = DrainConfig {
             rate_noise: 0.2,
@@ -1641,16 +1539,7 @@ mod tests {
     #[test]
     fn incremental_matches_reference_on_a_noisy_shared_drain() {
         let t = topo();
-        let a = t.gpu_at(NodeId::from_index(0), 0);
-        let b = t.gpu_at(NodeId::from_index(2), 0);
-        let dst = t.gpu_at(NodeId::from_index(1), 0);
-        let pd = t.port_of_gpu(dst, PortSide::Left);
-        let ra = t.inter_node_route(a, t.port_of_gpu(a, PortSide::Left), None, pd, dst);
-        let rb = t.inter_node_route(b, t.port_of_gpu(b, PortSide::Left), None, pd, dst);
-        let specs = vec![
-            FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), ra),
-            FlowSpec::new(key(16, 8, 1), ByteSize::from_mib(700), rb),
-        ];
+        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_mib(700));
         let cfg = DrainConfig {
             rate_noise: 0.15,
             cnp: Some(CnpModel::paper_default()),
@@ -1666,6 +1555,100 @@ mod tests {
             assert!(d < 1e-9, "finish {fx} vs {fy}");
         }
         assert_eq!(inc.congested_flows, reference.congested_flows);
+    }
+
+    /// The RNG advances only at noise-grid instants: by exactly the flows
+    /// active at each instant times the draws per flow (φ, then the CNP
+    /// jitter), however many completions fall in between.
+    #[test]
+    fn rng_advances_only_at_grid_instants() {
+        let t = topo();
+        // A congested pair plus lone flows whose completions land between
+        // grid instants.
+        let mut specs = shared_rx_specs(&t, ByteSize::from_mib(900), ByteSize::from_mib(500));
+        let sizes: Vec<ByteSize> = (0..6).map(|i| ByteSize::from_mib(40 + 70 * i)).collect();
+        specs.extend(lone_specs(&t, 3, 9, 1, &sizes));
+        let cfg = DrainConfig {
+            epoch: SimDuration::from_millis(3),
+            rate_noise: 0.2,
+            cnp: Some(CnpModel::paper_default()),
+            ..DrainConfig::default()
+        };
+        for (name, run, cfg) in every_drain(&cfg) {
+            let mut rng = DetRng::seed_from(21);
+            let report = run(&t, &specs, &cfg, &mut rng);
+            assert!(report.all_completed(), "{name}");
+            // The flows active at grid instant k are those finishing after
+            // it (finish instants sit on a ns grid; none lands within 100 ns
+            // after a grid instant here).
+            let epoch = cfg.epoch.as_secs_f64();
+            let finish_s: Vec<f64> = report
+                .outcomes
+                .iter()
+                .map(|o| (o.finish.unwrap() - SimTime::ZERO).as_secs_f64())
+                .collect();
+            let (mut draws, mut instants) = (0usize, 0u64);
+            loop {
+                let grid_s = instants as f64 * epoch;
+                let active = finish_s.iter().filter(|&&s| s > grid_s + 1e-7).count();
+                if active == 0 {
+                    break;
+                }
+                draws += 2 * active;
+                instants += 1;
+            }
+            assert!(instants >= 5, "{name}: {instants} grid instants");
+            assert!(
+                report.solver.events >= instants + 6,
+                "{name}: completions must fall between grid instants"
+            );
+            let mut expected = DetRng::seed_from(21);
+            for _ in 0..draws {
+                expected.uniform();
+            }
+            assert_eq!(
+                rng.uniform().to_bits(),
+                expected.uniform().to_bits(),
+                "{name}: the RNG must advance by exactly {draws} draws"
+            );
+        }
+    }
+
+    /// A congested flow keeps its throttle between grid instants: flows
+    /// completing in other components re-rate nothing here, so with one
+    /// grid instant for the whole drain the congested flow runs at one
+    /// constant rate.
+    #[test]
+    fn congested_rate_holds_between_grid_instants() {
+        let t = topo();
+        // Flow 0 finishes while flow 1 still shares its receive port, so it
+        // stays congested for its whole life.
+        let mut specs = shared_rx_specs(&t, ByteSize::from_mib(600), ByteSize::from_gib(2));
+        let sizes: Vec<ByteSize> = (0..5).map(|i| ByteSize::from_mib(20 + 20 * i)).collect();
+        specs.extend(lone_specs(&t, 3, 9, 2, &sizes));
+        let cfg = DrainConfig {
+            epoch: SimDuration::from_secs(10),
+            rate_noise: 0.25,
+            cnp: Some(CnpModel::paper_default()),
+            ..DrainConfig::default()
+        };
+        for (name, run, cfg) in every_drain(&cfg) {
+            let report = run(&t, &specs, &cfg, &mut DetRng::seed_from(5));
+            assert!(report.all_completed(), "{name}");
+            let congested = &report.outcomes[0];
+            let fin = congested.finish.unwrap();
+            assert!(fin < report.outcomes[1].finish.unwrap(), "{name}");
+            assert!(
+                report.outcomes[2..].iter().all(|o| o.finish.unwrap() < fin),
+                "{name}: the other components must complete meanwhile"
+            );
+            assert_eq!(
+                congested.min_rate, congested.max_rate,
+                "{name}: congested rate moved between grid instants"
+            );
+            let g = congested.mean_rate.as_gbps();
+            assert!((75.0..100.0).contains(&g), "{name}: throttled rate {g}");
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   [`c4_topology::LinkId`]s);
 //! * link bandwidth is shared **max-min fairly** ([`maxmin::solve`]);
 //! * a drain loop ([`drain()`](drain::drain)) advances virtual time between flow
-//!   completions, optionally re-solving each epoch with DCQCN-style rate
-//!   noise on congested flows and accounting CNPs per sender port
-//!   ([`congestion`]).
+//!   completions. With DCQCN-style noise on, it also stops at the instants
+//!   of a fixed epoch grid, where every active flow redraws its throttle
+//!   factor (applied while the flow is congested) and its CNP jitter; CNPs
+//!   are accounted per sender port ([`congestion`]). The [`drain`](mod@drain) module
+//!   docs state the model.
 //!
 //! Path selection is abstracted behind [`PathSelector`] so the ECMP baseline
 //! ([`EcmpSelector`]) and C4P's engineered selector (crate `c4-traffic`) plug
@@ -24,8 +26,8 @@
 //! ## The incremental max-min solver
 //!
 //! LLM-training traffic is repetitive: within one drain, successive
-//! re-solve points differ by a handful of flow completions or per-epoch cap
-//! perturbations, never by a wholesale rewrite of the problem. The drain
+//! re-solve points differ by a handful of flow completions, never by a
+//! wholesale rewrite of the problem. The drain
 //! loop therefore keeps a persistent [`MaxMinState`] per run instead of
 //! calling the from-scratch solver at every event. Its invariants:
 //!
@@ -33,18 +35,21 @@
 //!   connected components of the flow–link sharing graph (two flows are
 //!   connected when they share a link, transitively): a flow's final rate
 //!   depends only on its component. The state partitions flows once per
-//!   full solve and re-waterfills only components containing a change —
-//!   [`MaxMinState::remove_flow`] (completion), [`MaxMinState::rate_perturb`]
-//!   (DCQCN noise cap), [`MaxMinState::link_change`] (failure/degradation).
+//!   full solve and re-waterfills only components containing a change. The
+//!   drain feeds it completions only ([`MaxMinState::remove_flow`]): noise
+//!   throttles apply on top of the base allocation, and link faults are in
+//!   the topology before a drain starts. Cap and link-capacity changes
+//!   ([`MaxMinState::rate_perturb`], [`MaxMinState::link_change`]) are
+//!   exercised by the differential harness and `bench_maxmin`.
 //! * **Conservative partitions.** Removing a flow may split its component;
-//!   the split is only discovered at the next full solve's re-partition.
-//!   Until then the state re-solves the (superset) stale component — more
-//!   work than strictly needed, never a wrong answer. Adding a flow marks
-//!   the partition stale outright.
-//! * **Re-partition on dead mass.** Once the flows removed since the last
-//!   partition outweigh the survivors, the next solve re-partitions —
-//!   dropping dead flows from the component tables and splitting
-//!   components removals disconnected (amortized O(1) per removal).
+//!   the split is only discovered when that component is next
+//!   re-partitioned. Until then the state re-solves the (superset) stale
+//!   component — more work than strictly needed, never a wrong answer.
+//!   Adding a flow marks the whole partition stale.
+//! * **Re-partition on dead mass.** Once a component's removed flows reach
+//!   its survivors, its next re-solve re-partitions it in place —
+//!   dropping dead flows from its tables and splitting the pieces
+//!   removals disconnected (amortized O(1) per removal).
 //!   Allocations are independent of partition granularity, so only wall
 //!   clock moves. Cap perturbations alone never force a re-partition.
 //! * **Dirty-component feed.** [`MaxMinState::refresh`] reports what each

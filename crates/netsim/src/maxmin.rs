@@ -13,11 +13,12 @@
 //! into connected components of the flow–link sharing graph, and re-runs the
 //! water-filling kernel only over components whose inputs changed since the
 //! last query. LLM-training traffic makes this profitable: successive solves
-//! within a drain differ by a handful of flow completions or per-epoch cap
-//! perturbations, while disjoint jobs/NVLink chains never need re-solving at
-//! all. When the dirty set grows past half the live flows the state falls
-//! back to one full solve (and re-partitions), so the incremental path is
-//! never slower than the reference by more than bookkeeping.
+//! within a drain differ by a handful of flow completions, while disjoint
+//! jobs/NVLink chains never need re-solving at all. Dirty components always
+//! re-solve one by one, however many there are. Only flow additions, which
+//! can merge components, force a full solve with a global re-partition; a
+//! dirty component whose removed flows reach its live count is re-partitioned
+//! in place before it re-solves.
 
 use c4_simcore::{scoped_map, ParallelPolicy, UnionFind};
 
@@ -813,10 +814,10 @@ impl Component {
 
 /// Persistent max-min problem with incremental re-solving.
 ///
-/// The drain loop's access pattern is: build the problem once, then apply
-/// small perturbations — a flow completes ([`remove_flow`]), DCQCN noise
-/// re-caps congested flows for an epoch ([`rate_perturb`]), a link degrades
-/// or dies ([`link_change`]) — and re-read [`rates`]. The state partitions
+/// The access pattern is: build the problem once, then apply small
+/// perturbations — a flow completes ([`remove_flow`], the only one the
+/// drain loop issues), a flow's cap moves ([`rate_perturb`]), a link
+/// degrades or dies ([`link_change`]) — and re-read [`rates`]. The state partitions
 /// flows into connected components (two flows are connected when they share
 /// a link, transitively) and re-runs the event-driven water-filling kernel
 /// only over components containing a change. Max-min fairness is separable

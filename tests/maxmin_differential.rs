@@ -9,15 +9,17 @@
 //!   long mutation scripts of flow removals, cap perturbations and link
 //!   capacity changes — the exact operations the drain loop feeds it.
 //! * **Drain** — [`drain`] (the event-driven engine: completion heap,
-//!   dirty-component load/score maintenance, one-pass noise re-caps) vs
-//!   [`drain_reference`] (full re-solve per event), across randomized tiny
-//!   Clos topologies, flow populations, fault injections (killed host and
-//!   fabric links), DCQCN noise epochs, CNP accounting and deadlines —
-//!   plus a dedicated noisy-at-scale family on a grouped pod (epoch
-//!   re-caps over a spine-shared giant component, same-size completion
-//!   batches, deadlines). Both consume the RNG in the same order, so
-//!   reports must match event for event and the RNG must land on the same
-//!   position (asserted bit-for-bit).
+//!   dirty-component load/score maintenance, one-pass throttle re-rates,
+//!   episodic CNP integration) vs [`drain_reference`] (full capped
+//!   re-solve and CNP sum per event), across randomized tiny Clos
+//!   topologies, flow populations, fault injections (killed host and
+//!   fabric links), DCQCN noise grids, CNP accounting and deadlines — plus
+//!   a dedicated noisy-at-scale family on a grouped pod (grid redraws over
+//!   a spine-shared giant component, same-size completion batches,
+//!   deadlines). Both implement one noise model: every active flow draws
+//!   at each `start + k·epoch` grid instant and at no other time, in
+//!   ascending flow order. So reports must match and the RNG must land on
+//!   the same position (asserted bit-for-bit).
 //! * **Parallel determinism** — every solver case also runs 2- and
 //!   4-thread [`MaxMinState`]s through the same mutation script, and every
 //!   drain case re-runs [`drain`] under 2- and 4-thread policies. Worker
@@ -378,13 +380,18 @@ fn assert_reports_agree(inc: &DrainReport, reference: &DrainReport, what: &str) 
         inc.congested_flows, reference.congested_flows,
         "{what}: congested flow count"
     );
-    for (l, (&a, &b)) in inc.link_bytes.iter().zip(&reference.link_bytes).enumerate() {
+    for (l, (&a, &b)) in inc
+        .link_bytes
+        .iter()
+        .zip(reference.link_bytes.iter())
+        .enumerate()
+    {
         assert!(close(a, b), "{what}: link {l} bytes {a} vs {b}");
     }
     for (p, (&a, &b)) in inc
         .cnp_per_port
         .iter()
-        .zip(&reference.cnp_per_port)
+        .zip(reference.cnp_per_port.iter())
         .enumerate()
     {
         assert!(close(a, b), "{what}: port {p} cnp {a} vs {b}");
@@ -607,7 +614,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Noisy-at-scale: the exact regime the event-driven engine was built
-    /// for — epoch re-caps over a giant spine-shared component, same-size
+    /// for — grid redraws over a giant spine-shared component, same-size
     /// completion batches, and deadlines — pinned against the reference at
     /// 1e-9 with identical RNG consumption, and bit-identical to itself at
     /// 2 and 4 threads.
@@ -627,7 +634,7 @@ proptest! {
             deadline: (deadline_case > 0).then(|| {
                 SimTime::ZERO + SimDuration::from_millis(4u64.pow(deadline_case as u32 + 1))
             }),
-            // Epochs short enough that every drain re-caps many times.
+            // Epochs short enough that every drain redraws many times.
             epoch: SimDuration::from_micros(400),
             rate_noise: [0.04, 0.10, 0.25][noise_kind],
             cnp: Some(CnpModel::paper_default()),
@@ -1105,8 +1112,8 @@ proptest! {
             );
         }
 
-        // The noisy/CNP two-tier path (sparse cap redraws on the epoch
-        // cadence, episodic CNP integration) must stay deterministic and
+        // The noisy/CNP two-tier path (the shared epoch-grid noise model,
+        // episodic CNP integration) must stay deterministic and
         // thread-invariant too, and every flow must still complete on a
         // healthy fabric.
         let cfg_noisy = DrainConfig {
