@@ -1,7 +1,7 @@
 //! Criterion bench: the max-min fair solvers at realistic flow/link scales —
 //! the from-scratch reference ([`maxmin::solve`]), the incremental
-//! [`MaxMinState`] on the drain loop's operations (flow completion, DCQCN
-//! cap perturbation), and the two drain implementations end to end.
+//! [`MaxMinState`] on the drain loop's one operation (a flow completion),
+//! and the two drain implementations end to end.
 //!
 //! `BENCH_maxmin.json` at the repository root records the trajectory of
 //! these numbers (and the month-scale test-suite wall times) across PRs.
@@ -48,7 +48,7 @@ fn bench_completion_resolve(c: &mut Criterion) {
             |b, _| b.iter(|| c4_netsim::maxmin::solve(&capacity, &remaining, None)),
         );
 
-        let mut state = MaxMinState::with_flows(&capacity, &routes, None);
+        let mut state = MaxMinState::with_flows(&capacity, &routes);
         let _ = state.rates();
         group.bench_with_input(
             BenchmarkId::new("incremental", format!("{links}l_{flows}f")),
@@ -57,41 +57,6 @@ fn bench_completion_resolve(c: &mut Criterion) {
                 b.iter(|| {
                     let mut s = state.clone();
                     s.remove_flow(removed);
-                    s.rates().len()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// A DCQCN noise epoch: every congested flow's cap moves. From-scratch
-/// capped solve vs incremental perturbation (the fallback-heavy worst case).
-fn bench_noise_epoch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("maxmin_noise_epoch");
-    group.sample_size(20);
-    for &(links, flows) in &[(600usize, 100usize), (3600, 400)] {
-        let (capacity, routes) = synth(links, flows, 7);
-        let base = c4_netsim::maxmin::solve(&capacity, &routes, None);
-        let caps: Vec<f64> = base.iter().map(|r| r * 0.93).collect();
-
-        group.bench_with_input(
-            BenchmarkId::new("from_scratch", format!("{links}l_{flows}f")),
-            &(),
-            |b, _| b.iter(|| c4_netsim::maxmin::solve(&capacity, &routes, Some(&caps))),
-        );
-
-        let mut state = MaxMinState::with_flows(&capacity, &routes, None);
-        let _ = state.rates();
-        group.bench_with_input(
-            BenchmarkId::new("incremental", format!("{links}l_{flows}f")),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    let mut s = state.clone();
-                    for (f, &cap) in caps.iter().enumerate() {
-                        s.rate_perturb(f, cap);
-                    }
                     s.rates().len()
                 })
             },
@@ -128,11 +93,5 @@ fn bench_drain(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_maxmin,
-    bench_completion_resolve,
-    bench_noise_epoch,
-    bench_drain
-);
+criterion_group!(benches, bench_maxmin, bench_completion_resolve, bench_drain);
 criterion_main!(benches);

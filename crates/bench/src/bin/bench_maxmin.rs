@@ -1,7 +1,7 @@
 //! Regenerates **`BENCH_maxmin.json`**: median wall-clock timings of the
 //! max-min solver stack (from-scratch reference, incremental `MaxMinState`
-//! on the drain loop's operations, serial vs multi-thread component
-//! re-solves, and the two drain implementations end to end).
+//! on the drain loop's one operation — a flow completion — and the two
+//! drain implementations end to end).
 //!
 //! Same workload constructors as the criterion bench (`cargo bench
 //! --bench maxmin`; both call the shared builders in `c4_bench`, here
@@ -45,7 +45,7 @@ fn main() {
     let cli = parse_cli(1);
     banner(
         "BENCH_maxmin — max-min solver stack medians",
-        "incremental MaxMinState vs from-scratch reference; serial vs threaded",
+        "incremental MaxMinState vs from-scratch reference",
     );
     let start = std::time::Instant::now();
     let mut rec = Recorder { rows: Vec::new() };
@@ -75,8 +75,7 @@ fn main() {
                 std::hint::black_box(maxmin::solve(&capacity, &remaining, None));
             },
         );
-        let mut state =
-            MaxMinState::with_flows(&capacity, &routes, None).with_parallel(ParallelPolicy::SERIAL);
+        let mut state = MaxMinState::with_flows(&capacity, &routes);
         let _ = state.rates();
         let incremental = rec.measure(
             &format!("maxmin_completion_resolve/{links}l_{flows}f/incremental"),
@@ -91,56 +90,6 @@ fn main() {
             "",
             scratch / incremental.max(1e-9)
         );
-    }
-
-    // A DCQCN noise epoch: every congested flow's cap moves.
-    for &(links, flows) in &shapes[..2] {
-        let (capacity, routes) = synth_maxmin_problem(links, flows, cli.seed);
-        let base = maxmin::solve(&capacity, &routes, None);
-        let caps: Vec<f64> = base.iter().map(|r| r * 0.93).collect();
-        rec.measure(
-            &format!("maxmin_noise_epoch/{links}l_{flows}f/from_scratch"),
-            || {
-                std::hint::black_box(maxmin::solve(&capacity, &routes, Some(&caps)));
-            },
-        );
-        let mut state =
-            MaxMinState::with_flows(&capacity, &routes, None).with_parallel(ParallelPolicy::SERIAL);
-        let _ = state.rates();
-        rec.measure(
-            &format!("maxmin_noise_epoch/{links}l_{flows}f/incremental"),
-            || {
-                let mut s = state.clone();
-                for (f, &cap) in caps.iter().enumerate() {
-                    s.rate_perturb(f, cap);
-                }
-                std::hint::black_box(s.rates().len());
-            },
-        );
-    }
-
-    // The tentpole dimension: a full component-partitioned re-solve of the
-    // largest shape under 1/2/4 worker threads (identical allocations;
-    // only wall time may move, and only on multi-core hosts).
-    {
-        let (capacity, routes) = synth_maxmin_problem(6000, 1500, cli.seed);
-        for threads in [1usize, 2, 4] {
-            let mut state = MaxMinState::with_flows(&capacity, &routes, None)
-                .with_parallel(ParallelPolicy::with_threads(threads));
-            let _ = state.rates();
-            rec.measure(
-                &format!("maxmin_parallel_full_resolve/6000l_1500f/{threads}t"),
-                || {
-                    let mut s = state.clone();
-                    // Dirty everything: forces the full-solve fallback,
-                    // which fans out per component.
-                    for f in 0..1500 {
-                        s.rate_perturb(f, 120.0 + (f % 9) as f64);
-                    }
-                    std::hint::black_box(s.rates().len());
-                },
-            );
-        }
     }
 
     // The drain loop end to end (incremental vs retained reference).

@@ -1,8 +1,7 @@
 //! One-stop re-exports of the workspace's public API.
 
 pub use c4_simcore::{
-    scoped_map, Bandwidth, ByteSize, DetRng, Engine, EventQueue, Histogram, JsonValue,
-    ParallelPolicy, SimDuration, SimTime, StreamingStats, TimeSeries,
+    scoped_map, Bandwidth, ByteSize, DetRng, JsonValue, ParallelPolicy, SimDuration, SimTime,
 };
 
 pub use c4_topology::{

@@ -217,7 +217,7 @@ pub struct C4pScaleConfig {
     /// Oversubscription ratios to sweep (`1.0` = non-blocking, `2.0` =
     /// the `pod_grouped` default).
     pub oversub: Vec<f64>,
-    /// Thread budget for the solver, plan and batch-selection layers.
+    /// Thread budget for the plan and batch-selection layers.
     /// Simulated throughput is bit-identical at any value; only wall
     /// clocks move.
     pub parallel: ParallelPolicy,
@@ -686,8 +686,8 @@ mod tests {
     #[test]
     fn scale_sweep_is_thread_count_invariant() {
         // Simulated throughput must not depend on the thread budget —
-        // batch selection, component re-solves and route assembly all
-        // promise bit-identical results.
+        // batch selection and route assembly both promise bit-identical
+        // results.
         let mk = |threads: usize| {
             let cfg = C4pScaleConfig {
                 seed: 11,

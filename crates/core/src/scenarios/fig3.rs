@@ -8,16 +8,14 @@
 //! This module also carries the sweep **beyond** the paper's largest
 //! measured point: [`Fig3Config::scale_4096`] runs the same job family up
 //! to 4096 GPUs on a [`ClosConfig::pod_grouped`] fabric (leaf tier scaling
-//! with the cluster, grouped wiring, 2:1 oversubscription), which is only
-//! tractable because the max-min re-solve and flow-plan construction fan
-//! out over a [`ParallelPolicy`]-sized thread pool. Each scale point is
-//! wall-clock timed so the bench binary can emit `BENCH_scale.json` and CI
-//! can gate on simulator-performance regressions.
+//! with the cluster, grouped wiring, 2:1 oversubscription). Scale points run
+//! one after another; each is wall-clock timed so the bench binary can emit
+//! `BENCH_scale.json` and CI can gate on simulator-performance regressions.
 
 use std::time::Instant;
 
 use c4_netsim::{mix64, EcmpSelector};
-use c4_simcore::{scoped_map, DetRng, JsonValue, ParallelPolicy};
+use c4_simcore::{DetRng, JsonValue, ParallelPolicy};
 use c4_topology::{ClosConfig, NodeId, Topology};
 use c4_trainsim::{JobSpec, ParallelLayout, TrainingJob};
 
@@ -67,8 +65,8 @@ pub struct Fig3Config {
     /// The shared fabric every point runs on (jobs occupy the first `dp`
     /// nodes).
     pub clos: ClosConfig,
-    /// Thread budget for the solver / plan-build layers. Throughput
-    /// numbers are bit-identical at any value; only `wall_ms` moves.
+    /// Thread budget for each job's route assembly. Throughput numbers are
+    /// bit-identical at any value; only `wall_ms` moves.
     pub parallel: ParallelPolicy,
 }
 
@@ -132,11 +130,11 @@ pub fn run(seed: u64, iters: usize) -> Vec<Fig3Row> {
 
 /// Runs a configured scaling sweep.
 ///
-/// Scale points are mutually independent — each draws from its own
-/// [`DetRng`] stream derived from the root seed and the point's width — so
-/// whole points fan out over the `cfg.parallel` thread pool and merge back
-/// in scale order. Per-seed output (and therefore the bench binary's
-/// stdout) is byte-identical at any thread count; only wall clocks move.
+/// Scale points run in order. Each draws from its own [`DetRng`] stream
+/// derived from the root seed and the point's width, so a point's result
+/// does not depend on the others. Per-seed output (and therefore the bench
+/// binary's stdout) is byte-identical at any thread count; only wall
+/// clocks move.
 ///
 /// # Panics
 ///
@@ -147,7 +145,7 @@ pub fn run_config(cfg: &Fig3Config) -> Fig3Sweep {
     let sweep_start = Instant::now();
     let topo = Topology::build(&cfg.clos);
 
-    let measured: Vec<(f64, f64)> = scoped_map(cfg.parallel, &cfg.scales, |&dp| {
+    let measure = |dp: usize| {
         let point_start = Instant::now();
         let mut rng = DetRng::seed_from(mix64(
             cfg.seed ^ (dp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -169,8 +167,8 @@ pub fn run_config(cfg: &Fig3Config) -> Fig3Sweep {
             sps.iter().sum::<f64>() / sps.len() as f64,
             point_start.elapsed().as_secs_f64() * 1e3,
         )
-    });
-    let (actuals, walls): (Vec<f64>, Vec<f64>) = measured.into_iter().unzip();
+    };
+    let (actuals, walls): (Vec<f64>, Vec<f64>) = cfg.scales.iter().map(|&dp| measure(dp)).unzip();
 
     let base_per_unit = actuals[0] / cfg.scales[0] as f64;
     let rows = cfg

@@ -84,10 +84,10 @@ pub struct DrainConfig {
     /// CNP accounting model (`None` = no CNP accounting). Each flow's CNP
     /// jitter is redrawn on the same grid as `rate_noise`.
     pub cnp: Option<CnpModel>,
-    /// Thread budget for the solver's batched component re-solves (and for
-    /// the collective layer's route assembly, which reuses the drain
-    /// config). Defaults to the `C4_THREADS` environment selection; the
-    /// allocation is bit-identical at any thread count.
+    /// Thread budget for the collective layer's route assembly, which
+    /// reuses the drain config. The drain itself runs serially and never
+    /// reads it. Defaults to the `C4_THREADS` environment selection; routes
+    /// are bit-identical at any thread count.
     pub parallel: ParallelPolicy,
     /// Base-allocation solver strategy. [`SolveMode::Exact`] (the default)
     /// is bit-identical to the historical behaviour; `TwoTier` trades an
@@ -536,9 +536,8 @@ pub fn drain(
     // bottlenecks. The differential harness holds this identity against the
     // reference's full capped re-solve at 1e-9.
     let two_tier = matches!(cfg.solve_mode, SolveMode::TwoTier { .. });
-    let mut base = MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes, None)
-        .with_parallel(cfg.parallel)
-        .with_solve_mode(cfg.solve_mode);
+    let mut base =
+        MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes).with_solve_mode(cfg.solve_mode);
     if two_tier {
         base.set_spine_links(&p.spine_mask);
     }

@@ -36,11 +36,10 @@
 //!   connected when they share a link, transitively): a flow's final rate
 //!   depends only on its component. The state partitions flows once per
 //!   full solve and re-waterfills only components containing a change. The
-//!   drain feeds it completions only ([`MaxMinState::remove_flow`]): noise
-//!   throttles apply on top of the base allocation, and link faults are in
-//!   the topology before a drain starts. Cap and link-capacity changes
-//!   ([`MaxMinState::rate_perturb`], [`MaxMinState::link_change`]) are
-//!   exercised by the differential harness and `bench_maxmin`.
+//!   drain feeds it completions only ([`MaxMinState::remove_flow`]), and
+//!   that is the whole mutation API: noise throttles apply on top of the
+//!   base allocation, and link faults are in the topology before a drain
+//!   starts.
 //! * **Conservative partitions.** Removing a flow may split its component;
 //!   the split is only discovered when that component is next
 //!   re-partitioned. Until then the state re-solves the (superset) stale
@@ -51,21 +50,18 @@
 //!   dropping dead flows from its tables and splitting the pieces
 //!   removals disconnected (amortized O(1) per removal).
 //!   Allocations are independent of partition granularity, so only wall
-//!   clock moves. Cap perturbations alone never force a re-partition.
+//!   clock moves.
 //! * **Dirty-component feed.** [`MaxMinState::refresh`] reports what each
 //!   lazy solve touched ([`SolveScope`]: nothing, a component list, or a
 //!   full re-partition), so the drain engine maintains its link loads,
 //!   congestion scores and completion heap incrementally for exactly the
 //!   flows whose rates may have changed.
-//! * **Deterministic parallelism.** Components are independent
-//!   sub-problems, so batched re-solves fan out over a scoped-thread pool
-//!   sized by [`DrainConfig::parallel`](drain::DrainConfig) (default: the
-//!   `C4_THREADS` environment selection). Each component's rates are a pure
-//!   function of its own inputs and results merge in component-index
-//!   order, making allocations bit-identical at any thread count — the
-//!   differential harness pins serial vs 2- and 4-thread states exactly.
+//! * **One serial solve path.** Dirty components re-solve one by one
+//!   through a single reused scratch arena, so the drain stops allocating
+//!   once the largest component has been seen. The drain never reads a
+//!   thread budget, so its results cannot depend on one.
 //! * **Reference agreement.** The state's event-driven kernel (water level
-//!   jumping between cap/saturation events on a lazy min-heap) produces the
+//!   jumping between link-saturation events on a lazy min-heap) produces the
 //!   same allocation as the textbook progressive-filling loop retained in
 //!   [`maxmin::solve`], within 1e-9 relative — enforced continuously by
 //!   `tests/maxmin_differential.rs`, which also holds the incremental

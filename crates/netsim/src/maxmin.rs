@@ -3,33 +3,28 @@
 //!
 //! Given link capacities and flow routes, raise every unfrozen flow's rate
 //! uniformly; when a link saturates, freeze the flows crossing it; repeat.
-//! Optional per-flow caps model DCQCN rate limiting. [`solve`] is the
-//! textbook water-filling algorithm run from scratch; it is retained as the
-//! *reference* implementation that `tests/maxmin_differential.rs` checks the
-//! incremental path against.
+//! [`solve`] is the textbook water-filling algorithm run from scratch; it is
+//! retained as the *reference* implementation that
+//! `tests/maxmin_differential.rs` checks the incremental path against. It
+//! alone takes optional per-flow caps: `drain_reference` uses them to apply
+//! DCQCN throttles by a full capped re-solve.
 //!
 //! [`MaxMinState`] is the incremental form the drain loop consumes: it keeps
-//! the problem (link capacities, flow routes, caps) resident, partitions it
-//! into connected components of the flow–link sharing graph, and re-runs the
-//! water-filling kernel only over components whose inputs changed since the
-//! last query. LLM-training traffic makes this profitable: successive solves
-//! within a drain differ by a handful of flow completions, while disjoint
-//! jobs/NVLink chains never need re-solving at all. Dirty components always
-//! re-solve one by one, however many there are. Only flow additions, which
-//! can merge components, force a full solve with a global re-partition; a
-//! dirty component whose removed flows reach its live count is re-partitioned
-//! in place before it re-solves.
+//! the problem (link capacities, flow routes) resident, partitions it into
+//! connected components of the flow–link sharing graph, and re-runs the
+//! water-filling kernel only over components that lost a flow since the
+//! last query. LLM-training traffic makes this profitable: a drain's flow
+//! set is fixed up front and only ever shrinks by completions, successive
+//! solves differ by a handful of them, and disjoint jobs/NVLink chains never
+//! need re-solving at all. Dirty components re-solve one by one, serially.
+//! Only flow additions, which can merge components, force a full solve with
+//! a global re-partition; a dirty component whose removed flows reach its
+//! live count is re-partitioned in place before it re-solves.
 
-use c4_simcore::{scoped_map, ParallelPolicy, UnionFind};
+use c4_simcore::UnionFind;
 
 /// Per-flow rate caps; `f64::INFINITY` means uncapped.
 pub type RateCaps = Vec<f64>;
-
-/// Minimum live-flow mass across the components of one re-solve batch
-/// before worker threads are spawned; below it the per-thread setup cost
-/// exceeds the solve itself. Purely a wall-clock heuristic — results are
-/// bit-identical either way.
-const PARALLEL_MIN_FLOWS: usize = 192;
 
 /// Rate assigned to flows with an empty route and no finite cap
 /// (represented as `f64::MAX / 4` to avoid arithmetic overflow downstream).
@@ -79,14 +74,12 @@ impl RouteTable {
     }
 }
 
-/// Progressive-filling kernel shared by [`solve`] and [`MaxMinState`].
+/// The textbook progressive-filling kernel behind the reference [`solve`].
 ///
 /// * `capacity[l]` — dense link capacities (negative treated as 0).
 /// * `links_of[f]` — each flow's links as **sorted, deduplicated** indices
 ///   into `capacity`.
-/// * `caps[f]` — per-flow rate cap; `f64::INFINITY` = uncapped, `0.0` pins
-///   the flow to rate zero (how [`MaxMinState`] masks removed flows without
-///   rebuilding route tables).
+/// * `caps[f]` — per-flow rate cap; `f64::INFINITY` = uncapped.
 ///
 /// Writes one rate per flow into `rates` (which must be zeroed by the
 /// caller). Arithmetic is identical to the original from-scratch solver:
@@ -219,7 +212,7 @@ impl PartialOrd for LinkEvent {
 impl Ord for LinkEvent {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the lowest level first.
-        // Levels are never NaN (capacities and caps are real).
+        // Levels are never NaN (capacities are real).
         other
             .level
             .partial_cmp(&self.level)
@@ -228,12 +221,12 @@ impl Ord for LinkEvent {
 }
 
 /// Reusable buffers for [`waterfill_event_into`]: every per-call allocation
-/// of the event kernel (index arenas, residual tables, the saturation heap,
-/// the cap sweep order) plus the staging vectors the serial component loop
-/// uses to assemble each sub-problem. Buffers are **cleared, not freed**
-/// between solves, so the drain hot loop stops allocating once the largest
-/// component has been seen; `hwm_bytes` records the arena's high-water mark
-/// for [`DrainSolverStats`](crate::DrainSolverStats).
+/// of the event kernel (index arenas, residual tables, the saturation heap)
+/// plus the staging vectors the component loop uses to assemble each
+/// sub-problem. Buffers are **cleared, not freed** between solves, so the
+/// drain hot loop stops allocating once the largest component has been
+/// seen; `hwm_bytes` records the arena's high-water mark for
+/// [`DrainSolverStats`](crate::DrainSolverStats).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolveScratch {
     active_count: Vec<u32>,
@@ -245,11 +238,9 @@ pub(crate) struct SolveScratch {
     base_level: Vec<f64>,
     stamp: Vec<u32>,
     heap: std::collections::BinaryHeap<LinkEvent>,
-    cap_order: Vec<u32>,
-    /// Staging for the serial component loop (link capacities, masked caps
-    /// and rates of the component being solved).
+    /// Staging for the component loop (link capacities and rates of the
+    /// component being solved).
     local_capacity: Vec<f64>,
-    local_caps: Vec<f64>,
     local_rates: Vec<f64>,
     /// Largest total capacity (bytes) this arena has held.
     hwm_bytes: usize,
@@ -267,9 +258,7 @@ impl SolveScratch {
             + self.base_level.capacity() * 8
             + self.stamp.capacity() * 4
             + self.heap.capacity() * std::mem::size_of::<LinkEvent>()
-            + self.cap_order.capacity() * 4
             + self.local_capacity.capacity() * 8
-            + self.local_caps.capacity() * 8
             + self.local_rates.capacity() * 8;
         if bytes > self.hwm_bytes {
             self.hwm_bytes = bytes;
@@ -278,23 +267,20 @@ impl SolveScratch {
 }
 
 /// Event-driven progressive-filling kernel — the fast path behind
-/// [`MaxMinState`]. Allocation-free wrapper state lives in `scratch`; see
-/// [`waterfill_event_into`] for the algorithm.
-fn waterfill_event(capacity: &[f64], links_of: &RouteTable, caps: &[f64], rates: &mut [f64]) {
-    let mut scratch = SolveScratch::default();
-    waterfill_event_into(capacity, links_of, caps, rates, &mut scratch, None);
-}
-
-/// Event-driven progressive-filling kernel.
+/// [`MaxMinState`].
 ///
 /// Exploits the invariant that every *active* flow sits at the same water
 /// level `L`: instead of raising rates round by round, it jumps `L` directly
-/// to the next constraint — the smallest finite cap (flows sorted by cap
-/// once) or the lowest link-saturation level (a lazy min-heap keyed by
+/// to the lowest link-saturation level (a lazy min-heap keyed by
 /// `L + remaining/active_count`, re-pushed whenever a freeze changes a
 /// link's count). Each flow freezes exactly once and each freeze touches
 /// only that flow's links, so a solve costs `O(E log E)` in the total route
 /// length `E` — versus the reference kernel's `O(flows · (links + flows))`.
+///
+/// `alive(f)` is false for flows [`MaxMinState`] removed without rebuilding
+/// its route tables. They are counted onto their links like any other flow
+/// and then, before the first link event, released at level 0 in ascending
+/// flow order, pinning them to rate 0.
 ///
 /// Produces the same allocation as the reference [`waterfill`] up to
 /// `O(eps)` freeze-threshold differences (the reference freezes flows an
@@ -314,13 +300,12 @@ fn waterfill_event(capacity: &[f64], links_of: &RouteTable, caps: &[f64], rates:
 fn waterfill_event_into(
     capacity: &[f64],
     links_of: &RouteTable,
-    caps: &[f64],
+    alive: impl Fn(usize) -> bool,
     rates: &mut [f64],
     scratch: &mut SolveScratch,
     levels: Option<&mut Vec<f64>>,
 ) {
     let nf = links_of.len();
-    debug_assert_eq!(caps.len(), nf);
     debug_assert_eq!(rates.len(), nf);
     let nl = capacity.len();
     // Saturation levels for a problem with no routed flows: a link is
@@ -350,11 +335,7 @@ fn waterfill_event_into(
     for f in 0..nf {
         let ls = links_of.route(f);
         if ls.is_empty() {
-            rates[f] = if caps[f].is_finite() {
-                caps[f].max(0.0)
-            } else {
-                UNBOUNDED
-            };
+            rates[f] = if alive(f) { UNBOUNDED } else { 0.0 };
             continue;
         }
         active[f] = true;
@@ -423,32 +404,29 @@ fn waterfill_event_into(
         }
     }
 
-    // Flows with finite caps, sorted ascending; swept once.
-    let cap_order = &mut scratch.cap_order;
-    cap_order.clear();
-    cap_order
-        .extend((0..nf as u32).filter(|&f| active[f as usize] && caps[f as usize].is_finite()));
-    cap_order.sort_unstable_by(|&a, &b| {
-        caps[a as usize]
-            .partial_cmp(&caps[b as usize])
-            .expect("caps are not NaN")
-    });
-    let mut cap_idx = 0usize;
-
+    // Removed flows freeze at level 0 before anything else moves.
     let mut level = 0.0_f64;
-    // Freezes `f` at the current level (or its cap), releasing its links.
-    // Returns the links touched so the caller refreshes their heap entries.
-    while n_active > 0 {
-        // Next cap constraint.
-        while cap_idx < cap_order.len() && !active[cap_order[cap_idx] as usize] {
-            cap_idx += 1;
+    for f in 0..nf {
+        if !active[f] || alive(f) {
+            continue;
         }
-        let cap_level = if cap_idx < cap_order.len() {
-            caps[cap_order[cap_idx] as usize].max(0.0)
-        } else {
-            f64::INFINITY
-        };
+        active[f] = false;
+        n_active -= 1;
+        rates[f] = 0.0;
+        for &l in links_of.route(f) {
+            release_link(
+                l as usize,
+                level,
+                remaining,
+                base_level,
+                active_count,
+                stamp,
+                heap,
+            );
+        }
+    }
 
+    while n_active > 0 {
         // Next link constraint (discard stale heap entries).
         let mut link_event: Option<u32> = None;
         let mut link_level = f64::INFINITY;
@@ -463,84 +441,43 @@ fn waterfill_event_into(
             break;
         }
 
-        if cap_level <= link_level {
-            if !cap_level.is_finite() {
-                // No finite constraint left: the reference kernel's
-                // stalemate guard freezes everyone at the current level.
-                for f in 0..nf {
-                    if active[f] {
-                        rates[f] = level;
-                        active[f] = false;
-                    }
-                }
-                break;
-            }
-            // Cap event: freeze every active flow at this cap value.
-            level = cap_level;
-            let cap_value = caps[cap_order[cap_idx] as usize];
-            while cap_idx < cap_order.len() {
-                let f = cap_order[cap_idx] as usize;
-                if active[f] && caps[f] > cap_value {
-                    break;
-                }
-                cap_idx += 1;
-                if !active[f] {
-                    continue;
-                }
-                active[f] = false;
-                n_active -= 1;
-                rates[f] = caps[f].max(0.0);
-                for &l in links_of.route(f) {
-                    release_link(
-                        l as usize,
-                        level,
-                        remaining,
-                        base_level,
-                        active_count,
-                        stamp,
-                        heap,
-                    );
+        let Some(l0) = link_event.filter(|_| link_level.is_finite()) else {
+            // No finite constraint left: the reference kernel's stalemate
+            // guard freezes everyone at the current level.
+            for f in 0..nf {
+                if active[f] {
+                    rates[f] = level;
+                    active[f] = false;
                 }
             }
-        } else {
-            let Some(l0) = link_event else {
-                // No constraint at all (empty heap, no caps): freeze at the
-                // current level, mirroring the reference stalemate guard.
-                for f in 0..nf {
-                    if active[f] {
-                        rates[f] = level;
-                        active[f] = false;
-                    }
-                }
-                break;
-            };
-            // Link event: the link saturates at `link_level`; its active
-            // flows freeze there.
-            level = link_level;
-            heap.pop();
-            let (lo, hi) = (
-                fol_offsets[l0 as usize] as usize,
-                fol_offsets[l0 as usize + 1] as usize,
-            );
-            for &fid in &fol_flows[lo..hi] {
-                let f = fid as usize;
-                if !active[f] {
-                    continue;
-                }
-                active[f] = false;
-                n_active -= 1;
-                rates[f] = level;
-                for &l in links_of.route(f) {
-                    release_link(
-                        l as usize,
-                        level,
-                        remaining,
-                        base_level,
-                        active_count,
-                        stamp,
-                        heap,
-                    );
-                }
+            break;
+        };
+        // Link event: the link saturates at `link_level`; its active flows
+        // freeze there.
+        level = link_level;
+        heap.pop();
+        let (lo, hi) = (
+            fol_offsets[l0 as usize] as usize,
+            fol_offsets[l0 as usize + 1] as usize,
+        );
+        for &fid in &fol_flows[lo..hi] {
+            let f = fid as usize;
+            if !active[f] {
+                continue;
+            }
+            active[f] = false;
+            n_active -= 1;
+            rates[f] = level;
+            for &l in links_of.route(f) {
+                release_link(
+                    l as usize,
+                    level,
+                    remaining,
+                    base_level,
+                    active_count,
+                    stamp,
+                    heap,
+                );
             }
         }
     }
@@ -693,12 +630,11 @@ pub enum SolveScope {
     Full,
 }
 
-/// How [`MaxMinState`] re-solves after perturbations.
+/// How [`MaxMinState`] re-solves after completions.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SolveMode {
-    /// Component-granular exact re-solves — bit-identical to the reference
-    /// solver within 1e-9 and to itself at any thread count. The default
-    /// everywhere.
+    /// Component-granular exact re-solves, within 1e-9 of the reference
+    /// solver. The default everywhere.
     #[default]
     Exact,
     /// Two-tier approximate re-solves: pod-local updates propagate exactly,
@@ -707,7 +643,7 @@ pub enum SolveMode {
     /// advertised bottleneck level moves by more than `epsilon / 8`
     /// relative. Bounds every flow's rate within `epsilon` relative of the
     /// exact allocation (pinned by `tests/maxmin_differential.rs`) while
-    /// turning each perturbation into work proportional to the links it
+    /// turning each completion into work proportional to the links it
     /// actually moved — instead of an exact re-solve of the spine-connected
     /// giant component.
     TwoTier {
@@ -723,9 +659,9 @@ pub enum SolveMode {
 /// saturates given its alive subscribers' demands (or [`UNBOUNDED`] when it
 /// never constrains anyone); each flow's `(min1, min1_link, min2)` caches
 /// the two smallest `mu` values on its route; and each flow's rate is
-/// `min(cap, min1)`. Perturbations mark route links dirty, and the worklist
-/// re-fills each dirty link from its subscribers' demands — committing (and
-/// rescanning subscribers) only when the level moves past the link's gate.
+/// `min1`. Removals mark route links dirty, and the worklist re-fills each
+/// dirty link from its subscribers' demands — committing (and rescanning
+/// subscribers) only when the level moves past the link's gate.
 #[derive(Debug, Clone, Default)]
 struct TwoTierState {
     /// Whether `mu`/triples/subscribers reflect the current flow table.
@@ -789,7 +725,7 @@ impl TwoTierState {
 
 /// One connected component of the flow–link sharing graph — the "pod" unit
 /// of the hierarchical solve. All per-flow data is struct-of-arrays: the
-/// flow ids, the CSR route table and the (caller-built) cap/rate slices are
+/// flow ids, the CSR route table and the (caller-built) rate slice are
 /// parallel arrays, so a component re-solve streams contiguously.
 #[derive(Debug, Clone, Default)]
 struct Component {
@@ -814,17 +750,17 @@ impl Component {
 
 /// Persistent max-min problem with incremental re-solving.
 ///
-/// The access pattern is: build the problem once, then apply small
-/// perturbations — a flow completes ([`remove_flow`], the only one the
-/// drain loop issues), a flow's cap moves ([`rate_perturb`]), a link
-/// degrades or dies ([`link_change`]) — and re-read [`rates`]. The state partitions
-/// flows into connected components (two flows are connected when they share
-/// a link, transitively) and re-runs the event-driven water-filling kernel
-/// only over components containing a change. Max-min fairness is separable
-/// across components and the event kernel computes the same fixed point as
-/// the textbook loop, so the result matches the reference [`solve`] up to
-/// floating-point association and the reference's `eps` freeze threshold
-/// (≪ 1e-9 relative; `tests/maxmin_differential.rs` enforces this).
+/// The access pattern is the drain loop's: build the problem once, then
+/// remove flows as they complete ([`remove_flow`]) and re-read [`rates`] (or
+/// [`refresh`] and read [`current_rates`]). The state partitions flows into
+/// connected components (two flows are connected when they share a link,
+/// transitively) and re-runs the event-driven water-filling kernel, serially
+/// through one reused scratch arena, only over components that lost
+/// a flow. Max-min fairness is separable across components and the event
+/// kernel computes the same fixed point as the textbook loop, so the result
+/// matches the reference [`solve`] up to floating-point association and the
+/// reference's `eps` freeze threshold (≪ 1e-9 relative;
+/// `tests/maxmin_differential.rs` enforces this).
 ///
 /// **Hierarchical re-partitioning.** The component tables are maintained at
 /// two levels. Flow *additions* (which may merge components) trigger the
@@ -838,26 +774,16 @@ impl Component {
 /// drains (hundreds of thousands of flows) event-cost-proportional to the
 /// traffic that actually changed.
 ///
-/// **Parallelism.** Components are independent sub-problems, so a batch of
-/// re-solves (dirty components, or all components after a full
-/// invalidation) fans out over a [`ParallelPolicy`]-sized scoped-thread
-/// pool via [`scoped_map`]. Each component's rates are a pure function of
-/// its own links/caps and worker results merge back in component-index
-/// order, so allocations are **bit-identical to the serial path at any
-/// thread count** — `tests/maxmin_differential.rs` pins this exactly.
-///
 /// [`remove_flow`]: MaxMinState::remove_flow
-/// [`rate_perturb`]: MaxMinState::rate_perturb
-/// [`link_change`]: MaxMinState::link_change
 /// [`rates`]: MaxMinState::rates
+/// [`refresh`]: MaxMinState::refresh
+/// [`current_rates`]: MaxMinState::current_rates
 #[derive(Debug, Clone)]
 pub struct MaxMinState {
     capacity: Vec<f64>,
     /// Normalized (sorted, deduped) route per flow, original link indices,
     /// flattened CSR (struct-of-arrays).
     routes: RouteTable,
-    /// Requested cap per flow (`INFINITY` = uncapped).
-    caps: Vec<f64>,
     alive: Vec<bool>,
     n_alive: usize,
     rates: Vec<f64>,
@@ -876,14 +802,10 @@ pub struct MaxMinState {
     /// Component ids re-solved by the last refresh (when `last_scope` is
     /// [`SolveScope::Components`]), ascending.
     last_resolved: Vec<u32>,
-    /// Thread budget for batched component re-solves.
-    parallel: ParallelPolicy,
     /// Statistics: full solves vs component re-solves since construction.
     full_solves: u64,
     component_solves: u64,
-    /// Reusable solve arena for the serial path (cleared, never freed).
-    /// Worker threads allocate their own buffers; the merge order makes the
-    /// results bit-identical either way.
+    /// Reusable solve arena (cleared, never freed).
     scratch: SolveScratch,
     /// Exact (default) or two-tier approximate re-solving.
     mode: SolveMode,
@@ -909,7 +831,6 @@ impl MaxMinState {
         MaxMinState {
             capacity: capacity.to_vec(),
             routes: RouteTable::default(),
-            caps: Vec::new(),
             alive: Vec::new(),
             n_alive: 0,
             rates: Vec::new(),
@@ -921,7 +842,6 @@ impl MaxMinState {
             partition_stale: true,
             last_scope: SolveScope::Unchanged,
             last_resolved: Vec::new(),
-            parallel: ParallelPolicy::default(),
             full_solves: 0,
             component_solves: 0,
             scratch: SolveScratch::default(),
@@ -963,32 +883,11 @@ impl MaxMinState {
         self.spine.extend_from_slice(mask);
     }
 
-    /// Sets the thread budget for batched component re-solves (builder
-    /// form). The allocation is bit-identical at any thread count; this
-    /// only trades wall-clock time.
-    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Sets the thread budget for batched component re-solves.
-    pub fn set_parallel(&mut self, parallel: ParallelPolicy) {
-        self.parallel = parallel;
-    }
-
-    /// The current thread budget.
-    pub fn parallel(&self) -> ParallelPolicy {
-        self.parallel
-    }
-
     /// Creates a state pre-loaded with flows (the drain-loop entry path).
-    pub fn with_flows(capacity: &[f64], routes: &[Vec<u32>], caps: Option<&RateCaps>) -> Self {
-        if let Some(c) = caps {
-            assert_eq!(c.len(), routes.len(), "caps length must match flow count");
-        }
+    pub fn with_flows(capacity: &[f64], routes: &[Vec<u32>]) -> Self {
         let mut s = Self::new(capacity);
-        for (f, r) in routes.iter().enumerate() {
-            s.add_flow(r, caps.map_or(f64::INFINITY, |c| c[f]));
+        for r in routes {
+            s.add_flow(r);
         }
         s
     }
@@ -1003,20 +902,11 @@ impl MaxMinState {
     /// # Panics
     ///
     /// Panics if the route references a link beyond the capacity table.
-    pub fn add_flow(&mut self, route: &[u32], cap: f64) -> usize {
+    pub fn add_flow(&mut self, route: &[u32]) -> usize {
         let ls = normalize_route(route, self.capacity.len());
         let f = self.routes.len();
-        self.rates.push(if ls.is_empty() {
-            if cap.is_finite() {
-                cap.max(0.0)
-            } else {
-                UNBOUNDED
-            }
-        } else {
-            0.0
-        });
+        self.rates.push(if ls.is_empty() { UNBOUNDED } else { 0.0 });
         self.routes.push(&ls);
-        self.caps.push(cap);
         self.alive.push(true);
         self.comp_of_flow.push(u32::MAX);
         self.n_alive += 1;
@@ -1069,92 +959,6 @@ impl MaxMinState {
         }
     }
 
-    /// Changes a flow's rate cap (DCQCN noise epoch); a no-op when the cap
-    /// is unchanged, otherwise dirties the flow's component.
-    pub fn rate_perturb(&mut self, f: usize, cap: f64) {
-        if self.caps[f] == cap || !self.alive[f] {
-            if self.alive[f] {
-                self.caps[f] = cap;
-            }
-            return;
-        }
-        self.caps[f] = cap;
-        if matches!(self.mode, SolveMode::TwoTier { .. }) {
-            if self.two_tier.initialized {
-                let MaxMinState {
-                    routes,
-                    rates,
-                    two_tier,
-                    ..
-                } = self;
-                let r = routes.route(f);
-                // The rate tracks `min(cap, min1)` immediately — a cap move
-                // must reach the drain even when no link level re-commits.
-                let new_rate = if r.is_empty() {
-                    if cap.is_finite() {
-                        cap.max(0.0)
-                    } else {
-                        UNBOUNDED
-                    }
-                } else if cap.is_finite() {
-                    cap.max(0.0).min(two_tier.min1[f])
-                } else {
-                    two_tier.min1[f]
-                };
-                if new_rate.to_bits() != rates[f].to_bits() {
-                    rates[f] = new_rate;
-                    if !two_tier.flow_mask[f] {
-                        two_tier.flow_mask[f] = true;
-                        two_tier.pending.push(f as u32);
-                    }
-                }
-                // The flow's demand toward every route link changed.
-                for &l in r {
-                    if !two_tier.link_dirty[l as usize] {
-                        two_tier.link_dirty[l as usize] = true;
-                        two_tier.dirty_links.push(l);
-                    }
-                }
-            }
-            return;
-        }
-        let c = self.comp_of_flow[f];
-        if c == u32::MAX {
-            // Empty-route flow: rate is its cap directly.
-            self.rates[f] = if cap.is_finite() {
-                cap.max(0.0)
-            } else {
-                UNBOUNDED
-            };
-        } else {
-            self.mark_dirty(c);
-        }
-    }
-
-    /// Changes a link's capacity (degradation, failure, recovery); dirties
-    /// the component crossing that link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is beyond the capacity table.
-    pub fn link_change(&mut self, l: usize, capacity: f64) {
-        if self.capacity[l] == capacity {
-            return;
-        }
-        self.capacity[l] = capacity;
-        if matches!(self.mode, SolveMode::TwoTier { .. }) {
-            if self.two_tier.initialized && !self.two_tier.link_dirty[l] {
-                self.two_tier.link_dirty[l] = true;
-                self.two_tier.dirty_links.push(l as u32);
-            }
-            return;
-        }
-        let c = self.comp_of_link[l];
-        if c != u32::MAX {
-            self.mark_dirty(c);
-        }
-    }
-
     /// The current allocation, re-solving lazily. Indexed by flow id;
     /// entries of removed flows read 0.
     pub fn rates(&mut self) -> &[f64] {
@@ -1181,9 +985,8 @@ impl MaxMinState {
             self.last_scope = SolveScope::Full;
         } else if !self.dirty_list.is_empty() {
             let mut dirty = std::mem::take(&mut self.dirty_list);
-            // Ascending component order keeps the thread-chunk assignment
-            // deterministic (the merge is order-independent regardless:
-            // components write disjoint flow ranges).
+            // Ascending component order fixes the ids split pieces append
+            // under, whatever order the removals arrived in.
             dirty.sort_unstable();
             for &c in &dirty {
                 self.dirty[c as usize] = false;
@@ -1269,7 +1072,7 @@ impl MaxMinState {
     }
 
     /// High-water mark (bytes) of the reusable solve arena — how much
-    /// scratch the serial kernel path retains between solves.
+    /// scratch the kernel retains between solves.
     pub fn arena_hwm_bytes(&self) -> usize {
         self.scratch.hwm_bytes
     }
@@ -1350,7 +1153,6 @@ impl MaxMinState {
     fn two_tier_init(&mut self) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
-        let masked_caps: Vec<f64> = (0..nf).map(|f| self.masked_cap(f)).collect();
         for r in self.rates.iter_mut() {
             *r = 0.0;
         }
@@ -1358,6 +1160,7 @@ impl MaxMinState {
             let MaxMinState {
                 capacity,
                 routes,
+                alive,
                 rates,
                 scratch,
                 two_tier,
@@ -1366,7 +1169,7 @@ impl MaxMinState {
             waterfill_event_into(
                 capacity,
                 routes,
-                &masked_caps,
+                |f| alive[f],
                 rates,
                 scratch,
                 Some(&mut two_tier.mu),
@@ -1443,7 +1246,6 @@ impl MaxMinState {
         let MaxMinState {
             capacity,
             routes,
-            caps,
             alive,
             rates,
             spine,
@@ -1483,8 +1285,8 @@ impl MaxMinState {
             for &l in batch.iter() {
                 link_dirty[l as usize] = false;
             }
-            for bi in 0..batch.len() {
-                let l = batch[bi] as usize;
+            for &bl in batch.iter() {
+                let l = bl as usize;
                 let subs = &sub_flows[sub_offsets[l] as usize..sub_offsets[l + 1] as usize];
                 // Single-link progressive fill over the alive subscribers'
                 // demands (each demand excludes `l` itself: the rate the
@@ -1495,12 +1297,11 @@ impl MaxMinState {
                     if !alive[f] {
                         continue;
                     }
-                    let excl = if min1_link[f] == l as u32 {
+                    demand.push(if min1_link[f] == l as u32 {
                         min2[f]
                     } else {
                         min1[f]
-                    };
-                    demand.push(excl.min(caps[f].max(0.0)));
+                    });
                 }
                 let mut new_mu = UNBOUNDED;
                 if !demand.is_empty() {
@@ -1562,13 +1363,8 @@ impl MaxMinState {
                     min1[f] = m1;
                     min1_link[f] = m1l;
                     min2[f] = m2;
-                    let new_rate = if caps[f].is_finite() {
-                        caps[f].max(0.0).min(m1)
-                    } else {
-                        m1
-                    };
-                    if new_rate.to_bits() != rates[f].to_bits() {
-                        rates[f] = new_rate;
+                    if m1.to_bits() != rates[f].to_bits() {
+                        rates[f] = m1;
                         if !flow_mask[f] {
                             flow_mask[f] = true;
                             pending.push(fid);
@@ -1601,36 +1397,18 @@ impl MaxMinState {
         self.partition_stale
     }
 
-    /// Masked cap table: removed flows get cap 0, pinning them to rate 0
-    /// without rebuilding route tables (a zero-capped flow frees its links
-    /// in the kernel's first freeze pass).
-    fn masked_cap(&self, f: usize) -> f64 {
-        if self.alive[f] {
-            self.caps[f]
-        } else {
-            0.0
-        }
-    }
-
     /// Full invalidation: re-partition from the current live flows, then
-    /// re-solve every component (fanned out under the thread budget).
+    /// re-solve every component.
     ///
     /// Partitioning first — rather than one monolithic waterfill over the
     /// whole problem — keeps the full path on the exact same per-component
-    /// arithmetic as the incremental path, which is what makes parallel
-    /// and serial execution bit-identical everywhere.
+    /// arithmetic as the incremental path.
     fn solve_full(&mut self) {
         self.rebuild_partition();
         for f in 0..self.routes.len() {
-            self.rates[f] = if !self.alive[f] {
-                0.0
-            } else if self.routes.route(f).is_empty() {
-                // Unconstrained flow: its cap (or "infinity").
-                if self.caps[f].is_finite() {
-                    self.caps[f].max(0.0)
-                } else {
-                    UNBOUNDED
-                }
+            // Unconstrained live flows are unbounded.
+            self.rates[f] = if self.alive[f] && self.routes.route(f).is_empty() {
+                UNBOUNDED
             } else {
                 0.0
             };
@@ -1640,102 +1418,41 @@ impl MaxMinState {
         self.full_solves += 1;
     }
 
-    /// Re-solves the given components, in parallel when the batch is big
-    /// enough, and merges the rates back in component-index order.
+    /// Re-solves the given components one by one through the state-owned
+    /// scratch arena — zero allocations once the arena has grown to the
+    /// largest component.
     fn solve_components(&mut self, comp_ids: &[u32]) {
-        if comp_ids.is_empty() {
-            return;
-        }
-        let work: usize = comp_ids
-            .iter()
-            .map(|&c| self.comps[c as usize].alive_count)
-            .sum();
-        let policy = if work < PARALLEL_MIN_FLOWS {
-            ParallelPolicy::SERIAL
-        } else {
-            self.parallel
-        };
-        if policy.threads() <= 1 {
-            // Serial fast path: solve each component in place through the
-            // state-owned scratch arena — zero allocations once the arena
-            // has grown to the largest component. Same kernel, same inputs,
-            // same merge order as the fan-out below, so the rates are
-            // bit-identical to the parallel path.
-            let MaxMinState {
-                capacity,
-                caps,
-                alive,
-                rates,
-                comps,
+        let MaxMinState {
+            capacity,
+            alive,
+            rates,
+            comps,
+            scratch,
+            ..
+        } = self;
+        let mut local_capacity = std::mem::take(&mut scratch.local_capacity);
+        let mut local_rates = std::mem::take(&mut scratch.local_rates);
+        for &c in comp_ids {
+            let comp = &comps[c as usize];
+            local_capacity.clear();
+            local_capacity.extend(comp.links.iter().map(|&l| capacity[l as usize]));
+            local_rates.clear();
+            local_rates.resize(comp.flows.len(), 0.0);
+            waterfill_event_into(
+                &local_capacity,
+                &comp.local_routes,
+                |i| alive[comp.flows[i] as usize],
+                &mut local_rates,
                 scratch,
-                ..
-            } = self;
-            let mut local_capacity = std::mem::take(&mut scratch.local_capacity);
-            let mut local_caps = std::mem::take(&mut scratch.local_caps);
-            let mut local_rates = std::mem::take(&mut scratch.local_rates);
-            for &c in comp_ids {
-                let comp = &comps[c as usize];
-                local_capacity.clear();
-                local_capacity.extend(comp.links.iter().map(|&l| capacity[l as usize]));
-                local_caps.clear();
-                local_caps.extend(comp.flows.iter().map(|&f| {
-                    if alive[f as usize] {
-                        caps[f as usize]
-                    } else {
-                        0.0
-                    }
-                }));
-                local_rates.clear();
-                local_rates.resize(comp.flows.len(), 0.0);
-                waterfill_event_into(
-                    &local_capacity,
-                    &comp.local_routes,
-                    &local_caps,
-                    &mut local_rates,
-                    scratch,
-                    None,
-                );
-                for (i, &f) in comp.flows.iter().enumerate() {
-                    rates[f as usize] = local_rates[i];
-                }
-            }
-            scratch.local_capacity = local_capacity;
-            scratch.local_caps = local_caps;
-            scratch.local_rates = local_rates;
-            scratch.note_hwm();
-            return;
-        }
-        let results: Vec<Vec<f64>> = {
-            let this = &*self;
-            scoped_map(policy, comp_ids, |&c| this.component_rates(c as usize))
-        };
-        let comps = &self.comps;
-        let rates = &mut self.rates;
-        for (&c, local) in comp_ids.iter().zip(&results) {
-            for (i, &f) in comps[c as usize].flows.iter().enumerate() {
-                rates[f as usize] = local[i];
+                None,
+            );
+            for (i, &f) in comp.flows.iter().enumerate() {
+                rates[f as usize] = local_rates[i];
             }
         }
-    }
-
-    /// The pure per-component solve: rates of `comps[c].flows` (in that
-    /// order) as a function of nothing but the component's own links,
-    /// routes and caps. Safe to run concurrently for distinct components.
-    fn component_rates(&self, c: usize) -> Vec<f64> {
-        let comp = &self.comps[c];
-        let local_capacity: Vec<f64> = comp
-            .links
-            .iter()
-            .map(|&l| self.capacity[l as usize])
-            .collect();
-        let caps: Vec<f64> = comp
-            .flows
-            .iter()
-            .map(|&f| self.masked_cap(f as usize))
-            .collect();
-        let mut local_rates = vec![0.0_f64; comp.flows.len()];
-        waterfill_event(&local_capacity, &comp.local_routes, &caps, &mut local_rates);
-        local_rates
+        scratch.local_capacity = local_capacity;
+        scratch.local_rates = local_rates;
+        scratch.note_hwm();
     }
 
     /// Rebuilds the flow–link connected components via union-find over
@@ -2013,7 +1730,6 @@ mod tests {
         state: &mut MaxMinState,
         capacity: &[f64],
         routes: &[Vec<u32>],
-        caps: &[f64],
         alive: &[bool],
     ) {
         let live_routes: Vec<Vec<u32>> = routes
@@ -2022,13 +1738,7 @@ mod tests {
             .filter(|(_, &a)| a)
             .map(|(r, _)| r.clone())
             .collect();
-        let live_caps: Vec<f64> = caps
-            .iter()
-            .zip(alive)
-            .filter(|(_, &a)| a)
-            .map(|(c, _)| *c)
-            .collect();
-        let expect = solve(capacity, &live_routes, Some(&live_caps));
+        let expect = solve(capacity, &live_routes, None);
         let got = state.rates();
         let mut k = 0usize;
         for f in 0..routes.len() {
@@ -2050,26 +1760,23 @@ mod tests {
         let capacity = vec![10.0, 4.0, 6.0, 8.0];
         // Two components: {0,1} via links {0,1}; {2,3} via links {2,3}.
         let routes = vec![vec![0, 1], vec![1], vec![2, 3], vec![3]];
-        let mut caps = vec![f64::INFINITY; 4];
         let mut alive = vec![true; 4];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
-        assert_matches_reference(&mut s, &capacity, &routes, &caps, &alive);
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
+        assert_matches_reference(&mut s, &capacity, &routes, &alive);
         assert_eq!(s.component_count(), 2);
 
-        s.remove_flow(1);
-        alive[1] = false;
-        assert_matches_reference(&mut s, &capacity, &routes, &caps, &alive);
-
-        s.rate_perturb(3, 1.5);
-        caps[3] = 1.5;
-        assert_matches_reference(&mut s, &capacity, &routes, &caps, &alive);
+        for f in [1, 3] {
+            s.remove_flow(f);
+            alive[f] = false;
+            assert_matches_reference(&mut s, &capacity, &routes, &alive);
+        }
     }
 
     #[test]
     fn disjoint_components_solve_independently() {
         let capacity = vec![10.0, 20.0];
         let routes = vec![vec![0], vec![0], vec![1], vec![1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let r = s.rates();
         assert!(close(r[0], 5.0) && close(r[1], 5.0));
         assert!(close(r[2], 10.0) && close(r[3], 10.0));
@@ -2084,46 +1791,42 @@ mod tests {
     }
 
     #[test]
-    fn link_change_dirties_only_its_component() {
-        let capacity = vec![10.0, 20.0];
-        let routes = vec![vec![0], vec![1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
-        let _ = s.rates();
-        s.link_change(1, 5.0);
-        let r = s.rates();
-        assert!(close(r[0], 10.0));
-        assert!(close(r[1], 5.0));
-        assert_eq!(s.component_solves(), 1);
-    }
-
-    #[test]
     fn dead_link_pins_component_to_zero() {
-        let capacity = vec![10.0];
-        let routes = vec![vec![0], vec![0]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
-        let _ = s.rates();
-        s.link_change(0, 0.0);
+        // Link 0 has no capacity: its component stays at rate 0, before and
+        // after a removal, while the healthy component is unaffected.
+        let capacity = vec![0.0, 10.0];
+        let routes = vec![vec![0], vec![0], vec![1]];
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let r = s.rates();
-        assert!(close(r[0], 0.0) && close(r[1], 0.0));
+        assert_eq!((r[0], r[1]), (0.0, 0.0));
+        assert!(close(r[2], 10.0));
+        s.remove_flow(0);
+        let r = s.rates();
+        assert_eq!((r[0], r[1]), (0.0, 0.0));
+        assert!(close(r[2], 10.0));
     }
 
     #[test]
-    fn cap_bursts_resolve_components_without_repartition() {
-        let capacity = vec![10.0, 10.0, 10.0, 10.0];
-        let routes = vec![vec![0], vec![1], vec![2], vec![3]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+    fn removal_bursts_resolve_components_without_repartition() {
+        let capacity = vec![12.0, 12.0, 12.0, 12.0];
+        let routes: Vec<Vec<u32>> = (0..12).map(|f| vec![f / 3]).collect();
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         let full_before = s.full_solves();
-        // Dirty 3 of 4 singleton components (a DCQCN epoch re-cap burst):
-        // the partition is intact, so each dirty component re-solves in
-        // place — no full solve, no re-partition.
-        s.rate_perturb(0, 1.0);
-        s.rate_perturb(1, 2.0);
-        s.rate_perturb(2, 3.0);
+        // One completion in 3 of 4 three-flow components (a same-instant
+        // completion batch): the partition is intact, so each dirty
+        // component re-solves in place — no full solve, no re-partition.
+        for f in [0, 3, 6] {
+            s.remove_flow(f);
+        }
         let r = s.rates();
-        assert!(close(r[0], 1.0) && close(r[1], 2.0) && close(r[2], 3.0));
-        assert!(close(r[3], 10.0));
-        assert_eq!(s.full_solves(), full_before, "no re-partition for caps");
+        for f in [1, 2, 4, 5, 7, 8] {
+            assert!(close(r[f], 6.0), "flow {f} got {}", r[f]);
+        }
+        for f in [9, 10, 11] {
+            assert!(close(r[f], 4.0), "untouched flow {f} got {}", r[f]);
+        }
+        assert_eq!(s.full_solves(), full_before, "no re-partition for removals");
         assert_eq!(s.component_solves(), 3);
     }
 
@@ -2137,7 +1840,7 @@ mod tests {
         // drop out of the tables.
         let capacity = vec![10.0, 10.0, 30.0];
         let routes = vec![vec![0], vec![1], vec![0, 1], vec![0, 1], vec![2]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         assert_eq!(s.component_count(), 2);
         let full_before = s.full_solves();
@@ -2164,7 +1867,7 @@ mod tests {
     fn fully_dead_component_becomes_quiescent_husk() {
         let capacity = vec![10.0, 20.0];
         let routes = vec![vec![0], vec![1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         s.remove_flow(0);
         // The husk re-solves once (its link loads must be re-derivable by
@@ -2179,16 +1882,16 @@ mod tests {
     #[test]
     fn refresh_scope_reports_what_resolved() {
         let capacity = vec![10.0, 20.0];
-        let routes = vec![vec![0], vec![1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+        let routes = vec![vec![0], vec![1], vec![1]];
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         assert_eq!(s.refresh(), SolveScope::Full, "first solve partitions");
         assert_eq!(s.refresh(), SolveScope::Unchanged);
-        s.rate_perturb(1, 5.0);
+        s.remove_flow(2);
         assert_eq!(s.refresh(), SolveScope::Components);
         assert_eq!(s.resolved_components(), &[1]);
         assert_eq!(s.component_flows(1), &[1]);
         assert_eq!(s.component_links(1), &[1]);
-        assert_eq!(s.current_rates()[1], 5.0);
+        assert_eq!(s.current_rates()[1], 20.0);
         assert_eq!(s.refresh(), SolveScope::Unchanged);
         assert!(s.resolved_components().is_empty());
     }
@@ -2199,13 +1902,13 @@ mod tests {
         // component at the next full re-partition.
         let capacity = vec![10.0, 10.0];
         let routes = vec![vec![0], vec![1], vec![0, 1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes, None);
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         assert_eq!(s.component_count(), 1);
         s.remove_flow(2);
         let _ = s.rates();
         // The bridge is gone; adding a flow forces a re-partition.
-        s.add_flow(&[0], f64::INFINITY);
+        s.add_flow(&[0]);
         let _ = s.rates();
         assert_eq!(s.component_count(), 2);
     }
@@ -2214,9 +1917,9 @@ mod tests {
     fn add_flow_after_solve_is_picked_up() {
         let capacity = vec![12.0];
         let mut s = MaxMinState::new(&capacity);
-        let a = s.add_flow(&[0], f64::INFINITY);
+        let a = s.add_flow(&[0]);
         assert!(close(s.rates()[a], 12.0));
-        let b = s.add_flow(&[0], f64::INFINITY);
+        let b = s.add_flow(&[0]);
         let r = s.rates();
         assert!(close(r[a], 6.0) && close(r[b], 6.0));
     }
@@ -2224,87 +1927,21 @@ mod tests {
     #[test]
     fn empty_route_flows_are_unbounded_singletons() {
         let mut s = MaxMinState::new(&[10.0]);
-        let a = s.add_flow(&[], f64::INFINITY);
-        let b = s.add_flow(&[], 5.0);
-        let c = s.add_flow(&[0], f64::INFINITY);
+        let a = s.add_flow(&[]);
+        let c = s.add_flow(&[0]);
         let r = s.rates();
         assert!(r[a] > 1e30);
-        assert!(close(r[b], 5.0));
         assert!(close(r[c], 10.0));
-        s.rate_perturb(b, 2.0);
-        assert!(close(s.rates()[b], 2.0));
+        s.remove_flow(a);
+        assert_eq!(s.rates()[a], 0.0);
     }
 
     #[test]
-    fn parallel_state_is_bit_identical_to_serial() {
-        // A problem large enough to clear PARALLEL_MIN_FLOWS: 128 disjoint
-        // 4-flow components (512 flows) plus caps, mutated through every
-        // entry point. Serial and 2-/4-thread states must agree on every
-        // bit at every step, including the full-solve fallback.
-        let ncomp = 128usize;
-        let capacity: Vec<f64> = (0..2 * ncomp)
-            .map(|l| 50.0 + (l % 17) as f64 * 13.0)
-            .collect();
-        let mut routes: Vec<Vec<u32>> = Vec::new();
-        let mut caps: Vec<f64> = Vec::new();
-        for c in 0..ncomp {
-            let (a, b) = (2 * c as u32, 2 * c as u32 + 1);
-            for (route, cap) in [
-                (vec![a], f64::INFINITY),
-                (vec![a, b], 40.0 + (c % 5) as f64),
-                (vec![b], f64::INFINITY),
-                (vec![b], 11.5),
-            ] {
-                routes.push(route);
-                caps.push(cap);
-            }
-        }
-        let mut states: Vec<MaxMinState> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                MaxMinState::with_flows(&capacity, &routes, Some(&caps))
-                    .with_parallel(ParallelPolicy::with_threads(t))
-            })
-            .collect();
-        let assert_identical = |states: &mut Vec<MaxMinState>, what: &str| {
-            let reference: Vec<u64> = states[0].rates().iter().map(|r| r.to_bits()).collect();
-            for s in states.iter_mut().skip(1) {
-                let got: Vec<u64> = s.rates().iter().map(|r| r.to_bits()).collect();
-                assert_eq!(
-                    got,
-                    reference,
-                    "{what}: {} threads diverged",
-                    s.parallel().threads()
-                );
-            }
-        };
-        assert_identical(&mut states, "initial solve");
-        for s in states.iter_mut() {
-            s.remove_flow(1);
-            s.rate_perturb(6, 3.25);
-            s.link_change(9, 140.0);
-        }
-        assert_identical(&mut states, "small dirty batch");
-        // Dirty > half the flows → full-solve fallback path.
-        for s in states.iter_mut() {
-            for f in 0..routes.len() {
-                s.rate_perturb(f, 17.0 + (f % 7) as f64);
-            }
-        }
-        assert_identical(&mut states, "full-solve fallback");
-        for s in states.iter_mut() {
-            s.add_flow(&[0, 5, 11], f64::INFINITY);
-        }
-        assert_identical(&mut states, "after addition");
-    }
-
-    #[test]
-    fn remove_is_idempotent_and_perturb_on_dead_flow_is_inert() {
-        let mut s = MaxMinState::with_flows(&[10.0], &[vec![0], vec![0]], None);
+    fn remove_is_idempotent() {
+        let mut s = MaxMinState::with_flows(&[10.0], &[vec![0], vec![0]]);
         let _ = s.rates();
         s.remove_flow(0);
         s.remove_flow(0);
-        s.rate_perturb(0, 3.0);
         let r = s.rates();
         assert_eq!(r[0], 0.0);
         assert!(close(r[1], 10.0));

@@ -1,58 +1,50 @@
 //! # c4-simcore
 //!
-//! Deterministic discrete-event simulation engine underpinning the C4
-//! reproduction.
+//! Deterministic simulation primitives underpinning the C4 reproduction.
 //!
 //! The C4 paper evaluates its two subsystems (C4D fault diagnosis and C4P
 //! traffic engineering) on a physical GPU cluster. This workspace replaces the
 //! physical substrate with simulation; every layer above (topology, network,
-//! collectives, training jobs) is driven by the primitives defined here:
+//! collectives, training jobs) is built on the primitives defined here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events
-//!   (FIFO among equal timestamps).
 //! * [`DetRng`] — a seeded random source with the distributions the fault and
 //!   congestion models need (exponential, log-normal, Poisson).
 //! * [`ParallelPolicy`] / [`scoped_map`] — deterministic scoped-thread
 //!   fan-out for the layers whose work decomposes into independent items
-//!   (per-component max-min re-solves, per-stream route assembly); results
+//!   (per-stream route assembly, C4P batch selection, fleet jobs); results
 //!   are bit-identical at any thread count.
+//! * [`UnionFind`] — the partitioner shared by the max-min solver's
+//!   component rebuild and C4P's batch selection.
 //! * [`JsonValue`] — a tiny JSON tree (build/print/parse) so the bench
 //!   binaries emit machine-readable `BENCH_*.json` files without a
 //!   networked `serde_json`.
-//! * [`stats`] / [`series`] — streaming statistics and time-series recording
-//!   used by telemetry and the experiment harness.
+//! * [`Bandwidth`] / [`ByteSize`] — unit newtypes for rates and sizes.
 //!
 //! # Example
 //!
 //! ```
-//! use c4_simcore::{EventQueue, SimTime, SimDuration};
+//! use c4_simcore::{scoped_map, DetRng, ParallelPolicy};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(5), "later");
-//! q.schedule(SimTime::ZERO, "now");
-//! let (t0, e0) = q.pop().unwrap();
-//! assert_eq!((t0, e0), (SimTime::ZERO, "now"));
+//! // One RNG stream per item, derived from a root seed: the fan-out
+//! // returns the same values, in item order, at any thread count.
+//! let draw = |&i: &u64| DetRng::seed_from(42 ^ i).uniform();
+//! let items: Vec<u64> = (0..8).collect();
+//! let serial = scoped_map(ParallelPolicy::SERIAL, &items, draw);
+//! let threaded = scoped_map(ParallelPolicy::with_threads(2), &items, draw);
+//! assert_eq!(serial, threaded);
 //! ```
 
-pub mod engine;
-pub mod event;
 pub mod json;
 pub mod parallel;
 pub mod rng;
-pub mod series;
-pub mod stats;
 pub mod time;
 pub mod unionfind;
 pub mod units;
 
-pub use engine::{Engine, Process};
-pub use event::EventQueue;
 pub use json::JsonValue;
 pub use parallel::{scoped_map, ParallelPolicy};
 pub use rng::DetRng;
-pub use series::TimeSeries;
-pub use stats::{Histogram, StreamingStats};
 pub use time::{SimDuration, SimTime};
 pub use unionfind::UnionFind;
 pub use units::{Bandwidth, ByteSize};

@@ -1,7 +1,7 @@
 //! Deterministic data parallelism over scoped threads.
 //!
-//! The simulation layers above (`c4_netsim`'s per-component max-min
-//! re-solve, `c4_collectives`' per-stream route assembly) decompose into
+//! The simulation layers above (`c4_collectives`' per-stream route
+//! assembly, C4P's batch selection, the fleet's jobs) decompose into
 //! **independent** work items whose results are pure functions of their
 //! inputs. [`ParallelPolicy`] says how many OS threads to spend on such a
 //! decomposition and [`scoped_map`] executes it: items are split into

@@ -61,8 +61,7 @@ pub struct TrainingJob {
     plan_cache: PlanCache,
     /// Give-up horizon for a single gradient sync (hang modelling).
     pub comm_deadline: SimDuration,
-    /// Thread budget for the network layers under this job (max-min
-    /// component re-solves, flow-plan route assembly). Results are
+    /// Thread budget for this job's flow-plan route assembly. Results are
     /// bit-identical at any thread count; defaults to the `C4_THREADS`
     /// environment selection.
     pub parallel: ParallelPolicy,

@@ -1,0 +1,190 @@
+//! Bit-identity guard for seed-determined simulated results.
+//!
+//! Each case runs one fixed-seed simulation and folds the `f64::to_bits` of
+//! its results into a single `mix64` digest, compared against a recorded
+//! constant. A pure refactor of the drain, the solver or the collective
+//! layer must leave every digest unchanged; a change that moves any result
+//! by one ulp fails here under plain `cargo test`, without a benchmark run.
+//!
+//! What is folded in:
+//!
+//! * per flow: finish time, mean, min and max rate;
+//! * the drain end, `link_bytes`, `cnp_per_port` and the congested count;
+//! * every [`DrainSolverStats`] counter except `arena_hwm_bytes`, which
+//!   measures scratch capacity rather than a simulated result.
+//!
+//! After an intentional change to simulated results, re-record the
+//! constants from the failure messages.
+
+use c4::prelude::*;
+
+/// Order-sensitive digest over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0)
+    }
+
+    fn word(&mut self, v: u64) {
+        self.0 = mix64(self.0 ^ v);
+    }
+
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn stats(&mut self, s: &DrainSolverStats) {
+        for v in [
+            s.events,
+            s.flows,
+            s.full_solves,
+            s.component_solves,
+            s.sparse_solves,
+            s.spine_rounds,
+            s.spine_link_updates,
+            s.fallback_solves,
+            s.batched_instants,
+            s.batched_completions,
+        ] {
+            self.word(v);
+        }
+    }
+
+    fn drain(&mut self, r: &DrainReport) {
+        for o in &r.outcomes {
+            self.word(o.finish.map_or(u64::MAX, SimTime::as_nanos));
+            self.float(o.mean_rate.as_bytes_per_sec());
+            self.float(o.min_rate.as_bytes_per_sec());
+            self.float(o.max_rate.as_bytes_per_sec());
+        }
+        self.word(r.end.as_nanos());
+        for &b in r.link_bytes.iter() {
+            self.float(b);
+        }
+        for &c in r.cnp_per_port.iter() {
+            self.float(c);
+        }
+        self.word(r.congested_flows as u64);
+        self.stats(&r.solver);
+    }
+}
+
+fn assert_digest(what: &str, got: u64, expected: u64) {
+    assert_eq!(
+        got, expected,
+        "{what}: digest {got:#018x}, recorded {expected:#018x}"
+    );
+}
+
+/// A fixed flow population on the paper testbed: ECMP-routed inter-node
+/// QPs of mixed sizes (completions spread out, so components re-solve and
+/// split) plus a few intra-node NVLink transfers (disjoint components).
+fn testbed_specs(topo: &Topology) -> Vec<FlowSpec> {
+    let mut sel = EcmpSelector::new(0xD16E57);
+    let mut rng = DetRng::seed_from(20251016);
+    let ngpus = topo.num_gpus();
+    (0..96)
+        .map(|i| {
+            let src = GpuId::from_index(rng.index(ngpus));
+            let mut dst = GpuId::from_index(rng.index(ngpus));
+            let intra = i % 12 == 0;
+            if intra {
+                dst = topo.gpu_at(topo.gpu(src).node, (src.index() + 1) % 8);
+            } else if topo.gpu(src).node == topo.gpu(dst).node {
+                dst = GpuId::from_index((dst.index() + 8) % ngpus);
+            }
+            let key = FlowKey {
+                src_gpu: src,
+                dst_gpu: dst,
+                comm: 1 + (i % 8) as u64,
+                channel: (i % 16) as u16,
+                qp: (i % 2) as u16,
+                incarnation: 0,
+            };
+            let route = if intra {
+                topo.intra_node_route(src, dst)
+            } else {
+                let choice = sel.select(topo, &key);
+                let sp = topo.port_of_gpu(src, choice.src_side);
+                let dp = topo.port_of_gpu(dst, choice.dst_side);
+                topo.inter_node_route(src, sp, choice.fabric.as_ref(), dp, dst)
+            };
+            let bytes = ByteSize::from_mib(4 + 4 * rng.index(8) as u64);
+            FlowSpec::new(key, bytes, route)
+        })
+        .collect()
+}
+
+fn noisy_testbed_drain(solve_mode: SolveMode) -> u64 {
+    let topo = Topology::build(&ClosConfig::testbed_128());
+    let specs = testbed_specs(&topo);
+    let cfg = DrainConfig {
+        epoch: SimDuration::from_micros(200),
+        rate_noise: 0.10,
+        cnp: Some(CnpModel::paper_default()),
+        solve_mode,
+        ..DrainConfig::default()
+    };
+    let report = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(42));
+    assert!(report.all_completed(), "healthy testbed drains every flow");
+    let mut d = Digest::new();
+    d.drain(&report);
+    d.0
+}
+
+#[test]
+fn noisy_exact_drain_on_testbed_is_unchanged() {
+    assert_digest(
+        "exact drain",
+        noisy_testbed_drain(SolveMode::Exact),
+        0xd7aa_a7d9_4a5c_762d,
+    );
+}
+
+#[test]
+fn noisy_two_tier_drain_on_testbed_is_unchanged() {
+    assert_digest(
+        "two-tier drain",
+        noisy_testbed_drain(SolveMode::TwoTier { epsilon: 0.01 }),
+        0x9f6c_4f3c_8792_c56c,
+    );
+}
+
+/// One noisy iteration of the TP2/PP2/EP2 hybrid job on the 8-node tiny
+/// fabric under C4P (the job of `tests/hybrid_differential.rs`).
+#[test]
+fn noisy_tiny_hybrid_iteration_is_unchanged() {
+    let topo = Topology::build(&ClosConfig::tiny(8));
+    let mut spec = HybridSpec::moe(2, 2, 2);
+    spec.tp_elems = 256 * 1024;
+    spec.pp_elems = 128 * 1024;
+    spec.dp_elems = 512 * 1024;
+    spec.ep_elems = 256 * 1024;
+    let nodes: Vec<NodeId> = (0..topo.num_nodes()).map(NodeId::from_index).collect();
+    let mut job = HybridJob::new(&topo, spec, nodes, 1).expect("tiny hybrid places");
+    job.drain = DrainConfig {
+        rate_noise: 0.10,
+        cnp: Some(CnpModel::paper_default()),
+        ..DrainConfig::default()
+    };
+    job.set_ep_skew(EpSkew::hot(1, 3.0));
+    let mut master = C4pMaster::new(&topo, C4pConfig::default());
+    let report = job.run_iteration(&topo, &mut master, None, &mut DetRng::seed_from(5));
+    assert!(!report.hung, "tiny hybrid iteration completes");
+
+    let mut d = Digest::new();
+    for p in &report.phases {
+        d.word(p.comms as u64);
+        d.word(p.duration.as_nanos());
+        d.float(p.busbw_mean_gbps.unwrap_or(f64::NAN));
+    }
+    d.word(report.total.as_nanos());
+    for ranks in &report.ep_recv_bytes {
+        for &b in ranks {
+            d.word(b);
+        }
+    }
+    d.stats(&report.solver);
+    assert_digest("tiny hybrid iteration", d.0, 0x8286_c6c2_5157_2a74);
+}

@@ -34,12 +34,9 @@ fn umbrella_reexports_facade() {
 /// Every layer's primary entry point is reachable through the prelude.
 #[test]
 fn prelude_exposes_core_entry_points() {
-    // simcore: time, RNG, stats.
+    // simcore: time and RNG.
     let mut rng = DetRng::seed_from(1);
     let _ = rng.uniform();
-    let mut stats = StreamingStats::new();
-    stats.add(1.0);
-    assert_eq!(stats.count(), 1);
 
     // topology: Clos construction and path queries.
     let topo = Topology::build(&ClosConfig::tiny(2));
