@@ -13,7 +13,7 @@ pub use c4_netsim::maxmin;
 pub use c4_netsim::{
     drain, drain_reference, mix64, CnpModel, DrainConfig, DrainReport, DrainSolverStats,
     EcmpSelector, FlowKey, FlowOutcome, FlowSpec, MaxMinState, PathChoice, PathSelector,
-    RailLocalSelector, SolveMode,
+    RailLocalSelector,
 };
 
 pub use c4_telemetry::csv::{

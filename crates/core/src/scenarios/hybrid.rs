@@ -25,9 +25,7 @@ use std::time::Instant;
 
 use c4_collectives::EpSkew;
 use c4_diagnosis::{raw_straggler, LoadSmoother, StepVerdict, StreamSmoother};
-use c4_netsim::{
-    mix64, CnpModel, DrainConfig, DrainSolverStats, EcmpSelector, PathSelector, SolveMode,
-};
+use c4_netsim::{mix64, CnpModel, DrainConfig, DrainSolverStats, EcmpSelector, PathSelector};
 use c4_simcore::{DetRng, JsonValue, ParallelPolicy};
 use c4_telemetry::{CollKind, TelemetryEvent};
 use c4_topology::{ClosConfig, NodeId, Topology};
@@ -49,11 +47,6 @@ pub struct HybridScaleConfig {
     pub spec: HybridSpec,
     /// Thread budget (simulated results are bit-identical at any value).
     pub parallel: ParallelPolicy,
-    /// Rate solver the drains run under. The 4k sweep stays on the exact
-    /// solver (its baseline predates the two-tier mode); the 16k/32k
-    /// extensions run [`SolveMode::TwoTier`] with ε = 1% — the differential
-    /// proptests pin the rate error bound.
-    pub solve_mode: SolveMode,
 }
 
 impl HybridScaleConfig {
@@ -66,7 +59,6 @@ impl HybridScaleConfig {
             node_scales: vec![64, 128, 256, 512],
             spec: HybridSpec::moe(8, 8, 8),
             parallel: ParallelPolicy::default(),
-            solve_mode: SolveMode::Exact,
         }
     }
 
@@ -80,7 +72,6 @@ impl HybridScaleConfig {
             node_scales: vec![1024, 2048],
             spec: HybridSpec::moe(8, 8, 8),
             parallel: ParallelPolicy::default(),
-            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
         }
     }
 
@@ -92,7 +83,6 @@ impl HybridScaleConfig {
             node_scales: vec![4096],
             spec: HybridSpec::moe(8, 8, 8),
             parallel: ParallelPolicy::default(),
-            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
         }
     }
 }
@@ -145,8 +135,6 @@ pub struct HybridScaleSweep {
     pub seed: u64,
     /// Iterations per cell.
     pub iters: usize,
-    /// Rate solver every drain of the sweep ran under.
-    pub solve_mode: SolveMode,
 }
 
 /// Stage-major node order for `pp` stages over `nodes` stride-`pp` ids:
@@ -193,7 +181,6 @@ fn run_hybrid_mode(
         rate_noise: 0.10,
         cnp: Some(CnpModel::paper_default()),
         parallel: cfg.parallel,
-        solve_mode: cfg.solve_mode,
         ..DrainConfig::default()
     };
     let offset = rng.index(ep);
@@ -278,7 +265,6 @@ pub fn run_scale(cfg: &HybridScaleConfig) -> HybridScaleSweep {
         threads: cfg.parallel.threads(),
         seed: cfg.seed,
         iters: cfg.iters,
-        solve_mode: cfg.solve_mode,
     }
 }
 
@@ -306,8 +292,7 @@ impl HybridScaleSweep {
         config
             .push("seed", self.seed)
             .push("iters", self.iters)
-            .push("threads", self.threads)
-            .push("solve_mode", format!("{:?}", self.solve_mode));
+            .push("threads", self.threads);
         let rows: Vec<JsonValue> = self
             .rows
             .iter()
@@ -593,7 +578,6 @@ mod tests {
             node_scales: vec![64],
             spec,
             parallel: ParallelPolicy::default(),
-            solve_mode: SolveMode::Exact,
         }
     }
 

@@ -619,17 +619,6 @@ impl FleetController {
             diags.extend(master.scan(scan_at, topo));
         }
 
-        if std::env::var("FLEET_DEBUG").is_ok() {
-            eprintln!(
-                "round={} job={} now={:?} hung={} total={:?} diags={:?}",
-                self.rounds,
-                id,
-                fj.job.now(),
-                report.hung,
-                report.total,
-                diags
-            );
-        }
         let job_nodes = fj.job.layout().nodes.clone();
         let mut candidates: Vec<NodeId> = diags
             .iter()

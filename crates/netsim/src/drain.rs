@@ -26,11 +26,13 @@
 //! * [`drain`] — the production path, an event-driven engine whose
 //!   per-event work is proportional to *what changed*, not to what exists:
 //!   * one persistent [`MaxMinState`] carries the base allocation;
-//!     completions become [`MaxMinState::remove_flow`] and only the dirtied
-//!     components re-waterfill. Link loads, per-link flow counts and CNP
-//!     congestion scores are maintained incrementally off the solver's
-//!     dirty-component feed ([`MaxMinState::refresh`]) instead of being
-//!     rebuilt over every active flow each event.
+//!     completions become [`MaxMinState::remove_flow`], and the solver's
+//!     worklist re-rates only the flows whose bottleneck moved. Link loads
+//!     apply those flows' rate deltas in place, and CNP congestion scores
+//!     are recomputed only for the subscribers of links whose load moved —
+//!     off the solver's changed-flow feed ([`MaxMinState::refresh`],
+//!     [`MaxMinState::changed_flows`]) instead of being rebuilt over every
+//!     active flow each event.
 //!   * noise needs no second solver: a throttle only ever lands on a flow
 //!     crossing a saturated link shared with a competitor, and every
 //!     subscriber of such a link is throttled, so the capped max-min
@@ -42,8 +44,8 @@
 //!   * the next completion comes from an indexed min-heap with lazy
 //!     invalidation (rate changes bump a per-flow stamp) instead of a
 //!     linear scan, and completions landing within the one-byte tolerance
-//!     of one instant batch their removals so a shared component re-solves
-//!     once per batch rather than once per flow.
+//!     of one instant batch their removals, so the solver propagates once
+//!     per batch rather than once per flow.
 //! * [`drain_reference`] — the retained from-scratch implementation: it
 //!   re-solves the whole allocation, capped by the throttles, at every
 //!   event and sums CNPs event by event. It consumes the RNG in exactly the
@@ -60,7 +62,7 @@ use c4_topology::{LinkKind, Topology};
 
 use crate::congestion::CnpModel;
 use crate::flow::{FlowOutcome, FlowSpec};
-use crate::maxmin::{self, MaxMinState, SolveMode, SolveScope};
+use crate::maxmin::{self, MaxMinState, SolveScope};
 
 /// Configuration of one drain run.
 #[derive(Debug, Clone)]
@@ -89,12 +91,6 @@ pub struct DrainConfig {
     /// reads it. Defaults to the `C4_THREADS` environment selection; routes
     /// are bit-identical at any thread count.
     pub parallel: ParallelPolicy,
-    /// Base-allocation solver strategy. [`SolveMode::Exact`] (the default)
-    /// is bit-identical to the historical behaviour; `TwoTier` trades an
-    /// ε-bounded rate error across the spine tier for sparse per-event
-    /// re-solves (see [`MaxMinState::set_solve_mode`]). The noise model is
-    /// the same in both modes.
-    pub solve_mode: SolveMode,
 }
 
 impl Default for DrainConfig {
@@ -106,7 +102,6 @@ impl Default for DrainConfig {
             rate_noise: 0.0,
             cnp: None,
             parallel: ParallelPolicy::default(),
-            solve_mode: SolveMode::Exact,
         }
     }
 }
@@ -146,18 +141,22 @@ pub struct DrainSolverStats {
     pub events: u64,
     /// Flows in the drained spec set.
     pub flows: u64,
-    /// Full (global) base-allocation solves.
+    /// Full (seed) base-allocation solves over every live flow.
     pub full_solves: u64,
-    /// Dirty-component re-solves (exact mode's incremental path).
+    /// Always 0. It counted the re-solves of a component-partitioned
+    /// solver that no longer exists; the field keeps existing readers of
+    /// the solver column compiling.
     pub component_solves: u64,
-    /// Sparse two-tier propagations (two-tier mode's incremental path).
+    /// Worklist propagations that settled: the solver's incremental path,
+    /// one per batch of same-instant completions.
     pub sparse_solves: u64,
-    /// Worklist rounds across all two-tier propagations.
+    /// Worklist rounds across all propagations, over every link.
     pub spine_rounds: u64,
-    /// Per-link advertised-level commits made by two-tier propagation.
+    /// Per-link bottleneck-level commits made by the worklist, over every
+    /// link.
     pub spine_link_updates: u64,
-    /// Two-tier propagations that failed to settle and fell back to a
-    /// full exact solve.
+    /// Propagations that exhausted the worklist's round budget and fell
+    /// back to an exact seed solve.
     pub fallback_solves: u64,
     /// Completion instants at which ≥ 2 flows finished together (their
     /// removals were batched into one re-solve).
@@ -383,9 +382,8 @@ fn materialize(f: usize, now_s: f64, rate: f64, remaining: &mut [f64], touch_s: 
 }
 
 /// Releases a completed flow's contribution to the incrementally-maintained
-/// link loads/counts (two-tier mode only — exact mode rebuilds them from the
-/// solver's component feed instead). Marks the touched links so the next
-/// sparse refresh re-scores their subscribers.
+/// link loads/counts. Marks the touched links so the next sparse refresh
+/// re-scores their subscribers.
 #[allow(clippy::too_many_arguments)]
 fn release_completed(
     f: usize,
@@ -418,9 +416,6 @@ struct Problem {
     orig_routes: Vec<Vec<u32>>,
     /// Sender port of each flow (first HostUp link on the route).
     src_port_of: Vec<Option<usize>>,
-    /// Per-dense-link spine flag (leaf↔spine fabric links) — the tier the
-    /// two-tier solve gates at ε.
-    spine_mask: Vec<bool>,
 }
 
 impl Problem {
@@ -428,7 +423,6 @@ impl Problem {
         let nl = topo.num_links();
         let mut dense_of = vec![u32::MAX; nl];
         let mut dense_capacity: Vec<f64> = Vec::new();
-        let mut spine_mask: Vec<bool> = Vec::new();
         let mut dense_routes: Vec<Vec<u32>> = Vec::with_capacity(specs.len());
         let mut orig_routes: Vec<Vec<u32>> = Vec::with_capacity(specs.len());
         for s in specs {
@@ -441,7 +435,6 @@ impl Problem {
                     dense_of[l as usize] = dense_capacity.len() as u32;
                     let link = topo.link(c4_topology::LinkId::from_index(l as usize));
                     dense_capacity.push(link.capacity().as_bytes_per_sec());
-                    spine_mask.push(link.kind().is_fabric());
                 }
                 dense.push(dense_of[l as usize]);
             }
@@ -454,7 +447,6 @@ impl Problem {
             dense_routes,
             orig_routes,
             src_port_of: sender_ports(topo, specs),
-            spine_mask,
         }
     }
 }
@@ -535,12 +527,7 @@ pub fn drain(
     // throttled flows pin to `base·φ`, the rest stay at their private
     // bottlenecks. The differential harness holds this identity against the
     // reference's full capped re-solve at 1e-9.
-    let two_tier = matches!(cfg.solve_mode, SolveMode::TwoTier { .. });
-    let mut base =
-        MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes).with_solve_mode(cfg.solve_mode);
-    if two_tier {
-        base.set_spine_links(&p.spine_mask);
-    }
+    let mut base = MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes);
     for (f, fin) in finish.iter().enumerate() {
         if fin.is_some() {
             base.remove_flow(f);
@@ -568,13 +555,13 @@ pub fn drain(
     let mut events = 0u64;
     let mut batched_instants = 0u64;
     let mut batched_completions = 0u64;
-    // Two-tier sparse bookkeeping: `base_prev` mirrors the base rate each
-    // active flow last contributed to `link_load`, so a sparse refresh can
-    // apply per-flow deltas instead of rebuilding loads; `touched_*` track
-    // the links those deltas (and completion-time releases) moved, which
-    // bounds the per-event score recompute to their subscribers.
-    let mut base_prev = vec![0.0_f64; if two_tier { nf } else { 0 }];
-    let mut touched_mask = vec![false; if two_tier { ndl } else { 0 }];
+    // Sparse bookkeeping: `base_prev` mirrors the base rate each active
+    // flow last contributed to `link_load`, so a sparse refresh can apply
+    // per-flow deltas instead of rebuilding loads; `touched_*` track the
+    // links those deltas (and completion-time releases) moved, which bounds
+    // the per-event score recompute to their subscribers.
+    let mut base_prev = vec![0.0_f64; nf];
+    let mut touched_mask = vec![false; ndl];
     let mut touched_links: Vec<u32> = Vec::new();
 
     while live > 0 {
@@ -585,17 +572,14 @@ pub fn drain(
         }
         events += 1;
 
-        // 1. Bring the base allocation up to date; only the components
-        //    dirtied by completions re-solve.
+        // 1. Bring the base allocation up to date: the solver propagates
+        //    the last event's completions through its worklist.
         let scope = base.refresh();
         let base_rates = base.current_rates();
 
-        // 2. Refresh link loads/counts for exactly what the solver
-        //    re-solved, and collect the flows whose base rate or score may
-        //    have moved. Components partition the links, and component flow
-        //    lists are ascending, so per-link accumulation order — and hence
-        //    every bit of the sums — matches a from-scratch rebuild over all
-        //    active flows.
+        // 2. Refresh link loads/counts for exactly the flows the solver
+        //    re-rated, and collect the flows whose base rate or score may
+        //    have moved.
         moved.clear();
         match scope {
             SolveScope::Unchanged => {}
@@ -611,41 +595,22 @@ pub fn drain(
                         moved.push(f);
                     }
                 }
-                if two_tier {
-                    // Loads were rebuilt wholesale — the delta mirror
-                    // restarts from the fresh base rates.
-                    for &l in &touched_links {
-                        touched_mask[l as usize] = false;
-                    }
-                    touched_links.clear();
-                    base_prev.fill(0.0);
-                    for &f in &moved {
-                        base_prev[f as usize] = base_rates[f as usize];
-                    }
+                // Loads were rebuilt wholesale — the delta mirror restarts
+                // from the fresh base rates.
+                for &l in &touched_links {
+                    touched_mask[l as usize] = false;
                 }
-            }
-            SolveScope::Components => {
-                for &c in base.resolved_components() {
-                    for &l in base.component_links(c) {
-                        link_load[l as usize] = 0.0;
-                        link_flows[l as usize] = 0;
-                    }
-                    for &f in base.component_flows(c) {
-                        if finish[f as usize].is_none() {
-                            for &l in &p.dense_routes[f as usize] {
-                                link_load[l as usize] += base_rates[f as usize];
-                                link_flows[l as usize] += 1;
-                            }
-                            moved.push(f);
-                        }
-                    }
+                touched_links.clear();
+                base_prev.fill(0.0);
+                for &f in &moved {
+                    base_prev[f as usize] = base_rates[f as usize];
                 }
             }
             SolveScope::Sparse => {
-                // Two-tier sparse feed: only `changed_flows` moved. Apply
-                // their rate deltas to the link loads in place (completed
-                // flows already released theirs in step 6); every alive
-                // subscriber of a touched link may change score.
+                // Only `changed_flows` moved. Apply their rate deltas to the
+                // link loads in place (completed flows already released
+                // theirs in step 6); every alive subscriber of a touched
+                // link may change score.
                 for &f in base.changed_flows() {
                     let fu = f as usize;
                     if finish[fu].is_some() {
@@ -667,7 +632,7 @@ pub fn drain(
                 }
                 for &l in &touched_links {
                     touched_mask[l as usize] = false;
-                    let subscribers = base.two_tier_subscribers(l as usize);
+                    let subscribers = base.subscribers(l as usize);
                     moved.extend(
                         subscribers
                             .iter()
@@ -801,7 +766,7 @@ pub fn drain(
         // 6. Completions (one-byte tolerance): re-rated flows by direct
         //    check, stable flows by popping every heap entry now due. A
         //    batch completing at one instant issues its removals together,
-        //    so the dirtied components re-solve once next event.
+        //    so the solver propagates them once next event.
         done.clear();
         for &f in &scan {
             if remaining[f] <= 1.0 && finish[f].is_none() {
@@ -841,17 +806,15 @@ pub fn drain(
             if let Some(c) = &mut cnp {
                 c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
             }
-            if two_tier {
-                release_completed(
-                    f,
-                    &p.dense_routes[f],
-                    &mut base_prev,
-                    &mut link_load,
-                    &mut link_flows,
-                    &mut touched_mask,
-                    &mut touched_links,
-                );
-            }
+            release_completed(
+                f,
+                &p.dense_routes[f],
+                &mut base_prev,
+                &mut link_load,
+                &mut link_flows,
+                &mut touched_mask,
+                &mut touched_links,
+            );
         }
 
         // 7. Re-arm completion events for this event's re-rated movers, and
@@ -907,7 +870,7 @@ pub fn drain(
         events,
         flows: nf as u64,
         full_solves: base.full_solves(),
-        component_solves: base.component_solves(),
+        component_solves: 0,
         sparse_solves: base.sparse_solves(),
         spine_rounds: base.spine_rounds(),
         spine_link_updates: base.spine_link_updates(),
@@ -1234,7 +1197,7 @@ mod tests {
     }
 
     /// Single flows from `node0 + i` to `node1 + i` on GPU `gpu`, each alone
-    /// on its ports (its own solver component), sized `sizes[i]`.
+    /// on its ports (sharing no link with any other flow), sized `sizes[i]`.
     fn lone_specs(
         t: &Topology,
         node0: usize,
@@ -1258,16 +1221,10 @@ mod tests {
 
     type DrainFn = fn(&Topology, &[FlowSpec], &DrainConfig, &mut DetRng) -> DrainReport;
 
-    /// Both implementations, and the event-driven one under both solve
-    /// modes: one noise model for all three.
-    fn every_drain(cfg: &DrainConfig) -> [(&'static str, DrainFn, DrainConfig); 3] {
-        let two_tier = DrainConfig {
-            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
-            ..cfg.clone()
-        };
+    /// Both implementations: one noise model for the two.
+    fn every_drain(cfg: &DrainConfig) -> [(&'static str, DrainFn, DrainConfig); 2] {
         [
             ("drain", drain, cfg.clone()),
-            ("two-tier drain", drain, two_tier),
             ("reference", drain_reference, cfg.clone()),
         ]
     }
@@ -1614,7 +1571,7 @@ mod tests {
     }
 
     /// A congested flow keeps its throttle between grid instants: flows
-    /// completing in other components re-rate nothing here, so with one
+    /// completing on disjoint links re-rate nothing here, so with one
     /// grid instant for the whole drain the congested flow runs at one
     /// constant rate.
     #[test]
@@ -1639,7 +1596,7 @@ mod tests {
             assert!(fin < report.outcomes[1].finish.unwrap(), "{name}");
             assert!(
                 report.outcomes[2..].iter().all(|o| o.finish.unwrap() < fin),
-                "{name}: the other components must complete meanwhile"
+                "{name}: the disjoint flows must complete meanwhile"
             );
             assert_eq!(
                 congested.min_rate, congested.max_rate,

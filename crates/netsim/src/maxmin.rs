@@ -10,18 +10,13 @@
 //! DCQCN throttles by a full capped re-solve.
 //!
 //! [`MaxMinState`] is the incremental form the drain loop consumes: it keeps
-//! the problem (link capacities, flow routes) resident, partitions it into
-//! connected components of the flow–link sharing graph, and re-runs the
-//! water-filling kernel only over components that lost a flow since the
-//! last query. LLM-training traffic makes this profitable: a drain's flow
-//! set is fixed up front and only ever shrinks by completions, successive
-//! solves differ by a handful of them, and disjoint jobs/NVLink chains never
-//! need re-solving at all. Dirty components re-solve one by one, serially.
-//! Only flow additions, which can merge components, force a full solve with
-//! a global re-partition; a dirty component whose removed flows reach its
-//! live count is re-partitioned in place before it re-solves.
-
-use c4_simcore::UnionFind;
+//! the problem (link capacities, flow routes) resident, seeds each link's
+//! bottleneck level with one event-driven water-filling solve, and then
+//! turns every flow removal into a worklist over the links whose levels
+//! move. LLM-training traffic makes this profitable: a drain's flow set is
+//! fixed up front and only ever shrinks by completions, and a completion
+//! moves the levels of a few links, however many flows share the spine
+//! with it. Only flow additions force a fresh seed solve.
 
 /// Per-flow rate caps; `f64::INFINITY` means uncapped.
 pub type RateCaps = Vec<f64>;
@@ -35,9 +30,8 @@ const UNBOUNDED: f64 = f64::MAX / 4.0;
 ///
 /// At 16k–32k GPUs a drain holds hundreds of thousands of routes; storing
 /// them as one contiguous pair of arrays (instead of a `Vec<Vec<u32>>` with
-/// one heap allocation per flow) lets the waterfill kernel and the dirty-
-/// component re-accumulation stream link ids sequentially, and makes
-/// cloning/rebuilding a component's route table two `memcpy`s.
+/// one heap allocation per flow) lets the waterfill kernel and the worklist
+/// stream link ids sequentially, and makes cloning the table two `memcpy`s.
 #[derive(Debug, Clone)]
 struct RouteTable {
     /// `len + 1` offsets into `links`.
@@ -221,11 +215,10 @@ impl Ord for LinkEvent {
 }
 
 /// Reusable buffers for [`waterfill_event_into`]: every per-call allocation
-/// of the event kernel (index arenas, residual tables, the saturation heap)
-/// plus the staging vectors the component loop uses to assemble each
-/// sub-problem. Buffers are **cleared, not freed** between solves, so the
-/// drain hot loop stops allocating once the largest component has been
-/// seen; `hwm_bytes` records the arena's high-water mark for
+/// of the event kernel (index arenas, residual tables, the saturation
+/// heap). Buffers are **cleared, not freed** between solves, so repeated
+/// seed solves stop allocating once the largest problem has been seen;
+/// `hwm_bytes` records the arena's high-water mark for
 /// [`DrainSolverStats`](crate::DrainSolverStats).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolveScratch {
@@ -238,10 +231,6 @@ pub(crate) struct SolveScratch {
     base_level: Vec<f64>,
     stamp: Vec<u32>,
     heap: std::collections::BinaryHeap<LinkEvent>,
-    /// Staging for the component loop (link capacities and rates of the
-    /// component being solved).
-    local_capacity: Vec<f64>,
-    local_rates: Vec<f64>,
     /// Largest total capacity (bytes) this arena has held.
     hwm_bytes: usize,
 }
@@ -257,9 +246,7 @@ impl SolveScratch {
             + self.remaining.capacity() * 8
             + self.base_level.capacity() * 8
             + self.stamp.capacity() * 4
-            + self.heap.capacity() * std::mem::size_of::<LinkEvent>()
-            + self.local_capacity.capacity() * 8
-            + self.local_rates.capacity() * 8;
+            + self.heap.capacity() * std::mem::size_of::<LinkEvent>();
         if bytes > self.hwm_bytes {
             self.hwm_bytes = bytes;
         }
@@ -292,33 +279,30 @@ impl SolveScratch {
 /// buffers hold exactly the values a fresh allocation would, keeping results
 /// bit-identical whether the scratch is new or recycled.
 ///
-/// When `levels` is provided it receives each link's final saturation level:
-/// the water level at which the link's residual reached zero, or
-/// [`UNBOUNDED`] for links that never saturated. This is the per-link
-/// bottleneck ("advertised") level the two-tier solve seeds its fixed point
-/// with.
+/// `levels` receives each link's final saturation level: the water level
+/// at which the link's residual reached zero, or [`UNBOUNDED`] for links
+/// that never saturated. These are the per-link bottleneck levels
+/// [`MaxMinState`]'s worklist is seeded with.
 fn waterfill_event_into(
     capacity: &[f64],
     links_of: &RouteTable,
     alive: impl Fn(usize) -> bool,
     rates: &mut [f64],
     scratch: &mut SolveScratch,
-    levels: Option<&mut Vec<f64>>,
+    levels: &mut Vec<f64>,
 ) {
     let nf = links_of.len();
     debug_assert_eq!(rates.len(), nf);
     let nl = capacity.len();
     // Saturation levels for a problem with no routed flows: a link is
     // "saturated" only if it has no capacity at all.
-    let trivial_levels = |levels: Option<&mut Vec<f64>>| {
-        if let Some(levels) = levels {
-            levels.clear();
-            levels.extend(
-                capacity
-                    .iter()
-                    .map(|c| if c.max(0.0) == 0.0 { 0.0 } else { UNBOUNDED }),
-            );
-        }
+    let trivial_levels = |levels: &mut Vec<f64>| {
+        levels.clear();
+        levels.extend(
+            capacity
+                .iter()
+                .map(|c| if c.max(0.0) == 0.0 { 0.0 } else { UNBOUNDED }),
+        );
     };
     if nf == 0 {
         trivial_levels(levels);
@@ -482,21 +466,19 @@ fn waterfill_event_into(
         }
     }
 
-    if let Some(levels) = levels {
-        // A link's final `remaining` is its residual at `base_level` with
-        // every subscriber frozen, so residual ≈ 0 means the link saturated
-        // exactly at `base_level` — the advertised level the two-tier solve
-        // seeds with. Links with slack never constrain anyone.
-        levels.clear();
-        levels.reserve(nl);
-        for l in 0..nl {
-            let cap_pos = capacity[l].max(0.0);
-            levels.push(if remaining[l] <= 1e-9 * cap_pos.max(1.0) {
-                base_level[l]
-            } else {
-                UNBOUNDED
-            });
-        }
+    // A link's final `remaining` is its residual at `base_level` with every
+    // subscriber frozen, so residual ≈ 0 means the link saturated exactly at
+    // `base_level` — its bottleneck level. Links with slack never constrain
+    // anyone.
+    levels.clear();
+    levels.reserve(nl);
+    for l in 0..nl {
+        let cap_pos = capacity[l].max(0.0);
+        levels.push(if remaining[l] <= 1e-9 * cap_pos.max(1.0) {
+            base_level[l]
+        } else {
+            UNBOUNDED
+        });
     }
     scratch.note_hwm();
 }
@@ -609,51 +591,26 @@ pub fn residual(capacity: &[f64], routes: &[Vec<u32>], rates: &[f64]) -> Vec<f64
     res
 }
 
-/// What the last [`MaxMinState::refresh`] call actually re-solved — the
-/// dirty-component feed the event-driven drain loop consumes to update its
-/// link loads, congestion scores and completion heap incrementally instead
-/// of rebuilding them over every active flow each event.
+/// What the last [`MaxMinState::refresh`] call changed — the feed the
+/// event-driven drain loop consumes to update its link loads, congestion
+/// scores and completion heap incrementally instead of rebuilding them over
+/// every active flow each event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveScope {
-    /// Nothing was dirty: no rate changed since the previous refresh.
+    /// Nothing was removed: no rate changed since the previous refresh.
     Unchanged,
-    /// Only the components listed by [`MaxMinState::resolved_components`]
-    /// re-solved; every other flow's rate is bit-identical to before.
-    Components,
-    /// Two-tier propagation ran: only the flows listed by
+    /// The worklist propagated the removals: only the flows listed by
     /// [`MaxMinState::changed_flows`] have different rates — every other
-    /// flow's rate is bit-identical to before. Only produced under
-    /// [`SolveMode::TwoTier`].
+    /// flow's rate is bit-identical to before.
     Sparse,
-    /// A full solve ran (with re-partition): component ids were reassigned
-    /// and every rate is fresh — derived state must rebuild from scratch.
+    /// A seed solve ran (the first refresh, the first after a flow
+    /// addition, or the convergence fallback): every rate is fresh —
+    /// derived state must rebuild from scratch.
     Full,
 }
 
-/// How [`MaxMinState`] re-solves after completions.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SolveMode {
-    /// Component-granular exact re-solves, within 1e-9 of the reference
-    /// solver. The default everywhere.
-    #[default]
-    Exact,
-    /// Two-tier approximate re-solves: pod-local updates propagate exactly,
-    /// while updates crossing designated *spine* links
-    /// ([`MaxMinState::set_spine_links`]) only commit when a link's
-    /// advertised bottleneck level moves by more than `epsilon / 8`
-    /// relative. Bounds every flow's rate within `epsilon` relative of the
-    /// exact allocation (pinned by `tests/maxmin_differential.rs`) while
-    /// turning each completion into work proportional to the links it
-    /// actually moved — instead of an exact re-solve of the spine-connected
-    /// giant component.
-    TwoTier {
-        /// Maximum relative rate error tolerated against the exact solver.
-        epsilon: f64,
-    },
-}
-
-/// Incremental state for [`SolveMode::TwoTier`]: a Charny-style fixed point
-/// over per-link advertised bottleneck levels `mu`.
+/// The bottleneck-level worklist behind [`MaxMinState`]: a Charny-style
+/// fixed point over per-link bottleneck levels `mu`.
 ///
 /// Invariants at quiescence: `mu[l]` is the water level at which link `l`
 /// saturates given its alive subscribers' demands (or [`UNBOUNDED`] when it
@@ -661,12 +618,13 @@ pub enum SolveMode {
 /// the two smallest `mu` values on its route; and each flow's rate is
 /// `min1`. Removals mark route links dirty, and the worklist re-fills each
 /// dirty link from its subscribers' demands — committing (and rescanning
-/// subscribers) only when the level moves past the link's gate.
+/// subscribers) only when the level moves by more than [`LEVEL_GATE`].
 #[derive(Debug, Clone, Default)]
-struct TwoTierState {
-    /// Whether `mu`/triples/subscribers reflect the current flow table.
-    initialized: bool,
-    /// Advertised saturation level per link.
+struct Worklist {
+    /// Whether `mu`/triples/subscribers reflect the current flow table
+    /// (false until the first seed solve and after every flow addition).
+    seeded: bool,
+    /// Bottleneck level per link.
     mu: Vec<f64>,
     /// Subscriber CSR: alive routed flows per link (stale entries are
     /// alive-checked; compacted when dead entries reach half the table).
@@ -679,7 +637,7 @@ struct TwoTierState {
     min1: Vec<f64>,
     min1_link: Vec<u32>,
     min2: Vec<f64>,
-    /// Worklist of links whose fill level must be recomputed.
+    /// Links whose fill level must be recomputed.
     link_dirty: Vec<bool>,
     dirty_links: Vec<u32>,
     /// Flows whose rate changed since the last refresh (mask-deduped).
@@ -694,12 +652,12 @@ struct TwoTierState {
     batch: Vec<u32>,
     /// Statistics for [`DrainSolverStats`](crate::DrainSolverStats).
     sparse_solves: u64,
-    spine_rounds: u64,
-    spine_link_updates: u64,
+    rounds: u64,
+    commits: u64,
     fallback_solves: u64,
 }
 
-impl TwoTierState {
+impl Worklist {
     /// Rewrites the subscriber CSR keeping only alive flows, so long drains
     /// do not scan ever-growing dead entries. In-place, O(entries).
     fn compact_subscribers(&mut self, alive: &[bool]) {
@@ -723,57 +681,30 @@ impl TwoTierState {
     }
 }
 
-/// One connected component of the flow–link sharing graph — the "pod" unit
-/// of the hierarchical solve. All per-flow data is struct-of-arrays: the
-/// flow ids, the CSR route table and the (caller-built) rate slice are
-/// parallel arrays, so a component re-solve streams contiguously.
-#[derive(Debug, Clone, Default)]
-struct Component {
-    /// Flow ids in this component (alive at partition time), ascending.
-    flows: Vec<u32>,
-    /// Links referenced by those flows (original link-table indices).
-    links: Vec<u32>,
-    /// Per-flow routes in component-local dense indices (into `links`),
-    /// parallel to `flows`, flattened CSR. Built once per partition so a
-    /// component re-solve allocates nothing route-shaped.
-    local_routes: RouteTable,
-    /// Flows of this component still alive.
-    alive_count: usize,
-}
-
-impl Component {
-    /// Flows removed since this component was (re)built.
-    fn dead_count(&self) -> usize {
-        self.flows.len() - self.alive_count
-    }
-}
-
 /// Persistent max-min problem with incremental re-solving.
 ///
 /// The access pattern is the drain loop's: build the problem once, then
 /// remove flows as they complete ([`remove_flow`]) and re-read [`rates`] (or
-/// [`refresh`] and read [`current_rates`]). The state partitions flows into
-/// connected components (two flows are connected when they share a link,
-/// transitively) and re-runs the event-driven water-filling kernel, serially
-/// through one reused scratch arena, only over components that lost
-/// a flow. Max-min fairness is separable across components and the event
-/// kernel computes the same fixed point as the textbook loop, so the result
-/// matches the reference [`solve`] up to floating-point association and the
-/// reference's `eps` freeze threshold (≪ 1e-9 relative;
-/// `tests/maxmin_differential.rs` enforces this).
+/// [`refresh`] and read [`current_rates`]).
 ///
-/// **Hierarchical re-partitioning.** The component tables are maintained at
-/// two levels. Flow *additions* (which may merge components) trigger the
-/// spine-level path: one global union-find re-partition plus a full
-/// re-solve. Flow *removals* never merge components, so they are handled at
-/// the pod level: when a dirty component's dead mass reaches its live mass,
-/// just that component is rebuilt in place from its own live flows —
-/// splitting pieces that removals disconnected and dropping dead flows from
-/// its tables — under `SolveScope::Components`. Quiescent components are
-/// never touched, scanned, or reallocated, which is what keeps 16k–32k-GPU
-/// drains (hundreds of thousands of flows) event-cost-proportional to the
-/// traffic that actually changed.
+/// The first refresh — and the first after any [`add_flow`] — runs one
+/// *seed* solve: the event-driven water-filling kernel over every live
+/// flow, which also records each link's bottleneck level. After that a
+/// removal never re-solves from scratch. It marks the removed flow's links
+/// dirty, and the next refresh runs a worklist to quiescence: each dirty
+/// link re-fills from its subscribers' demands (the smallest level on each
+/// subscriber's *other* links), and a level that moves by more than 1e-12
+/// relative commits, re-rates the subscribers whose route minimum moved
+/// and dirties their other links. The work per completion is proportional
+/// to the links whose levels actually moved, not to the flows sharing the
+/// removed flow's connected component.
 ///
+/// The result matches the reference [`solve`] within 1e-9 relative
+/// (`tests/maxmin_differential.rs` enforces this). As a convergence
+/// backstop, a worklist that has not settled after 64 rounds gives up and
+/// the state re-seeds with one exact solve.
+///
+/// [`add_flow`]: MaxMinState::add_flow
 /// [`remove_flow`]: MaxMinState::remove_flow
 /// [`rates`]: MaxMinState::rates
 /// [`refresh`]: MaxMinState::refresh
@@ -787,43 +718,22 @@ pub struct MaxMinState {
     alive: Vec<bool>,
     n_alive: usize,
     rates: Vec<f64>,
-
-    comps: Vec<Component>,
-    /// Component id per flow; `u32::MAX` for empty-route flows.
-    comp_of_flow: Vec<u32>,
-    /// Component id per link; `u32::MAX` for unreferenced links.
-    comp_of_link: Vec<u32>,
-    dirty: Vec<bool>,
-    dirty_list: Vec<u32>,
-    /// Flows added since the partition was built force a full re-solve.
-    partition_stale: bool,
-    /// What the last [`refresh`](MaxMinState::refresh) re-solved.
-    last_scope: SolveScope,
-    /// Component ids re-solved by the last refresh (when `last_scope` is
-    /// [`SolveScope::Components`]), ascending.
-    last_resolved: Vec<u32>,
-    /// Statistics: full solves vs component re-solves since construction.
+    /// Seed solves since construction.
     full_solves: u64,
-    component_solves: u64,
     /// Reusable solve arena (cleared, never freed).
     scratch: SolveScratch,
-    /// Exact (default) or two-tier approximate re-solving.
-    mode: SolveMode,
-    /// Spine-link mask for [`SolveMode::TwoTier`] gating (empty = no link
-    /// is spine: everything propagates at the exactness gate).
-    spine: Vec<bool>,
-    two_tier: TwoTierState,
+    worklist: Worklist,
 }
 
-/// Relative change below which a non-spine link's advertised level is not
-/// worth re-propagating under [`SolveMode::TwoTier`] — tight enough that
-/// pod-local arithmetic stays effectively exact.
-const POD_GATE: f64 = 1e-12;
+/// Relative change below which a link's bottleneck level is not worth
+/// re-propagating — tight enough that the worklist's arithmetic stays
+/// effectively exact.
+const LEVEL_GATE: f64 = 1e-12;
 
-/// Worklist rounds before a two-tier propagation gives up and falls back
-/// to one exact global solve (convergence insurance; the Charny iteration
-/// settles in a handful of rounds in practice).
-const TWO_TIER_MAX_ROUNDS: usize = 64;
+/// Worklist rounds before a propagation gives up and falls back to one
+/// exact seed solve (convergence insurance; the iteration settles in a
+/// handful of rounds in practice).
+const MAX_ROUNDS: usize = 64;
 
 impl MaxMinState {
     /// Creates an empty state over the given link-capacity table.
@@ -834,53 +744,10 @@ impl MaxMinState {
             alive: Vec::new(),
             n_alive: 0,
             rates: Vec::new(),
-            comps: Vec::new(),
-            comp_of_flow: Vec::new(),
-            comp_of_link: vec![u32::MAX; capacity.len()],
-            dirty: Vec::new(),
-            dirty_list: Vec::new(),
-            partition_stale: true,
-            last_scope: SolveScope::Unchanged,
-            last_resolved: Vec::new(),
             full_solves: 0,
-            component_solves: 0,
             scratch: SolveScratch::default(),
-            mode: SolveMode::Exact,
-            spine: Vec::new(),
-            two_tier: TwoTierState::default(),
+            worklist: Worklist::default(),
         }
-    }
-
-    /// Sets the solve mode (builder form). Switching modes invalidates the
-    /// incremental tables; the next refresh runs one full solve.
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.set_solve_mode(mode);
-        self
-    }
-
-    /// Sets the solve mode. Switching modes invalidates the incremental
-    /// tables; the next refresh runs one full solve.
-    pub fn set_solve_mode(&mut self, mode: SolveMode) {
-        if self.mode == mode {
-            return;
-        }
-        self.mode = mode;
-        self.partition_stale = true;
-        self.two_tier.initialized = false;
-    }
-
-    /// The current solve mode.
-    pub fn solve_mode(&self) -> SolveMode {
-        self.mode
-    }
-
-    /// Marks which links belong to the spine tier for
-    /// [`SolveMode::TwoTier`] gating. `mask` is indexed like the capacity
-    /// table; out-of-range links default to non-spine. A no-op for
-    /// [`SolveMode::Exact`] correctness (the mask only affects gating).
-    pub fn set_spine_links(&mut self, mask: &[bool]) {
-        self.spine.clear();
-        self.spine.extend_from_slice(mask);
     }
 
     /// Creates a state pre-loaded with flows (the drain-loop entry path).
@@ -894,8 +761,8 @@ impl MaxMinState {
 
     /// Adds a flow; returns its id (dense, in insertion order).
     ///
-    /// Adding flows marks the partition stale: the next [`rates`] call runs
-    /// one full solve and re-partitions.
+    /// Adding flows invalidates the worklist: the next [`rates`] call runs
+    /// one seed solve.
     ///
     /// [`rates`]: MaxMinState::rates
     ///
@@ -908,14 +775,13 @@ impl MaxMinState {
         self.rates.push(if ls.is_empty() { UNBOUNDED } else { 0.0 });
         self.routes.push(&ls);
         self.alive.push(true);
-        self.comp_of_flow.push(u32::MAX);
         self.n_alive += 1;
-        self.partition_stale = true;
+        self.worklist.seeded = false;
         f
     }
 
-    /// Removes a flow (completion): its capacity share is released and only
-    /// its component re-solves on the next [`rates`] call.
+    /// Removes a flow (completion): its capacity share is released, and
+    /// the next [`rates`] call propagates the change from its links.
     ///
     /// [`rates`]: MaxMinState::rates
     pub fn remove_flow(&mut self, f: usize) {
@@ -925,37 +791,30 @@ impl MaxMinState {
         self.alive[f] = false;
         self.n_alive -= 1;
         self.rates[f] = 0.0;
-        if matches!(self.mode, SolveMode::TwoTier { .. }) {
-            if self.two_tier.initialized {
-                let MaxMinState {
-                    routes,
-                    alive,
-                    two_tier,
-                    ..
-                } = self;
-                let r = routes.route(f);
-                if !two_tier.flow_mask[f] {
-                    two_tier.flow_mask[f] = true;
-                    two_tier.pending.push(f as u32);
-                }
-                for &l in r {
-                    if !two_tier.link_dirty[l as usize] {
-                        two_tier.link_dirty[l as usize] = true;
-                        two_tier.dirty_links.push(l);
-                    }
-                }
-                two_tier.sub_dead_entries += r.len();
-                if two_tier.sub_dead_entries * 2 >= two_tier.sub_flows.len() {
-                    two_tier.compact_subscribers(alive);
-                }
-            }
+        if !self.worklist.seeded {
+            // The next refresh seeds from the live flows anyway.
             return;
         }
-        let c = self.comp_of_flow[f];
-        if c != u32::MAX {
-            self.comps[c as usize].alive_count =
-                self.comps[c as usize].alive_count.saturating_sub(1);
-            self.mark_dirty(c);
+        let MaxMinState {
+            routes,
+            alive,
+            worklist: w,
+            ..
+        } = self;
+        let r = routes.route(f);
+        if !w.flow_mask[f] {
+            w.flow_mask[f] = true;
+            w.pending.push(f as u32);
+        }
+        for &l in r {
+            if !w.link_dirty[l as usize] {
+                w.link_dirty[l as usize] = true;
+                w.dirty_links.push(l);
+            }
+        }
+        w.sub_dead_entries += r.len();
+        if w.sub_dead_entries * 2 >= w.sub_flows.len() {
+            w.compact_subscribers(alive);
         }
     }
 
@@ -967,58 +826,36 @@ impl MaxMinState {
     }
 
     /// Brings the allocation up to date (lazily, like [`rates`]) and reports
-    /// what was re-solved, so derived per-flow state (link loads, scores,
+    /// what changed, so derived per-flow state (link loads, scores,
     /// completion events) can be updated for exactly the flows whose rates
-    /// may have changed. Read the result via [`current_rates`] and
-    /// [`resolved_components`].
+    /// moved. Read the result via [`current_rates`] and [`changed_flows`].
     ///
     /// [`rates`]: MaxMinState::rates
     /// [`current_rates`]: MaxMinState::current_rates
-    /// [`resolved_components`]: MaxMinState::resolved_components
+    /// [`changed_flows`]: MaxMinState::changed_flows
     pub fn refresh(&mut self) -> SolveScope {
-        if let SolveMode::TwoTier { epsilon } = self.mode {
-            return self.refresh_two_tier(epsilon);
-        }
-        self.last_resolved.clear();
-        if self.needs_full_solve() {
-            self.solve_full();
-            self.last_scope = SolveScope::Full;
-        } else if !self.dirty_list.is_empty() {
-            let mut dirty = std::mem::take(&mut self.dirty_list);
-            // Ascending component order fixes the ids split pieces append
-            // under, whatever order the removals arrived in.
-            dirty.sort_unstable();
-            for &c in &dirty {
-                self.dirty[c as usize] = false;
+        self.worklist.changed.clear();
+        if !self.worklist.seeded {
+            self.seed();
+            SolveScope::Full
+        } else if self.worklist.dirty_links.is_empty() && self.worklist.pending.is_empty() {
+            SolveScope::Unchanged
+        } else if self.propagate() {
+            let w = &mut self.worklist;
+            w.sparse_solves += 1;
+            std::mem::swap(&mut w.pending, &mut w.changed);
+            w.changed.sort_unstable();
+            for &f in &w.changed {
+                w.flow_mask[f as usize] = false;
             }
-            // Pod-level incremental re-partition: a dirty component whose
-            // dead mass reached its live mass is rebuilt in place from its
-            // own live flows (splitting pieces that removals disconnected
-            // and dropping dead flows from its tables) before solving.
-            // Removals never merge components, so this is exact — and it
-            // happens entirely under `SolveScope::Components`, so quiescent
-            // components are never touched even while long drains churn.
-            let mut resolved: Vec<u32> = Vec::with_capacity(dirty.len());
-            for &c in &dirty {
-                let comp = &self.comps[c as usize];
-                if comp.alive_count > 0 && comp.dead_count() >= comp.alive_count {
-                    self.split_component(c, &mut resolved);
-                } else {
-                    resolved.push(c);
-                }
-            }
-            // New piece ids append past the existing table, so ascending
-            // order (the drain's per-link re-accumulation contract) needs
-            // one sort.
-            resolved.sort_unstable();
-            self.solve_components(&resolved);
-            self.component_solves += resolved.len() as u64;
-            self.last_resolved = resolved;
-            self.last_scope = SolveScope::Components;
+            SolveScope::Sparse
         } else {
-            self.last_scope = SolveScope::Unchanged;
+            // The worklist did not settle within the round budget: fall
+            // back to one exact seed solve.
+            self.worklist.fallback_solves += 1;
+            self.seed();
+            SolveScope::Full
         }
-        self.last_scope
     }
 
     /// The allocation as of the last [`refresh`]/[`rates`] call, without
@@ -1030,45 +867,14 @@ impl MaxMinState {
         &self.rates
     }
 
-    /// Component ids the last [`refresh`](MaxMinState::refresh) re-solved
-    /// (ascending). Meaningful when it returned [`SolveScope::Components`];
-    /// empty after `Unchanged` or `Full`.
-    pub fn resolved_components(&self) -> &[u32] {
-        &self.last_resolved
-    }
-
-    /// The flows of component `c` as of the current partition, ascending.
-    /// Includes flows removed since the partition was built (their rates
-    /// read 0).
-    pub fn component_flows(&self, c: u32) -> &[u32] {
-        &self.comps[c as usize].flows
-    }
-
-    /// The links of component `c`, as indices into the capacity table this
-    /// state was built over.
-    pub fn component_links(&self, c: u32) -> &[u32] {
-        &self.comps[c as usize].links
-    }
-
     /// Live (not-removed) flow count.
     pub fn n_alive(&self) -> usize {
         self.n_alive
     }
 
-    /// Number of connected components in the current partition (0 before
-    /// the first solve).
-    pub fn component_count(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// How many full solves this state has run (diagnostics/benchmarks).
+    /// How many seed solves this state has run (diagnostics/benchmarks).
     pub fn full_solves(&self) -> u64 {
         self.full_solves
-    }
-
-    /// How many single-component re-solves this state has run.
-    pub fn component_solves(&self) -> u64 {
-        self.component_solves
     }
 
     /// High-water mark (bytes) of the reusable solve arena — how much
@@ -1084,73 +890,49 @@ impl MaxMinState {
     ///
     /// [`refresh`]: MaxMinState::refresh
     pub fn changed_flows(&self) -> &[u32] {
-        &self.two_tier.changed
+        &self.worklist.changed
     }
 
-    /// Routed flows subscribed to dense link `l` (two-tier mode only; empty
-    /// before the first two-tier refresh). May still list flows removed
-    /// since the last CSR compaction — callers filter by their own liveness.
-    pub(crate) fn two_tier_subscribers(&self, l: usize) -> &[u32] {
-        let t = &self.two_tier;
-        if !t.initialized || l + 1 >= t.sub_offsets.len() {
+    /// Routed flows subscribed to link `l` (empty before the first seed
+    /// solve). May still list flows removed since the last CSR compaction —
+    /// callers filter by their own liveness.
+    pub(crate) fn subscribers(&self, l: usize) -> &[u32] {
+        let w = &self.worklist;
+        if !w.seeded || l + 1 >= w.sub_offsets.len() {
             return &[];
         }
-        &t.sub_flows[t.sub_offsets[l] as usize..t.sub_offsets[l + 1] as usize]
+        &w.sub_flows[w.sub_offsets[l] as usize..w.sub_offsets[l + 1] as usize]
     }
 
-    /// How many sparse (two-tier) propagations this state has run.
+    /// How many worklist propagations settled without a fallback.
     pub fn sparse_solves(&self) -> u64 {
-        self.two_tier.sparse_solves
+        self.worklist.sparse_solves
     }
 
-    /// Total worklist rounds across all two-tier propagations.
+    /// Total worklist rounds across all propagations (named like the
+    /// [`DrainSolverStats`](crate::DrainSolverStats) field it feeds).
     pub fn spine_rounds(&self) -> u64 {
-        self.two_tier.spine_rounds
+        self.worklist.rounds
     }
 
-    /// How many per-link advertised-level commits two-tier propagation made.
+    /// How many per-link bottleneck-level commits the worklist made, over
+    /// every link (named like the
+    /// [`DrainSolverStats`](crate::DrainSolverStats) field it feeds).
     pub fn spine_link_updates(&self) -> u64 {
-        self.two_tier.spine_link_updates
+        self.worklist.commits
     }
 
-    /// How many two-tier propagations failed to settle and fell back to an
-    /// exact global solve.
+    /// How many propagations failed to settle within the 64-round budget
+    /// and fell back to an exact seed solve.
     pub fn fallback_solves(&self) -> u64 {
-        self.two_tier.fallback_solves
+        self.worklist.fallback_solves
     }
 
-    /// [`refresh`](MaxMinState::refresh) under [`SolveMode::TwoTier`].
-    fn refresh_two_tier(&mut self, epsilon: f64) -> SolveScope {
-        self.last_resolved.clear();
-        self.two_tier.changed.clear();
-        if self.partition_stale || !self.two_tier.initialized {
-            self.two_tier_init();
-            self.last_scope = SolveScope::Full;
-        } else if self.two_tier.dirty_links.is_empty() && self.two_tier.pending.is_empty() {
-            self.last_scope = SolveScope::Unchanged;
-        } else if self.two_tier_propagate(epsilon) {
-            let t = &mut self.two_tier;
-            t.sparse_solves += 1;
-            std::mem::swap(&mut t.pending, &mut t.changed);
-            t.changed.sort_unstable();
-            for &f in &t.changed {
-                t.flow_mask[f as usize] = false;
-            }
-            self.last_scope = SolveScope::Sparse;
-        } else {
-            // The worklist did not settle within the round budget: fall
-            // back to one exact global solve (which also re-seeds `mu`).
-            self.two_tier.fallback_solves += 1;
-            self.two_tier_init();
-            self.last_scope = SolveScope::Full;
-        }
-        self.last_scope
-    }
-
-    /// (Re)seeds the two-tier tables with one exact global solve: rates come
-    /// straight from the event kernel, `mu` from its per-link saturation
-    /// levels, and the subscriber CSR / route-min triples are rebuilt.
-    fn two_tier_init(&mut self) {
+    /// (Re)seeds the worklist with one exact solve over every live flow:
+    /// rates come straight from the event kernel, `mu` from its per-link
+    /// saturation levels, and the subscriber CSR / route-min triples are
+    /// rebuilt.
+    fn seed(&mut self) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
         for r in self.rates.iter_mut() {
@@ -1163,7 +945,7 @@ impl MaxMinState {
                 alive,
                 rates,
                 scratch,
-                two_tier,
+                worklist,
                 ..
             } = self;
             waterfill_event_into(
@@ -1172,51 +954,51 @@ impl MaxMinState {
                 |f| alive[f],
                 rates,
                 scratch,
-                Some(&mut two_tier.mu),
+                &mut worklist.mu,
             );
         }
-        let t = &mut self.two_tier;
+        let w = &mut self.worklist;
         // Subscriber CSR over alive routed flows (counting sort).
-        t.sub_offsets.clear();
-        t.sub_offsets.resize(nl + 1, 0);
+        w.sub_offsets.clear();
+        w.sub_offsets.resize(nl + 1, 0);
         for f in 0..nf {
             if self.alive[f] {
                 for &l in self.routes.route(f) {
-                    t.sub_offsets[l as usize + 1] += 1;
+                    w.sub_offsets[l as usize + 1] += 1;
                 }
             }
         }
         for l in 0..nl {
-            t.sub_offsets[l + 1] += t.sub_offsets[l];
+            w.sub_offsets[l + 1] += w.sub_offsets[l];
         }
-        t.sub_flows.clear();
-        t.sub_flows.resize(t.sub_offsets[nl] as usize, 0);
+        w.sub_flows.clear();
+        w.sub_flows.resize(w.sub_offsets[nl] as usize, 0);
         {
-            let cursor = &mut t.batch;
+            let cursor = &mut w.batch;
             cursor.clear();
-            cursor.extend_from_slice(&t.sub_offsets[..nl]);
+            cursor.extend_from_slice(&w.sub_offsets[..nl]);
             for f in 0..nf {
                 if self.alive[f] {
                     for &l in self.routes.route(f) {
-                        t.sub_flows[cursor[l as usize] as usize] = f as u32;
+                        w.sub_flows[cursor[l as usize] as usize] = f as u32;
                         cursor[l as usize] += 1;
                     }
                 }
             }
             cursor.clear();
         }
-        t.sub_dead_entries = 0;
+        w.sub_dead_entries = 0;
         // Route-min triples from the seeded levels.
-        t.min1.clear();
-        t.min1.resize(nf, f64::INFINITY);
-        t.min1_link.clear();
-        t.min1_link.resize(nf, u32::MAX);
-        t.min2.clear();
-        t.min2.resize(nf, f64::INFINITY);
+        w.min1.clear();
+        w.min1.resize(nf, f64::INFINITY);
+        w.min1_link.clear();
+        w.min1_link.resize(nf, u32::MAX);
+        w.min2.clear();
+        w.min2.resize(nf, f64::INFINITY);
         for f in 0..nf {
             let (mut m1, mut m1l, mut m2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
             for &l in self.routes.route(f) {
-                let v = t.mu[l as usize];
+                let v = w.mu[l as usize];
                 if v < m1 {
                     m2 = m1;
                     m1 = v;
@@ -1225,34 +1007,32 @@ impl MaxMinState {
                     m2 = v;
                 }
             }
-            t.min1[f] = m1;
-            t.min1_link[f] = m1l;
-            t.min2[f] = m2;
+            w.min1[f] = m1;
+            w.min1_link[f] = m1l;
+            w.min2[f] = m2;
         }
-        t.link_dirty.clear();
-        t.link_dirty.resize(nl, false);
-        t.dirty_links.clear();
-        t.flow_mask.clear();
-        t.flow_mask.resize(nf, false);
-        t.pending.clear();
-        t.initialized = true;
-        self.partition_stale = false;
+        w.link_dirty.clear();
+        w.link_dirty.resize(nl, false);
+        w.dirty_links.clear();
+        w.flow_mask.clear();
+        w.flow_mask.resize(nf, false);
+        w.pending.clear();
+        w.seeded = true;
         self.full_solves += 1;
     }
 
-    /// Runs the two-tier worklist to quiescence. Returns `false` when the
-    /// round budget is exhausted (caller falls back to an exact solve).
-    fn two_tier_propagate(&mut self, epsilon: f64) -> bool {
+    /// Runs the worklist to quiescence. Returns `false` when the round
+    /// budget is exhausted (the caller falls back to a seed solve).
+    fn propagate(&mut self) -> bool {
         let MaxMinState {
             capacity,
             routes,
             alive,
             rates,
-            spine,
-            two_tier,
+            worklist,
             ..
         } = self;
-        let TwoTierState {
+        let Worklist {
             mu,
             sub_offsets,
             sub_flows,
@@ -1265,22 +1045,21 @@ impl MaxMinState {
             pending,
             demand,
             batch,
-            spine_rounds,
-            spine_link_updates,
+            rounds: total_rounds,
+            commits,
             ..
-        } = two_tier;
-        let spine_gate = epsilon / 8.0;
+        } = worklist;
         let mut rounds = 0usize;
         while !dirty_links.is_empty() {
             rounds += 1;
-            if rounds > TWO_TIER_MAX_ROUNDS {
+            if rounds > MAX_ROUNDS {
                 return false;
             }
-            *spine_rounds += 1;
+            *total_rounds += 1;
             batch.clear();
             batch.append(dirty_links);
             // Ascending link order keeps propagation deterministic
-            // regardless of the order perturbations arrived in.
+            // regardless of the order removals arrived in.
             batch.sort_unstable();
             for &l in batch.iter() {
                 link_dirty[l as usize] = false;
@@ -1324,17 +1103,12 @@ impl MaxMinState {
                 if new_mu == old_mu {
                     continue;
                 }
-                let gate = if spine.get(l).copied().unwrap_or(false) {
-                    spine_gate
-                } else {
-                    POD_GATE
-                };
                 let rel = (new_mu - old_mu).abs() / old_mu.abs().max(new_mu.abs()).max(1.0);
-                if rel <= gate {
+                if rel <= LEVEL_GATE {
                     continue;
                 }
                 mu[l] = new_mu;
-                *spine_link_updates += 1;
+                *commits += 1;
                 // Commit: rescan subscribers' route-min triples; flows whose
                 // demand profile moved ripple to their other links.
                 for &fid in subs {
@@ -1380,256 +1154,6 @@ impl MaxMinState {
             }
         }
         true
-    }
-
-    fn mark_dirty(&mut self, c: u32) {
-        if !self.dirty[c as usize] {
-            self.dirty[c as usize] = true;
-            self.dirty_list.push(c);
-        }
-    }
-
-    fn needs_full_solve(&self) -> bool {
-        // Only flow *additions* force the global path: a new flow may merge
-        // components, which the pod-level splitter cannot express. Removals
-        // are handled incrementally at partition granularity by
-        // [`split_component`](Self::split_component) during refresh.
-        self.partition_stale
-    }
-
-    /// Full invalidation: re-partition from the current live flows, then
-    /// re-solve every component.
-    ///
-    /// Partitioning first — rather than one monolithic waterfill over the
-    /// whole problem — keeps the full path on the exact same per-component
-    /// arithmetic as the incremental path.
-    fn solve_full(&mut self) {
-        self.rebuild_partition();
-        for f in 0..self.routes.len() {
-            // Unconstrained live flows are unbounded.
-            self.rates[f] = if self.alive[f] && self.routes.route(f).is_empty() {
-                UNBOUNDED
-            } else {
-                0.0
-            };
-        }
-        let all: Vec<u32> = (0..self.comps.len() as u32).collect();
-        self.solve_components(&all);
-        self.full_solves += 1;
-    }
-
-    /// Re-solves the given components one by one through the state-owned
-    /// scratch arena — zero allocations once the arena has grown to the
-    /// largest component.
-    fn solve_components(&mut self, comp_ids: &[u32]) {
-        let MaxMinState {
-            capacity,
-            alive,
-            rates,
-            comps,
-            scratch,
-            ..
-        } = self;
-        let mut local_capacity = std::mem::take(&mut scratch.local_capacity);
-        let mut local_rates = std::mem::take(&mut scratch.local_rates);
-        for &c in comp_ids {
-            let comp = &comps[c as usize];
-            local_capacity.clear();
-            local_capacity.extend(comp.links.iter().map(|&l| capacity[l as usize]));
-            local_rates.clear();
-            local_rates.resize(comp.flows.len(), 0.0);
-            waterfill_event_into(
-                &local_capacity,
-                &comp.local_routes,
-                |i| alive[comp.flows[i] as usize],
-                &mut local_rates,
-                scratch,
-                None,
-            );
-            for (i, &f) in comp.flows.iter().enumerate() {
-                rates[f as usize] = local_rates[i];
-            }
-        }
-        scratch.local_capacity = local_capacity;
-        scratch.local_rates = local_rates;
-        scratch.note_hwm();
-    }
-
-    /// Rebuilds the flow–link connected components via union-find over
-    /// links, using only live flows (so removals split components here).
-    /// This is the spine-level (global) path, taken only when flows were
-    /// added; removals re-partition pod-locally via
-    /// [`split_component`](Self::split_component).
-    fn rebuild_partition(&mut self) {
-        let nl = self.capacity.len();
-        // Union-find over links (shared helper — C4P's batch partitioner
-        // uses the same structure).
-        let mut uf = UnionFind::new(nl);
-        for f in 0..self.routes.len() {
-            let r = self.routes.route(f);
-            if !self.alive[f] || r.is_empty() {
-                continue;
-            }
-            for &l in &r[1..] {
-                uf.union(l, r[0]);
-            }
-        }
-
-        self.comps.clear();
-        self.comp_of_link.clear();
-        self.comp_of_link.resize(nl, u32::MAX);
-        let mut comp_of_root: Vec<u32> = vec![u32::MAX; nl];
-        for f in 0..self.routes.len() {
-            self.comp_of_flow[f] = u32::MAX;
-            if !self.alive[f] || self.routes.route(f).is_empty() {
-                continue;
-            }
-            let root = uf.find(self.routes.route(f)[0]);
-            let c = if comp_of_root[root as usize] == u32::MAX {
-                let c = self.comps.len() as u32;
-                comp_of_root[root as usize] = c;
-                self.comps.push(Component::default());
-                c
-            } else {
-                comp_of_root[root as usize]
-            };
-            self.comp_of_flow[f] = c;
-            let comp = &mut self.comps[c as usize];
-            comp.flows.push(f as u32);
-            comp.alive_count += 1;
-        }
-        // Component link sets + local dense routes (flattened CSR).
-        let mut local_of_link: Vec<u32> = vec![u32::MAX; nl];
-        let routes = &self.routes;
-        for comp in &mut self.comps {
-            for &f in &comp.flows {
-                let r = routes.route(f as usize);
-                let mut local: Vec<u32> = Vec::with_capacity(r.len());
-                for &l in r {
-                    if local_of_link[l as usize] == u32::MAX {
-                        local_of_link[l as usize] = comp.links.len() as u32;
-                        comp.links.push(l);
-                    }
-                    local.push(local_of_link[l as usize]);
-                }
-                local.sort_unstable();
-                comp.local_routes.push(&local);
-            }
-            for &l in &comp.links {
-                local_of_link[l as usize] = u32::MAX;
-            }
-        }
-        for (c, comp) in self.comps.iter().enumerate() {
-            for &l in &comp.links {
-                self.comp_of_link[l as usize] = c as u32;
-            }
-        }
-        self.dirty.clear();
-        self.dirty.resize(self.comps.len(), false);
-        self.dirty_list.clear();
-        self.partition_stale = false;
-    }
-
-    /// Pod-level incremental re-partition: rebuilds dead-heavy component
-    /// `c` in place from its live flows only, never touching the rest of
-    /// the fabric.
-    ///
-    /// The live flows are re-grouped by a union-find over the component's
-    /// *local* link space; the first piece reuses slot `c` and further
-    /// disconnected pieces append as fresh components. Dead flows drop out
-    /// of every table (`comp_of_flow` reads `u32::MAX`), so long drains
-    /// keep their re-solve cost proportional to the surviving flows — the
-    /// rebuild is O(component routes) and amortizes to O(1) per removal.
-    /// Old links referenced by no surviving flow stay listed on the first
-    /// piece: scope-`Components` consumers must still see them once to
-    /// re-zero their derived loads, and they cost nothing in the kernel
-    /// (no route references them).
-    ///
-    /// Exactness: max-min allocations are independent of partition
-    /// granularity — a component solved whole is bit-identical to its
-    /// disconnected pieces solved separately — and removals never merge
-    /// components, so rebuilding `c` alone is safe. Ids of every piece are
-    /// pushed onto `resolved`.
-    fn split_component(&mut self, c: u32, resolved: &mut Vec<u32>) {
-        let old = std::mem::take(&mut self.comps[c as usize]);
-        let n_local = old.links.len();
-        let mut uf = UnionFind::new(n_local);
-        for (i, &f) in old.flows.iter().enumerate() {
-            if !self.alive[f as usize] {
-                continue;
-            }
-            let r = old.local_routes.route(i);
-            for &l in &r[1..] {
-                uf.union(l, r[0]);
-            }
-        }
-
-        // One pass distributes live flows to pieces and re-densifies their
-        // routes. Pieces are link-disjoint, so the first piece to claim a
-        // link owns it (`link_piece`/`link_local` never conflict).
-        let mut piece_of_root: Vec<u32> = vec![u32::MAX; n_local];
-        let mut link_piece: Vec<u32> = vec![u32::MAX; n_local];
-        let mut link_local: Vec<u32> = vec![0; n_local];
-        let mut pieces: Vec<Component> = Vec::new();
-        for (i, &f) in old.flows.iter().enumerate() {
-            if !self.alive[f as usize] {
-                self.comp_of_flow[f as usize] = u32::MAX;
-                continue;
-            }
-            let r = old.local_routes.route(i);
-            let root = uf.find(r[0]) as usize;
-            let p = if piece_of_root[root] == u32::MAX {
-                let p = pieces.len() as u32;
-                piece_of_root[root] = p;
-                pieces.push(Component::default());
-                p
-            } else {
-                piece_of_root[root]
-            };
-            let piece = &mut pieces[p as usize];
-            let mut local: Vec<u32> = Vec::with_capacity(r.len());
-            for &l in r {
-                if link_piece[l as usize] != p {
-                    link_piece[l as usize] = p;
-                    link_local[l as usize] = piece.links.len() as u32;
-                    piece.links.push(old.links[l as usize]);
-                }
-                local.push(link_local[l as usize]);
-            }
-            local.sort_unstable();
-            piece.flows.push(f);
-            piece.local_routes.push(&local);
-            piece.alive_count += 1;
-        }
-        debug_assert!(!pieces.is_empty(), "split_component needs a live flow");
-
-        // Orphan links (no surviving flow) ride on the first piece.
-        for (l, &owner) in link_piece.iter().enumerate() {
-            if owner == u32::MAX {
-                pieces[0].links.push(old.links[l]);
-            }
-        }
-
-        // Install: piece 0 reuses slot `c`, the rest append.
-        let mut ids: Vec<u32> = Vec::with_capacity(pieces.len());
-        for (k, piece) in pieces.into_iter().enumerate() {
-            let id = if k == 0 {
-                c
-            } else {
-                self.comps.push(Component::default());
-                self.dirty.push(false);
-                (self.comps.len() - 1) as u32
-            };
-            for &f in &piece.flows {
-                self.comp_of_flow[f as usize] = id;
-            }
-            for &l in &piece.links {
-                self.comp_of_link[l as usize] = id;
-            }
-            self.comps[id as usize] = piece;
-            ids.push(id);
-        }
-        resolved.extend_from_slice(&ids);
     }
 }
 
@@ -1758,18 +1282,24 @@ mod tests {
     #[test]
     fn incremental_matches_reference_after_removals() {
         let capacity = vec![10.0, 4.0, 6.0, 8.0];
-        // Two components: {0,1} via links {0,1}; {2,3} via links {2,3}.
+        // Two link-disjoint groups: {0,1} via links {0,1}; {2,3} via {2,3}.
         let routes = vec![vec![0, 1], vec![1], vec![2, 3], vec![3]];
         let mut alive = vec![true; 4];
         let mut s = MaxMinState::with_flows(&capacity, &routes);
         assert_matches_reference(&mut s, &capacity, &routes, &alive);
-        assert_eq!(s.component_count(), 2);
 
-        for f in [1, 3] {
+        // Each removal frees its partner: the removed flow and the partner
+        // are exactly the flows whose rates changed.
+        for (f, partner) in [(1, 0), (3, 2)] {
             s.remove_flow(f);
             alive[f] = false;
+            assert_eq!(s.refresh(), SolveScope::Sparse, "removals never re-seed");
+            let mut expect = [partner as u32, f as u32];
+            expect.sort_unstable();
+            assert_eq!(s.changed_flows(), &expect);
             assert_matches_reference(&mut s, &capacity, &routes, &alive);
         }
+        assert_eq!(s.full_solves(), 1);
     }
 
     #[test]
@@ -1781,13 +1311,22 @@ mod tests {
         assert!(close(r[0], 5.0) && close(r[1], 5.0));
         assert!(close(r[2], 10.0) && close(r[3], 10.0));
         let full_before = s.full_solves();
-        // Removing a flow in component 0 must not re-solve component 1.
+        // Removing a flow on link 0 must not touch link 1's flows.
         s.remove_flow(0);
-        let r = s.rates();
+        assert_eq!(s.refresh(), SolveScope::Sparse);
+        assert_eq!(
+            s.changed_flows(),
+            &[0, 1],
+            "link 1's flows keep their rates"
+        );
+        let r = s.current_rates();
         assert!(close(r[1], 10.0));
         assert!(close(r[2], 10.0) && close(r[3], 10.0));
-        assert_eq!(s.full_solves(), full_before, "no full solve for one comp");
-        assert_eq!(s.component_solves(), 1);
+        assert_eq!(
+            s.full_solves(),
+            full_before,
+            "no full solve for one removal"
+        );
     }
 
     #[test]
@@ -1813,54 +1352,23 @@ mod tests {
         let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         let full_before = s.full_solves();
-        // One completion in 3 of 4 three-flow components (a same-instant
-        // completion batch): the partition is intact, so each dirty
-        // component re-solves in place — no full solve, no re-partition.
+        // One completion on 3 of 4 three-flow links (a same-instant
+        // completion batch): one propagation re-rates exactly the flows of
+        // the three touched links — no full solve.
         for f in [0, 3, 6] {
             s.remove_flow(f);
         }
-        let r = s.rates();
+        assert_eq!(s.refresh(), SolveScope::Sparse);
+        assert_eq!(s.changed_flows(), &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        let r = s.current_rates();
         for f in [1, 2, 4, 5, 7, 8] {
             assert!(close(r[f], 6.0), "flow {f} got {}", r[f]);
         }
         for f in [9, 10, 11] {
             assert!(close(r[f], 4.0), "untouched flow {f} got {}", r[f]);
         }
-        assert_eq!(s.full_solves(), full_before, "no re-partition for removals");
-        assert_eq!(s.component_solves(), 3);
-    }
-
-    #[test]
-    fn dead_mass_splits_components_without_global_repartition() {
-        // One component: flows 0/1 each own a private link, flows 2/3 bridge
-        // both links. Removing the bridges makes the dead mass reach the
-        // live mass, so the next refresh re-partitions **that component
-        // only** (pod level): the piece with flow 0 reuses the slot, the
-        // piece with flow 1 appends, no full solve runs, and the dead flows
-        // drop out of the tables.
-        let capacity = vec![10.0, 10.0, 30.0];
-        let routes = vec![vec![0], vec![1], vec![0, 1], vec![0, 1], vec![2]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes);
-        let _ = s.rates();
-        assert_eq!(s.component_count(), 2);
-        let full_before = s.full_solves();
-        // One removal: 1 dead vs 3 alive in the component → plain re-solve.
-        s.remove_flow(2);
-        assert_eq!(s.refresh(), SolveScope::Components);
-        assert_eq!(s.resolved_components(), &[0]);
-        assert_eq!(s.component_flows(0).len(), 4, "tables not yet pruned");
-        // Second removal: 2 dead vs 2 alive → pod-level split in place.
-        s.remove_flow(3);
-        assert_eq!(s.refresh(), SolveScope::Components);
-        assert_eq!(s.resolved_components(), &[0, 2], "slot reuse + append");
-        assert_eq!(s.full_solves(), full_before, "no global re-partition");
-        assert_eq!(s.component_count(), 3);
-        assert_eq!(s.component_flows(0), &[0], "dead flows pruned");
-        assert_eq!(s.component_flows(2), &[1]);
-        let r = s.rates();
-        assert!(close(r[0], 10.0) && close(r[1], 10.0) && close(r[4], 30.0));
-        assert_eq!(r[2], 0.0);
-        assert_eq!(r[3], 0.0);
+        assert_eq!(s.full_solves(), full_before, "no re-seed for removals");
+        assert_eq!(s.sparse_solves(), 1, "one propagation per batch");
     }
 
     #[test]
@@ -1870,11 +1378,12 @@ mod tests {
         let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         s.remove_flow(0);
-        // The husk re-solves once (its link loads must be re-derivable by
-        // scope-Components consumers) and then never dirties again.
-        assert_eq!(s.refresh(), SolveScope::Components);
-        assert_eq!(s.resolved_components(), &[0]);
+        // The emptied link reports its last flow once (its derived loads
+        // must be released by the consumer) and then never dirties again.
+        assert_eq!(s.refresh(), SolveScope::Sparse);
+        assert_eq!(s.changed_flows(), &[0]);
         assert_eq!(s.refresh(), SolveScope::Unchanged);
+        assert!(s.changed_flows().is_empty());
         assert_eq!(s.rates()[0], 0.0);
         assert!(close(s.rates()[1], 20.0));
     }
@@ -1884,33 +1393,56 @@ mod tests {
         let capacity = vec![10.0, 20.0];
         let routes = vec![vec![0], vec![1], vec![1]];
         let mut s = MaxMinState::with_flows(&capacity, &routes);
-        assert_eq!(s.refresh(), SolveScope::Full, "first solve partitions");
+        assert_eq!(s.refresh(), SolveScope::Full, "first refresh seeds");
         assert_eq!(s.refresh(), SolveScope::Unchanged);
         s.remove_flow(2);
-        assert_eq!(s.refresh(), SolveScope::Components);
-        assert_eq!(s.resolved_components(), &[1]);
-        assert_eq!(s.component_flows(1), &[1]);
-        assert_eq!(s.component_links(1), &[1]);
+        assert_eq!(s.refresh(), SolveScope::Sparse);
+        assert_eq!(s.changed_flows(), &[1, 2]);
         assert_eq!(s.current_rates()[1], 20.0);
+        assert_eq!(s.current_rates()[2], 0.0);
         assert_eq!(s.refresh(), SolveScope::Unchanged);
-        assert!(s.resolved_components().is_empty());
+        assert!(s.changed_flows().is_empty());
+        s.add_flow(&[0]);
+        assert_eq!(s.refresh(), SolveScope::Full, "additions re-seed");
     }
 
+    /// The round budget is the worklist's only convergence backstop. On a
+    /// chain whose levels settle one link per round, a removal at the head
+    /// needs one round per link: 63 links settle in exactly the 64-round
+    /// budget, 64 links exhaust it and fall back to one exact seed solve.
+    /// Both sides agree with the reference.
     #[test]
-    fn full_solve_repartitions_after_split() {
-        // One bridging flow joins two halves; removing it should split the
-        // component at the next full re-partition.
-        let capacity = vec![10.0, 10.0];
-        let routes = vec![vec![0], vec![1], vec![0, 1]];
-        let mut s = MaxMinState::with_flows(&capacity, &routes);
-        let _ = s.rates();
-        assert_eq!(s.component_count(), 1);
-        s.remove_flow(2);
-        let _ = s.rates();
-        // The bridge is gone; adding a flow forces a re-partition.
-        s.add_flow(&[0]);
-        let _ = s.rates();
-        assert_eq!(s.component_count(), 2);
+    fn round_budget_boundary_falls_back_to_an_exact_seed() {
+        for (n, rounds, fallbacks) in [(63, 64, 0), (64, 64, 1)] {
+            let capacity: Vec<f64> = (0..n).map(|i| 1.0 + 0.01 * i as f64).collect();
+            // Flow i crosses links i and i+1; one extra flow sits on link 0.
+            let mut routes: Vec<Vec<u32>> = (0..n as u32)
+                .map(|i| {
+                    if i + 1 < n as u32 {
+                        vec![i, i + 1]
+                    } else {
+                        vec![i]
+                    }
+                })
+                .collect();
+            routes.push(vec![0]);
+            let mut alive = vec![true; routes.len()];
+            let mut s = MaxMinState::with_flows(&capacity, &routes);
+            assert_matches_reference(&mut s, &capacity, &routes, &alive);
+
+            s.remove_flow(n);
+            alive[n] = false;
+            let expect_scope = if fallbacks == 0 {
+                SolveScope::Sparse
+            } else {
+                SolveScope::Full
+            };
+            assert_eq!(s.refresh(), expect_scope, "n = {n}");
+            assert_eq!(s.spine_rounds(), rounds, "n = {n}: worklist rounds");
+            assert_eq!(s.fallback_solves(), fallbacks, "n = {n}: fallbacks");
+            assert_eq!(s.full_solves(), 1 + fallbacks, "n = {n}: seed solves");
+            assert_matches_reference(&mut s, &capacity, &routes, &alive);
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   fan-out for the layers whose work decomposes into independent items
 //!   (per-stream route assembly, C4P batch selection, fleet jobs); results
 //!   are bit-identical at any thread count.
-//! * [`UnionFind`] — the partitioner shared by the max-min solver's
-//!   component rebuild and C4P's batch selection.
+//! * [`UnionFind`] — the partitioner behind C4P's batch selection.
 //! * [`JsonValue`] — a tiny JSON tree (build/print/parse) so the bench
 //!   binaries emit machine-readable `BENCH_*.json` files without a
 //!   networked `serde_json`.

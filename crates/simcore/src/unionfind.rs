@@ -1,12 +1,9 @@
 //! A minimal disjoint-set (union-find) over dense `u32` ids.
 //!
-//! Two determinism-critical partitioning steps share it: the max-min
-//! solver's flow–link component rebuild (`c4_netsim::MaxMinState`) and
-//! C4P's leaf-pair batch partitioning (`c4_traffic::C4pMaster`). Both
-//! need the same tiny structure — a parent vector with path-halving finds
-//! — and both must behave identically forever, which is exactly why the
-//! implementation lives once, here, next to the other deterministic
-//! fan-out primitives.
+//! C4P's leaf-pair batch partitioning (`c4_traffic::C4pMaster`) uses it to
+//! split a selection batch into independent pieces before fanning them
+//! out. The partition must be identical at any thread count, so it lives
+//! here, next to the other deterministic fan-out primitives.
 
 /// Disjoint sets over the ids `0..n`, with path-halving `find`.
 #[derive(Debug, Clone)]

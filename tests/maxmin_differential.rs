@@ -3,13 +3,14 @@
 //!
 //! Three layers are checked:
 //!
-//! * **Solver** — [`MaxMinState`] (persistent, component-partitioned,
-//!   event-driven kernel) vs [`maxmin::solve`] (textbook progressive
-//!   filling), across randomized link tables, route sets and long mutation
-//!   scripts of flow removals, single and in same-instant batches — the
-//!   exact operations the drain loop feeds it.
+//! * **Solver** — [`MaxMinState`] (one event-driven seed solve, then a
+//!   bottleneck-level worklist per batch of removals) vs [`maxmin::solve`]
+//!   (textbook progressive filling), across randomized link tables and the
+//!   railed 16k-shaped fabric, through long mutation scripts of flow
+//!   removals, single and in same-instant batches — the exact operations
+//!   the drain loop feeds it.
 //! * **Drain** — [`drain`] (the event-driven engine: completion heap,
-//!   dirty-component load/score maintenance, one-pass throttle re-rates,
+//!   changed-flow load/score maintenance, one-pass throttle re-rates,
 //!   episodic CNP integration) vs [`drain_reference`] (full capped
 //!   re-solve and CNP sum per event), across randomized tiny Clos
 //!   topologies, flow populations, fault injections (killed host and
@@ -19,14 +20,14 @@
 //!   deadlines). Both implement one noise model: every active flow draws
 //!   at each `start + k·epoch` grid instant and at no other time, in
 //!   ascending flow order. So reports must match and the RNG must land on
-//!   the same position (asserted bit-for-bit).
-//! * **Two-tier** — [`SolveMode::TwoTier`] states and drains stay within
-//!   their ε of the exact ones, and repeat runs are **bit-identical** (a
-//!   strictly stronger bound than the 1e-9 the reference comparison
-//!   allows).
+//!   the same position (asserted bit-for-bit). On the 16k-shaped fabric,
+//!   repeat runs must also be **bit-identical** (a strictly stronger bound
+//!   than the 1e-9 the reference comparison allows).
 //!
 //! The proptest stub samples deterministically per test name, so failures
 //! reproduce exactly in CI.
+
+use std::sync::OnceLock;
 
 use c4::prelude::*;
 use proptest::prelude::*;
@@ -57,14 +58,6 @@ fn reference_rates(capacity: &[f64], routes: &[Vec<u32>], alive: &[bool]) -> Vec
     out
 }
 
-/// Two states fed the same script must agree on every bit, not merely
-/// within 1e-9.
-fn assert_rates_bit_identical(again: &[f64], first: &[f64], what: &str) {
-    for (f, (&a, &b)) in again.iter().zip(first).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: flow {f} {a} vs {b}");
-    }
-}
-
 fn assert_rates_agree(incremental: &[f64], reference: &[f64], what: &str) {
     for (f, (&a, &b)) in incremental.iter().zip(reference).enumerate() {
         assert!(
@@ -79,24 +72,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The incremental solver agrees with the reference after construction
-    /// and after every step of a random completion script.
+    /// and after every step of a random completion script, over random link
+    /// tables and (one case in four) the railed 16k-shaped fabric, whose
+    /// spine trunks couple every leaf group.
     #[test]
     fn solver_agrees_across_mutation_scripts(
         n_links in 2usize..24,
         n_flows in 1usize..40,
         seed in 0u64..1_000_000,
         script_len in 1usize..60,
+        fabric in 0usize..4,
     ) {
         let mut rng = DetRng::seed_from(seed);
-        let capacity: Vec<f64> =
-            (0..n_links).map(|_| 1.0 + rng.uniform() * 400.0).collect();
-        let routes: Vec<Vec<u32>> = (0..n_flows)
-            .map(|_| {
-                // 0..4 links; empty routes exercise the unbounded path.
-                let len = rng.index(5);
-                (0..len).map(|_| rng.index(n_links) as u32).collect()
-            })
-            .collect();
+        let (capacity, routes) = if fabric == 0 {
+            let topo = railed_16k_topology();
+            solver_problem(topo, &railed_16k_specs(topo, seed, 12 + n_flows))
+        } else {
+            let capacity: Vec<f64> =
+                (0..n_links).map(|_| 1.0 + rng.uniform() * 400.0).collect();
+            let routes: Vec<Vec<u32>> = (0..n_flows)
+                .map(|_| {
+                    // 0..4 links; empty routes exercise the unbounded path.
+                    let len = rng.index(5);
+                    (0..len).map(|_| rng.index(n_links) as u32).collect()
+                })
+                .collect();
+            (capacity, routes)
+        };
+        let n_flows = routes.len();
         let mut alive = vec![true; n_flows];
 
         let mut state = MaxMinState::with_flows(&capacity, &routes);
@@ -524,15 +527,41 @@ fn railed_16k_specs(topo: &Topology, seed: u64, streams: usize) -> Vec<FlowSpec>
     specs
 }
 
+/// The 16384-GPU `pod_grouped_railed` fabric the solver scripts run on,
+/// built once: its link table does not depend on the sampled flows.
+fn railed_16k_topology() -> &'static Topology {
+    static TOPO: OnceLock<Topology> = OnceLock::new();
+    TOPO.get_or_init(|| Topology::build(&ClosConfig::pod_grouped_railed(2048, 8)))
+}
+
+/// A flow population as a solver problem: the topology's full link
+/// capacity table and each spec's route as link indices.
+fn solver_problem(topo: &Topology, specs: &[FlowSpec]) -> (Vec<f64>, Vec<Vec<u32>>) {
+    let capacity = (0..topo.num_links())
+        .map(|l| {
+            topo.link(LinkId::from_index(l))
+                .capacity()
+                .as_bytes_per_sec()
+        })
+        .collect();
+    let routes = specs
+        .iter()
+        .map(|s| s.route.iter().map(|l| l.index() as u32).collect())
+        .collect();
+    (capacity, routes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The hierarchical/SoA solve path at the 16k shape: drains on the
-    /// 16384-GPU `pod_grouped_railed` fabric (128 rail-dense leaves, wide
-    /// spine trunks) with noise epochs, same-size completion batches and
-    /// killed links — completions trigger the pod-level component splits
-    /// and dead links produce quiescent husks. Incremental == reference at
-    /// 1e-9 with identical RNG consumption.
+    /// The solver at the 16k shape: drains on the 16384-GPU
+    /// `pod_grouped_railed` fabric (128 rail-dense leaves, wide spine
+    /// trunks) with noise epochs, same-size completion batches and killed
+    /// links — completions propagate through the worklist across the spine
+    /// and dead links pin their flows at zero. Incremental == reference at
+    /// 1e-9 with identical RNG consumption; a repeat run is bit-identical,
+    /// the worklist (not a re-seed) carries the completions, and a healthy
+    /// fabric drains every flow.
     #[test]
     fn drain_agrees_on_16k_shaped_railed_fabric(
         seed in 0u64..1_000_000,
@@ -544,8 +573,8 @@ proptest! {
         let specs = railed_16k_specs(&topo, seed, streams);
         prop_assume!(!specs.is_empty());
 
-        // Kill links flows actually cross: stalled flows turn their
-        // components fully dead (husks) while survivors re-partition.
+        // Kill links flows actually cross: flows over a dead link stall
+        // while the survivors keep draining around them.
         let mut rng = DetRng::seed_from(seed ^ 0xDEAD);
         for k in 0..kill_links {
             let victim = &specs[rng.index(specs.len())];
@@ -578,6 +607,19 @@ proptest! {
             rng_b.uniform().to_bits(),
             "16k-shaped drain must match the reference's RNG position"
         );
+
+        let again = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(seed ^ 0x16AA));
+        assert_reports_identical(&again, &inc, "16k-shaped repeat run");
+        if inc.solver.events >= 3 {
+            assert!(
+                inc.solver.sparse_solves >= 1,
+                "16k-shaped drain never took the sparse path: {:?}",
+                inc.solver
+            );
+        }
+        if kill_links == 0 {
+            assert!(inc.all_completed(), "a healthy fabric drains every flow");
+        }
     }
 }
 
@@ -639,7 +681,7 @@ fn engine_flows_agree_with_reference_end_to_end() {
 
 /// Builds fully pod-disjoint "jobs": per selected node, two equal-size QPs
 /// over the same intra-node NVLink route. Jobs on different nodes share no
-/// links at all, so each is its own solver component — and equal sizes make
+/// links at all, so each is its own connected component — and equal sizes make
 /// their completions land at exactly the same instant across components.
 fn disjoint_pod_specs(topo: &Topology, jobs: usize) -> Vec<FlowSpec> {
     let mut specs = Vec::new();
@@ -718,169 +760,5 @@ proptest! {
                 inc.solver
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The two-tier spine solve stays within its configured ε of the exact
-    /// allocation on 16k-shaped railed fabrics, from the initial solve and
-    /// through long completion scripts — and is deterministic (two states
-    /// fed the same script stay bit-identical).
-    #[test]
-    fn two_tier_rates_stay_within_epsilon_of_exact(
-        seed in 0u64..1_000_000,
-        streams in 12usize..32,
-        eps_kind in 0usize..2,
-    ) {
-        let topo = Topology::build(&ClosConfig::pod_grouped_railed(2048, 8));
-        let specs = railed_16k_specs(&topo, seed, streams);
-        prop_assume!(!specs.is_empty());
-        let epsilon = [0.01, 0.05][eps_kind];
-
-        let nl = topo.num_links();
-        let capacity: Vec<f64> = (0..nl)
-            .map(|l| {
-                topo.link(LinkId::from_index(l))
-                    .capacity()
-                    .as_bytes_per_sec()
-            })
-            .collect();
-        let spine: Vec<bool> = (0..nl)
-            .map(|l| topo.link(LinkId::from_index(l)).kind().is_fabric())
-            .collect();
-        let routes: Vec<Vec<u32>> = specs
-            .iter()
-            .map(|s| {
-                let mut r: Vec<u32> = s.route.iter().map(|l| l.index() as u32).collect();
-                r.sort_unstable();
-                r.dedup();
-                r
-            })
-            .collect();
-
-        let mut exact = MaxMinState::with_flows(&capacity, &routes);
-        let make_tt = || {
-            let mut s = MaxMinState::with_flows(&capacity, &routes)
-                .with_solve_mode(SolveMode::TwoTier { epsilon });
-            s.set_spine_links(&spine);
-            s
-        };
-        let mut tt = make_tt();
-        let mut tt_witness = make_tt();
-
-        let assert_eps = |approx: &[f64], exact: &[f64], what: &str| {
-            for (f, (&a, &b)) in approx.iter().zip(exact).enumerate() {
-                let err = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-                assert!(
-                    err <= epsilon + 1e-9,
-                    "{what}: flow {f} two-tier {a} vs exact {b} (rel err {err} > ε {epsilon})"
-                );
-            }
-        };
-
-        assert_eps(tt.rates(), exact.rates(), "initial solve");
-        assert_rates_bit_identical(
-            tt_witness.rates(),
-            tt.rates(),
-            "two-tier witness after initial solve",
-        );
-
-        // Completion script: remove flows in small batches, exactly the
-        // mutation stream a drain feeds the solver.
-        let mut rng = DetRng::seed_from(seed ^ 0x271E);
-        let mut alive: Vec<usize> = (0..specs.len()).collect();
-        let mut step = 0usize;
-        while alive.len() > specs.len() / 4 {
-            let batch = 1 + rng.index(4.min(alive.len()));
-            for _ in 0..batch {
-                let pick = rng.index(alive.len());
-                let f = alive.swap_remove(pick);
-                exact.remove_flow(f);
-                tt.remove_flow(f);
-                tt_witness.remove_flow(f);
-            }
-            step += 1;
-            assert_eps(
-                tt.rates(),
-                exact.rates(),
-                &format!("after completion batch {step}"),
-            );
-            assert_rates_bit_identical(
-                tt_witness.rates(),
-                tt.rates(),
-                &format!("two-tier witness after batch {step}"),
-            );
-        }
-    }
-
-    /// End-to-end: a two-tier drain on the 16k shape completes the same
-    /// flows as the exact drain with completion times within a few ε, is
-    /// bit-identical across repeat runs, and actually exercises the sparse
-    /// path.
-    #[test]
-    fn two_tier_drain_tracks_exact_on_16k_shape(
-        seed in 0u64..1_000_000,
-        streams in 12usize..24,
-    ) {
-        let topo = Topology::build(&ClosConfig::pod_grouped_railed(2048, 8));
-        let specs = railed_16k_specs(&topo, seed, streams);
-        prop_assume!(!specs.is_empty());
-
-        let cfg_exact = DrainConfig::default();
-        let cfg_tt = DrainConfig {
-            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
-            ..DrainConfig::default()
-        };
-        let ex = drain(&topo, &specs, &cfg_exact, &mut DetRng::seed_from(seed));
-        let tt = drain(&topo, &specs, &cfg_tt, &mut DetRng::seed_from(seed));
-        let tt_again = drain(&topo, &specs, &cfg_tt, &mut DetRng::seed_from(seed));
-
-        assert_eq!(ex.outcomes.len(), tt.outcomes.len());
-        let secs = |t: SimTime| (t - SimTime::ZERO).as_secs_f64();
-        for (f, (a, b)) in tt.outcomes.iter().zip(&ex.outcomes).enumerate() {
-            assert_eq!(
-                a.completed(),
-                b.completed(),
-                "two-tier vs exact: flow {f} completion"
-            );
-            if let (Some(x), Some(y)) = (a.finish, b.finish) {
-                let (x, y) = (secs(x), secs(y));
-                let err = (x - y).abs() / x.abs().max(y.abs()).max(1e-9);
-                assert!(
-                    err <= 0.05,
-                    "two-tier finish {x} drifted {err} from exact {y} (flow {f})"
-                );
-            }
-        }
-        assert_reports_identical(&tt_again, &tt, "two-tier repeat run");
-        if tt.solver.events >= 3 {
-            assert!(
-                tt.solver.sparse_solves >= 1,
-                "two-tier drain never took the sparse path: {:?}",
-                tt.solver
-            );
-        }
-
-        // The noisy/CNP two-tier path (the shared epoch-grid noise model,
-        // episodic CNP integration) must stay deterministic too, and every
-        // flow must still complete on a healthy fabric.
-        let cfg_noisy = DrainConfig {
-            rate_noise: 0.10,
-            cnp: Some(CnpModel::paper_default()),
-            solve_mode: SolveMode::TwoTier { epsilon: 0.01 },
-            ..DrainConfig::default()
-        };
-        let nz = drain(&topo, &specs, &cfg_noisy, &mut DetRng::seed_from(seed));
-        let nz_again = drain(&topo, &specs, &cfg_noisy, &mut DetRng::seed_from(seed));
-        assert_reports_identical(&nz_again, &nz, "noisy two-tier repeat run");
-        for o in &nz.outcomes {
-            assert!(o.completed(), "noisy two-tier drain must complete flows");
-        }
-        assert!(
-            nz.cnp_per_port.iter().any(|&c| c > 0.0),
-            "congested railed traffic must accumulate CNPs episodically"
-        );
     }
 }

@@ -1,20 +1,22 @@
 //! Bit-identity guard for seed-determined simulated results.
 //!
-//! Each case runs one fixed-seed simulation and folds the `f64::to_bits` of
-//! its results into a single `mix64` digest, compared against a recorded
-//! constant. A pure refactor of the drain, the solver or the collective
-//! layer must leave every digest unchanged; a change that moves any result
-//! by one ulp fails here under plain `cargo test`, without a benchmark run.
+//! Each case runs one fixed-seed simulation and folds it into two `mix64`
+//! digests over 64-bit words, each compared against a recorded constant:
 //!
-//! What is folded in:
+//! * the **results** digest: for a drain, per flow the finish time and the
+//!   mean, min and max rate, then the drain end, `link_bytes`,
+//!   `cnp_per_port` and the congested count; for a hybrid iteration, each
+//!   phase's comm count, duration and bus bandwidth, the total and the
+//!   per-rank EP bytes;
+//! * the **counters** digest: every [`DrainSolverStats`] counter except
+//!   `arena_hwm_bytes`, which measures scratch capacity rather than work.
 //!
-//! * per flow: finish time, mean, min and max rate;
-//! * the drain end, `link_bytes`, `cnp_per_port` and the congested count;
-//! * every [`DrainSolverStats`] counter except `arena_hwm_bytes`, which
-//!   measures scratch capacity rather than a simulated result.
-//!
-//! After an intentional change to simulated results, re-record the
-//! constants from the failure messages.
+//! A pure refactor of the drain, the solver or the collective layer must
+//! leave every results digest unchanged; a change that moves any result by
+//! one ulp fails here under plain `cargo test`, without a benchmark run. A
+//! change to how the solver reaches the same results (more or fewer solves,
+//! rounds or batches) moves only the counters digest. After an intentional
+//! change, re-record the constants from the failure messages.
 
 use c4::prelude::*;
 
@@ -34,23 +36,6 @@ impl Digest {
         self.word(v.to_bits());
     }
 
-    fn stats(&mut self, s: &DrainSolverStats) {
-        for v in [
-            s.events,
-            s.flows,
-            s.full_solves,
-            s.component_solves,
-            s.sparse_solves,
-            s.spine_rounds,
-            s.spine_link_updates,
-            s.fallback_solves,
-            s.batched_instants,
-            s.batched_completions,
-        ] {
-            self.word(v);
-        }
-    }
-
     fn drain(&mut self, r: &DrainReport) {
         for o in &r.outcomes {
             self.word(o.finish.map_or(u64::MAX, SimTime::as_nanos));
@@ -66,20 +51,47 @@ impl Digest {
             self.float(c);
         }
         self.word(r.congested_flows as u64);
-        self.stats(&r.solver);
     }
 }
 
-fn assert_digest(what: &str, got: u64, expected: u64) {
+/// The counters digest of one run's solver stats.
+fn counters(s: &DrainSolverStats) -> u64 {
+    let mut d = Digest::new();
+    for v in [
+        s.events,
+        s.flows,
+        s.full_solves,
+        s.component_solves,
+        s.sparse_solves,
+        s.spine_rounds,
+        s.spine_link_updates,
+        s.fallback_solves,
+        s.batched_instants,
+        s.batched_completions,
+    ] {
+        d.word(v);
+    }
+    d.0
+}
+
+/// Checks both digests of one case, results first.
+fn assert_digests(what: &str, (results, counts): (u64, u64), expected: (u64, u64)) {
     assert_eq!(
-        got, expected,
-        "{what}: digest {got:#018x}, recorded {expected:#018x}"
+        results, expected.0,
+        "{what}: results digest {results:#018x}, recorded {:#018x} (counters {counts:#018x})",
+        expected.0
+    );
+    assert_eq!(
+        counts, expected.1,
+        "{what}: counters digest {counts:#018x}, recorded {:#018x}",
+        expected.1
     );
 }
 
 /// A fixed flow population on the paper testbed: ECMP-routed inter-node
-/// QPs of mixed sizes (completions spread out, so components re-solve and
-/// split) plus a few intra-node NVLink transfers (disjoint components).
+/// QPs of mixed sizes (completions spread out, so the solver propagates
+/// many separate removals) plus a few intra-node NVLink transfers that share
+/// no link with them.
 fn testbed_specs(topo: &Topology) -> Vec<FlowSpec> {
     let mut sel = EcmpSelector::new(0xD16E57);
     let mut rng = DetRng::seed_from(20251016);
@@ -116,38 +128,24 @@ fn testbed_specs(topo: &Topology) -> Vec<FlowSpec> {
         .collect()
 }
 
-fn noisy_testbed_drain(solve_mode: SolveMode) -> u64 {
+#[test]
+fn noisy_exact_drain_on_testbed_is_unchanged() {
     let topo = Topology::build(&ClosConfig::testbed_128());
     let specs = testbed_specs(&topo);
     let cfg = DrainConfig {
         epoch: SimDuration::from_micros(200),
         rate_noise: 0.10,
         cnp: Some(CnpModel::paper_default()),
-        solve_mode,
         ..DrainConfig::default()
     };
     let report = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(42));
     assert!(report.all_completed(), "healthy testbed drains every flow");
     let mut d = Digest::new();
     d.drain(&report);
-    d.0
-}
-
-#[test]
-fn noisy_exact_drain_on_testbed_is_unchanged() {
-    assert_digest(
-        "exact drain",
-        noisy_testbed_drain(SolveMode::Exact),
-        0xd7aa_a7d9_4a5c_762d,
-    );
-}
-
-#[test]
-fn noisy_two_tier_drain_on_testbed_is_unchanged() {
-    assert_digest(
-        "two-tier drain",
-        noisy_testbed_drain(SolveMode::TwoTier { epsilon: 0.01 }),
-        0x9f6c_4f3c_8792_c56c,
+    assert_digests(
+        "testbed drain",
+        (d.0, counters(&report.solver)),
+        (0x3191_3eae_05b6_a1db, 0x3e43_7335_d875_b1d7),
     );
 }
 
@@ -185,6 +183,9 @@ fn noisy_tiny_hybrid_iteration_is_unchanged() {
             d.word(b);
         }
     }
-    d.stats(&report.solver);
-    assert_digest("tiny hybrid iteration", d.0, 0x8286_c6c2_5157_2a74);
+    assert_digests(
+        "tiny hybrid iteration",
+        (d.0, counters(&report.solver)),
+        (0x47a5_5437_32ca_e85a, 0xf9b0_6b4c_831d_6c57),
+    );
 }
