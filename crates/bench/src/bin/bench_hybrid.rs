@@ -12,13 +12,14 @@
 //! expert within a window).
 //!
 //! `--json-out BENCH_hybrid.json` writes the machine-readable document
-//! (schema `c4-bench-v1`); `--check-against <baseline.json>` compares
-//! `total_wall_ms` against a checked-in baseline and exits non-zero past
-//! 2× — the CI perf gate, same pattern as `bench_c4p` and `bench_drain`.
+//! (schema `c4-bench-v1`); `--check-against <baseline.json>` exits
+//! non-zero when any simulated leaf differs by a bit from a checked-in
+//! baseline or `total_wall_ms` exceeds 2× its — the CI result and perf
+//! gates, same pattern as `bench_c4p` and `bench_drain`.
 //! `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::scenarios::hybrid;
-use c4_bench::{banner, check_wall_regression, parse_cli, read_json, write_csv, write_json};
+use c4_bench::{banner, enforce_baseline_gates, parse_cli, read_json, write_csv, write_json};
 
 /// Allowed wall-clock growth over the checked-in baseline before the gate
 /// trips.
@@ -139,12 +140,6 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(baseline) = baseline {
-        match check_wall_regression(&doc, &baseline, REGRESSION_FACTOR) {
-            Ok(msg) => eprintln!("perf gate: {msg}"),
-            Err(msg) => {
-                eprintln!("perf gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
     }
 }

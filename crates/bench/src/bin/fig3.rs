@@ -10,12 +10,13 @@
 //!
 //! `--json-out BENCH_scale.json` writes the machine-readable sweep document
 //! (schema `c4-bench-v1`); `--check-against <baseline.json>` additionally
-//! compares `total_wall_ms` against a previously checked-in baseline and
-//! exits non-zero past 2× — the CI guard against simulator-performance
+//! exits non-zero when any simulated leaf differs by a bit from a
+//! previously checked-in baseline or `total_wall_ms` exceeds 2× its — the
+//! CI guards against changed results and simulator-performance
 //! regressions. `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::scenarios::fig3;
-use c4_bench::{banner, check_wall_regression, parse_cli, pct, read_json, write_csv, write_json};
+use c4_bench::{banner, enforce_baseline_gates, parse_cli, pct, read_json, write_csv, write_json};
 
 /// Allowed wall-clock growth over the checked-in baseline before the gate
 /// trips.
@@ -111,12 +112,6 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(baseline) = baseline {
-        match check_wall_regression(&doc, &baseline, REGRESSION_FACTOR) {
-            Ok(msg) => eprintln!("perf gate: {msg}"),
-            Err(msg) => {
-                eprintln!("perf gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
     }
 }

@@ -28,8 +28,9 @@ pub struct Cli {
     /// Write the per-row result table as an RFC 4180 CSV file here
     /// (`--csv-out`), quoted by the telemetry layer's rules.
     pub csv_out: Option<String>,
-    /// Compare wall clock against this baseline document and exit non-zero
-    /// on regression (`--check-against`).
+    /// Compare simulated results (bit for bit) and wall clock against this
+    /// baseline document and exit non-zero on a difference or a regression
+    /// (`--check-against`).
     pub check_against: Option<String>,
     /// Thread-budget override (`--threads N`, `--threads max`); `None`
     /// defers to the `C4_THREADS` environment selection.
@@ -204,6 +205,156 @@ pub fn check_wall_regression(
     ))
 }
 
+/// Leaves that measure the host rather than the simulation: the exact
+/// result gate skips them.
+const HOST_TIME_KEYS: [&str; 6] = [
+    "wall_ms",
+    "total_wall_ms",
+    "ecmp_drain_ms",
+    "c4p_drain_ms",
+    "ecmp_plan_ms",
+    "c4p_plan_ms",
+];
+
+/// Compares every seed-determined leaf of a fresh run against a baseline
+/// document of the same schema, bit for bit: numbers by
+/// [`f64::to_bits`], everything else by equality, and the document shape
+/// (keys, array lengths) exactly.
+///
+/// Skipped: the host-time leaves (`wall_ms`, `total_wall_ms`,
+/// `{ecmp,c4p}_drain_ms`, `{ecmp,c4p}_plan_ms`) and the run's thread
+/// budget `config.threads` — results are bit-identical at any thread
+/// count. The solver arena's `arena_hwm_bytes` is compared only when both
+/// documents ran at the same `config.threads`. The fresh document is
+/// compared as it would be written (through its JSON text), so a
+/// non-finite number matches the `null` it serializes to.
+///
+/// # Errors
+///
+/// `Err(message)` naming the first differing leaves (and how many differ
+/// in all) when any compared leaf differs or exists in only one document.
+/// `Ok` holds a one-line summary for the log.
+pub fn check_results_identical(fresh: &JsonValue, baseline: &JsonValue) -> Result<String, String> {
+    let fresh = JsonValue::parse(&fresh.to_string()).map_err(|e| format!("fresh document: {e}"))?;
+    let threads = |doc: &JsonValue| {
+        doc.get("config")
+            .and_then(|c| c.get("threads"))
+            .and_then(JsonValue::as_f64)
+    };
+    let mut diff = LeafDiff {
+        same_threads: threads(&fresh) == threads(baseline),
+        compared: 0,
+        mismatches: Vec::new(),
+    };
+    diff.walk("", &fresh, baseline);
+    match diff.mismatches.len() {
+        0 => Ok(format!(
+            "{} result leaves bit-identical to the baseline",
+            diff.compared
+        )),
+        n => Err(format!(
+            "{n} result leaves differ from the baseline: {}",
+            diff.mismatches
+                .iter()
+                .take(5)
+                .cloned()
+                .collect::<Vec<_>>()
+                .join("; ")
+        )),
+    }
+}
+
+/// The tree walk behind [`check_results_identical`].
+struct LeafDiff {
+    same_threads: bool,
+    compared: usize,
+    mismatches: Vec<String>,
+}
+
+impl LeafDiff {
+    fn walk(&mut self, path: &str, fresh: &JsonValue, base: &JsonValue) {
+        let join = |key: &str| {
+            if path.is_empty() {
+                key.to_string()
+            } else {
+                format!("{path}.{key}")
+            }
+        };
+        let same_threads = self.same_threads;
+        let compared = |(key, _): &&(String, JsonValue)| {
+            !(HOST_TIME_KEYS.contains(&key.as_str())
+                || (path == "config" && key == "threads")
+                || (key == "arena_hwm_bytes" && !same_threads))
+        };
+        match (fresh, base) {
+            (JsonValue::Object(f), JsonValue::Object(b)) => {
+                for (key, bv) in b.iter().filter(compared) {
+                    match fresh.get(key) {
+                        Some(fv) => self.walk(&join(key), fv, bv),
+                        None => self
+                            .mismatches
+                            .push(format!("{} missing from the fresh run", join(key))),
+                    }
+                }
+                for (key, _) in f.iter().filter(compared) {
+                    if base.get(key).is_none() {
+                        self.mismatches
+                            .push(format!("{} missing from the baseline", join(key)));
+                    }
+                }
+            }
+            (JsonValue::Array(f), JsonValue::Array(b)) if f.len() == b.len() => {
+                for (i, (fv, bv)) in f.iter().zip(b).enumerate() {
+                    self.walk(&format!("{path}[{i}]"), fv, bv);
+                }
+            }
+            (JsonValue::Num(x), JsonValue::Num(y)) => {
+                self.compared += 1;
+                if x.to_bits() != y.to_bits() {
+                    self.mismatches.push(format!("{path} = {x}, baseline {y}"));
+                }
+            }
+            (JsonValue::Array(_) | JsonValue::Object(_), _)
+            | (_, JsonValue::Array(_) | JsonValue::Object(_)) => {
+                self.mismatches
+                    .push(format!("{path}: shape differs from the baseline"));
+            }
+            (x, y) => {
+                self.compared += 1;
+                if x != y {
+                    self.mismatches.push(format!("{path} = {x}, baseline {y}"));
+                }
+            }
+        }
+    }
+}
+
+/// Applies both `--check-against` gates to a fresh document: the exact
+/// result gate ([`check_results_identical`]) and the wall-clock gate
+/// ([`check_wall_regression`] at `wall_factor`). Logs each verdict to
+/// stderr and exits the process with status 1 if either fails.
+pub fn enforce_baseline_gates(fresh: &JsonValue, baseline: &JsonValue, wall_factor: f64) {
+    let mut failed = false;
+    for (gate, verdict) in [
+        ("result gate", check_results_identical(fresh, baseline)),
+        (
+            "perf gate",
+            check_wall_regression(fresh, baseline, wall_factor),
+        ),
+    ] {
+        match verdict {
+            Ok(msg) => eprintln!("{gate}: {msg}"),
+            Err(msg) => {
+                eprintln!("{gate} FAILED: {msg}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
 /// Synthesizes `flows` random 4-link routes over `links` links — the
 /// max-min solver workload shared by the criterion bench
 /// (`benches/maxmin.rs`) and the `bench_maxmin` binary that regenerates
@@ -302,6 +453,58 @@ mod tests {
         let err = check_wall_regression(&doc(210.0), &doc(100.0), 2.0).unwrap_err();
         assert!(err.contains("regression"), "{err}");
         assert!(check_wall_regression(&JsonValue::object(), &doc(1.0), 2.0).is_err());
+    }
+
+    /// A small document shaped like the bench outputs.
+    fn bench_doc(gbps: f64, wall_ms: f64, threads: usize, arena: u64) -> JsonValue {
+        let mut config = JsonValue::object();
+        config.push("seed", 42u64).push("threads", threads);
+        let mut solver = JsonValue::object();
+        solver
+            .push("events", 1234u64)
+            .push("arena_hwm_bytes", arena);
+        let mut row = JsonValue::object();
+        row.push("gpus", 2048usize)
+            .push("ecmp_gbps", gbps)
+            .push("ecmp_drain_ms", wall_ms / 2.0)
+            .push("ecmp_solver", solver)
+            .push("wall_ms", wall_ms);
+        let mut doc = JsonValue::object();
+        doc.push("schema", "c4-bench-v1")
+            .push("config", config)
+            .push("rows", JsonValue::Array(vec![row]))
+            .push("total_wall_ms", wall_ms);
+        doc
+    }
+
+    #[test]
+    fn result_gate_is_exact_on_simulated_leaves() {
+        let base = bench_doc(70.2, 100.0, 1, 4096);
+        // Round-tripped through its JSON text, as the baseline file is.
+        let on_disk = JsonValue::parse(&base.pretty()).unwrap();
+        assert!(check_results_identical(&base, &on_disk).is_ok());
+
+        let ulp = f64::from_bits(70.2f64.to_bits() + 1);
+        let err = check_results_identical(&bench_doc(ulp, 100.0, 1, 4096), &on_disk).unwrap_err();
+        assert!(err.contains("rows[0].ecmp_gbps"), "{err}");
+
+        let mut missing = bench_doc(70.2, 100.0, 1, 4096);
+        if let JsonValue::Object(entries) = &mut missing {
+            entries.retain(|(k, _)| k != "schema");
+        }
+        let err = check_results_identical(&missing, &on_disk).unwrap_err();
+        assert!(err.contains("schema missing from the fresh run"), "{err}");
+        let err = check_results_identical(&on_disk, &missing).unwrap_err();
+        assert!(err.contains("schema missing from the baseline"), "{err}");
+    }
+
+    #[test]
+    fn result_gate_skips_host_time_and_gates_the_arena_per_thread_count() {
+        let base = bench_doc(70.2, 100.0, 1, 4096);
+        assert!(check_results_identical(&bench_doc(70.2, 250.0, 1, 4096), &base).is_ok());
+        let err = check_results_identical(&bench_doc(70.2, 100.0, 1, 8192), &base).unwrap_err();
+        assert!(err.contains("arena_hwm_bytes"), "{err}");
+        assert!(check_results_identical(&bench_doc(70.2, 100.0, 2, 8192), &base).is_ok());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!
 //! The fluid model has no queues, so CNP emission is derived from sharing
 //! pressure: a flow crossing any saturated link it shares with a competitor
-//! receives marking at the (saturated) base rate, jittered.
+//! receives marking at the (saturated) base rate, jittered. Congestion is a
+//! per-link property ([`CnpModel::link_congested`]); a flow's score only
+//! asks whether its route crosses a congested link
+//! ([`CnpModel::flow_score`]).
 
 /// Parameters of the CNP emission model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,17 +54,25 @@ impl CnpModel {
         link_capacity: &[f64],
         link_flows: &[u32],
     ) -> f64 {
-        for &l in route {
+        let congested = route.iter().any(|&l| {
             let l = l as usize;
-            let cap = link_capacity[l];
-            if cap <= 0.0 {
-                continue;
-            }
-            if link_load[l] >= cap * self.saturation_threshold && link_flows[l] > 1 {
-                return 1.0;
-            }
+            self.link_congested(link_load[l], link_capacity[l], link_flows[l])
+        });
+        if congested {
+            1.0
+        } else {
+            0.0
         }
-        0.0
+    }
+
+    /// Whether one link marks its flows: it has capacity, its load reaches
+    /// `saturation_threshold` of that capacity, and more than one flow
+    /// crosses it. A flow's score is 1 exactly when some link on its route
+    /// is congested, so the drain keeps one flag per link and, per flow, a
+    /// count of congested links on its route, re-testing only the links
+    /// whose load moved.
+    pub fn link_congested(&self, load: f64, cap: f64, flows: u32) -> bool {
+        cap > 0.0 && load >= cap * self.saturation_threshold && flows > 1
     }
 
     /// Instantaneous CNP rate for a flow with the given score, jittered by
@@ -102,6 +113,16 @@ mod tests {
         // Marking saturates: deeper sharing does not multiply CNPs.
         let eight = m.flow_score(&[0], &[200.0], &[200.0], &[8]);
         assert_eq!(eight, 1.0);
+    }
+
+    #[test]
+    fn link_congested_needs_capacity_saturation_and_a_competitor() {
+        let m = CnpModel::paper_default();
+        assert!(m.link_congested(200.0, 200.0, 2));
+        assert!(m.link_congested(199.9, 200.0, 2), "within the threshold");
+        assert!(!m.link_congested(200.0, 200.0, 1), "unshared");
+        assert!(!m.link_congested(100.0, 200.0, 4), "unsaturated");
+        assert!(!m.link_congested(0.0, 0.0, 5), "no capacity");
     }
 
     #[test]

@@ -28,11 +28,19 @@
 //!   * one persistent [`MaxMinState`] carries the base allocation;
 //!     completions become [`MaxMinState::remove_flow`], and the solver's
 //!     worklist re-rates only the flows whose bottleneck moved. Link loads
-//!     apply those flows' rate deltas in place, and CNP congestion scores
-//!     are recomputed only for the subscribers of links whose load moved —
-//!     off the solver's changed-flow feed ([`MaxMinState::refresh`],
-//!     [`MaxMinState::changed_flows`]) instead of being rebuilt over every
+//!     apply those flows' rate deltas in place, off the solver's
+//!     changed-flow feed ([`MaxMinState::refresh`],
+//!     [`MaxMinState::changed_flows`]), instead of being rebuilt over every
 //!     active flow each event.
+//!   * CNP congestion scores come from per-link flags: each link keeps
+//!     [`CnpModel::link_congested`], each flow a count of congested links
+//!     on its route, and its score is `count > 0`. Only the links whose
+//!     load moved are re-tested, and only a flag that flips touches its
+//!     subscribers' counts. Flows whose score flips are handled after the
+//!     re-rated ones, by the earliest touched link on their route and then
+//!     flow id — the order a scan of the touched links' subscribers meets
+//!     them — which fixes the order of CNP flushes and re-rates, and so
+//!     the floating-point association of every per-port CNP sum.
 //!   * noise needs no second solver: a throttle only ever lands on a flow
 //!     crossing a saturated link shared with a competitor, and every
 //!     subscriber of such a link is throttled, so the capped max-min
@@ -41,11 +49,12 @@
 //!   * CNPs integrate per (score, jitter) episode: one multiply when a
 //!     flow's score flips, at a grid redraw, at its completion and at the
 //!     drain end.
-//!   * the next completion comes from an indexed min-heap with lazy
-//!     invalidation (rate changes bump a per-flow stamp) instead of a
-//!     linear scan, and completions landing within the one-byte tolerance
-//!     of one instant batch their removals, so the solver propagates once
-//!     per batch rather than once per flow.
+//!   * the next completion comes from a binary min-heap over
+//!     `(t_zero, flow)` with each flow's position indexed: a re-rated flow's
+//!     entry is removed in place, so the heap holds one entry per armed flow
+//!     and never a stale one. Completions landing within the one-byte
+//!     tolerance of one instant batch their removals, so the solver
+//!     propagates once per batch rather than once per flow.
 //! * [`drain_reference`] — the retained from-scratch implementation: it
 //!   re-solves the whole allocation, capped by the throttles, at every
 //!   event and sums CNPs event by event. It consumes the RNG in exactly the
@@ -54,7 +63,6 @@
 //!   association; `tests/maxmin_differential.rs` holds them to 1e-9 — with
 //!   identical RNG positions afterwards.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use c4_simcore::{Bandwidth, DetRng, ParallelPolicy, SimDuration, SimTime};
@@ -327,42 +335,102 @@ impl CnpEpisodes {
     }
 }
 
-/// A projected flow completion in the drain's event heap (min-heap over
-/// `(t_zero, flow)`).
-///
-/// `stamp` implements lazy invalidation: the entry is live only while the
-/// flow's stamp still matches — every rate change bumps the flow's stamp,
-/// and stale entries are discarded when they surface at the top.
-#[derive(Debug, Clone, Copy)]
-struct CompletionEvent {
-    /// Projected instant (seconds since drain start) at which the flow's
-    /// remaining bytes reach zero at its current rate.
-    t_zero: f64,
-    flow: u32,
-    stamp: u32,
+/// The drain's projected completions: a binary min-heap over
+/// `(t_zero, flow)` — the instant (seconds since drain start) at which the
+/// flow's remaining bytes reach zero at its current rate, ties broken by
+/// flow id — with each flow's heap position indexed. A re-rated flow's
+/// entry is removed in place, so the heap holds at most one entry per flow
+/// and never a stale one.
+struct CompletionHeap {
+    /// `(t_zero, flow)` in heap order.
+    entries: Vec<(f64, u32)>,
+    /// Per flow: its index in `entries`, or [`CompletionHeap::ABSENT`].
+    pos: Vec<u32>,
 }
 
-impl PartialEq for CompletionEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_zero == other.t_zero && self.flow == other.flow
+impl CompletionHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(nf: usize) -> Self {
+        CompletionHeap {
+            entries: Vec::new(),
+            pos: vec![Self::ABSENT; nf],
+        }
     }
-}
-impl Eq for CompletionEvent {}
-impl PartialOrd for CompletionEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// The earliest projected completion as `(t_zero, flow)`.
+    fn peek(&self) -> Option<(f64, usize)> {
+        self.entries.first().map(|&(t, f)| (t, f as usize))
     }
-}
-impl Ord for CompletionEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // completion first (ties broken by flow id for determinism).
-        // Projected instants are never NaN (rates are positive, finite).
-        other
-            .t_zero
-            .partial_cmp(&self.t_zero)
-            .expect("completion instants are not NaN")
-            .then_with(|| other.flow.cmp(&self.flow))
+
+    /// Arms flow `f` (which must not be armed) to complete at `t_zero`.
+    fn push(&mut self, f: usize, t_zero: f64) {
+        debug_assert!(!t_zero.is_nan(), "completion instants are not NaN");
+        debug_assert_eq!(self.pos[f], Self::ABSENT, "flow {f} armed twice");
+        self.entries.push((t_zero, f as u32));
+        self.sift_up(self.entries.len() - 1);
+    }
+
+    /// Disarms flow `f`, if armed.
+    fn remove(&mut self, f: usize) {
+        let i = self.pos[f];
+        if i == Self::ABSENT {
+            return;
+        }
+        self.pos[f] = Self::ABSENT;
+        let i = i as usize;
+        let last = self.entries.pop().expect("an armed flow has an entry");
+        if i < self.entries.len() {
+            self.entries[i] = last;
+            self.pos[last.1 as usize] = i as u32;
+            self.sift_down(i);
+            self.sift_up(i);
+        }
+    }
+
+    /// Earliest instant first, then the lower flow id.
+    fn before(a: (f64, u32), b: (f64, u32)) -> bool {
+        a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(e, self.entries[parent]) {
+                break;
+            }
+            self.entries[i] = self.entries[parent];
+            self.pos[self.entries[i].1 as usize] = i as u32;
+            i = parent;
+        }
+        self.entries[i] = e;
+        self.pos[e.1 as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        let n = self.entries.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::before(self.entries[right], self.entries[left]) {
+                right
+            } else {
+                left
+            };
+            if !Self::before(self.entries[child], e) {
+                break;
+            }
+            self.entries[i] = self.entries[child];
+            self.pos[self.entries[i].1 as usize] = i as u32;
+            i = child;
+        }
+        self.entries[i] = e;
+        self.pos[e.1 as usize] = i as u32;
     }
 }
 
@@ -381,27 +449,57 @@ fn materialize(f: usize, now_s: f64, rate: f64, remaining: &mut [f64], touch_s: 
     touch_s[f] = now_s;
 }
 
+/// Links whose load or flow count moved since the last score update, in
+/// the order they were first touched, with each link's position in that
+/// order (`UNTOUCHED` otherwise). Step 2 re-tests exactly these links'
+/// congestion flags, and orders score flips by the earliest touched link
+/// on each flow's route.
+struct Touched {
+    links: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl Touched {
+    const UNTOUCHED: u32 = u32::MAX;
+
+    fn new(ndl: usize) -> Self {
+        Touched {
+            links: Vec::new(),
+            pos: vec![Self::UNTOUCHED; ndl],
+        }
+    }
+
+    fn touch(&mut self, l: usize) {
+        if self.pos[l] == Self::UNTOUCHED {
+            self.pos[l] = self.links.len() as u32;
+            self.links.push(l as u32);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &l in &self.links {
+            self.pos[l as usize] = Self::UNTOUCHED;
+        }
+        self.links.clear();
+    }
+}
+
 /// Releases a completed flow's contribution to the incrementally-maintained
-/// link loads/counts. Marks the touched links so the next sparse refresh
-/// re-scores their subscribers.
-#[allow(clippy::too_many_arguments)]
+/// link loads/counts, and marks the links so the next sparse refresh
+/// re-tests their congestion flags.
 fn release_completed(
     f: usize,
     route: &[u32],
     base_prev: &mut [f64],
     link_load: &mut [f64],
     link_flows: &mut [u32],
-    touched_mask: &mut [bool],
-    touched_links: &mut Vec<u32>,
+    touched: &mut Touched,
 ) {
     for &l in route {
         let l = l as usize;
         link_load[l] -= base_prev[f];
         link_flows[l] -= 1;
-        if !touched_mask[l] {
-            touched_mask[l] = true;
-            touched_links.push(l as u32);
-        }
+        touched.touch(l);
     }
     base_prev[f] = 0.0;
 }
@@ -536,33 +634,37 @@ pub fn drain(
 
     // Incrementally-maintained derived state. `rate` is each flow's actual
     // (possibly throttled) rate; `touch_s` is when its `remaining` was last
-    // materialized; `stamp` versions its completion-heap entries.
+    // materialized.
     let mut rate = vec![0.0_f64; nf];
     let mut touch_s = vec![0.0_f64; nf];
     let mut score = vec![0.0_f64; nf];
-    let mut stamp = vec![0u32; nf];
     let mut link_load = vec![0.0_f64; ndl];
     let mut link_flows = vec![0u32; ndl];
-    // Flows whose base rate or score may have moved this event.
+    // Congestion flags: `link_sat[l]` is `CnpModel::link_congested` for
+    // link `l`, and `nsat[f]` counts the congested links on flow `f`'s
+    // route, so a flow's score is `nsat > 0`.
+    let mut link_sat = vec![false; ndl];
+    let mut nsat = vec![0u32; nf];
+    // Flows whose base rate or score moved this event, and their mask.
     let mut moved: Vec<u32> = Vec::new();
+    let mut in_moved = vec![false; nf];
     // Flows whose rate was set this event (they need exact per-event
     // remaining/dt bookkeeping; everything else rides the heap).
     let mut scan: Vec<usize> = Vec::new();
     // Flows that completed this event.
     let mut done: Vec<usize> = Vec::new();
-    let mut heap: BinaryHeap<CompletionEvent> = BinaryHeap::new();
+    let mut heap = CompletionHeap::new(nf);
     let cnp_model = cfg.cnp.unwrap_or_default();
     let mut events = 0u64;
     let mut batched_instants = 0u64;
     let mut batched_completions = 0u64;
     // Sparse bookkeeping: `base_prev` mirrors the base rate each active
     // flow last contributed to `link_load`, so a sparse refresh can apply
-    // per-flow deltas instead of rebuilding loads; `touched_*` track the
-    // links those deltas (and completion-time releases) moved, which bounds
-    // the per-event score recompute to their subscribers.
+    // per-flow deltas instead of rebuilding loads; `touched` tracks the
+    // links those deltas (and completion-time releases) moved, the only
+    // links whose congestion flag can flip.
     let mut base_prev = vec![0.0_f64; nf];
-    let mut touched_mask = vec![false; ndl];
-    let mut touched_links: Vec<u32> = Vec::new();
+    let mut touched = Touched::new(ndl);
 
     while live > 0 {
         if let Some(deadline) = cfg.deadline {
@@ -578,8 +680,8 @@ pub fn drain(
         let base_rates = base.current_rates();
 
         // 2. Refresh link loads/counts for exactly the flows the solver
-        //    re-rated, and collect the flows whose base rate or score may
-        //    have moved.
+        //    re-rated, then the congestion flags of the links that moved,
+        //    and collect the flows whose base rate or score moved.
         moved.clear();
         match scope {
             SolveScope::Unchanged => {}
@@ -595,22 +697,27 @@ pub fn drain(
                         moved.push(f);
                     }
                 }
-                // Loads were rebuilt wholesale — the delta mirror restarts
-                // from the fresh base rates.
-                for &l in &touched_links {
-                    touched_mask[l as usize] = false;
-                }
-                touched_links.clear();
+                // Loads were rebuilt wholesale — the delta mirror and the
+                // flags restart from the fresh base rates.
+                touched.clear();
                 base_prev.fill(0.0);
+                for (l, sat) in link_sat.iter_mut().enumerate() {
+                    *sat =
+                        cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
+                }
                 for &f in &moved {
-                    base_prev[f as usize] = base_rates[f as usize];
+                    let f = f as usize;
+                    base_prev[f] = base_rates[f];
+                    nsat[f] = p.dense_routes[f]
+                        .iter()
+                        .filter(|&&l| link_sat[l as usize])
+                        .count() as u32;
                 }
             }
             SolveScope::Sparse => {
                 // Only `changed_flows` moved. Apply their rate deltas to the
                 // link loads in place (completed flows already released
-                // theirs in step 6); every alive subscriber of a touched
-                // link may change score.
+                // theirs in step 6).
                 for &f in base.changed_flows() {
                     let fu = f as usize;
                     if finish[fu].is_some() {
@@ -619,36 +726,82 @@ pub fn drain(
                     let delta = base_rates[fu] - base_prev[fu];
                     if delta != 0.0 {
                         for &l in &p.dense_routes[fu] {
-                            let l = l as usize;
-                            link_load[l] += delta;
-                            if !touched_mask[l] {
-                                touched_mask[l] = true;
-                                touched_links.push(l as u32);
-                            }
+                            link_load[l as usize] += delta;
+                            touched.touch(l as usize);
                         }
                         base_prev[fu] = base_rates[fu];
                     }
                     moved.push(f);
+                    in_moved[fu] = true;
                 }
-                for &l in &touched_links {
-                    touched_mask[l as usize] = false;
-                    let subscribers = base.subscribers(l as usize);
-                    moved.extend(
-                        subscribers
-                            .iter()
-                            .filter(|&&f| finish[f as usize].is_none()),
-                    );
+                // Re-test the touched links; a flipped flag moves the
+                // congested-link count of every live subscriber, and a
+                // count crossing zero may flip that flow's score.
+                let changed = moved.len();
+                for &l in &touched.links {
+                    let l = l as usize;
+                    let sat =
+                        cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
+                    if sat == link_sat[l] {
+                        continue;
+                    }
+                    link_sat[l] = sat;
+                    for &f in base.subscribers(l) {
+                        let fu = f as usize;
+                        if finish[fu].is_some() {
+                            continue;
+                        }
+                        if sat {
+                            nsat[fu] += 1;
+                        } else {
+                            nsat[fu] -= 1;
+                        }
+                        if !in_moved[fu] && (nsat[fu] > 0) != (score[fu] > 0.0) {
+                            in_moved[fu] = true;
+                            moved.push(f);
+                        }
+                    }
                 }
-                touched_links.clear();
+                // Keep the flows whose score really flipped (a count may
+                // cross zero and back), ordered as a scan of the touched
+                // links' subscribers reaches them: by the earliest touched
+                // link on the route, then by flow id. That order fixes the
+                // CNP flushes and re-rates below, and so the association
+                // of every per-port CNP sum and link-load update.
+                for &f in &moved {
+                    in_moved[f as usize] = false;
+                }
+                let mut kept = changed;
+                for i in changed..moved.len() {
+                    let f = moved[i] as usize;
+                    if (nsat[f] > 0) != (score[f] > 0.0) {
+                        moved[kept] = f as u32;
+                        kept += 1;
+                    }
+                }
+                moved.truncate(kept);
+                let first_touch = |f: u32| {
+                    p.dense_routes[f as usize]
+                        .iter()
+                        .map(|&l| touched.pos[l as usize])
+                        .min()
+                };
+                moved[changed..].sort_unstable_by_key(|&f| (first_touch(f), f));
+                touched.clear();
             }
         }
         for &f in &moved {
             let f = f as usize;
-            let s = cnp_model.flow_score(
-                &p.dense_routes[f],
-                &link_load,
-                &p.dense_capacity,
-                &link_flows,
+            let s = if nsat[f] > 0 { 1.0 } else { 0.0 };
+            debug_assert_eq!(
+                s,
+                cnp_model.flow_score(
+                    &p.dense_routes[f],
+                    &link_load,
+                    &p.dense_capacity,
+                    &link_flows
+                ),
+                "flag-derived score of flow {f}"
             );
             if s != score[f] {
                 if let Some(c) = &mut cnp {
@@ -687,7 +840,7 @@ pub fn drain(
             let nr = noise.rate(f, base_rates[f], score[f]);
             if nr.to_bits() != rate[f].to_bits() {
                 materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
-                stamp[f] = stamp[f].wrapping_add(1);
+                heap.remove(f);
                 rate[f] = nr;
                 scan.push(f);
             }
@@ -702,13 +855,8 @@ pub fn drain(
                 dt = dt.min(remaining[f] / rate[f]);
             }
         }
-        while let Some(&top) = heap.peek() {
-            let f = top.flow as usize;
-            if top.stamp != stamp[f] || finish[f].is_some() {
-                heap.pop();
-                continue;
-            }
-            let heap_dt = top.t_zero - now_s;
+        while let Some((t_zero, f)) = heap.peek() {
+            let heap_dt = t_zero - now_s;
             if heap_dt > 0.0 {
                 dt = dt.min(heap_dt);
                 break;
@@ -719,12 +867,11 @@ pub fn drain(
             // drain early through the `dt <= 0` guard below). Fall back to
             // the always-positive relative form, exactly as the reference
             // computes it, and track the flow by direct scan this event.
-            heap.pop();
+            heap.remove(f);
             materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
             if rate[f] > STALL_RATE {
                 dt = dt.min(remaining[f] / rate[f]);
             }
-            stamp[f] = stamp[f].wrapping_add(1);
             scan.push(f);
         }
         if !dt.is_finite() {
@@ -774,18 +921,13 @@ pub fn drain(
                 done.push(f);
             }
         }
-        while let Some(&top) = heap.peek() {
-            let f = top.flow as usize;
-            if top.stamp != stamp[f] || finish[f].is_some() {
-                heap.pop();
-                continue;
-            }
+        while let Some((t_zero, f)) = heap.peek() {
             // An entry is due once the flow is inside the one-byte
             // tolerance, which precedes its zero instant by 1/rate.
-            if top.t_zero - 1.0 / rate[f] > now_s {
+            if t_zero - 1.0 / rate[f] > now_s {
                 break;
             }
-            heap.pop();
+            heap.remove(f);
             materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
             if remaining[f] <= 1.0 {
                 // min/max folds happened when this rate episode began.
@@ -793,12 +935,7 @@ pub fn drain(
                 done.push(f);
             } else {
                 // Floating-point shy of the tolerance: re-arm.
-                stamp[f] = stamp[f].wrapping_add(1);
-                heap.push(CompletionEvent {
-                    t_zero: now_s + remaining[f] / rate[f],
-                    flow: f as u32,
-                    stamp: stamp[f],
-                });
+                heap.push(f, now_s + remaining[f] / rate[f]);
             }
         }
         for &f in &done {
@@ -812,8 +949,7 @@ pub fn drain(
                 &mut base_prev,
                 &mut link_load,
                 &mut link_flows,
-                &mut touched_mask,
-                &mut touched_links,
+                &mut touched,
             );
         }
 
@@ -821,11 +957,7 @@ pub fn drain(
         //    retire the completed flows from the active list.
         for &f in &scan {
             if finish[f].is_none() && rate[f] > STALL_RATE {
-                heap.push(CompletionEvent {
-                    t_zero: now_s + remaining[f] / rate[f],
-                    flow: f as u32,
-                    stamp: stamp[f],
-                });
+                heap.push(f, now_s + remaining[f] / rate[f]);
             }
         }
         if !done.is_empty() {

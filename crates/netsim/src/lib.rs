@@ -46,13 +46,20 @@
 //!   re-rates the subscribers whose route minimum moved and dirties their
 //!   other links. The work per completion follows the levels that moved,
 //!   not the size of the spine-connected component the flow sat in.
+//! * **Slack links cost O(1).** Most dirty links have slack and keep it.
+//!   A per-link tally of the subscribers' demands proves that every demand
+//!   fits, and the fill — which would commit nothing — is skipped. The
+//!   test runs when a link is filled, not when it is marked dirty, so the
+//!   rounds and commits are exactly those of the unskipped worklist.
 //! * **Convergence backstop.** A worklist still dirty after 64 rounds
 //!   gives up, and the state re-seeds with one exact solve.
 //! * **Changed-flow feed.** [`MaxMinState::refresh`] reports what each
 //!   lazy solve changed ([`SolveScope`]: nothing, the listed
 //!   [`MaxMinState::changed_flows`], or a full seed), so the drain engine
-//!   maintains its link loads, congestion scores and completion heap
-//!   incrementally for exactly the flows whose rates moved.
+//!   maintains its link loads and completion heap incrementally for
+//!   exactly the flows whose rates moved. Congestion scores come from one
+//!   flag per link ([`CnpModel::link_congested`]) and a per-flow count of
+//!   congested links, re-tested only on the links whose load moved.
 //! * **One serial solve path.** Seed solves run through a single reused
 //!   scratch arena. The drain never reads a thread budget, so its results
 //!   cannot depend on one.

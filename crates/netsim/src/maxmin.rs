@@ -619,6 +619,15 @@ pub enum SolveScope {
 /// `min1`. Removals mark route links dirty, and the worklist re-fills each
 /// dirty link from its subscribers' demands — committing (and rescanning
 /// subscribers) only when the level moves by more than [`LEVEL_GATE`].
+///
+/// Most dirty links have slack and keep it: their fill returns
+/// [`UNBOUNDED`], equal to the old level, and commits nothing. A per-link
+/// *slack tally* of the subscribers' demands (`dsum`, `nbig`) proves that
+/// outcome in O(1): when no demand is unbounded and the finite ones sum to
+/// at most `cap·(1 − 1e-9)`, every demand fits, so the fill is skipped.
+/// The test runs when a link is filled, never when it is marked dirty, so
+/// dirty marking, batch order and the round count — and with them every
+/// commit — are exactly those of the unskipped worklist.
 #[derive(Debug, Clone, Default)]
 struct Worklist {
     /// Whether `mu`/triples/subscribers reflect the current flow table
@@ -637,6 +646,12 @@ struct Worklist {
     min1: Vec<f64>,
     min1_link: Vec<u32>,
     min2: Vec<f64>,
+    /// Slack tally per link over its alive subscribers' demands: the sum
+    /// of the finite ones and the count of those ≥ [`UNBOUNDED`]. Rebuilt
+    /// exactly by the seed and by every real fill of the link, adjusted
+    /// in place when a subscriber is removed or its demand moves.
+    dsum: Vec<f64>,
+    nbig: Vec<u32>,
     /// Links whose fill level must be recomputed.
     link_dirty: Vec<bool>,
     dirty_links: Vec<u32>,
@@ -681,6 +696,76 @@ impl Worklist {
     }
 }
 
+/// Flow demand at link `l` from its route-min triple: the smallest level on
+/// the flow's *other* links (the rate it could take if `l` did not
+/// constrain it). A pure function of the other links' levels, so a commit
+/// on `l` never moves a demand at `l` itself.
+#[inline]
+fn demand_at(min1: f64, min1_link: u32, min2: f64, l: u32) -> f64 {
+    if min1_link == l {
+        min2
+    } else {
+        min1
+    }
+}
+
+/// Adds (`add`) or withdraws demand `d` from link `l`'s slack tally.
+#[inline]
+fn tally(dsum: &mut [f64], nbig: &mut [u32], l: usize, d: f64, add: bool) {
+    match (d >= UNBOUNDED, add) {
+        (true, true) => nbig[l] += 1,
+        (true, false) => nbig[l] -= 1,
+        (false, true) => dsum[l] += d,
+        (false, false) => dsum[l] -= d,
+    }
+}
+
+/// Collects the alive subscribers' demands at link `l` into `demand` (CSR
+/// order) and returns them as an exact slack tally: the sum of the finite
+/// demands and the count of unbounded ones.
+fn gather_demands(
+    l: u32,
+    subs: &[u32],
+    alive: &[bool],
+    (min1, min1_link, min2): (&[f64], &[u32], &[f64]),
+    demand: &mut Vec<f64>,
+) -> (f64, u32) {
+    demand.clear();
+    let (mut sum, mut big) = (0.0, 0u32);
+    for &fid in subs {
+        let f = fid as usize;
+        if !alive[f] {
+            continue;
+        }
+        let d = demand_at(min1[f], min1_link[f], min2[f], l);
+        if d >= UNBOUNDED {
+            big += 1;
+        } else {
+            sum += d;
+        }
+        demand.push(d);
+    }
+    (sum, big)
+}
+
+/// Single-link progressive fill: the level at which a link of capacity
+/// `cap` saturates under `demand` (sorted in place), or [`UNBOUNDED`] when
+/// every demand fits and the link constrains nobody.
+fn fill_level(cap: f64, demand: &mut [f64]) -> f64 {
+    demand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("demands are not NaN"));
+    let mut rem = cap.max(0.0);
+    let mut k = demand.len();
+    for &d in demand.iter() {
+        let share = rem / k as f64;
+        if d > share {
+            return share;
+        }
+        rem -= d;
+        k -= 1;
+    }
+    UNBOUNDED
+}
+
 /// Persistent max-min problem with incremental re-solving.
 ///
 /// The access pattern is the drain loop's: build the problem once, then
@@ -698,6 +783,15 @@ impl Worklist {
 /// and dirties their other links. The work per completion is proportional
 /// to the links whose levels actually moved, not to the flows sharing the
 /// removed flow's connected component.
+///
+/// A dirty link that has slack and keeps it costs O(1): a per-link tally
+/// of its subscribers' demands proves that all of them fit, so the fill —
+/// which would return "unconstrained" and commit nothing — is skipped. The
+/// test runs when the link is filled rather than when it is marked dirty,
+/// which leaves the worklist's rounds and commits exactly as without it.
+/// The margin (1e-9 of capacity) covers the fill's own rounding and the
+/// tally's drift between exact rebuilds; debug builds re-run every skipped
+/// fill and assert that it commits nothing.
 ///
 /// The result matches the reference [`solve`] within 1e-9 relative
 /// (`tests/maxmin_differential.rs` enforces this). As a convergence
@@ -734,6 +828,12 @@ const LEVEL_GATE: f64 = 1e-12;
 /// exact seed solve (convergence insurance; the iteration settles in a
 /// handful of rounds in practice).
 const MAX_ROUNDS: usize = 64;
+
+/// Fraction of a link's capacity its slack tally may reach for a fill to
+/// be skipped. The 1e-9 margin dwarfs the fill's rounding (about k·2⁻⁵²
+/// relative for k subscribers) and the tally's drift between exact
+/// rebuilds.
+const SLACK_FRACTION: f64 = 1.0 - 1e-9;
 
 impl MaxMinState {
     /// Creates an empty state over the given link-capacity table.
@@ -807,6 +907,8 @@ impl MaxMinState {
             w.pending.push(f as u32);
         }
         for &l in r {
+            let d = demand_at(w.min1[f], w.min1_link[f], w.min2[f], l);
+            tally(&mut w.dsum, &mut w.nbig, l as usize, d, false);
             if !w.link_dirty[l as usize] {
                 w.link_dirty[l as usize] = true;
                 w.dirty_links.push(l);
@@ -1011,6 +1113,17 @@ impl MaxMinState {
             w.min1_link[f] = m1l;
             w.min2[f] = m2;
         }
+        // Slack tallies over the alive subscribers' demands.
+        w.dsum.clear();
+        w.dsum.resize(nl, 0.0);
+        w.nbig.clear();
+        w.nbig.resize(nl, 0);
+        for f in (0..nf).filter(|&f| self.alive[f]) {
+            for &l in self.routes.route(f) {
+                let d = demand_at(w.min1[f], w.min1_link[f], w.min2[f], l);
+                tally(&mut w.dsum, &mut w.nbig, l as usize, d, true);
+            }
+        }
         w.link_dirty.clear();
         w.link_dirty.resize(nl, false);
         w.dirty_links.clear();
@@ -1039,6 +1152,8 @@ impl MaxMinState {
             min1,
             min1_link,
             min2,
+            dsum,
+            nbig,
             link_dirty,
             dirty_links,
             flow_mask,
@@ -1067,38 +1182,25 @@ impl MaxMinState {
             for &bl in batch.iter() {
                 let l = bl as usize;
                 let subs = &sub_flows[sub_offsets[l] as usize..sub_offsets[l + 1] as usize];
+                let triples = (&min1[..], &min1_link[..], &min2[..]);
+                if mu[l] == UNBOUNDED
+                    && nbig[l] == 0
+                    && dsum[l] <= capacity[l].max(0.0) * SLACK_FRACTION
+                {
+                    // Slack kept: every demand fits, so the fill would
+                    // return UNBOUNDED again and commit nothing.
+                    #[cfg(debug_assertions)]
+                    {
+                        gather_demands(bl, subs, alive, triples, demand);
+                        let level = fill_level(capacity[l], demand);
+                        assert_eq!(level, UNBOUNDED, "skipped fill of link {l} would commit");
+                    }
+                    continue;
+                }
                 // Single-link progressive fill over the alive subscribers'
-                // demands (each demand excludes `l` itself: the rate the
-                // flow could take if this link did not constrain it).
-                demand.clear();
-                for &fid in subs {
-                    let f = fid as usize;
-                    if !alive[f] {
-                        continue;
-                    }
-                    demand.push(if min1_link[f] == l as u32 {
-                        min2[f]
-                    } else {
-                        min1[f]
-                    });
-                }
-                let mut new_mu = UNBOUNDED;
-                if !demand.is_empty() {
-                    demand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("demands are not NaN"));
-                    let mut rem = capacity[l].max(0.0);
-                    let mut k = demand.len();
-                    for &d in demand.iter() {
-                        let share = rem / k as f64;
-                        if d <= share {
-                            rem -= d;
-                            k -= 1;
-                        } else {
-                            new_mu = share;
-                            break;
-                        }
-                    }
-                    // Every demand fit: the link constrains nobody.
-                }
+                // demands; gathering them rebuilds the link's tally exactly.
+                (dsum[l], nbig[l]) = gather_demands(bl, subs, alive, triples, demand);
+                let new_mu = fill_level(capacity[l], demand);
                 let old_mu = mu[l];
                 if new_mu == old_mu {
                     continue;
@@ -1134,6 +1236,7 @@ impl MaxMinState {
                     {
                         continue;
                     }
+                    let old = (min1[f], min1_link[f], min2[f]);
                     min1[f] = m1;
                     min1_link[f] = m1l;
                     min2[f] = m2;
@@ -1144,8 +1247,17 @@ impl MaxMinState {
                             pending.push(fid);
                         }
                     }
-                    for &rl in r {
-                        if rl as usize != l && !link_dirty[rl as usize] {
+                    // The flow's demand at `l` itself cannot have moved.
+                    for &rl in r.iter().filter(|&&rl| rl as usize != l) {
+                        let (od, nd) = (
+                            demand_at(old.0, old.1, old.2, rl),
+                            demand_at(m1, m1l, m2, rl),
+                        );
+                        if od != nd {
+                            tally(dsum, nbig, rl as usize, od, false);
+                            tally(dsum, nbig, rl as usize, nd, true);
+                        }
+                        if !link_dirty[rl as usize] {
                             link_dirty[rl as usize] = true;
                             dirty_links.push(rl);
                         }

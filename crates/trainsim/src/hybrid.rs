@@ -18,6 +18,7 @@
 //!   on one expert rank — the imbalance `c4d::smoothing`'s `LoadSmoother`
 //!   window exists to keep out of the straggler detector.
 
+use c4_collectives::alltoall::MAX_A2A_RANKS;
 use c4_collectives::{
     channel_pair, run_concurrent_cached, CollKind, CollectiveRequest, CommConfig, Communicator,
     EpSkew, PlanCache, QpWeightFn,
@@ -157,7 +158,9 @@ impl HybridJob {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated shape rule.
+    /// Returns a description of the first violated shape rule, including
+    /// an EP group larger than an all-to-all plan holds
+    /// ([`MAX_A2A_RANKS`] ranks).
     pub fn new(
         topo: &Topology,
         spec: HybridSpec,
@@ -182,6 +185,12 @@ impl HybridJob {
         if !nodes_per_stage.is_multiple_of(spec.ep) {
             return Err(format!(
                 "ep ({}) must divide nodes/stage ({nodes_per_stage})",
+                spec.ep
+            ));
+        }
+        if spec.ep > MAX_A2A_RANKS {
+            return Err(format!(
+                "ep ({}) exceeds the {MAX_A2A_RANKS}-rank all-to-all limit",
                 spec.ep
             ));
         }
@@ -529,6 +538,18 @@ mod tests {
         let mut spec = HybridSpec::moe(8, 2, 2);
         spec.ep = 0;
         assert!(HybridJob::new(&t, spec, nodes(16), 0).is_err());
+    }
+
+    #[test]
+    fn ep_groups_beyond_the_all_to_all_limit_are_rejected() {
+        // 512 two-GPU nodes, one stage: EP512 divides the stage, but an
+        // all-to-all plan holds at most MAX_A2A_RANKS ranks.
+        let t = Topology::build(&ClosConfig::tiny(512));
+        let err = HybridJob::new(&t, HybridSpec::moe(2, 1, 512), nodes(512), 0).unwrap_err();
+        assert!(err.contains("all-to-all limit"), "{err}");
+        let job = HybridJob::new(&t, HybridSpec::moe(2, 2, MAX_A2A_RANKS), nodes(512), 0)
+            .expect("EP at the limit places");
+        assert!(job.ep_comms().iter().all(|c| c.nranks() == MAX_A2A_RANKS));
     }
 
     #[test]

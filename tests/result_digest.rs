@@ -5,7 +5,8 @@
 //!
 //! * the **results** digest: for a drain, per flow the finish time and the
 //!   mean, min and max rate, then the drain end, `link_bytes`,
-//!   `cnp_per_port` and the congested count; for a hybrid iteration, each
+//!   `cnp_per_port` and the congested count (a testbed drain of mixed QPs
+//!   and an expert-parallel all-to-all); for a hybrid iteration, each
 //!   phase's comm count, duration and bus bandwidth, the total and the
 //!   per-rank EP bytes;
 //! * the **counters** digest: every [`DrainSolverStats`] counter except
@@ -146,6 +147,71 @@ fn noisy_exact_drain_on_testbed_is_unchanged() {
         "testbed drain",
         (d.0, counters(&report.solver)),
         (0x3191_3eae_05b6_a1db, 0x3e43_7335_d875_b1d7),
+    );
+}
+
+/// An expert-parallel all-to-all: every ordered pair among 64 GPUs (GPUs
+/// 0–3 of each of the 16 nodes, so both pods take part), one QP per pair as
+/// the collective engine keys it, bytes skewed toward a hot expert,
+/// inter-node pairs ECMP-routed on a 2:1 `pod_grouped_railed` fabric. The
+/// inter-pod pairs share spine links, and each sender port carries dozens
+/// of pairs, so completions flip the congestion score of several flows on
+/// one port in the same event.
+fn alltoall_specs(topo: &Topology) -> Vec<FlowSpec> {
+    const RANKS: u32 = 64;
+    let skew = EpSkew::hot(5, 4.0);
+    let per_source = ByteSize::from_mib(8).as_bytes() as f64;
+    let gpu_of = |rank: u32| topo.gpu_at(NodeId::from_index(rank as usize / 4), rank as usize % 4);
+    let mut sel = EcmpSelector::new(0xA2A);
+    let mut specs = Vec::new();
+    for src_rank in 0..RANKS {
+        for dst_rank in (0..RANKS).filter(|&d| d != src_rank) {
+            let (src, dst) = (gpu_of(src_rank), gpu_of(dst_rank));
+            let key = FlowKey {
+                src_gpu: src,
+                dst_gpu: dst,
+                comm: 7,
+                channel: pair_channel(src_rank, dst_rank),
+                qp: 0,
+                incarnation: 0,
+            };
+            let route = if topo.gpu(src).node == topo.gpu(dst).node {
+                topo.intra_node_route(src, dst)
+            } else {
+                let choice = sel.select(topo, &key);
+                let sp = topo.port_of_gpu(src, choice.src_side);
+                let dp = topo.port_of_gpu(dst, choice.dst_side);
+                topo.inter_node_route(src, sp, choice.fabric.as_ref(), dp, dst)
+            };
+            let bytes = (per_source * skew.share(src_rank, dst_rank, RANKS as usize)).round();
+            specs.push(FlowSpec::new(
+                key,
+                ByteSize::from_bytes(bytes as u64),
+                route,
+            ));
+        }
+    }
+    specs
+}
+
+#[test]
+fn noisy_alltoall_drain_is_unchanged() {
+    let topo = Topology::build(&ClosConfig::pod_grouped_railed(16, 2));
+    let specs = alltoall_specs(&topo);
+    let cfg = DrainConfig {
+        epoch: SimDuration::from_micros(50),
+        rate_noise: 0.10,
+        cnp: Some(CnpModel::paper_default()),
+        ..DrainConfig::default()
+    };
+    let report = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(16));
+    assert!(report.all_completed(), "healthy fabric drains every pair");
+    let mut d = Digest::new();
+    d.drain(&report);
+    assert_digests(
+        "all-to-all drain",
+        (d.0, counters(&report.solver)),
+        (0x1ff0_1656_a3ab_119b, 0x395b_b71e_e1a8_1775),
     );
 }
 
