@@ -12,6 +12,11 @@
 //! * the **counters** digest: every [`DrainSolverStats`] counter except
 //!   `arena_hwm_bytes`, which measures scratch capacity rather than work.
 //!
+//! One case has a results digest only: noise-free plan-cached BSP
+//! iterations and a fleet soak, the drains a [`PlanCache`] may replay
+//! rather than re-drain. Its constant was recorded before the replay
+//! existed, so it pins that a replayed drain reports what a fresh one does.
+//!
 //! A pure refactor of the drain, the solver or the collective layer must
 //! leave every results digest unchanged; a change that moves any result by
 //! one ulp fails here under plain `cargo test`, without a benchmark run. A
@@ -253,5 +258,60 @@ fn noisy_tiny_hybrid_iteration_is_unchanged() {
         "tiny hybrid iteration",
         (d.0, counters(&report.solver)),
         (0x47a5_5437_32ca_e85a, 0xf9b0_6b4c_831d_6c57),
+    );
+}
+
+/// Noise-free, plan-cached BSP work: six iterations of the GPT-22B TP8/DP16
+/// job on the paper testbed under ECMP with telemetry on, then a 6 h smoke
+/// fleet soak. Each iteration folds its total and comm time and both bus
+/// bandwidths; the soak folds its seed-determined control-loop census and
+/// the goodput bits.
+#[test]
+fn noise_free_cached_iterations_and_soak_are_unchanged() {
+    let topo = Topology::build(&ClosConfig::testbed_128());
+    let spec = JobSpec::gpt22b_tp8_dp16();
+    let nodes: Vec<NodeId> = (0..16).map(NodeId::from_index).collect();
+    let layout = ParallelLayout::place(&topo, &spec, nodes).expect("testbed places the job");
+    let mut job = TrainingJob::new(&topo, spec, layout, 100);
+    let mut tel: Vec<WorkerTelemetry> = topo
+        .gpus()
+        .iter()
+        .map(|g| WorkerTelemetry::new(g.id))
+        .collect();
+    job.register_telemetry(&topo, &mut tel);
+    let mut sel = EcmpSelector::new(0x5EED);
+    let mut rng = DetRng::seed_from(11);
+    let mut d = Digest::new();
+    for _ in 0..6 {
+        let r = job.run_iteration(&topo, &mut sel, None, &mut rng, &[], Some(&mut tel));
+        assert!(!r.hung, "healthy testbed iterations complete");
+        d.word(r.total.as_nanos());
+        d.word(r.comm.as_nanos());
+        d.float(r.busbw_min_gbps.unwrap_or(f64::NAN));
+        d.float(r.busbw_mean_gbps.unwrap_or(f64::NAN));
+    }
+    assert_eq!(job.plan_cache().hits(), 5 * job.comms().len() as u64);
+
+    let mut cfg = FleetConfig::smoke(42);
+    cfg.horizon = SimDuration::from_hours(6);
+    let r = FleetController::new(cfg).run();
+    for v in [
+        r.rounds,
+        r.live_iterations,
+        r.detections,
+        r.isolations,
+        r.replacements,
+        r.cache_hits,
+        r.cache_misses,
+        r.total_recoveries(),
+    ] {
+        d.word(v);
+    }
+    d.float(r.aggregate_goodput_fraction());
+    const RECORDED: u64 = 0x8c29_4195_adf9_8638;
+    assert_eq!(
+        d.0, RECORDED,
+        "noise-free iterations + soak: results digest {:#018x}, recorded {RECORDED:#018x}",
+        d.0
     );
 }
