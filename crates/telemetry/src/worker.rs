@@ -20,7 +20,11 @@ pub struct WorkerTelemetry {
     gpu: Option<GpuId>,
     comms: Vec<CommRecord>,
     colls: Vec<CollRecord>,
-    conns: HashMap<ConnKey, ConnRecord>,
+    /// Connection aggregates in first-record order, so snapshots (and every
+    /// event order derived from them) repeat exactly from run to run.
+    conns: Vec<ConnRecord>,
+    /// Position of each connection's aggregate in `conns`.
+    conn_index: HashMap<ConnKey, usize>,
     ranks: Vec<RankRecord>,
 }
 
@@ -71,10 +75,11 @@ impl WorkerTelemetry {
         duration: SimDuration,
         completed_at: SimTime,
     ) {
-        self.conns
-            .entry(key)
-            .or_insert_with(|| ConnRecord::new(key, src_port))
-            .record_message(bytes, duration, completed_at);
+        let i = *self.conn_index.entry(key).or_insert_with(|| {
+            self.conns.push(ConnRecord::new(key, src_port));
+            self.conns.len() - 1
+        });
+        self.conns[i].record_message(bytes, duration, completed_at);
     }
 
     /// Appends a per-step rank record.
@@ -92,14 +97,15 @@ impl WorkerTelemetry {
         &self.colls
     }
 
-    /// Connection aggregates.
+    /// Connection aggregates, in the order their first message was
+    /// recorded.
     pub fn conns(&self) -> impl Iterator<Item = &ConnRecord> {
-        self.conns.values()
+        self.conns.iter()
     }
 
     /// Connection aggregate for a specific key.
     pub fn conn(&self, key: &ConnKey) -> Option<&ConnRecord> {
-        self.conns.get(key)
+        self.conn_index.get(key).map(|&i| &self.conns[i])
     }
 
     /// Rank records, append order.
@@ -117,6 +123,7 @@ impl WorkerTelemetry {
         self.comms.clear();
         self.colls.clear();
         self.conns.clear();
+        self.conn_index.clear();
         self.ranks.clear();
     }
 
@@ -127,7 +134,7 @@ impl WorkerTelemetry {
             taken,
             comms: self.comms.clone(),
             colls: self.colls.clone(),
-            conns: self.conns.values().copied().collect(),
+            conns: self.conns.clone(),
             ranks: self.ranks.clone(),
         }
     }
@@ -145,7 +152,7 @@ pub struct TelemetrySnapshot {
     pub comms: Vec<CommRecord>,
     /// Collective records.
     pub colls: Vec<CollRecord>,
-    /// Connection aggregates (unordered).
+    /// Connection aggregates, in first-record order.
     pub conns: Vec<ConnRecord>,
     /// Rank records.
     pub ranks: Vec<RankRecord>,
@@ -223,6 +230,36 @@ mod tests {
         assert_eq!(rec.messages, 3);
         assert_eq!(rec.bytes, 300);
         assert_eq!(w.conns().count(), 1);
+    }
+
+    #[test]
+    fn snapshot_keeps_connections_in_first_record_order() {
+        let mut w = WorkerTelemetry::new(GpuId::from_index(0));
+        let keys: Vec<ConnKey> = (0..16u16)
+            .map(|qp| ConnKey {
+                comm: 1 + u64::from(qp % 3),
+                channel: qp / 2,
+                qp,
+                src_gpu: GpuId::from_index(0),
+                dst_gpu: GpuId::from_index(8 + usize::from(qp)),
+            })
+            .collect();
+        for round in 0..2 {
+            for &key in &keys {
+                w.record_message(
+                    key,
+                    PortId::from_index(0),
+                    100,
+                    SimDuration::from_millis(1),
+                    SimTime::from_secs(round),
+                );
+            }
+        }
+        let snap = w.snapshot(SimTime::from_secs(2));
+        let order: Vec<ConnKey> = snap.conns.iter().map(|c| c.key).collect();
+        assert_eq!(order, keys);
+        assert!(snap.conns.iter().all(|c| c.messages == 2));
+        assert!(w.conns().map(|c| c.key).eq(keys.iter().copied()));
     }
 
     #[test]
