@@ -68,8 +68,8 @@ fn main() {
         r.detections, r.isolations, r.replacements, r.dp_shrinks, r.retries, r.escalations, r.repairs_returned,
     );
     println!(
-        "plan cache: {} hits / {} misses, {} rebased drops, {} stale routes (invariant: 0)",
-        r.cache_hits, r.cache_misses, r.cache_rebased_drops, r.stale_plan_routes,
+        "plan cache: {} hits / {} misses, {} drain reuses, {} rebased drops, {} stale routes (invariant: 0)",
+        r.cache_hits, r.cache_misses, r.drain_reuses, r.cache_rebased_drops, r.stale_plan_routes,
     );
     println!(
         "goodput {}, downtime {}, mean ETTR {:.0} s over {} recoveries",

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use c4_netsim::{drain, DrainConfig, FlowKey, FlowSpec, PathChoice, PathSelector};
+use c4_netsim::{drain, DrainConfig, DrainReport, FlowKey, FlowSpec, PathChoice, PathSelector};
 use c4_simcore::{scoped_map, ByteSize, DetRng, ParallelPolicy, SimTime};
 use c4_telemetry::{
     AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord, WorkerTelemetry,
@@ -24,6 +24,7 @@ use c4_topology::{LinkId, Topology};
 
 use crate::alltoall::{channel_pair, pair_channel, AllToAllPlan};
 use crate::comm::{CommConfig, Communicator};
+use crate::memo::{self, DrainMemo};
 use crate::plan::{bus_factor, RingPlan};
 use crate::result::CollectiveResult;
 
@@ -125,11 +126,44 @@ struct PlanEntry {
 /// [`PlanCache::clear`] force-invalidates everything, e.g. when a steering
 /// decision replaced hardware outside the topology's mutation tracking.
 /// A cache is only meaningful against a single `Topology` instance.
+///
+/// # The drain memo
+///
+/// A BSP job also re-drains the same network work every iteration, so the
+/// cache keeps each request set's last **noise-free** drain (`rate_noise`
+/// 0 and no CNP model: such a drain reads neither the RNG nor `epoch`),
+/// with one slot per set of plan keys. [`run_concurrent_cached`] replays
+/// the recorded report, its times shifted to the new start, when a call
+/// presents exactly the inputs the recorded drain read:
+///
+/// * the same flow specs (key, bytes and route, in order);
+/// * the same effective capacity, to the bit, on every route link (a
+///   down link reads 0);
+/// * the same link and port counts (the lengths of `link_bytes` and
+///   `cnp_per_port`).
+///
+/// Only a drain that completed every flow at least 1 ns before its
+/// deadline is recorded, and it is replayed only when the shifted drain
+/// also ends 1 ns or more before the call's deadline, so the deadline
+/// clamped neither run. Any other call drains afresh. The memo checks
+/// these inputs itself; its correctness does not rest on callers passing
+/// [`PlanCache::rebase`] a complete set of changed links. A replayed
+/// report is the recorded one, bit for bit, shifted in time, and its
+/// `cnp_per_port` is all zeros, as a noise-free drain's is. Its
+/// [`DrainSolverStats`](c4_netsim::DrainSolverStats) are those of the drain
+/// it replays. Debug builds drain every replayed call afresh as well and
+/// assert that both reports are equal and that the RNG did not move.
+/// [`PlanCache::drain_reuses`] counts the replays. Slots are dropped
+/// whenever plans leave the cache.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entries: HashMap<PlanKey, PlanEntry>,
+    /// The drain memo, one slot per request set (its plan keys, in
+    /// request order).
+    drains: HashMap<Vec<PlanKey>, DrainMemo>,
     hits: u64,
     misses: u64,
+    drain_reuses: u64,
     build_wall_ms: f64,
 }
 
@@ -147,6 +181,12 @@ impl PlanCache {
     /// Plans (re)built so far.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Noise-free drains replayed from the drain memo instead of drained
+    /// (see [the drain memo](PlanCache#the-drain-memo)).
+    pub fn drain_reuses(&self) -> u64 {
+        self.drain_reuses
     }
 
     /// Wall-clock milliseconds spent building cache-missed plans (ring
@@ -167,14 +207,18 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// Drops every cached plan (explicit fault/steering invalidation).
+    /// Drops every cached plan and recorded drain (explicit
+    /// fault/steering invalidation).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.drains.clear();
     }
 
-    /// Drops the cached plans of one communicator id (all incarnations).
+    /// Drops the cached plans of one communicator id (all incarnations),
+    /// and every recorded drain.
     pub fn invalidate_comm(&mut self, comm: u64) {
         self.entries.retain(|k, _| k.comm != comm);
+        self.drains.clear();
     }
 
     /// Surgically re-validates cached plans after a topology mutation.
@@ -194,7 +238,9 @@ impl PlanCache {
     /// — a wrongly re-stamped entry is simply a plan the selector would no
     /// longer pick, not an invalid route — but for *down* links the set
     /// must be complete or [`PlanCache::any_route_through`] audits will
-    /// flag the stale route.
+    /// flag the stale route. Dropping any plan drops every recorded drain
+    /// too; the drains of re-stamped plans stay, since the drain memo checks
+    /// the route capacities itself.
     pub fn rebase(&mut self, topo: &Topology, affected: &[LinkId]) -> usize {
         let version = topo.version();
         let before = self.entries.len();
@@ -208,7 +254,53 @@ impl PlanCache {
             entry.topo_version = version;
             true
         });
-        before - self.entries.len()
+        let dropped = before - self.entries.len();
+        if dropped > 0 {
+            self.drains.clear();
+        }
+        dropped
+    }
+
+    /// Drains `specs` under the noise-free `cfg` for the request set
+    /// `slot`: replays the slot's recorded drain when every input it read
+    /// is unchanged, otherwise drains and records the result (see [the
+    /// drain memo](PlanCache#the-drain-memo)).
+    fn drain_memoized(
+        &mut self,
+        slot: Vec<PlanKey>,
+        topo: &Topology,
+        specs: Vec<FlowSpec>,
+        cfg: &DrainConfig,
+        rng: &mut DetRng,
+    ) -> DrainReport {
+        debug_assert!(memo::replayable(cfg), "noisy drains are never memoized");
+        if let Some(report) = self
+            .drains
+            .get(&slot)
+            .and_then(|m| m.replay(topo, &specs, cfg))
+        {
+            self.drain_reuses += 1;
+            #[cfg(debug_assertions)]
+            {
+                let mut probe = rng.clone();
+                assert_eq!(
+                    report,
+                    drain(topo, &specs, cfg, &mut probe),
+                    "a replayed drain equals a fresh one"
+                );
+                assert_eq!(
+                    probe.uniform().to_bits(),
+                    rng.clone().uniform().to_bits(),
+                    "a noise-free drain draws nothing from the RNG"
+                );
+            }
+            return report;
+        }
+        let report = drain(topo, &specs, cfg, rng);
+        if let Some(m) = DrainMemo::record(topo, specs, cfg, &report) {
+            self.drains.insert(slot, m);
+        }
+        report
     }
 
     /// True when any cached plan routes through one of `links`.
@@ -523,7 +615,7 @@ fn plan_requests(
                     qps: p.qps,
                     alltoall: matches!(p.shape, PendingShape::A2a(_)),
                 };
-                c.entries.insert(
+                let rebuilt = c.entries.insert(
                     key.clone(),
                     PlanEntry {
                         topo_version: topo.version(),
@@ -531,6 +623,9 @@ fn plan_requests(
                         plan,
                     },
                 );
+                if rebuilt.is_some() {
+                    c.drains.clear();
+                }
                 sources[p.source_idx] = PlanSource::Cached(key);
             }
             _ => {
@@ -733,6 +828,16 @@ pub fn run_concurrent(
 /// caller wins; all remaining knobs (epoch, rate noise, CNP model) come
 /// from the first request. Results come back in request order.
 ///
+/// With a cache, every plan served from it and the merged drain
+/// noise-free, the call goes through the cache's [drain
+/// memo](PlanCache#the-drain-memo): when the specs, route-link capacities
+/// and fabric size equal those of this request set's last recorded drain,
+/// and the deadline leaves room, the recorded report is replayed, shifted
+/// to the new start, instead of drained. The results are bit-identical
+/// either way, the report's solver counters included (a replay carries
+/// those of the drain it replays), and the RNG is untouched either way.
+/// Noisy calls always drain.
+///
 /// # Panics
 ///
 /// Panics if `reqs` is empty, a `rank_ready` length mismatches, or
@@ -795,7 +900,23 @@ pub fn run_concurrent_cached(
         deadline,
         ..reqs[0].drain.clone()
     };
-    let report = drain(topo, &all_specs, &drain_cfg, rng);
+    // The drain memo's slot: the request set's plan keys, when every plan
+    // came from the cache and the drain is noise-free.
+    let slot: Option<Vec<PlanKey>> = if memo::replayable(&drain_cfg) {
+        sources
+            .iter()
+            .map(|s| match s {
+                PlanSource::Cached(key) => Some(key.clone()),
+                PlanSource::Owned(_) => None,
+            })
+            .collect()
+    } else {
+        None
+    };
+    let report = match (cache, slot) {
+        (Some(c), Some(slot)) => c.drain_memoized(slot, topo, all_specs, &drain_cfg, rng),
+        _ => drain(topo, &all_specs, &drain_cfg, rng),
+    };
 
     // Split outcomes back per request.
     let mut results = Vec::with_capacity(reqs.len());
@@ -1466,6 +1587,184 @@ mod tests {
                 assert_eq!(a.mean_rate, b.mean_rate);
             }
             assert_eq!(par.report.link_bytes, serial.report.link_bytes);
+        }
+    }
+
+    /// Two overlapping 2-node allreduces (they contend on node 1): one
+    /// drain memo slot holding two plan keys.
+    fn overlapping_pair(t: &Topology) -> (Communicator, Communicator) {
+        (full_comm_at(t, 0, 2, 1), full_comm_at(t, 1, 2, 2))
+    }
+
+    /// Runs `reqs` through `cache` and through a cache-less engine from
+    /// the same RNG state, asserts the results are equal and leave the RNG
+    /// at the same position, and returns the cached results.
+    fn cached_matches_uncached(
+        t: &Topology,
+        reqs: &[CollectiveRequest<'_>],
+        cache: &mut PlanCache,
+        rng: &mut DetRng,
+    ) -> Vec<CollectiveResult> {
+        let mut uncached_rng = rng.clone();
+        let cached = run_concurrent_cached(
+            t,
+            reqs,
+            &mut EcmpSelector::new(9),
+            None,
+            rng,
+            None,
+            Some(cache),
+        );
+        let uncached = run_concurrent(
+            t,
+            reqs,
+            &mut EcmpSelector::new(9),
+            None,
+            &mut uncached_rng,
+            None,
+        );
+        assert_eq!(cached, uncached, "cached and cache-less results");
+        assert_eq!(
+            rng.uniform().to_bits(),
+            uncached_rng.uniform().to_bits(),
+            "RNG parity"
+        );
+        cached
+    }
+
+    #[test]
+    fn noise_free_repeat_is_replayed_bit_identically() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(40);
+        let first =
+            cached_matches_uncached(&t, &[request(&c1), request(&c2)], &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 0, "the first call drains");
+        let later = SimTime::from_secs(5);
+        let reqs: Vec<CollectiveRequest<'_>> = [&c1, &c2]
+            .map(|c| CollectiveRequest {
+                seq: 1,
+                start: later,
+                ..request(c)
+            })
+            .to_vec();
+        let replayed = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1, "the repeat is replayed");
+        assert_eq!((cache.misses(), cache.hits()), (2, 2));
+        for (a, b) in first.iter().zip(&replayed) {
+            assert_eq!(b.started, later);
+            assert_eq!(a.duration(), b.duration(), "shifted, not changed");
+        }
+    }
+
+    #[test]
+    fn a_changed_route_capacity_is_drained_afresh_without_rebase() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(41);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Halve one host uplink the drain used, then re-stamp every plan
+        // without naming that link: the plans still hit, and only the
+        // memo's own capacity check can tell the drain changed.
+        let link = first[0]
+            .report
+            .link_bytes
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| {
+                matches!(
+                    t.link(LinkId::from_index(l)).kind(),
+                    c4_topology::LinkKind::HostUp(_)
+                )
+            })
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(l, _)| LinkId::from_index(l))
+            .expect("the fabric has host uplinks");
+        t.link_mut(link).set_degradation(0.5);
+        assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!((cache.misses(), cache.hits()), (2, 2), "plans still hit");
+        assert_eq!(cache.drain_reuses(), 0, "the memo saw the capacity change");
+        // The fresh drain replaced the record: the next call replays it.
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1);
+    }
+
+    #[test]
+    fn noisy_drains_are_never_replayed() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let noisy = [
+            DrainConfig {
+                rate_noise: 0.1,
+                ..DrainConfig::default()
+            },
+            DrainConfig {
+                cnp: Some(c4_netsim::CnpModel::paper_default()),
+                ..DrainConfig::default()
+            },
+        ];
+        for drain in noisy {
+            let mut cache = PlanCache::new();
+            let mut rng = DetRng::seed_from(42);
+            let reqs = [&c1, &c2].map(|c| CollectiveRequest {
+                drain: drain.clone(),
+                ..request(c)
+            });
+            for _ in 0..2 {
+                cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+            }
+            assert_eq!(cache.hits(), 2, "plans are cached");
+            assert_eq!(cache.drain_reuses(), 0, "noisy drains always drain");
+        }
+    }
+
+    #[test]
+    fn hung_and_deadline_cut_drains_are_not_replayed() {
+        // A dead host uplink under every port of node 0: the drain hangs
+        // until its deadline, twice, and is never recorded.
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut dead = t.clone();
+        for &nic in &dead.node(NodeId::from_index(0)).nics.clone() {
+            for p in dead.nic(nic).ports {
+                let up = dead.port(p).host_up;
+                dead.link_mut(up).set_up(false);
+            }
+        }
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(43);
+        let reqs = [&c1, &c2].map(|c| {
+            let mut r = request(c);
+            r.drain.deadline = Some(SimTime::from_secs(30));
+            r
+        });
+        for _ in 0..2 {
+            let res = cached_matches_uncached(&dead, &reqs, &mut cache, &mut rng);
+            assert!(res[0].hung());
+        }
+        assert_eq!(cache.drain_reuses(), 0, "a hung drain is not recorded");
+
+        // A healthy drain is recorded; a deadline at its shifted end could
+        // have cut it, so it drains afresh; one nanosecond later replays.
+        let mut cache = PlanCache::new();
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        let span = first[0].report.end - SimTime::ZERO;
+        let start = SimTime::from_secs(7);
+        for (slack_ns, reuses) in [(0, 0), (1, 1)] {
+            let deadline = start + span + SimDuration::from_nanos(slack_ns);
+            let reqs = [&c1, &c2].map(|c| {
+                let mut r = request(c);
+                r.start = start;
+                r.drain.deadline = Some(deadline);
+                r
+            });
+            cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+            assert_eq!(cache.drain_reuses(), reuses, "{slack_ns} ns of slack");
         }
     }
 

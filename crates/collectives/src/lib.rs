@@ -31,6 +31,7 @@
 pub mod alltoall;
 pub mod comm;
 pub mod engine;
+mod memo;
 pub mod plan;
 pub mod result;
 

@@ -6,7 +6,7 @@ use c4_telemetry::CollKind;
 
 /// Everything one collective run produced: timing, bus bandwidth, per-QP
 /// outcomes and the raw network report (link bytes, CNP rates).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveResult {
     /// Communicator id.
     pub comm: u64,

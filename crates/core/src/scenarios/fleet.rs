@@ -158,6 +158,7 @@ impl FleetSoakSweep {
         cache
             .push("hits", r.cache_hits)
             .push("misses", r.cache_misses)
+            .push("drain_reuses", r.drain_reuses)
             .push("rebased_drops", r.cache_rebased_drops)
             .push("stale_plan_routes", r.stale_plan_routes);
 

@@ -142,6 +142,9 @@ pub struct FleetReport {
     pub cache_hits: u64,
     /// Plan-cache misses summed over all jobs.
     pub cache_misses: u64,
+    /// Noise-free drains the jobs' plan caches replayed instead of drained
+    /// (`c4_collectives::PlanCache::drain_reuses`), summed over all jobs.
+    pub drain_reuses: u64,
     /// Cache entries surgically dropped by rebase (routes through changed
     /// links).
     pub cache_rebased_drops: u64,

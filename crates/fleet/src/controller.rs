@@ -317,6 +317,7 @@ pub struct FleetController {
     stale_plan_routes: u64,
     cache_hits: u64,
     cache_misses: u64,
+    drain_reuses: u64,
     rounds: u64,
     live_iterations: u64,
 }
@@ -416,6 +417,7 @@ impl FleetController {
             stale_plan_routes: 0,
             cache_hits: 0,
             cache_misses: 0,
+            drain_reuses: 0,
             rounds: 0,
             live_iterations: 0,
             cfg,
@@ -483,6 +485,7 @@ impl FleetController {
             repairs_returned: self.repairs_returned,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
+            drain_reuses: self.drain_reuses,
             cache_rebased_drops: self.cache_rebased_drops,
             stale_plan_routes: self.stale_plan_routes,
         }
@@ -1163,6 +1166,7 @@ impl FleetController {
         };
         self.cache_hits += fj.job.plan_cache().hits();
         self.cache_misses += fj.job.plan_cache().misses();
+        self.drain_reuses += fj.job.plan_cache().drain_reuses();
         for &n in &fj.job.layout().nodes {
             if self.topo.is_node_healthy(n) {
                 self.free_nodes.push(n);

@@ -115,7 +115,7 @@ impl Default for DrainConfig {
 }
 
 /// Everything a drain run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrainReport {
     /// Per-flow outcomes, in spec order.
     pub outcomes: Vec<FlowOutcome>,
@@ -142,6 +142,13 @@ pub struct DrainReport {
 /// is a high-water mark — [`DrainSolverStats::merge`] folds accordingly, so
 /// multi-phase callers (the collective engine, the hybrid trainer) can
 /// aggregate per-phase reports into one summary.
+///
+/// A report the collective layer's plan cache *replayed* instead of
+/// drained (a noise-free BSP drain whose inputs did not change; see
+/// `c4_collectives::PlanCache`) carries the counters of the drain it
+/// replays: they describe the work that produced the results, not work
+/// done by the replaying call. Summed over a run, they count that work
+/// once per result served.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DrainSolverStats {
     /// Events the drain loop processed (completions, noise-grid instants,

@@ -630,6 +630,28 @@ mod tests {
     }
 
     #[test]
+    fn noise_free_iterations_replay_every_phase() {
+        let t = topo();
+        let mut job = HybridJob::new(&t, HybridSpec::moe(8, 2, 4), nodes(16), 1).unwrap();
+        let mut sel = EcmpSelector::new(5);
+        let mut rng = DetRng::seed_from(5);
+        let first = job.run_iteration(&t, &mut sel, None, &mut rng);
+        assert_eq!(job.plan_cache().drain_reuses(), 0);
+        // Each phase keeps its own memo slot: all four replay.
+        let second = job.run_iteration(&t, &mut sel, None, &mut rng);
+        assert_eq!(job.plan_cache().drain_reuses(), 4);
+        let durations = |r: &HybridIterationReport| -> Vec<SimDuration> {
+            r.phases.iter().map(|p| p.duration).collect()
+        };
+        assert_eq!(durations(&first), durations(&second));
+        assert_eq!(first.solver, second.solver);
+        // A skew rotation moves EP bytes: that phase drains afresh.
+        job.set_ep_skew(EpSkew::hot(0, 3.0));
+        job.run_iteration(&t, &mut sel, None, &mut rng);
+        assert_eq!(job.plan_cache().drain_reuses(), 4 + 3);
+    }
+
+    #[test]
     fn plan_cache_serves_every_family_across_iterations() {
         let t = topo();
         let mut job = HybridJob::new(&t, HybridSpec::moe(8, 4, 2), nodes(16), 1).unwrap();
