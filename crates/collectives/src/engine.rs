@@ -1766,6 +1766,31 @@ mod tests {
             cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
             assert_eq!(cache.drain_reuses(), reuses, "{slack_ns} ns of slack");
         }
+
+        // A drain that completes exactly at its deadline is not recorded:
+        // the deadline may have clamped its last step. On host links slowed
+        // to 4 Gbps a clamped last step falls inside the one-byte
+        // completion tolerance, so the drain still completes.
+        let mut slow = t.clone();
+        for l in 0..slow.num_links() {
+            let l = LinkId::from_index(l);
+            if matches!(slow.link(l).kind(), c4_topology::LinkKind::HostUp(_)) {
+                slow.link_mut(l).set_degradation(0.02);
+            }
+        }
+        let mut cache = PlanCache::new();
+        let end = cached_matches_uncached(&slow, &reqs, &mut PlanCache::new(), &mut rng)[0]
+            .report
+            .end;
+        let at_deadline = [&c1, &c2].map(|c| {
+            let mut r = request(c);
+            r.drain.deadline = Some(end);
+            r
+        });
+        let res = cached_matches_uncached(&slow, &at_deadline, &mut cache, &mut rng);
+        assert!(res.iter().all(|r| !r.hung()), "it still completes");
+        cached_matches_uncached(&slow, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 0, "nothing was recorded");
     }
 
     #[test]

@@ -8,14 +8,20 @@
 //! the capacity of every route link, the link and port counts that size
 //! `link_bytes` and `cnp_per_port`, and `start` and `deadline`. `start`
 //! only shifts the integer-nanosecond times: the loop works in seconds
-//! since the start. The deadline is read at every event, but a drain that
-//! ends at least 1 ns before it was never clamped by it: a binding clamp
-//! lands the clock on the deadline itself. So a drain is recorded only
-//! when it completed every flow 1 ns or more before its deadline, and
-//! replayed only when the shifted run ends 1 ns or more before the new
-//! one. Any other difference runs [`drain`] as usual.
+//! since the start. The deadline is read at every event but binds only on
+//! a step that would cross it. A drain that completed every flow 1 ns or
+//! more before its deadline was never clamped, since a binding clamp lands
+//! the clock on the deadline itself; only such a drain is recorded. Its
+//! replay, shifted to a new start, is not clamped either when it ends
+//! 1 ns or more before the new deadline: each step advances the clock by
+//! its length rounded to the nearest nanosecond, so no step was as long as
+//! the distance to that deadline. Any other difference runs [`drain`] as
+//! usual.
 //!
 //! [`drain`]: c4_netsim::drain
+
+use std::iter;
+use std::sync::Arc;
 
 use c4_netsim::{DrainConfig, DrainReport, DrainSolverStats, FlowOutcome, FlowSpec};
 use c4_simcore::{SimDuration, SimTime};
@@ -69,9 +75,8 @@ fn clear_of(end: SimTime, deadline: Option<SimTime>) -> bool {
 
 impl DrainMemo {
     /// Records `report`, the [`drain`](c4_netsim::drain) of `specs` under
-    /// `cfg`, or returns
-    /// `None` when the drain hung or may have been cut by its deadline.
-    /// `cfg` must be [`replayable`].
+    /// `cfg`, or returns `None` when the drain hung or may have been cut by
+    /// its deadline. `cfg` must be [`replayable`].
     pub(crate) fn record(
         topo: &Topology,
         specs: Vec<FlowSpec>,
@@ -115,17 +120,20 @@ impl DrainMemo {
     ) -> Option<DrainReport> {
         let shift = |t: SimTime| cfg.start + (t - self.start);
         let end = shift(self.end);
-        let same_inputs = clear_of(end, cfg.deadline)
+        let replays = clear_of(end, cfg.deadline)
             && self.num_links == topo.num_links()
             && self.num_ports == topo.ports().len()
             && self.specs == specs
             && capacity_bits(topo, specs).eq(self.capacity_bits.iter().copied());
-        if !same_inputs {
+        if !replays {
             return None;
         }
-        let mut link_bytes = vec![0.0; self.num_links];
+        // Filled in place: collecting straight into the `Arc` saves the
+        // copy a `Vec` conversion would make of the whole table.
+        let mut link_bytes: Arc<[f64]> = iter::repeat_n(0.0, self.num_links).collect();
+        let dense = Arc::get_mut(&mut link_bytes).expect("a fresh Arc is unique");
         for &(l, b) in &self.link_bytes {
-            link_bytes[l as usize] = b;
+            dense[l as usize] = b;
         }
         Some(DrainReport {
             outcomes: self
@@ -138,8 +146,8 @@ impl DrainMemo {
                 })
                 .collect(),
             end,
-            link_bytes: link_bytes.into(),
-            cnp_per_port: vec![0.0; self.num_ports].into(),
+            link_bytes,
+            cnp_per_port: iter::repeat_n(0.0, self.num_ports).collect(),
             congested_flows: self.congested_flows,
             solver: self.solver,
         })
