@@ -16,6 +16,9 @@
 //! iterations and a fleet soak, the drains a [`PlanCache`] may replay
 //! rather than re-drain. Its constant was recorded before the replay
 //! existed, so it pins that a replayed drain reports what a fresh one does.
+//! Another folds a whole day of the 512-GPU benchmark soak, report and
+//! per-job ledger, at two seeds: the fleet's control loop, detectors and
+//! telemetry plumbing must leave every outcome unchanged.
 //!
 //! A pure refactor of the drain, the solver or the collective layer must
 //! leave every results digest unchanged; a change that moves any result by
@@ -314,4 +317,72 @@ fn noise_free_cached_iterations_and_soak_are_unchanged() {
         "noise-free iterations + soak: results digest {:#018x}, recorded {RECORDED:#018x}",
         d.0
     );
+}
+
+/// Folds every field of a fleet report except `drain_reuses`, which
+/// counts replays (how the work was done) rather than outcomes.
+fn fleet_report(d: &mut Digest, r: &FleetReport) {
+    d.word(r.horizon.as_nanos());
+    d.word(r.ended.as_nanos());
+    d.word(r.rounds);
+    d.word(r.live_iterations);
+    let f = &r.faults;
+    for v in [f.crashes, f.degradations, f.link_failures, f.skipped] {
+        d.word(v);
+    }
+    for v in [
+        r.detections,
+        r.isolations,
+        r.replacements,
+        r.dp_shrinks,
+        r.retries,
+        r.escalations,
+        r.repairs_returned,
+        r.cache_hits,
+        r.cache_misses,
+        r.cache_rebased_drops,
+        r.stale_plan_routes,
+    ] {
+        d.word(v);
+    }
+    for j in &r.jobs {
+        d.word(j.id);
+        d.word(u64::from(j.completed));
+        d.word(u64::from(j.failed));
+        d.word(j.final_dp as u64);
+        let a = &j.accounting;
+        d.word(a.admitted.as_nanos());
+        d.word(a.finished.map_or(u64::MAX, SimTime::as_nanos));
+        for v in [
+            a.iterations,
+            a.degraded_iterations,
+            a.productive.as_nanos(),
+            a.downtime.as_nanos(),
+            a.recoveries,
+            a.retries,
+            a.dp_shrinks,
+        ] {
+            d.word(v);
+        }
+    }
+}
+
+/// One simulated day of the 512-GPU benchmark soak (`FleetConfig::soak_512`)
+/// at seeds 2 and 42: the control-loop census, the fault counts and every
+/// job's outcome and time ledger.
+#[test]
+fn soak_512_day_is_unchanged() {
+    for (seed, recorded) in [(2, 0x82d2_a972_adec_eb33), (42, 0x0644_8579_5545_e722)] {
+        let mut cfg = FleetConfig::soak_512(seed);
+        cfg.horizon = SimDuration::from_hours(24);
+        let r = FleetController::new(cfg).run();
+        assert!(r.isolations > 0, "seed {seed}: the day isolates nodes");
+        let mut d = Digest::new();
+        fleet_report(&mut d, &r);
+        assert_eq!(
+            d.0, recorded,
+            "soak_512 seed {seed}: results digest {:#018x}, recorded {recorded:#018x}",
+            d.0
+        );
+    }
 }
