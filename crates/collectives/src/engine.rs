@@ -12,6 +12,7 @@
 //!   jobs/tenants (§III-B).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,9 +67,11 @@ pub struct CollectiveRequest<'a> {
     pub drain: DrainConfig,
 }
 
-/// Flow specs of one request plus bookkeeping to split outcomes back out.
+/// One request's range of the call's flow specs plus bookkeeping to split
+/// outcomes back out.
 struct BuiltRequest {
-    specs: Vec<FlowSpec>,
+    /// The request's flows in the call's spec vector, intra edges first.
+    specs: Range<usize>,
     intra_count: usize,
     message_bytes: ByteSize,
     edge_bytes: ByteSize,
@@ -153,8 +156,12 @@ struct PlanEntry {
 /// [`DrainSolverStats`](c4_netsim::DrainSolverStats) are those of the drain
 /// it replays. Debug builds drain every replayed call afresh as well and
 /// assert that both reports are equal and that the RNG did not move.
-/// [`PlanCache::drain_reuses`] counts the replays. Slots are dropped
-/// whenever plans leave the cache.
+/// [`PlanCache::drain_reuses`] counts the replays. Slots are dropped by
+/// [`PlanCache::clear`], [`PlanCache::invalidate_comm`] and a
+/// [`PlanCache::rebase`] that drops a plan. A plan rebuilt after a topology
+/// or selector change keeps its slot: the next call replays only if the
+/// rebuilt plan presents the recorded inputs, and otherwise drains and
+/// overwrites the slot.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entries: HashMap<PlanKey, PlanEntry>,
@@ -269,7 +276,7 @@ impl PlanCache {
         &mut self,
         slot: Vec<PlanKey>,
         topo: &Topology,
-        specs: Vec<FlowSpec>,
+        specs: &[FlowSpec],
         cfg: &DrainConfig,
         rng: &mut DetRng,
     ) -> DrainReport {
@@ -277,7 +284,7 @@ impl PlanCache {
         if let Some(report) = self
             .drains
             .get(&slot)
-            .and_then(|m| m.replay(topo, &specs, cfg))
+            .and_then(|m| m.replay(topo, specs, cfg))
         {
             self.drain_reuses += 1;
             #[cfg(debug_assertions)]
@@ -285,7 +292,7 @@ impl PlanCache {
                 let mut probe = rng.clone();
                 assert_eq!(
                     report,
-                    drain(topo, &specs, cfg, &mut probe),
+                    drain(topo, specs, cfg, &mut probe),
                     "a replayed drain equals a fresh one"
                 );
                 assert_eq!(
@@ -296,7 +303,7 @@ impl PlanCache {
             }
             return report;
         }
-        let report = drain(topo, &specs, cfg, rng);
+        let report = drain(topo, specs, cfg, rng);
         if let Some(m) = DrainMemo::record(topo, specs, cfg, &report) {
             self.drains.insert(slot, m);
         }
@@ -615,7 +622,7 @@ fn plan_requests(
                     qps: p.qps,
                     alltoall: matches!(p.shape, PendingShape::A2a(_)),
                 };
-                let rebuilt = c.entries.insert(
+                c.entries.insert(
                     key.clone(),
                     PlanEntry {
                         topo_version: topo.version(),
@@ -623,9 +630,6 @@ fn plan_requests(
                         plan,
                     },
                 );
-                if rebuilt.is_some() {
-                    c.drains.clear();
-                }
                 sources[p.source_idx] = PlanSource::Cached(key);
             }
             _ => {
@@ -642,11 +646,13 @@ fn plan_requests(
     (sources, owned)
 }
 
-/// Turns a resolved plan into the request's flow specs and timing metadata.
+/// Appends a resolved plan's flow specs to `specs` and returns the
+/// request's range of them plus its timing metadata.
 fn build_request(
     req: &CollectiveRequest<'_>,
     plan: &PlanSpec,
     weight_of: &dyn Fn(&FlowKey) -> f64,
+    specs: &mut Vec<FlowSpec>,
 ) -> BuiltRequest {
     let comm = req.comm;
     let nranks = comm.nranks();
@@ -670,7 +676,8 @@ fn build_request(
         .max(req.start);
 
     let flow_count = plan.intra.len() + plan.streams.iter().map(Vec::len).sum::<usize>();
-    let mut specs: Vec<FlowSpec> = Vec::with_capacity(flow_count);
+    specs.reserve(flow_count);
+    let first = specs.len();
 
     if req.kind == CollKind::AllToAll {
         // Pairwise exchange: every flow (NVLink or fabric) carries its
@@ -685,14 +692,14 @@ fn build_request(
         for (key, route) in &plan.intra {
             specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
         }
-        let intra_count = specs.len();
+        let intra_count = specs.len() - first;
         for stream in &plan.streams {
             for (key, route) in stream {
                 specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
             }
         }
         return BuiltRequest {
-            specs,
+            specs: first..specs.len(),
             intra_count,
             message_bytes,
             edge_bytes,
@@ -704,7 +711,7 @@ fn build_request(
     for (key, route) in &plan.intra {
         specs.push(FlowSpec::new(*key, edge_bytes, route.clone()));
     }
-    let intra_count = specs.len();
+    let intra_count = specs.len() - first;
 
     // Boundary streams: B bytes per rail, split across Q QPs by weight.
     for stream in &plan.streams {
@@ -730,7 +737,7 @@ fn build_request(
     }
 
     BuiltRequest {
-        specs,
+        specs: first..specs.len(),
         intra_count,
         message_bytes,
         edge_bytes,
@@ -739,11 +746,13 @@ fn build_request(
     }
 }
 
-/// Records telemetry for one completed/hung request.
+/// Records telemetry for one completed/hung request: `specs` and
+/// `outcomes` are its range of the call's flows.
 fn emit_telemetry(
     topo: &Topology,
     req: &CollectiveRequest<'_>,
     built: &BuiltRequest,
+    specs: &[FlowSpec],
     outcomes: &[c4_netsim::FlowOutcome],
     finished: Option<SimTime>,
     tel: &mut [WorkerTelemetry],
@@ -772,7 +781,7 @@ fn emit_telemetry(
             });
         }
     }
-    for (spec, outcome) in built.specs.iter().zip(outcomes).skip(built.intra_count) {
+    for (spec, outcome) in specs.iter().zip(outcomes).skip(built.intra_count) {
         if let (Some(finish), Some(start_port)) = (
             outcome.finish,
             spec.route.iter().find_map(|&l| match topo.link(l).kind() {
@@ -871,6 +880,8 @@ pub fn run_concurrent_cached(
     let cache_ref = cache.as_deref();
     let sel_ref: &dyn PathSelector = &*selector;
     let weight_of = |k: &FlowKey| qp_weights.map_or_else(|| sel_ref.byte_split_weight(k), |f| f(k));
+    // Every request's flows, built once into the vector the drain reads.
+    let mut specs: Vec<FlowSpec> = Vec::new();
     let built: Vec<BuiltRequest> = reqs
         .iter()
         .zip(&sources)
@@ -881,7 +892,7 @@ pub fn run_concurrent_cached(
                 }
                 PlanSource::Owned(i) => &owned[*i],
             };
-            build_request(r, plan, &weight_of)
+            build_request(r, plan, &weight_of, &mut specs)
         })
         .collect();
 
@@ -894,7 +905,6 @@ pub fn run_concurrent_cached(
         .min()
         .expect("non-empty requests");
     let deadline = reqs.iter().filter_map(|r| r.drain.deadline).min();
-    let all_specs: Vec<FlowSpec> = built.iter().flat_map(|b| b.specs.clone()).collect();
     let drain_cfg = DrainConfig {
         start: common_start,
         deadline,
@@ -914,17 +924,15 @@ pub fn run_concurrent_cached(
         None
     };
     let report = match (cache, slot) {
-        (Some(c), Some(slot)) => c.drain_memoized(slot, topo, all_specs, &drain_cfg, rng),
-        _ => drain(topo, &all_specs, &drain_cfg, rng),
+        (Some(c), Some(slot)) => c.drain_memoized(slot, topo, &specs, &drain_cfg, rng),
+        _ => drain(topo, &specs, &drain_cfg, rng),
     };
 
     // Split outcomes back per request.
     let mut results = Vec::with_capacity(reqs.len());
-    let mut offset = 0usize;
     for (req, b) in reqs.iter().zip(&built) {
         let n = b.specs.len();
-        let outcomes = &report.outcomes[offset..offset + n];
-        offset += n;
+        let outcomes = &report.outcomes[b.specs.clone()];
         let all_done = outcomes.iter().all(|o| o.completed());
         let finished = if n == 0 {
             Some(b.started)
@@ -934,7 +942,15 @@ pub fn run_concurrent_cached(
             None
         };
         if let Some(tel) = telemetry.as_deref_mut() {
-            emit_telemetry(topo, req, b, outcomes, finished, tel);
+            emit_telemetry(
+                topo,
+                req,
+                b,
+                &specs[b.specs.clone()],
+                outcomes,
+                finished,
+                tel,
+            );
         }
         let sub_report = c4_netsim::DrainReport {
             outcomes: outcomes.to_vec(),
@@ -1658,19 +1674,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_changed_route_capacity_is_drained_afresh_without_rebase() {
-        let mut t = topo();
-        let (c1, c2) = overlapping_pair(&t);
-        let mut cache = PlanCache::new();
-        let mut rng = DetRng::seed_from(41);
-        let reqs = [request(&c1), request(&c2)];
-        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
-        // Halve one host uplink the drain used, then re-stamp every plan
-        // without naming that link: the plans still hit, and only the
-        // memo's own capacity check can tell the drain changed.
-        let link = first[0]
-            .report
+    /// The host uplink that carried the most bytes in `r`'s drain.
+    fn busiest_host_uplink(t: &Topology, r: &CollectiveResult) -> LinkId {
+        r.report
             .link_bytes
             .iter()
             .enumerate()
@@ -1682,7 +1688,21 @@ mod tests {
             })
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(l, _)| LinkId::from_index(l))
-            .expect("the fabric has host uplinks");
+            .expect("the fabric has host uplinks")
+    }
+
+    #[test]
+    fn a_changed_route_capacity_is_drained_afresh_without_rebase() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(41);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Halve one host uplink the drain used, then re-stamp every plan
+        // without naming that link: the plans still hit, and only the
+        // memo's own capacity check can tell the drain changed.
+        let link = busiest_host_uplink(&t, &first[0]);
         t.link_mut(link).set_degradation(0.5);
         assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
         cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
@@ -1791,6 +1811,51 @@ mod tests {
         assert!(res.iter().all(|r| !r.hung()), "it still completes");
         cached_matches_uncached(&slow, &reqs, &mut cache, &mut rng);
         assert_eq!(cache.drain_reuses(), 0, "nothing was recorded");
+    }
+
+    #[test]
+    fn a_plan_rebuilt_into_the_same_inputs_is_replayed() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(44);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Degrade a host uplink of node 10, which neither communicator
+        // uses, without a rebase: the topology version moves, so both
+        // plans rebuild, into the same routes over the same capacities.
+        let idle = t
+            .port(t.nic(t.node(NodeId::from_index(10)).nics[0]).ports[0])
+            .host_up;
+        assert_eq!(
+            first[0].report.link_bytes[idle.index()],
+            0.0,
+            "no route uses it"
+        );
+        t.link_mut(idle).set_degradation(0.5);
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!((cache.misses(), cache.hits()), (4, 0), "both plans rebuilt");
+        assert_eq!(cache.drain_reuses(), 1, "the rebuild kept the slot");
+    }
+
+    #[test]
+    fn a_plan_rebuilt_over_a_changed_route_capacity_is_drained_afresh() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(45);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Halve a host uplink the drain used, without a rebase: both plans
+        // rebuild, and the memo sees the changed capacity.
+        let link = busiest_host_uplink(&t, &first[0]);
+        t.link_mut(link).set_degradation(0.5);
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!((cache.misses(), cache.hits()), (4, 0), "both plans rebuilt");
+        assert_eq!(cache.drain_reuses(), 0, "the memo saw the capacity change");
+        // The fresh drain overwrote the slot: the next call replays it.
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1);
     }
 
     #[test]

@@ -75,11 +75,11 @@ fn clear_of(end: SimTime, deadline: Option<SimTime>) -> bool {
 
 impl DrainMemo {
     /// Records `report`, the [`drain`](c4_netsim::drain) of `specs` under
-    /// `cfg`, or returns `None` when the drain hung or may have been cut by
-    /// its deadline. `cfg` must be [`replayable`].
+    /// `cfg`, with a copy of `specs`, or returns `None` when the drain hung
+    /// or may have been cut by its deadline. `cfg` must be [`replayable`].
     pub(crate) fn record(
         topo: &Topology,
-        specs: Vec<FlowSpec>,
+        specs: &[FlowSpec],
         cfg: &DrainConfig,
         report: &DrainReport,
     ) -> Option<DrainMemo> {
@@ -95,8 +95,8 @@ impl DrainMemo {
             .map(|(l, &b)| (l as u32, b))
             .collect();
         Some(DrainMemo {
-            capacity_bits: capacity_bits(topo, &specs).collect(),
-            specs,
+            capacity_bits: capacity_bits(topo, specs).collect(),
+            specs: specs.to_vec(),
             num_links: topo.num_links(),
             num_ports: topo.ports().len(),
             start: cfg.start,

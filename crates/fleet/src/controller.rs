@@ -32,8 +32,7 @@ use c4_faults::{
 };
 use c4_netsim::EcmpSelector;
 use c4_simcore::{DetRng, ParallelPolicy, SimDuration, SimTime};
-use c4_telemetry::pipeline::events_from_snapshots;
-use c4_telemetry::{CommRecord, TelemetrySnapshot, WorkerTelemetry};
+use c4_telemetry::{CommRecord, WorkerTelemetry};
 use c4_topology::{ClosConfig, LinkId, NodeId, Topology};
 use c4_trainsim::{JobSpec, ParallelLayout, TrainingJob};
 
@@ -304,6 +303,9 @@ pub struct FleetController {
     flaps: FlapTracker,
     slow: FlapTracker,
     clock: SimTime,
+    /// Per-GPU telemetry stores, built on the first live iteration and
+    /// reused: each live iteration clears and writes only its job's stores.
+    tel: Vec<WorkerTelemetry>,
     outcomes: Vec<JobOutcome>,
     faults: FaultCounts,
     detections: u64,
@@ -404,6 +406,7 @@ impl FleetController {
             active: Vec::new(),
             node_repairs: Vec::new(),
             clock: SimTime::ZERO,
+            tel: Vec::new(),
             outcomes: Vec::new(),
             faults: FaultCounts::default(),
             detections: 0,
@@ -578,11 +581,22 @@ impl FleetController {
             .copied()
             .collect();
 
-        let mut tel: Vec<WorkerTelemetry> = topo
-            .gpus()
-            .iter()
-            .map(|g| WorkerTelemetry::new(g.id))
-            .collect();
+        // The iteration writes, and the detectors read, exactly the stores
+        // of the job's communicator members; cleared, they hold what fresh
+        // stores would.
+        if self.tel.is_empty() {
+            self.tel = topo
+                .gpus()
+                .iter()
+                .map(|g| WorkerTelemetry::new(g.id))
+                .collect();
+        }
+        let tel = &mut self.tel;
+        for comm in fj.job.comms() {
+            for &g in comm.devices() {
+                tel[g.index()].clear();
+            }
+        }
         let round_start = fj.job.now();
         let report = fj.job.run_iteration(
             topo,
@@ -590,23 +604,21 @@ impl FleetController {
             None,
             &mut fj.rng,
             &perturbs,
-            Some(&mut tel),
+            Some(tel),
         );
         self.live_iterations += 1;
 
         // Stream this round's telemetry through one per-communicator
         // streaming master each: a half-down NIC only hangs the DP groups
-        // hashed onto the dead port, so every group must be watched.
+        // hashed onto the dead port, so every group must be watched. Each
+        // master and the job's health detector read the member stores in
+        // device order, each in its canonical event order: the order the
+        // batch path (`events_from_snapshots`) gives, which the detectors'
+        // order-sensitive folds rely on.
         let scan_at = fj.job.now() + cfg_detector.hang_timeout + SimDuration::from_secs(1);
         let mut diags = Vec::new();
         let mut verdicts: Vec<StreamVerdict> = Vec::new();
         for comm in fj.job.comms() {
-            let snaps: Vec<TelemetrySnapshot> = comm
-                .devices()
-                .iter()
-                .map(|&g| tel[g.index()].snapshot(fj.job.now()))
-                .collect();
-            let events = events_from_snapshots(&snaps);
             let mut master = StreamingC4dMaster::new(
                 cfg_detector,
                 CommRecord {
@@ -615,9 +627,11 @@ impl FleetController {
                     created: round_start,
                 },
             );
-            for e in &events {
-                master.feed(e);
-                verdicts.extend(fj.health.feed(e));
+            for &g in comm.devices() {
+                for e in tel[g.index()].events() {
+                    master.feed(&e);
+                    verdicts.extend(fj.health.feed(&e));
+                }
             }
             diags.extend(master.scan(scan_at, topo));
         }

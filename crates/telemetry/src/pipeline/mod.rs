@@ -175,28 +175,37 @@ impl FromCsv for TelemetryEvent {
     }
 }
 
+/// One worker's records in the **canonical per-store order**: communicator
+/// records, then collective records, then connection aggregates, then rank
+/// reports, each in stored order. The single definition of that order,
+/// shared by [`WorkerTelemetry::events`](crate::WorkerTelemetry::events)
+/// and [`events_from_snapshots`].
+pub(crate) fn store_events<'a>(
+    comms: &'a [CommRecord],
+    colls: &'a [CollRecord],
+    conns: &'a [ConnRecord],
+    ranks: &'a [RankRecord],
+) -> impl Iterator<Item = TelemetryEvent> + 'a {
+    comms
+        .iter()
+        .cloned()
+        .map(TelemetryEvent::Comm)
+        .chain(colls.iter().copied().map(TelemetryEvent::Coll))
+        .chain(conns.iter().copied().map(TelemetryEvent::Conn))
+        .chain(ranks.iter().copied().map(TelemetryEvent::Rank))
+}
+
 /// Flattens a snapshot set into the **canonical event order**: snapshots in
-/// slice order; within each snapshot, communicator records, then collective
-/// records, then connection aggregates, then rank reports, each in stored
-/// order. Both the batch detectors and the streaming feed consume this
-/// order, which is what makes their f64 folds bit-identical.
+/// slice order, each in the canonical per-store order (communicator
+/// records, then collective records, then connection aggregates, then rank
+/// reports, each in stored order). Both the batch detectors and the
+/// streaming feed consume this order, which is what makes their f64 folds
+/// bit-identical.
 pub fn events_from_snapshots(snapshots: &[TelemetrySnapshot]) -> Vec<TelemetryEvent> {
-    let mut events = Vec::new();
-    for snap in snapshots {
-        for c in &snap.comms {
-            events.push(TelemetryEvent::Comm(c.clone()));
-        }
-        for c in &snap.colls {
-            events.push(TelemetryEvent::Coll(*c));
-        }
-        for c in &snap.conns {
-            events.push(TelemetryEvent::Conn(*c));
-        }
-        for r in &snap.ranks {
-            events.push(TelemetryEvent::Rank(*r));
-        }
-    }
-    events
+    snapshots
+        .iter()
+        .flat_map(|s| store_events(&s.comms, &s.colls, &s.conns, &s.ranks))
+        .collect()
 }
 
 #[cfg(test)]
@@ -287,6 +296,79 @@ mod tests {
             })
             .collect();
         assert_eq!(ranks, vec![0, 1]);
+    }
+
+    #[test]
+    fn stores_in_device_order_yield_the_snapshot_order() {
+        let coll = |seq: u64, end: Option<SimTime>| CollRecord {
+            comm: 1,
+            seq,
+            rank: 0,
+            kind: CollKind::AllReduce,
+            algo: AlgoKind::Ring,
+            dtype: DataType::F32,
+            count: 8,
+            start: SimTime::from_secs(seq),
+            end,
+        };
+        let stores: Vec<WorkerTelemetry> = (0..2)
+            .map(|gpu| {
+                let mut w = WorkerTelemetry::new(GpuId::from_index(gpu));
+                w.record_comm(CommRecord {
+                    comm: 1,
+                    devices: vec![GpuId::from_index(0), GpuId::from_index(1)],
+                    created: SimTime::ZERO,
+                });
+                w.record_coll(coll(0, Some(SimTime::from_secs(1))));
+                w.record_coll(coll(1, None));
+                // Connections recorded out of key order, one of them twice.
+                for qp in [2u16, 0, 1, 2] {
+                    let key = crate::record::ConnKey {
+                        comm: 1,
+                        channel: qp,
+                        qp,
+                        src_gpu: GpuId::from_index(gpu),
+                        dst_gpu: GpuId::from_index(1 - gpu),
+                    };
+                    w.record_message(
+                        key,
+                        PortId::from_index(gpu),
+                        64 << qp,
+                        SimDuration::from_micros(10 + u64::from(qp)),
+                        SimTime::from_secs(2),
+                    );
+                }
+                for step in 0..2 {
+                    w.record_rank(RankRecord {
+                        comm: 1,
+                        rank: gpu as u32,
+                        step,
+                        compute: SimDuration::from_millis(step + 1),
+                        ready_delay: SimDuration::ZERO,
+                        arrived: SimTime::from_secs(step),
+                    });
+                }
+                w
+            })
+            .collect();
+        let snaps: Vec<TelemetrySnapshot> = stores
+            .iter()
+            .map(|w| w.snapshot(SimTime::from_secs(3)))
+            .collect();
+        // Per store: comms, colls, conns (first-record order), ranks.
+        let kinds: String = stores[0]
+            .events()
+            .map(|e| match e {
+                TelemetryEvent::Comm(_) => 'm',
+                TelemetryEvent::Coll(_) => 'c',
+                TelemetryEvent::Conn(c) => char::from(b'0' + c.key.qp as u8),
+                TelemetryEvent::Rank(_) => 'r',
+                TelemetryEvent::Load(_) => 'l',
+            })
+            .collect();
+        assert_eq!(kinds, "mcc201rr");
+        let streamed: Vec<TelemetryEvent> = stores.iter().flat_map(|w| w.events()).collect();
+        assert_eq!(streamed, events_from_snapshots(&snaps));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use c4_simcore::{SimDuration, SimTime};
 use c4_topology::{GpuId, PortId};
 
+use crate::pipeline::{store_events, TelemetryEvent};
 use crate::record::{CollRecord, CommRecord, ConnKey, ConnRecord, RankRecord};
 
 /// All statistics one worker has accumulated.
@@ -50,19 +51,6 @@ impl WorkerTelemetry {
     /// Appends a collective-operation record.
     pub fn record_coll(&mut self, rec: CollRecord) {
         self.colls.push(rec);
-    }
-
-    /// Marks the most recent matching in-flight collective as completed.
-    ///
-    /// Returns `true` if a matching in-flight record was found.
-    pub fn complete_coll(&mut self, comm: u64, seq: u64, end: SimTime) -> bool {
-        for rec in self.colls.iter_mut().rev() {
-            if rec.comm == comm && rec.seq == seq && rec.end.is_none() {
-                rec.end = Some(end);
-                return true;
-            }
-        }
-        false
     }
 
     /// Folds a message transfer into the connection aggregate, creating the
@@ -118,7 +106,20 @@ impl WorkerTelemetry {
         self.colls.iter().filter(|c| c.end.is_none())
     }
 
-    /// Drops all records (job restart).
+    /// The store's records as pipeline events, in the canonical per-store
+    /// order that [`events_from_snapshots`] gives each snapshot:
+    /// communicator records, then collective records, then connection
+    /// aggregates, then rank reports. Feeding stores in device order this
+    /// way streams exactly the events of their snapshots without taking
+    /// any.
+    ///
+    /// [`events_from_snapshots`]: crate::pipeline::events_from_snapshots
+    pub fn events(&self) -> impl Iterator<Item = TelemetryEvent> + '_ {
+        store_events(&self.comms, &self.colls, &self.conns, &self.ranks)
+    }
+
+    /// Drops all records (job restart). A cleared store holds what a fresh
+    /// one would, and keeps its buffers.
     pub fn clear(&mut self) {
         self.comms.clear();
         self.colls.clear();
@@ -163,15 +164,6 @@ impl TelemetrySnapshot {
     pub fn in_flight(&self) -> impl Iterator<Item = &CollRecord> {
         self.colls.iter().filter(|c| c.end.is_none())
     }
-
-    /// Highest completed sequence number per communicator.
-    pub fn last_completed_seq(&self, comm: u64) -> Option<u64> {
-        self.colls
-            .iter()
-            .filter(|c| c.comm == comm && c.end.is_some())
-            .map(|c| c.seq)
-            .max()
-    }
 }
 
 #[cfg(test)]
@@ -191,20 +183,6 @@ mod tests {
             start: SimTime::from_secs(seq),
             end,
         }
-    }
-
-    #[test]
-    fn complete_coll_matches_in_flight_only() {
-        let mut w = WorkerTelemetry::new(GpuId::from_index(0));
-        w.record_coll(coll(1, 0, Some(SimTime::from_secs(1))));
-        w.record_coll(coll(1, 1, None));
-        assert!(w.complete_coll(1, 1, SimTime::from_secs(2)));
-        assert!(
-            !w.complete_coll(1, 1, SimTime::from_secs(3)),
-            "already done"
-        );
-        assert!(!w.complete_coll(1, 9, SimTime::from_secs(3)), "no such seq");
-        assert_eq!(w.in_flight().count(), 0);
     }
 
     #[test]
@@ -277,19 +255,10 @@ mod tests {
         assert_eq!(snap.comms.len(), 1);
         assert_eq!(snap.in_flight().count(), 1);
         // Mutating the worker afterwards does not affect the snapshot.
-        w.complete_coll(1, 0, SimTime::from_secs(11));
+        w.record_coll(coll(1, 1, None));
+        assert_eq!(w.in_flight().count(), 2);
+        assert_eq!(snap.colls.len(), 1);
         assert_eq!(snap.in_flight().count(), 1);
-    }
-
-    #[test]
-    fn last_completed_seq_ignores_in_flight() {
-        let mut w = WorkerTelemetry::new(GpuId::from_index(0));
-        w.record_coll(coll(1, 0, Some(SimTime::from_secs(1))));
-        w.record_coll(coll(1, 1, Some(SimTime::from_secs(2))));
-        w.record_coll(coll(1, 2, None));
-        let snap = w.snapshot(SimTime::from_secs(3));
-        assert_eq!(snap.last_completed_seq(1), Some(1));
-        assert_eq!(snap.last_completed_seq(2), None);
     }
 
     #[test]
