@@ -321,7 +321,15 @@ mod tests {
         assert!(hang.critical);
         // Rank 11 = gpu 11 = node 1 on the testbed.
         assert_eq!(hang.suspect, Some(t.gpu(GpuId::from_index(11)).node));
-        assert!(master.log().of_kind(EventKind::CommHang).count() == 1);
+        assert!(
+            master
+                .log()
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::CommHang)
+                .count()
+                == 1
+        );
     }
 
     #[test]

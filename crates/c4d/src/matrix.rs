@@ -98,11 +98,6 @@ impl DelayMatrix {
         m
     }
 
-    /// Matrix dimension (rank count).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Sets one cell (delay in seconds).
     ///
     /// # Panics

@@ -186,8 +186,22 @@ mod tests {
         assert!(!t.is_node_healthy(victim));
         assert_eq!(s.backups_left(), 1);
         assert_eq!(s.isolated(), &[victim]);
-        assert_eq!(s.log().of_kind(EventKind::NodeIsolated).count(), 1);
-        assert_eq!(s.log().of_kind(EventKind::JobRestart).count(), 1);
+        assert_eq!(
+            s.log()
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::NodeIsolated)
+                .count(),
+            1
+        );
+        assert_eq!(
+            s.log()
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::JobRestart)
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use c4_simcore::{SimDuration, SimTime};
-use c4_telemetry::pipeline::{Combiner, EventSink, TelemetryEvent, WindowSpec, WindowedAggregate};
+use c4_telemetry::pipeline::{TelemetryEvent, WindowSpec, WindowedAggregate};
 use c4_telemetry::{CollRecord, CommRecord, ConnKey, ConnRecord, EventLog, RankRecord};
 use c4_topology::Topology;
 
@@ -244,15 +244,17 @@ impl StreamingStragglerDetector {
     }
 }
 
-/// The streaming C4D master for one communicator: feed it the event stream
-/// (it is an [`EventSink`]), then [`scan`](StreamingC4dMaster::scan) at any
-/// point for diagnoses.
+/// The streaming C4D master for one communicator: [`feed`] it the event
+/// stream, then [`scan`] at any point for diagnoses.
 ///
 /// Fed the canonical event order of a snapshot set, `scan` returns exactly
 /// the diagnoses (and logs exactly the events) of
 /// [`C4dMaster::scan`](crate::master::C4dMaster::scan) over those
 /// snapshots — both paths share [`emit_diagnoses`](crate::master) — while
 /// holding only per-rank and per-connection state.
+///
+/// [`feed`]: StreamingC4dMaster::feed
+/// [`scan`]: StreamingC4dMaster::scan
 #[derive(Debug)]
 pub struct StreamingC4dMaster {
     cfg: DetectorConfig,
@@ -328,12 +330,6 @@ impl StreamingC4dMaster {
     }
 }
 
-impl EventSink for StreamingC4dMaster {
-    fn accept(&mut self, event: &TelemetryEvent) {
-        self.feed(event);
-    }
-}
-
 /// A verdict from the windowed stream detectors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamVerdict {
@@ -400,7 +396,6 @@ impl CollHealthDetector {
         CollHealthDetector {
             window: WindowedAggregate::new(
                 WindowSpec::tumbling_time(window),
-                Combiner::Mean,
                 |e| match e {
                     TelemetryEvent::Coll(c) if c.end.is_some() => Some(c.comm),
                     _ => None,
@@ -561,7 +556,6 @@ impl StreamSmoother {
             factor,
             agg: WindowedAggregate::new(
                 WindowSpec::sliding_steps(window, 1),
-                Combiner::Mean,
                 |e| match e {
                     TelemetryEvent::Load(l) => Some(l.rank),
                     _ => None,

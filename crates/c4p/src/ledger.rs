@@ -69,16 +69,11 @@ impl PathLoadLedger {
         self.allocations = self.allocations.saturating_sub(1);
     }
 
-    /// Picks the least-loaded path, breaking ties by spine then slot so the
-    /// allocation is deterministic and naturally round-robins across spines.
-    pub fn least_loaded<'a>(&self, candidates: &'a [FabricPath]) -> Option<&'a FabricPath> {
-        self.least_loaded_rotated(candidates, 0)
-    }
-
-    /// Like [`PathLoadLedger::least_loaded`] but ties break starting from
-    /// `offset` into the candidate list. Different leaf pairs use different
-    /// offsets so a single spine failure does not hit the same tenants on
-    /// every leaf.
+    /// Picks the least-loaded path, breaking ties in candidate order
+    /// starting from `offset`, so the allocation is deterministic and
+    /// naturally round-robins across spines. Different leaf pairs use
+    /// different offsets so a single spine failure does not hit the same
+    /// tenants on every leaf.
     pub fn least_loaded_rotated<'a>(
         &self,
         candidates: &'a [FabricPath],
@@ -139,14 +134,6 @@ impl PathLoadLedger {
     pub fn tracked_links(&self) -> usize {
         self.load.iter().filter(|&&c| c > 0).count()
     }
-
-    /// The ledger's memory footprint in link counters. Fixed by the
-    /// topology (or the highest link index ever allocated), never by
-    /// allocate/release churn — the regression guard for the old
-    /// unbounded-growth behaviour.
-    pub fn footprint_links(&self) -> usize {
-        self.load.len()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +153,7 @@ mod tests {
         let mut ledger = PathLoadLedger::new();
         let mut chosen = Vec::new();
         for _ in 0..paths.len() {
-            let p = *ledger.least_loaded(&paths).unwrap();
+            let p = *ledger.least_loaded_rotated(&paths, 0).unwrap();
             ledger.allocate(&p);
             chosen.push(p);
         }
@@ -176,7 +163,7 @@ mod tests {
         ups.dedup();
         assert_eq!(ups.len(), paths.len());
         // Next allocation reuses a path but load stays balanced at 1→2.
-        let p = *ledger.least_loaded(&paths).unwrap();
+        let p = *ledger.least_loaded_rotated(&paths, 0).unwrap();
         assert_eq!(ledger.path_load(&p), 2);
     }
 
@@ -196,10 +183,14 @@ mod tests {
     #[test]
     fn deterministic_tie_breaks() {
         let (_t, paths) = paths();
-        let a = PathLoadLedger::new().least_loaded(&paths).copied();
-        let b = PathLoadLedger::new().least_loaded(&paths).copied();
+        let a = PathLoadLedger::new()
+            .least_loaded_rotated(&paths, 0)
+            .copied();
+        let b = PathLoadLedger::new()
+            .least_loaded_rotated(&paths, 0)
+            .copied();
         assert_eq!(a, b);
-        assert!(PathLoadLedger::new().least_loaded(&[]).is_none());
+        assert!(PathLoadLedger::new().least_loaded_rotated(&[], 0).is_none());
     }
 
     #[test]
@@ -245,7 +236,7 @@ mod tests {
         // the topology.
         let (t, paths) = paths();
         let mut ledger = PathLoadLedger::for_topology(&t);
-        let footprint = ledger.footprint_links();
+        let footprint = ledger.load.len();
         assert_eq!(footprint, t.num_links());
         for round in 0..1000 {
             let p = &paths[round % paths.len()];
@@ -253,7 +244,7 @@ mod tests {
             assert_eq!(ledger.tracked_links(), 2, "one path live at a time");
             ledger.release(p);
             assert_eq!(ledger.tracked_links(), 0, "release fully untracks");
-            assert_eq!(ledger.footprint_links(), footprint, "round {round}");
+            assert_eq!(ledger.load.len(), footprint, "round {round}");
         }
         assert_eq!(ledger.total_allocations(), 0);
     }

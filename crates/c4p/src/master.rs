@@ -163,11 +163,6 @@ impl C4pMaster {
         self
     }
 
-    /// Sets the batch-selection thread budget.
-    pub fn set_parallel(&mut self, parallel: ParallelPolicy) {
-        self.parallel = parallel;
-    }
-
     /// The batch-selection thread budget.
     pub fn parallel(&self) -> ParallelPolicy {
         self.parallel

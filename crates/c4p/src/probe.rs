@@ -10,7 +10,7 @@
 //! The catalog is stored **dense**: healthy paths of all ordered leaf pairs
 //! live in one flat vector with per-pair ranges, and each pair additionally
 //! carries its candidates' `[up, down]` link indices in a contiguous slice
-//! ([`PathCatalog::link_pairs`]). The allocation hot loop
+//! ([`PathCatalog::candidates`] returns both). The allocation hot loop
 //! (`PathLoadLedger::least_loaded_indexed`) therefore runs over two small
 //! dense arrays — no hash lookups per candidate — which is what keeps plan
 //! builds fast at thousands of GPUs (hundreds of leaves ⇒ tens of
@@ -88,20 +88,10 @@ impl PathCatalog {
         self.pair_start[p] as usize..self.pair_start[p + 1] as usize
     }
 
-    /// Healthy paths between two leaves (empty slice if none or same leaf).
-    pub fn healthy_paths(&self, src: SwitchId, dst: SwitchId) -> &[FabricPath] {
-        &self.paths[self.pair_range(src, dst)]
-    }
-
-    /// The dense `[up, down]` link-index pairs of the same candidates
-    /// [`PathCatalog::healthy_paths`] returns, positions aligned — the scan
-    /// input for `PathLoadLedger::least_loaded_indexed`.
-    pub fn link_pairs(&self, src: SwitchId, dst: SwitchId) -> &[[u32; 2]] {
-        &self.link_pairs[self.pair_range(src, dst)]
-    }
-
-    /// Both candidate views of one leaf pair — paths and their dense link
-    /// indices — from a single range computation (the hot-path accessor).
+    /// The healthy paths between two leaves and their dense `[up, down]`
+    /// link-index pairs, positions aligned (the scan input for
+    /// `PathLoadLedger::least_loaded_indexed`); both empty if there are none,
+    /// for the same leaf, or for out-of-range ids.
     pub fn candidates(&self, src: SwitchId, dst: SwitchId) -> (&[FabricPath], &[[u32; 2]]) {
         let range = self.pair_range(src, dst);
         (&self.paths[range.clone()], &self.link_pairs[range])
@@ -130,7 +120,7 @@ mod tests {
         // 8 leaves × 7 peers × 8 spines × 4 slots.
         assert_eq!(cat.healthy_count(), 8 * 7 * 8 * 4);
         assert!(cat.eliminated_links().is_empty());
-        let paths = cat.healthy_paths(t.leaves()[0], t.leaves()[1]);
+        let paths = cat.candidates(t.leaves()[0], t.leaves()[1]).0;
         assert_eq!(paths.len(), 32);
     }
 
@@ -142,11 +132,11 @@ mod tests {
         let cat = PathCatalog::probe(&t);
         assert!(cat.eliminated_links().contains(&victim));
         // Paths from leaf 0 through that uplink are gone; one per dst leaf.
-        let paths = cat.healthy_paths(t.leaves()[0], t.leaves()[5]);
+        let paths = cat.candidates(t.leaves()[0], t.leaves()[5]).0;
         assert_eq!(paths.len(), 31);
         assert!(paths.iter().all(|p| p.up != victim));
         // Reverse direction unaffected (directed links).
-        assert_eq!(cat.healthy_paths(t.leaves()[5], t.leaves()[0]).len(), 32);
+        assert_eq!(cat.candidates(t.leaves()[5], t.leaves()[0]).0.len(), 32);
     }
 
     #[test]
@@ -163,7 +153,7 @@ mod tests {
     fn same_leaf_has_no_paths() {
         let t = Topology::build(&ClosConfig::testbed_128());
         let cat = PathCatalog::probe(&t);
-        assert!(cat.healthy_paths(t.leaves()[0], t.leaves()[0]).is_empty());
+        assert!(cat.candidates(t.leaves()[0], t.leaves()[0]).0.is_empty());
     }
 
     #[test]
@@ -173,8 +163,7 @@ mod tests {
         let cat = PathCatalog::probe(&t);
         for &src in t.leaves() {
             for &dst in t.leaves() {
-                let paths = cat.healthy_paths(src, dst);
-                let pairs = cat.link_pairs(src, dst);
+                let (paths, pairs) = cat.candidates(src, dst);
                 assert_eq!(paths.len(), pairs.len());
                 for (p, pair) in paths.iter().zip(pairs) {
                     assert_eq!(p.up.index() as u32, pair[0]);
@@ -184,15 +173,15 @@ mod tests {
         }
         // Out-of-range switch ids (e.g. spines) yield empty slices.
         let spine = t.spines()[0];
-        assert!(cat.healthy_paths(spine, t.leaves()[0]).is_empty());
-        assert!(cat.link_pairs(spine, t.leaves()[0]).is_empty());
+        let (paths, pairs) = cat.candidates(spine, t.leaves()[0]);
+        assert!(paths.is_empty() && pairs.is_empty());
     }
 
     #[test]
     fn default_catalog_is_empty() {
         let cat = PathCatalog::default();
         let t = Topology::build(&ClosConfig::tiny(2));
-        assert!(cat.healthy_paths(t.leaves()[0], t.leaves()[1]).is_empty());
+        assert!(cat.candidates(t.leaves()[0], t.leaves()[1]).0.is_empty());
         assert_eq!(cat.healthy_count(), 0);
     }
 }

@@ -141,15 +141,6 @@ impl Communicator {
         self.devices[rank as usize]
     }
 
-    /// Member devices on the given node, rank order.
-    pub fn devices_on(&self, topo: &Topology, node: NodeId) -> Vec<GpuId> {
-        self.devices
-            .iter()
-            .copied()
-            .filter(|&d| topo.gpu(d).node == node)
-            .collect()
-    }
-
     /// Restart epoch; bumped when the job restarts so ECMP re-hashes
     /// (connections are re-established from scratch).
     pub fn incarnation(&self) -> u32 {
@@ -171,11 +162,6 @@ impl Communicator {
     pub fn with_incarnation(mut self, incarnation: u32) -> Self {
         self.incarnation = incarnation;
         self
-    }
-
-    /// True when all members live on one node (pure-NVLink communicator).
-    pub fn is_single_node(&self) -> bool {
-        self.nodes.len() == 1
     }
 }
 
@@ -213,7 +199,6 @@ mod tests {
         assert_eq!(comm.nodes()[0].index(), 3);
         assert_eq!(comm.rank_of(b), Some(1));
         assert_eq!(comm.device(0), a);
-        assert!(!comm.is_single_node());
     }
 
     #[test]
@@ -221,7 +206,7 @@ mod tests {
         let t = topo();
         let devices: Vec<_> = t.node(c4_topology::NodeId::from_index(0)).gpus.clone();
         let comm = Communicator::new(2, devices, &t).unwrap();
-        assert!(comm.is_single_node());
+        assert_eq!(comm.nodes(), &[c4_topology::NodeId::from_index(0)]);
     }
 
     #[test]
@@ -231,17 +216,5 @@ mod tests {
         assert_eq!(comm.incarnation(), 0);
         comm.bump_incarnation();
         assert_eq!(comm.incarnation(), 1);
-    }
-
-    #[test]
-    fn devices_on_filters_by_node() {
-        let t = topo();
-        let n0 = c4_topology::NodeId::from_index(0);
-        let n1 = c4_topology::NodeId::from_index(1);
-        let mut devices = t.node(n0).gpus.clone();
-        devices.extend_from_slice(&t.node(n1).gpus);
-        let comm = Communicator::new(4, devices, &t).unwrap();
-        assert_eq!(comm.devices_on(&t, n0).len(), 8);
-        assert_eq!(comm.devices_on(&t, n1).len(), 8);
     }
 }

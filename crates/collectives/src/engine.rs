@@ -976,157 +976,6 @@ pub fn run_concurrent_cached(
     results
 }
 
-/// Executes one collective with the **tree algorithm** (paper Fig 6):
-/// a reduce phase up a binary rank tree followed by a broadcast phase down
-/// it, each moving the full message `S` over every tree edge.
-///
-/// Inter-node tree edges route through the child/parent GPUs' own rails via
-/// the selector; intra-node edges use NVLink. With no ring pipelining, large
-/// messages are slower than [`run_collective`]'s ring — the reason the
-/// paper's benchmarks pin the ring algorithm.
-///
-/// # Panics
-///
-/// Panics if `telemetry` is too short to index every member GPU.
-pub fn run_tree_collective(
-    topo: &Topology,
-    req: &CollectiveRequest<'_>,
-    selector: &mut dyn PathSelector,
-    rng: &mut DetRng,
-    telemetry: Option<&mut [WorkerTelemetry]>,
-) -> CollectiveResult {
-    let comm = req.comm;
-    let message_bytes = ByteSize::from_bytes(req.count * req.dtype.size_bytes());
-    let plan = crate::plan::TreePlan::build(comm);
-    let started = req.start;
-
-    let mut build_phase =
-        |edges: &[(c4_topology::GpuId, c4_topology::GpuId)], phase: u16| -> Vec<FlowSpec> {
-            let keys: Vec<FlowKey> = edges
-                .iter()
-                .map(|&(src, dst)| FlowKey {
-                    src_gpu: src,
-                    dst_gpu: dst,
-                    comm: comm.id(),
-                    channel: phase,
-                    qp: 0,
-                    incarnation: comm.incarnation(),
-                })
-                .collect();
-            // Inter-node edges go through the selector as one batch (same
-            // decisions as edge-by-edge `select`, by the batch contract).
-            let inter_keys: Vec<FlowKey> = keys
-                .iter()
-                .zip(edges)
-                .filter(|(_, &(src, dst))| topo.gpu(src).node != topo.gpu(dst).node)
-                .map(|(&k, _)| k)
-                .collect();
-            let mut choices = selector.select_batch(topo, &inter_keys).into_iter();
-            keys.iter()
-                .zip(edges)
-                .map(|(&key, &(src, dst))| {
-                    let route = if topo.gpu(src).node == topo.gpu(dst).node {
-                        topo.intra_node_route(src, dst)
-                    } else {
-                        let choice = choices.next().expect("one choice per inter edge");
-                        let sp = topo.port_of_gpu(src, choice.src_side);
-                        let dp = topo.port_of_gpu(dst, choice.dst_side);
-                        topo.inter_node_route(src, sp, choice.fabric.as_ref(), dp, dst)
-                    };
-                    FlowSpec::new(key, message_bytes, route)
-                })
-                .collect()
-        };
-
-    // Phase 1: reduce up. Phase 2: broadcast down, starting when the reduce
-    // finished everywhere (BSP within the operation).
-    let up_specs = build_phase(&plan.up_edges, u16::MAX - 1);
-    let up_report = drain(
-        topo,
-        &up_specs,
-        &DrainConfig {
-            start: started,
-            ..req.drain.clone()
-        },
-        rng,
-    );
-    let (finished, down_report, down_specs) = if up_report.all_completed() {
-        let down_specs = build_phase(&plan.down_edges, u16::MAX - 2);
-        let report = drain(
-            topo,
-            &down_specs,
-            &DrainConfig {
-                start: up_report.end,
-                ..req.drain.clone()
-            },
-            rng,
-        );
-        let fin = report.all_completed().then_some(report.end);
-        (fin, Some(report), down_specs)
-    } else {
-        (None, None, Vec::new())
-    };
-    let finished = if plan.up_edges.is_empty() {
-        Some(started)
-    } else {
-        finished
-    };
-
-    if let Some(tel) = telemetry {
-        for (rank, &gpu) in comm.devices().iter().enumerate() {
-            tel[gpu.index()].record_coll(CollRecord {
-                comm: comm.id(),
-                seq: req.seq,
-                rank: rank as u32,
-                kind: req.kind,
-                algo: AlgoKind::Tree,
-                dtype: req.dtype,
-                count: req.count,
-                start: started,
-                end: finished,
-            });
-        }
-    }
-
-    // Report busbw with the standard factor so ring and tree runs compare
-    // on the same metric.
-    let factor = bus_factor(req.kind, comm.nranks());
-    let edge_bytes = message_bytes.scaled(factor);
-    let mut qp_outcomes = up_report.outcomes.clone();
-    let mut link_bytes = up_report.link_bytes.to_vec();
-    if let Some(down) = &down_report {
-        qp_outcomes.extend(down.outcomes.iter().cloned());
-        for (a, b) in link_bytes.iter_mut().zip(down.link_bytes.iter()) {
-            *a += b;
-        }
-    }
-    let _ = down_specs;
-    let end = finished.unwrap_or(up_report.end);
-    let mut solver = up_report.solver;
-    if let Some(down) = &down_report {
-        solver.merge(&down.solver);
-    }
-    CollectiveResult {
-        comm: comm.id(),
-        seq: req.seq,
-        kind: req.kind,
-        message_bytes,
-        edge_bytes,
-        started,
-        finished,
-        intra_outcomes: Vec::new(),
-        qp_outcomes: qp_outcomes.clone(),
-        report: c4_netsim::DrainReport {
-            outcomes: qp_outcomes,
-            end,
-            link_bytes: link_bytes.into(),
-            cnp_per_port: up_report.cnp_per_port,
-            congested_flows: up_report.congested_flows,
-            solver,
-        },
-    }
-}
-
 /// Executes one collective on an otherwise idle network and optionally
 /// records telemetry into per-worker stores (indexed by global GPU id).
 ///
@@ -1348,55 +1197,6 @@ mod tests {
             "edge bytes {got} vs {expect}"
         );
         assert!(res.duration().unwrap() < SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn tree_allreduce_completes_but_loses_to_ring_on_large_messages() {
-        let t = topo();
-        let comm = full_comm(&t, 2);
-        let req = request(&comm);
-        let mut rng = DetRng::seed_from(12);
-        let mut sel = RailLocalSelector::new();
-        let ring = run_collective(&t, &req, &mut sel, None, &mut rng, None);
-        let mut sel = RailLocalSelector::new();
-        let tree = run_tree_collective(&t, &req, &mut sel, &mut rng, None);
-        assert!(!tree.hung());
-        assert!(
-            tree.duration().unwrap() > ring.duration().unwrap(),
-            "no pipelining: tree {} should lose to ring {} at 1 GiB",
-            tree.duration().unwrap(),
-            ring.duration().unwrap()
-        );
-    }
-
-    #[test]
-    fn tree_telemetry_is_tagged_tree() {
-        let t = topo();
-        let comm = full_comm(&t, 2);
-        let req = request(&comm);
-        let mut rng = DetRng::seed_from(13);
-        let mut sel = RailLocalSelector::new();
-        let mut tel: Vec<WorkerTelemetry> = t
-            .gpus()
-            .iter()
-            .map(|g| WorkerTelemetry::new(g.id))
-            .collect();
-        let res = run_tree_collective(&t, &req, &mut sel, &mut rng, Some(&mut tel));
-        assert!(!res.hung());
-        for &g in comm.devices() {
-            assert_eq!(tel[g.index()].colls()[0].algo, AlgoKind::Tree);
-        }
-    }
-
-    #[test]
-    fn tree_single_rank_is_instant() {
-        let t = topo();
-        let comm = Communicator::new(1, vec![t.gpus()[0].id], &t).unwrap();
-        let req = request(&comm);
-        let mut rng = DetRng::seed_from(14);
-        let mut sel = RailLocalSelector::new();
-        let res = run_tree_collective(&t, &req, &mut sel, &mut rng, None);
-        assert_eq!(res.finished, Some(SimTime::ZERO));
     }
 
     #[test]

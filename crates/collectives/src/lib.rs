@@ -1,9 +1,9 @@
 //! # c4-collectives
 //!
-//! ACCL-style collective communication simulator: communicators, ring/tree
-//! transfer plans, per-QP connections with pluggable path selection, bus
-//! bandwidth accounting identical to `nccl-tests`, and telemetry emission
-//! into `c4-telemetry` stores.
+//! ACCL-style collective communication simulator: communicators, ring and
+//! all-to-all transfer plans, per-QP connections with pluggable path
+//! selection, bus bandwidth accounting identical to `nccl-tests`, and
+//! telemetry emission into `c4-telemetry` stores.
 //!
 //! ## The rail-symmetric ring model
 //!
@@ -38,10 +38,9 @@ pub mod result;
 pub use alltoall::{channel_pair, pair_channel, AllToAllPlan, EpSkew, PairEdge};
 pub use comm::{CommConfig, Communicator};
 pub use engine::{
-    run_collective, run_concurrent, run_concurrent_cached, run_tree_collective, CollectiveRequest,
-    PlanCache, QpWeightFn,
+    run_collective, run_concurrent, run_concurrent_cached, CollectiveRequest, PlanCache, QpWeightFn,
 };
-pub use plan::{bus_factor, BoundaryStream, RingPlan, TreePlan};
+pub use plan::{bus_factor, BoundaryStream, RingPlan};
 pub use result::CollectiveResult;
 
 pub use c4_netsim::{EcmpSelector, PathChoice, PathSelector, RailLocalSelector};

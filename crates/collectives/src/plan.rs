@@ -138,46 +138,6 @@ impl RingPlan {
     }
 }
 
-/// The flow plan of a tree collective (reduce up a binary rank tree, then
-/// broadcast down), the "tree-based algorithm" of the paper's Fig 6.
-///
-/// Trees trade bandwidth for latency: each phase moves the full message `S`
-/// over every tree edge with no ring pipelining, so large messages favour
-/// rings (which is why the paper's benchmarks pin the ring algorithm) while
-/// trees shine for small/latency-bound operations.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TreePlan {
-    /// Reduce-phase edges `(child, parent)`, each carrying `S` bytes.
-    pub up_edges: Vec<(GpuId, GpuId)>,
-    /// Broadcast-phase edges `(parent, child)`, each carrying `S` bytes.
-    pub down_edges: Vec<(GpuId, GpuId)>,
-}
-
-impl TreePlan {
-    /// Builds a binary tree over rank order: rank `r`'s parent is
-    /// `(r−1)/2`.
-    pub fn build(comm: &Communicator) -> TreePlan {
-        let mut plan = TreePlan::default();
-        for r in 1..comm.nranks() {
-            let parent = (r - 1) / 2;
-            let child_gpu = comm.device(r as u32);
-            let parent_gpu = comm.device(parent as u32);
-            plan.up_edges.push((child_gpu, parent_gpu));
-            plan.down_edges.push((parent_gpu, child_gpu));
-        }
-        plan
-    }
-
-    /// Depth of the tree (edges on the longest root-leaf path).
-    pub fn depth(nranks: usize) -> u32 {
-        if nranks <= 1 {
-            0
-        } else {
-            usize::BITS - (nranks).leading_zeros() - 1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,25 +219,6 @@ mod tests {
             .expect("wrap boundary");
         assert_eq!(wrap.src_node.index(), 3);
         assert_eq!(wrap.dst_node.index(), 0);
-    }
-
-    #[test]
-    fn tree_plan_is_a_binary_tree() {
-        let t = topo();
-        let comm = full_comm(&t, 2);
-        let plan = TreePlan::build(&comm);
-        assert_eq!(plan.up_edges.len(), 15);
-        assert_eq!(plan.down_edges.len(), 15);
-        // Rank 0 (the root) is nobody's child.
-        let root = comm.device(0);
-        assert!(plan.up_edges.iter().all(|(c, _)| *c != root));
-        // Every down edge mirrors an up edge.
-        for (p, c) in &plan.down_edges {
-            assert!(plan.up_edges.contains(&(*c, *p)));
-        }
-        assert_eq!(TreePlan::depth(16), 4);
-        assert_eq!(TreePlan::depth(1), 0);
-        assert_eq!(TreePlan::depth(2), 1);
     }
 
     #[test]

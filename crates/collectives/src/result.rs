@@ -52,30 +52,6 @@ impl CollectiveResult {
         }
         Some(self.edge_bytes.as_bytes() as f64 * 8.0 / d / 1e9)
     }
-
-    /// Algorithm bandwidth in Gbps: `S / T`.
-    pub fn algbw_gbps(&self) -> Option<f64> {
-        let d = self.duration()?.as_secs_f64();
-        if d <= 0.0 {
-            return None;
-        }
-        Some(self.message_bytes.as_bytes() as f64 * 8.0 / d / 1e9)
-    }
-
-    /// The slowest boundary QP flow's mean rate in Gbps (0 when there are no
-    /// boundary flows). C4P's dynamic load balancing watches this.
-    pub fn slowest_qp_gbps(&self) -> f64 {
-        let v = self
-            .qp_outcomes
-            .iter()
-            .map(|o| o.mean_rate.as_gbps())
-            .fold(f64::INFINITY, f64::min);
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +99,6 @@ mod tests {
         let r = result(Some(SimTime::from_secs(1)));
         // 1.875e9 bytes in 1 s = 15 Gbps.
         assert!((r.busbw_gbps().unwrap() - 15.0).abs() < 1e-9);
-        assert!((r.algbw_gbps().unwrap() - 8.0).abs() < 1e-9);
         assert_eq!(r.duration(), Some(SimDuration::from_secs(1)));
         assert!(!r.hung());
     }
@@ -134,16 +109,5 @@ mod tests {
         assert!(r.hung());
         assert_eq!(r.busbw_gbps(), None);
         assert_eq!(r.duration(), None);
-    }
-
-    #[test]
-    fn slowest_qp_is_min_rate() {
-        let r = result(Some(SimTime::from_secs(1)));
-        assert!((r.slowest_qp_gbps() - 100.0).abs() < 1e-9);
-        let empty = CollectiveResult {
-            qp_outcomes: vec![],
-            ..result(Some(SimTime::from_secs(1)))
-        };
-        assert_eq!(empty.slowest_qp_gbps(), 0.0);
     }
 }

@@ -20,20 +20,18 @@ pub use c4_telemetry::csv::{
     parse_csv_document, quote_field, split_fields, to_csv_document, FromCsv,
 };
 pub use c4_telemetry::pipeline::{
-    events_from_snapshots, group_by_key, run_pipeline, Aggregate, Combiner, CsvEventReader,
-    CsvSink, EventSink, EventSource, MemorySource, SummarySink, TimeAxis, WindowPane, WindowSpec,
-    WindowSummaryRecord, WindowedAggregate,
+    events_from_snapshots, Aggregate, TimeAxis, WindowPane, WindowSpec, WindowedAggregate,
 };
 pub use c4_telemetry::{
-    AlgoKind, C4Event, ClusterSummary, CollKind, CollRecord, CommRecord, ConnKey, ConnRecord,
-    DataType, EventKind, EventLog, LoadSample, RankRecord, Severity, TelemetryEvent,
-    TelemetrySnapshot, ToCsv, WorkerTelemetry,
+    AlgoKind, C4Event, CollKind, CollRecord, CommRecord, ConnKey, ConnRecord, DataType, EventKind,
+    EventLog, LoadSample, RankRecord, Severity, TelemetryEvent, TelemetrySnapshot, ToCsv,
+    WorkerTelemetry,
 };
 
 pub use c4_collectives::{
     bus_factor, channel_pair, pair_channel, run_collective, run_concurrent, run_concurrent_cached,
-    run_tree_collective, AllToAllPlan, BoundaryStream, CollectiveRequest, CollectiveResult,
-    CommConfig, Communicator, EpSkew, PairEdge, PlanCache, QpWeightFn, RingPlan, TreePlan,
+    AllToAllPlan, BoundaryStream, CollectiveRequest, CollectiveResult, CommConfig, Communicator,
+    EpSkew, PairEdge, PlanCache, QpWeightFn, RingPlan,
 };
 
 pub use c4_faults::{

@@ -14,7 +14,8 @@ use c4_collectives::{run_concurrent, CollectiveRequest, Communicator};
 use c4_diagnosis::{C4dMaster, DetectorConfig, Diagnosis, StreamingC4dMaster};
 use c4_netsim::{CnpModel, DrainConfig};
 use c4_simcore::{DetRng, JsonValue, SimTime};
-use c4_telemetry::pipeline::{run_pipeline, CsvEventReader, CsvSink, EventSink, MemorySource};
+use c4_telemetry::csv::{parse_csv_document, to_csv_document};
+use c4_telemetry::pipeline::{events_from_snapshots, TelemetryEvent};
 use c4_telemetry::{
     AlgoKind, CollKind, CollRecord, CommRecord, ConnKey, DataType, TelemetrySnapshot,
     WorkerTelemetry,
@@ -332,20 +333,22 @@ pub fn run_detection(tele: &Fig12Telemetry) -> Fig12Detection {
     let batch_diags = batch.scan(now, &topo, tele.comm(), &snaps);
 
     // Live feed: the canonical event order of the snapshot set, recorded
-    // to CSV as it streams past.
-    let mut csv_sink = CsvSink::new();
+    // to CSV.
+    let events = events_from_snapshots(&snaps);
     let mut live = StreamingC4dMaster::new(cfg, tele.comm().clone());
-    let mut source = MemorySource::from_snapshots(&snaps);
-    let mut sinks: [&mut dyn EventSink; 2] = [&mut live, &mut csv_sink];
-    run_pipeline(&mut source, &mut sinks);
+    for e in &events {
+        live.feed(e);
+    }
     let streamed = live.scan(now, &topo);
+    let events_csv = to_csv_document(&events);
 
     // Replay: parse the recorded stream and drive a fresh master.
-    let events_csv = csv_sink.document();
-    let mut replay_src = CsvEventReader::from_document(&events_csv).expect("lossless transport");
+    let replay_events: Vec<TelemetryEvent> =
+        parse_csv_document(&events_csv).expect("lossless transport");
     let mut replay = StreamingC4dMaster::new(cfg, tele.comm().clone());
-    let mut replay_sinks: [&mut dyn EventSink; 1] = [&mut replay];
-    run_pipeline(&mut replay_src, &mut replay_sinks);
+    for e in &replay_events {
+        replay.feed(e);
+    }
     let replayed = replay.scan(now, &topo);
 
     Fig12Detection {

@@ -121,11 +121,6 @@ impl FaultRates {
             self.network_per_job_hour,
         ]
     }
-
-    /// Expected crashes over `hours` for a job of the given size.
-    pub fn expected_crashes(&self, gpus: usize, nodes: usize, hours: f64) -> f64 {
-        self.total_crash_rate(gpus, nodes) * hours
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +130,7 @@ mod tests {
     #[test]
     fn june_reproduces_forty_crashes_per_month() {
         let r = FaultRates::june_2023();
-        let expected = r.expected_crashes(4096, 512, MONTH_HOURS);
+        let expected = r.total_crash_rate(4096, 512) * MONTH_HOURS;
         assert!((expected - 40.0).abs() < 1e-9, "expected {expected}");
     }
 
@@ -160,8 +155,7 @@ mod tests {
     fn december_is_roughly_one_third() {
         let j = FaultRates::june_2023();
         let d = FaultRates::december_2023();
-        let ratio =
-            j.expected_crashes(2400, 300, MONTH_HOURS) / d.expected_crashes(2400, 300, MONTH_HOURS);
+        let ratio = j.total_crash_rate(2400, 300) / d.total_crash_rate(2400, 300);
         assert!((3.2..=3.4).contains(&ratio), "ratio {ratio}");
     }
 

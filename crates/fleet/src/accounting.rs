@@ -57,17 +57,6 @@ impl JobAccounting {
             self.productive.as_secs_f64() / w
         }
     }
-
-    /// Estimated time to recovery: mean downtime per recovery event.
-    pub fn ettr(&self) -> Option<SimDuration> {
-        if self.recoveries == 0 {
-            None
-        } else {
-            Some(SimDuration::from_secs_f64(
-                self.downtime.as_secs_f64() / self.recoveries as f64,
-            ))
-        }
-    }
 }
 
 /// Final record of one job's life in the fleet.

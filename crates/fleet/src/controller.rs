@@ -23,6 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use c4_collectives::Communicator;
 use c4_diagnosis::{
     CollHealthDetector, DetectorConfig, JobSteering, SteeringConfig, SteeringError, StreamVerdict,
     StreamingC4dMaster,
@@ -32,7 +33,7 @@ use c4_faults::{
 };
 use c4_netsim::EcmpSelector;
 use c4_simcore::{DetRng, ParallelPolicy, SimDuration, SimTime};
-use c4_telemetry::{CommRecord, WorkerTelemetry};
+use c4_telemetry::{CommRecord, TelemetryEvent, WorkerTelemetry};
 use c4_topology::{ClosConfig, LinkId, NodeId, Topology};
 use c4_trainsim::{JobSpec, ParallelLayout, TrainingJob};
 
@@ -352,6 +353,19 @@ fn node_key(n: NodeId) -> u64 {
     ((n.index() as u64) << 1) | 1
 }
 
+/// One communicator's telemetry as the detectors read it: the member
+/// stores in `comm.devices()` order, each in its canonical per-store order.
+/// That is the order `events_from_snapshots` gives the members' snapshots,
+/// which the detectors' order-sensitive folds rely on.
+fn comm_events<'a>(
+    tel: &'a [WorkerTelemetry],
+    comm: &'a Communicator,
+) -> impl Iterator<Item = TelemetryEvent> + 'a {
+    comm.devices()
+        .iter()
+        .flat_map(move |g| tel[g.index()].events())
+}
+
 impl FleetController {
     /// Builds the fleet: topology, backup pool, fault schedules.
     ///
@@ -610,11 +624,7 @@ impl FleetController {
 
         // Stream this round's telemetry through one per-communicator
         // streaming master each: a half-down NIC only hangs the DP groups
-        // hashed onto the dead port, so every group must be watched. Each
-        // master and the job's health detector read the member stores in
-        // device order, each in its canonical event order: the order the
-        // batch path (`events_from_snapshots`) gives, which the detectors'
-        // order-sensitive folds rely on.
+        // hashed onto the dead port, so every group must be watched.
         let scan_at = fj.job.now() + cfg_detector.hang_timeout + SimDuration::from_secs(1);
         let mut diags = Vec::new();
         let mut verdicts: Vec<StreamVerdict> = Vec::new();
@@ -627,11 +637,9 @@ impl FleetController {
                     created: round_start,
                 },
             );
-            for &g in comm.devices() {
-                for e in tel[g.index()].events() {
-                    master.feed(&e);
-                    verdicts.extend(fj.health.feed(&e));
-                }
+            for e in comm_events(tel, comm) {
+                master.feed(&e);
+                verdicts.extend(fj.health.feed(&e));
             }
             diags.extend(master.scan(scan_at, topo));
         }
@@ -1199,5 +1207,79 @@ impl FleetController {
             final_dp: fj.job.spec().dp,
             accounting: acc,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use c4_telemetry::pipeline::events_from_snapshots;
+    use c4_telemetry::{AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord};
+    use c4_topology::{GpuId, PortId};
+
+    #[test]
+    fn comm_events_follow_the_member_order_not_the_gpu_order() {
+        let topo = Topology::build(&ClosConfig::tiny(6));
+        let devices: Vec<GpuId> = [5, 2, 9].into_iter().map(GpuId::from_index).collect();
+        let comm = Communicator::new(3, devices.clone(), &topo).unwrap();
+        let mut tel: Vec<WorkerTelemetry> = topo
+            .gpus()
+            .iter()
+            .map(|g| WorkerTelemetry::new(g.id))
+            .collect();
+        for (rank, &g) in devices.iter().enumerate() {
+            let w = &mut tel[g.index()];
+            for (seq, end) in [(0, Some(SimTime::from_secs(1))), (1, None)] {
+                w.record_coll(CollRecord {
+                    comm: 3,
+                    seq,
+                    rank: rank as u32,
+                    kind: CollKind::AllReduce,
+                    algo: AlgoKind::Ring,
+                    dtype: DataType::F32,
+                    count: 8,
+                    start: SimTime::from_secs(seq),
+                    end,
+                });
+            }
+            // Connections recorded out of key order, one of them twice.
+            for qp in [2u16, 0, 1, 2] {
+                let key = ConnKey {
+                    comm: 3,
+                    channel: 0,
+                    qp,
+                    src_gpu: g,
+                    dst_gpu: devices[(rank + 1) % devices.len()],
+                };
+                w.record_message(
+                    key,
+                    PortId::from_index(g.index()),
+                    64 << qp,
+                    SimDuration::from_micros(10 + u64::from(qp)),
+                    SimTime::from_secs(2),
+                );
+            }
+            for step in 0..2 {
+                w.record_rank(RankRecord {
+                    comm: 3,
+                    rank: rank as u32,
+                    step,
+                    compute: SimDuration::from_millis(step + 1),
+                    ready_delay: SimDuration::ZERO,
+                    arrived: SimTime::from_secs(step),
+                });
+            }
+        }
+        let snaps: Vec<_> = devices
+            .iter()
+            .map(|g| tel[g.index()].snapshot(SimTime::from_secs(3)))
+            .collect();
+        let streamed: Vec<TelemetryEvent> = comm_events(&tel, &comm).collect();
+        assert_eq!(
+            streamed.len(),
+            3 * 7,
+            "per store: 2 colls, 3 conns, 2 ranks"
+        );
+        assert_eq!(streamed, events_from_snapshots(&snaps));
     }
 }

@@ -21,17 +21,6 @@ pub enum RecoveryPolicy {
     Replace,
 }
 
-impl RecoveryPolicy {
-    /// Short stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryPolicy::CheckpointRestart => "checkpoint-restart",
-            RecoveryPolicy::DegradedContinue => "degraded-continue",
-            RecoveryPolicy::Replace => "replace",
-        }
-    }
-}
-
 /// Sliding-window strike counter for transient faults (link flaps, NIC
 /// brown-outs, repeated slow verdicts).
 ///
@@ -81,11 +70,6 @@ impl FlapTracker {
         }
     }
 
-    /// Current in-window strike count for a key.
-    pub fn strikes_of(&self, key: u64) -> usize {
-        self.history.get(&key).map_or(0, |v| v.len())
-    }
-
     /// Forgets a key (e.g. the component was replaced).
     pub fn clear_key(&mut self, key: u64) {
         self.history.remove(&key);
@@ -96,15 +80,20 @@ impl FlapTracker {
 mod tests {
     use super::*;
 
+    /// The tracker's in-window strike count for `key`.
+    fn strikes(t: &FlapTracker, key: u64) -> usize {
+        t.history.get(&key).map_or(0, VecDeque::len)
+    }
+
     #[test]
     fn escalates_after_n_strikes_in_window() {
         let mut t = FlapTracker::new(SimDuration::from_secs(100), 3);
         let at = |s| SimTime::ZERO + SimDuration::from_secs(s);
         assert!(!t.record(7, at(0)));
         assert!(!t.record(7, at(10)));
-        assert_eq!(t.strikes_of(7), 2);
+        assert_eq!(strikes(&t, 7), 2);
         assert!(t.record(7, at(20)), "third strike escalates");
-        assert_eq!(t.strikes_of(7), 0, "escalation clears history");
+        assert_eq!(strikes(&t, 7), 0, "escalation clears history");
     }
 
     #[test]
@@ -115,7 +104,7 @@ mod tests {
         assert!(!t.record(1, at(10)));
         // 200s later the first two strikes left the window.
         assert!(!t.record(1, at(200)));
-        assert_eq!(t.strikes_of(1), 1);
+        assert_eq!(strikes(&t, 1), 1);
     }
 
     #[test]
@@ -126,6 +115,6 @@ mod tests {
         assert!(!t.record(2, at(1)));
         assert!(t.record(1, at(2)));
         t.clear_key(2);
-        assert_eq!(t.strikes_of(2), 0);
+        assert_eq!(strikes(&t, 2), 0);
     }
 }

@@ -207,11 +207,6 @@ impl DrainReport {
         self.outcomes.iter().all(|o| o.completed())
     }
 
-    /// Total drain duration from the configured start.
-    pub fn duration_from(&self, start: SimTime) -> SimDuration {
-        self.end - start
-    }
-
     /// Indices of stalled flows.
     pub fn stalled(&self) -> Vec<usize> {
         self.outcomes

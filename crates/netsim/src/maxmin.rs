@@ -969,11 +969,6 @@ impl MaxMinState {
         &self.rates
     }
 
-    /// Live (not-removed) flow count.
-    pub fn n_alive(&self) -> usize {
-        self.n_alive
-    }
-
     /// How many seed solves this state has run (diagnostics/benchmarks).
     pub fn full_solves(&self) -> u64 {
         self.full_solves
@@ -1589,6 +1584,6 @@ mod tests {
         let r = s.rates();
         assert_eq!(r[0], 0.0);
         assert!(close(r[1], 10.0));
-        assert_eq!(s.n_alive(), 1);
+        assert_eq!(s.n_alive, 1);
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! [`DetRng`] wraps a seeded [`rand::rngs::StdRng`] and adds the handful of
 //! distributions the fault-injection and congestion models need (exponential,
-//! log-normal, Poisson) so the workspace does not need `rand_distr`.
+//! normal, log-normal) so the workspace does not need `rand_distr`.
 //!
-//! Every experiment takes a single root seed; subsystems derive child seeds
-//! via [`DetRng::fork`] so adding randomness in one subsystem never perturbs
-//! another (a property the regression tests rely on).
+//! Every experiment takes a single root seed; subsystems seed their own
+//! generators from it with distinct salts, so adding randomness in one
+//! subsystem never perturbs another (a property the regression tests rely
+//! on).
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// A deterministic, forkable random source.
+/// A deterministic random source.
 ///
 /// # Example
 ///
@@ -33,16 +34,6 @@ impl DetRng {
         DetRng {
             inner: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Derives an independent child generator labelled by `stream`.
-    ///
-    /// Children with different labels are statistically independent; the same
-    /// label always yields the same child for a given parent state position,
-    /// so call order matters only among `fork`s themselves.
-    pub fn fork(&mut self, stream: u64) -> DetRng {
-        let base = self.inner.gen::<u64>();
-        DetRng::seed_from(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -100,30 +91,6 @@ impl DetRng {
     pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
         debug_assert!(median > 0.0);
         median * (sigma * self.normal()).exp()
-    }
-
-    /// Poisson deviate with the given rate `lambda`.
-    ///
-    /// Uses Knuth's product method for small λ and a normal approximation for
-    /// large λ, which is ample for fault-count draws.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        if lambda <= 0.0 {
-            return 0;
-        }
-        if lambda > 64.0 {
-            let v = self.normal_with(lambda, lambda.sqrt());
-            return v.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
     }
 
     /// Fisher–Yates shuffle in place.
@@ -193,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_independent_of_label_order() {
-        let mut root1 = DetRng::seed_from(5);
-        let mut root2 = DetRng::seed_from(5);
-        let mut a1 = root1.fork(1);
-        let mut a2 = root2.fork(1);
-        assert_eq!(a1.next_u64(), a2.next_u64());
-    }
-
-    #[test]
     fn exponential_mean_is_close() {
         let mut rng = DetRng::seed_from(9);
         let n = 20_000;
@@ -209,22 +167,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.exponential(mean)).sum();
         let est = sum / n as f64;
         assert!((est - mean).abs() < 0.1, "estimated {est}");
-    }
-
-    #[test]
-    fn poisson_mean_is_close_small_and_large_lambda() {
-        let mut rng = DetRng::seed_from(11);
-        for lambda in [0.5, 4.0, 120.0] {
-            let n = 5_000;
-            let sum: u64 = (0..n).map(|_| rng.poisson(lambda)).sum();
-            let est = sum as f64 / n as f64;
-            assert!(
-                (est - lambda).abs() < lambda.max(1.0) * 0.1,
-                "lambda={lambda} estimated {est}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
-        assert_eq!(rng.poisson(-3.0), 0);
     }
 
     #[test]

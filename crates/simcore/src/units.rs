@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use crate::time::SimDuration;
-
 /// A data rate. Stored internally as bits per second.
 ///
 /// # Example
@@ -18,9 +16,9 @@ use crate::time::SimDuration;
 /// ```
 /// use c4_simcore::{Bandwidth, ByteSize};
 /// let link = Bandwidth::from_gbps(200.0);
+/// assert_eq!(link.as_bytes_per_sec(), 25e9);
 /// let msg = ByteSize::from_mib(100);
-/// let t = msg.transfer_time(link);
-/// assert!((t.as_secs_f64() - 100.0 * 1024.0 * 1024.0 * 8.0 / 200e9).abs() < 1e-9);
+/// assert_eq!(msg.as_bytes(), 100 * 1024 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
@@ -44,29 +42,9 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// The rate in bits per second.
-    pub fn as_bps(self) -> f64 {
-        self.0
-    }
-
     /// The rate in bytes per second.
     pub fn as_bytes_per_sec(self) -> f64 {
         self.0 / 8.0
-    }
-
-    /// Elementwise minimum.
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.min(other.0))
-    }
-
-    /// Elementwise maximum.
-    pub fn max(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.max(other.0))
-    }
-
-    /// True for exactly zero rate.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -173,18 +151,6 @@ impl ByteSize {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
-    /// Time to move this volume at the given rate; [`SimDuration::MAX`] when
-    /// the rate is zero and the volume is not.
-    pub fn transfer_time(self, rate: Bandwidth) -> SimDuration {
-        if self.0 == 0 {
-            return SimDuration::ZERO;
-        }
-        if rate.is_zero() {
-            return SimDuration::MAX;
-        }
-        SimDuration::from_secs_f64(self.0 as f64 / rate.as_bytes_per_sec())
-    }
-
     /// Integer division into `n` near-equal chunks; the first `rem` chunks get
     /// one extra byte so the total is preserved.
     pub fn split(self, n: usize) -> Vec<ByteSize> {
@@ -264,7 +230,6 @@ mod tests {
     #[test]
     fn bandwidth_conversions() {
         let b = Bandwidth::from_gbps(200.0);
-        assert_eq!(b.as_bps(), 200e9);
         assert_eq!(b.as_bytes_per_sec(), 25e9);
         assert!((b / Bandwidth::from_gbps(100.0) - 2.0).abs() < 1e-12);
     }
@@ -274,21 +239,6 @@ mod tests {
         let a = Bandwidth::from_gbps(10.0);
         let b = Bandwidth::from_gbps(20.0);
         assert_eq!(a - b, Bandwidth::ZERO);
-    }
-
-    #[test]
-    fn transfer_time_edges() {
-        assert_eq!(
-            ByteSize::ZERO.transfer_time(Bandwidth::from_gbps(1.0)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
-            ByteSize::from_kib(1).transfer_time(Bandwidth::ZERO),
-            SimDuration::MAX
-        );
-        // 1 GiB over 8 Gbps = 1.073741824 s
-        let t = ByteSize::from_gib(1).transfer_time(Bandwidth::from_gbps(8.0));
-        assert!((t.as_secs_f64() - 1.073741824).abs() < 1e-9);
     }
 
     #[test]

@@ -155,16 +155,6 @@ impl EventLog {
         &self.events
     }
 
-    /// Events of a given kind.
-    pub fn of_kind(&self, kind: EventKind) -> impl Iterator<Item = &C4Event> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Events at or above a severity.
-    pub fn at_least(&self, severity: Severity) -> impl Iterator<Item = &C4Event> {
-        self.events.iter().filter(move |e| e.severity >= severity)
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -263,18 +253,6 @@ mod tests {
             link: None,
             detail: "ecc error, repeated".into(),
         }
-    }
-
-    #[test]
-    fn log_filters_by_kind_and_severity() {
-        let mut log = EventLog::new();
-        log.push(sample(EventKind::CommHang, Severity::Critical));
-        log.push(sample(EventKind::CommSlow, Severity::Warning));
-        log.push(sample(EventKind::JobRestart, Severity::Info));
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.of_kind(EventKind::CommSlow).count(), 1);
-        assert_eq!(log.at_least(Severity::Warning).count(), 2);
-        assert!(!log.is_empty());
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! quoting) so the on-disk artifacts of Fig 5 can be regenerated verbatim
 //! and replayed.
 //!
-//! The [`pipeline`] module turns these records into a streaming dataflow:
-//! sources (scenario feed, CSV replay) → keyed windows + combiners → sinks
-//! (detector feeds, CSV export, summaries). See its docs for the
-//! stream==batch equality rules.
+//! The [`pipeline`] module turns these records into one ordered event
+//! stream (live, or replayed from its CSV document) that the streaming
+//! detectors fold event by event, through keyed windowed means where they
+//! need windows. See its docs for the stream==batch equality rules.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,6 @@ pub mod csv;
 pub mod event;
 pub mod pipeline;
 pub mod record;
-pub mod summary;
 pub mod worker;
 
 pub use csv::{FromCsv, ToCsv};
@@ -43,5 +42,4 @@ pub use pipeline::{LoadSample, TelemetryEvent};
 pub use record::{
     AlgoKind, CollKind, CollRecord, CommRecord, ConnKey, ConnRecord, DataType, RankRecord,
 };
-pub use summary::ClusterSummary;
 pub use worker::{TelemetrySnapshot, WorkerTelemetry};

@@ -1,61 +1,19 @@
-//! Combiners: the per-window fold functions of the pipeline.
+//! The per-pane fold of the windowed aggregation: a count and an
+//! arrival-order sum, read back as a mean.
 
-/// Which aggregate a window should maintain.
-///
-/// Every [`Aggregate`] tracks count and sum (they cost two words); `TopK`
-/// additionally keeps the k largest values seen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combiner {
-    /// Number of values in the window.
-    Count,
-    /// Sum of values, folded in arrival order (bit-identical to a batch
-    /// fold over the same order).
-    Sum,
-    /// Arithmetic mean (`sum / count`, computed at read time so the fold
-    /// stays a plain arrival-order sum).
-    Mean,
-    /// The k largest values, descending.
-    TopK(usize),
-}
-
-/// The running state of one window pane.
-#[derive(Debug, Clone, PartialEq)]
+/// The running state of one window pane: a count and an arrival-order sum.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregate {
-    combiner: Combiner,
     count: u64,
     sum: f64,
-    topk: Vec<f64>,
 }
 
 impl Aggregate {
-    /// Creates an empty aggregate for the given combiner.
-    pub fn new(combiner: Combiner) -> Self {
-        Aggregate {
-            combiner,
-            count: 0,
-            sum: 0.0,
-            topk: Vec::new(),
-        }
-    }
-
-    /// Folds one value in. Values are folded in arrival order; the sum is a
-    /// plain left fold, so it is bit-identical to any batch sum over the
-    /// same sequence.
+    /// Folds one value in. The sum is a plain left fold in arrival order, so
+    /// it is bit-identical to any batch sum over the same sequence.
     pub fn push(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
-        if let Combiner::TopK(k) = self.combiner {
-            if k == 0 {
-                return;
-            }
-            // Insertion into a small descending-sorted vec; ties keep the
-            // earlier arrival first (stable for equal keys).
-            let pos = self
-                .topk
-                .partition_point(|&v| v.total_cmp(&value) != std::cmp::Ordering::Less);
-            self.topk.insert(pos, value);
-            self.topk.truncate(k);
-        }
     }
 
     /// Number of values folded in.
@@ -68,15 +26,10 @@ impl Aggregate {
         self.sum
     }
 
-    /// Mean of values; `None` on an empty aggregate.
+    /// Mean of values (`sum / count`, computed at read time so the fold
+    /// stays a plain arrival-order sum); `None` on an empty aggregate.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// The k largest values, descending (empty unless the combiner is
-    /// [`Combiner::TopK`]).
-    pub fn topk(&self) -> &[f64] {
-        &self.topk
     }
 }
 
@@ -86,7 +39,7 @@ mod tests {
 
     #[test]
     fn count_sum_mean() {
-        let mut a = Aggregate::new(Combiner::Mean);
+        let mut a = Aggregate::default();
         assert_eq!(a.mean(), None);
         for v in [1.0, 2.0, 4.0] {
             a.push(v);
@@ -94,7 +47,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 7.0);
         assert_eq!(a.mean(), Some(7.0 / 3.0));
-        assert!(a.topk().is_empty(), "topk only tracked when requested");
     }
 
     #[test]
@@ -102,24 +54,12 @@ mod tests {
         // Deliberately non-associative values: the streaming fold must match
         // a batch left fold exactly, not merely approximately.
         let values = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2];
-        let mut a = Aggregate::new(Combiner::Sum);
+        let mut a = Aggregate::default();
         let mut batch = 0.0f64;
         for v in values {
             a.push(v);
             batch += v;
         }
         assert_eq!(a.sum().to_bits(), batch.to_bits());
-    }
-
-    #[test]
-    fn topk_keeps_largest_descending() {
-        let mut a = Aggregate::new(Combiner::TopK(3));
-        for v in [5.0, 1.0, 9.0, 7.0, 3.0, 9.0] {
-            a.push(v);
-        }
-        assert_eq!(a.topk(), &[9.0, 9.0, 7.0]);
-        let mut zero = Aggregate::new(Combiner::TopK(0));
-        zero.push(1.0);
-        assert!(zero.topk().is_empty());
     }
 }

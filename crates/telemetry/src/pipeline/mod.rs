@@ -2,10 +2,14 @@
 //!
 //! C4D's reference detectors consume whole in-memory snapshot sets; this
 //! module provides the streaming alternative: telemetry flows as a single
-//! ordered stream of [`TelemetryEvent`]s from a [`source`] (live scenario
-//! feed or CSV replay), through [`group_by_key`] /
-//! windowed aggregation ([`window`], [`combine`]), into [`sink`]s
-//! (detector feeds, CSV export, window summaries).
+//! ordered stream of [`TelemetryEvent`]s, event by event, into the streaming
+//! detectors of `c4_diagnosis`. The stream is either a snapshot set
+//! flattened by [`events_from_snapshots`] (or read store by store through
+//! [`WorkerTelemetry::events`](crate::WorkerTelemetry::events)), or the same
+//! stream replayed from its CSV document
+//! ([`to_csv_document`](crate::csv::to_csv_document) /
+//! [`parse_csv_document`](crate::csv::parse_csv_document)). The windowed
+//! detectors fold it through a keyed windowed mean ([`window`]).
 //!
 //! Design rules that make the streaming path *provably* equal to the batch
 //! path (pinned by `tests/streaming_differential.rs`):
@@ -21,13 +25,9 @@
 //!   stream length.
 
 pub mod combine;
-pub mod sink;
-pub mod source;
 pub mod window;
 
-pub use combine::{Aggregate, Combiner};
-pub use sink::{run_pipeline, CsvSink, EventSink, SummarySink, WindowSummaryRecord};
-pub use source::{group_by_key, CsvEventReader, EventSource, MemorySource};
+pub use combine::Aggregate;
 pub use window::{TimeAxis, WindowPane, WindowSpec, WindowedAggregate};
 
 use c4_simcore::SimTime;

@@ -1,4 +1,4 @@
-//! Keyed tumbling/sliding windows over the telemetry stream.
+//! Keyed tumbling/sliding windowed means over the telemetry stream.
 //!
 //! Windows are defined on a generic `u64` tick axis ([`TimeAxis`]): either
 //! simulated nanoseconds ([`TimeAxis::EventTime`]) or the logical BSP step
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use c4_simcore::SimDuration;
 
-use super::combine::{Aggregate, Combiner};
+use super::combine::Aggregate;
 use super::TelemetryEvent;
 
 /// Which tick axis a window is keyed on.
@@ -78,11 +78,6 @@ impl WindowSpec {
         }
     }
 
-    /// A tumbling step window.
-    pub fn tumbling_steps(width: u64) -> Self {
-        Self::sliding_steps(width, width)
-    }
-
     /// A sliding step window.
     pub fn sliding_steps(width: u64, slide: u64) -> Self {
         WindowSpec {
@@ -115,12 +110,12 @@ pub struct WindowPane<K> {
     pub start: u64,
     /// Pane end tick (exclusive).
     pub end: u64,
-    /// The folded aggregate.
+    /// The folded count and sum.
     pub aggregate: Aggregate,
 }
 
-/// A keyed windowed aggregation stage: `group_by_key` + window + combiner
-/// fused into one bounded-state operator.
+/// A keyed windowed aggregation stage: key routing, window assignment and
+/// the count/sum fold in one bounded-state operator.
 ///
 /// Events are routed by `key_fn` (a `None` key skips the event) and folded
 /// by `value_fn` into every open pane containing their tick. [`push`]
@@ -132,7 +127,6 @@ pub struct WindowPane<K> {
 /// [`flush`]: WindowedAggregate::flush
 pub struct WindowedAggregate<K> {
     spec: WindowSpec,
-    combiner: Combiner,
     key_fn: KeyFn<K>,
     value_fn: ValueFn,
     panes: BTreeMap<(u64, K), Aggregate>,
@@ -144,13 +138,11 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
     /// Creates a windowed aggregation stage.
     pub fn new(
         spec: WindowSpec,
-        combiner: Combiner,
         key_fn: impl Fn(&TelemetryEvent) -> Option<K> + Send + 'static,
         value_fn: impl Fn(&TelemetryEvent) -> Option<f64> + Send + 'static,
     ) -> Self {
         WindowedAggregate {
             spec,
-            combiner,
             key_fn: Box::new(key_fn),
             value_fn: Box::new(value_fn),
             panes: BTreeMap::new(),
@@ -172,12 +164,6 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
         self.late_dropped
     }
 
-    /// Number of panes currently holding state (the bounded-memory
-    /// quantity).
-    pub fn open_panes(&self) -> usize {
-        self.panes.len()
-    }
-
     /// Feeds one event; returns the panes this arrival closed (possibly
     /// for other keys — closure is driven by the watermark, not the key).
     pub fn push(&mut self, event: &TelemetryEvent) -> Vec<WindowPane<K>> {
@@ -197,7 +183,7 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
                 if watermark.is_none_or(|w| w < end) {
                     self.panes
                         .entry((start, key.clone()))
-                        .or_insert_with(|| Aggregate::new(self.combiner))
+                        .or_default()
                         .push(value);
                     landed = true;
                 }
@@ -280,7 +266,6 @@ mod tests {
     fn per_rank(spec: WindowSpec) -> WindowedAggregate<u32> {
         WindowedAggregate::new(
             spec,
-            Combiner::Mean,
             |e| match e {
                 TelemetryEvent::Load(l) => Some(l.rank),
                 _ => None,
@@ -296,7 +281,7 @@ mod tests {
     fn boundary_event_opens_the_next_tumbling_pane() {
         // Width 4: step 4 sits exactly on the [0,4)/[4,8) boundary — it must
         // land in [4,8) only, and its arrival closes [0,4).
-        let mut w = per_rank(WindowSpec::tumbling_steps(4));
+        let mut w = per_rank(WindowSpec::sliding_steps(4, 4));
         for step in 0..4 {
             assert!(w.push(&load(0, step, step as f64)).is_empty());
         }
@@ -334,7 +319,7 @@ mod tests {
 
     #[test]
     fn out_of_order_within_lateness_lands_late_beyond_is_dropped() {
-        let mut w = per_rank(WindowSpec::tumbling_steps(2).with_lateness(2));
+        let mut w = per_rank(WindowSpec::sliding_steps(2, 2).with_lateness(2));
         assert!(w.push(&load(0, 3, 1.0)).is_empty()); // watermark 1: [0,2) open
         assert!(w.push(&load(0, 0, 5.0)).is_empty()); // in order horizon
         let closed = w.push(&load(0, 4, 1.0)); // watermark 2 closes [0,2)
@@ -352,7 +337,7 @@ mod tests {
     fn empty_windows_emit_nothing() {
         // A gap in the stream (steps 0 then 10) must not emit empty panes
         // for the silent range — no detector input is fabricated.
-        let mut w = per_rank(WindowSpec::tumbling_steps(2));
+        let mut w = per_rank(WindowSpec::sliding_steps(2, 2));
         assert!(w.push(&load(0, 0, 1.0)).is_empty());
         let closed = w.push(&load(0, 10, 1.0));
         assert_eq!(closed.len(), 1, "only the pane that saw data closes");
@@ -362,7 +347,7 @@ mod tests {
 
     #[test]
     fn keys_are_independent_and_emission_order_is_deterministic() {
-        let mut w = per_rank(WindowSpec::tumbling_steps(2));
+        let mut w = per_rank(WindowSpec::sliding_steps(2, 2));
         w.push(&load(1, 0, 1.0));
         w.push(&load(0, 1, 2.0));
         let closed = w.push(&load(0, 2, 0.0));
@@ -377,9 +362,9 @@ mod tests {
             w.push(&load(0, step, 1.0));
         }
         assert!(
-            w.open_panes() <= 4,
+            w.panes.len() <= 4,
             "open panes bounded by width/slide, got {}",
-            w.open_panes()
+            w.panes.len()
         );
         let comm = TelemetryEvent::Comm(crate::record::CommRecord {
             comm: 1,

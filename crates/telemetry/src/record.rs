@@ -177,11 +177,6 @@ pub struct CollRecord {
 }
 
 impl CollRecord {
-    /// Payload bytes of this operation.
-    pub fn bytes(&self) -> u64 {
-        self.count * self.dtype.size_bytes()
-    }
-
     /// Duration if completed.
     pub fn duration(&self) -> Option<SimDuration> {
         self.end.map(|e| e - self.start)
@@ -315,7 +310,7 @@ mod tests {
             start: SimTime::from_secs(1),
             end: Some(SimTime::from_secs(2)),
         };
-        assert_eq!(rec.bytes(), 2048);
+        assert_eq!(rec.count * rec.dtype.size_bytes(), 2048);
         assert_eq!(rec.duration().unwrap(), SimDuration::from_secs(1));
         let hung = CollRecord { end: None, ..rec };
         assert!(hung.duration().is_none());

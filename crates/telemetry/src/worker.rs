@@ -91,19 +91,9 @@ impl WorkerTelemetry {
         self.conns.iter()
     }
 
-    /// Connection aggregate for a specific key.
-    pub fn conn(&self, key: &ConnKey) -> Option<&ConnRecord> {
-        self.conn_index.get(key).map(|&i| &self.conns[i])
-    }
-
     /// Rank records, append order.
     pub fn ranks(&self) -> &[RankRecord] {
         &self.ranks
-    }
-
-    /// Collectives still in flight (no completion recorded).
-    pub fn in_flight(&self) -> impl Iterator<Item = &CollRecord> {
-        self.colls.iter().filter(|c| c.end.is_none())
     }
 
     /// The store's records as pipeline events, in the canonical per-store
@@ -159,13 +149,6 @@ pub struct TelemetrySnapshot {
     pub ranks: Vec<RankRecord>,
 }
 
-impl TelemetrySnapshot {
-    /// Collectives still in flight at snapshot time.
-    pub fn in_flight(&self) -> impl Iterator<Item = &CollRecord> {
-        self.colls.iter().filter(|c| c.end.is_none())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +187,7 @@ mod tests {
                 SimTime::from_secs(i),
             );
         }
-        let rec = w.conn(&key).unwrap();
+        let rec = w.conns().find(|c| c.key == key).unwrap();
         assert_eq!(rec.messages, 3);
         assert_eq!(rec.bytes, 300);
         assert_eq!(w.conns().count(), 1);
@@ -253,12 +236,11 @@ mod tests {
         assert_eq!(snap.gpu, Some(GpuId::from_index(7)));
         assert_eq!(snap.taken, SimTime::from_secs(10));
         assert_eq!(snap.comms.len(), 1);
-        assert_eq!(snap.in_flight().count(), 1);
+        assert_eq!(snap.colls.len(), 1);
         // Mutating the worker afterwards does not affect the snapshot.
         w.record_coll(coll(1, 1, None));
-        assert_eq!(w.in_flight().count(), 2);
+        assert_eq!(w.colls().len(), 2);
         assert_eq!(snap.colls.len(), 1);
-        assert_eq!(snap.in_flight().count(), 1);
     }
 
     #[test]

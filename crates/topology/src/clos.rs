@@ -224,12 +224,6 @@ impl ClosConfig {
         self.nodes * self.gpus_per_node
     }
 
-    /// Number of leaf pairs available to a node's rails under the given
-    /// wiring (leaves per group halved).
-    pub fn leaf_pairs_per_group(&self) -> usize {
-        self.num_leaves / self.groups() / 2
-    }
-
     /// Number of leaf groups (1 for rail-optimized wiring).
     pub fn groups(&self) -> usize {
         match self.wiring {
@@ -348,7 +342,7 @@ mod tests {
         assert_eq!(cfg.group_of_node(7), 0);
         assert_eq!(cfg.group_of_node(8), 1);
         assert_eq!(cfg.group_of_node(15), 1);
-        assert_eq!(cfg.leaf_pairs_per_group(), 2);
+        assert_eq!(cfg.num_leaves / cfg.groups() / 2, 2, "leaf pairs per group");
     }
 
     #[test]
@@ -395,7 +389,7 @@ mod tests {
         );
         // Leaf pairs per group match the 8 rails exactly: every leaf
         // terminates ports (no dark leaves, no double-density leaves).
-        assert_eq!(cfg.leaf_pairs_per_group(), cfg.nics_per_node);
+        assert_eq!(cfg.num_leaves / cfg.groups() / 2, cfg.nics_per_node);
         let cfg = ClosConfig::pod_grouped_railed(1024, 8);
         cfg.validate().unwrap();
         assert_eq!(cfg.uplinks_per_leaf_spine, 4);
@@ -415,7 +409,7 @@ mod tests {
             assert_eq!(cfg.num_leaves, 8 * 16, "{nodes} nodes");
             assert_eq!(cfg.uplinks_per_leaf_spine, trunks, "{nodes} nodes");
             assert!((cfg.oversubscription() - 2.0).abs() < 1e-9);
-            assert_eq!(cfg.leaf_pairs_per_group(), cfg.nics_per_node);
+            assert_eq!(cfg.num_leaves / cfg.groups() / 2, cfg.nics_per_node);
         }
     }
 

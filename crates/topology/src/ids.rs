@@ -91,14 +91,6 @@ impl PortSide {
     /// Both sides, left first.
     pub const BOTH: [PortSide; 2] = [PortSide::Left, PortSide::Right];
 
-    /// The opposite side.
-    pub fn other(self) -> PortSide {
-        match self {
-            PortSide::Left => PortSide::Right,
-            PortSide::Right => PortSide::Left,
-        }
-    }
-
     /// 0 for left, 1 for right.
     pub const fn index(self) -> usize {
         match self {
@@ -141,8 +133,6 @@ mod tests {
 
     #[test]
     fn port_side_round_trip() {
-        assert_eq!(PortSide::Left.other(), PortSide::Right);
-        assert_eq!(PortSide::Right.other(), PortSide::Left);
         assert_eq!(PortSide::from_index(0), PortSide::Left);
         assert_eq!(PortSide::from_index(1), PortSide::Right);
         assert_eq!(PortSide::from_index(2), PortSide::Left);

@@ -62,22 +62,6 @@ impl LinkKind {
             LinkKind::FabricUp { .. } | LinkKind::FabricDown { .. }
         )
     }
-
-    /// True for NIC↔leaf host links.
-    pub fn is_host(&self) -> bool {
-        matches!(self, LinkKind::HostUp(_) | LinkKind::HostDown(_))
-    }
-
-    /// True for intra-node (NVLink or PCIe) links.
-    pub fn is_intra_node(&self) -> bool {
-        matches!(
-            self,
-            LinkKind::NvlinkTx(_)
-                | LinkKind::NvlinkRx(_)
-                | LinkKind::PcieTx(_)
-                | LinkKind::PcieRx(_)
-        )
-    }
 }
 
 /// A directed, capacity-bearing link.
@@ -110,11 +94,6 @@ impl Link {
     /// The link kind.
     pub fn kind(&self) -> LinkKind {
         self.kind
-    }
-
-    /// Nominal (healthy, undegraded) capacity.
-    pub fn nominal_capacity(&self) -> Bandwidth {
-        self.capacity
     }
 
     /// Effective capacity: zero when down, otherwise nominal × degradation.
@@ -169,7 +148,6 @@ mod tests {
         let l = link();
         assert!(l.is_up());
         assert_eq!(l.capacity().as_gbps(), 200.0);
-        assert_eq!(l.nominal_capacity().as_gbps(), 200.0);
     }
 
     #[test]
@@ -194,9 +172,6 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(LinkKind::HostUp(PortId::from_index(0)).is_host());
-        assert!(LinkKind::NvlinkTx(GpuId::from_index(0)).is_intra_node());
-        assert!(LinkKind::PcieRx(GpuId::from_index(0)).is_intra_node());
         assert!(LinkKind::FabricUp {
             leaf: SwitchId::from_index(0),
             spine: SwitchId::from_index(1),

@@ -30,14 +30,6 @@ impl FabricPath {
         let down = topo.link(self.down);
         up.is_up() && down.is_up() && up.degradation() >= 1.0 && down.degradation() >= 1.0
     }
-
-    /// The tighter of the two links' current capacities, in Gbps.
-    pub fn bottleneck_gbps(&self, topo: &Topology) -> f64 {
-        topo.link(self.up)
-            .capacity()
-            .min(topo.link(self.down).capacity())
-            .as_gbps()
-    }
 }
 
 #[cfg(test)]
@@ -53,7 +45,6 @@ mod tests {
         let victim = paths[5];
         t.link_mut(victim.up).set_up(false);
         assert!(!victim.is_healthy(&t));
-        assert_eq!(victim.bottleneck_gbps(&t), 0.0);
         // Sibling paths unaffected.
         assert!(paths
             .iter()
@@ -68,6 +59,5 @@ mod tests {
         let victim = paths[0];
         t.link_mut(victim.down).set_degradation(0.5);
         assert!(!victim.is_healthy(&t));
-        assert_eq!(victim.bottleneck_gbps(&t), 100.0);
     }
 }

@@ -366,19 +366,9 @@ impl Topology {
         &self.gpus
     }
 
-    /// All NICs in id order.
-    pub fn nics(&self) -> &[Nic] {
-        &self.nics
-    }
-
     /// All ports in id order.
     pub fn ports(&self) -> &[NicPort] {
         &self.ports
-    }
-
-    /// All links in id order.
-    pub fn links(&self) -> &[Link] {
-        &self.links
     }
 
     /// Leaf switch ids in tier order.
@@ -441,11 +431,6 @@ impl Topology {
             }
         }
         out
-    }
-
-    /// True when both ports attach to the same leaf (flow can avoid spines).
-    pub fn same_leaf(&self, a: PortId, b: PortId) -> bool {
-        self.port(a).leaf == self.port(b).leaf
     }
 
     /// Route for an intra-node transfer: NVLink egress then ingress.
@@ -518,15 +503,6 @@ impl Topology {
         self.node_healthy[node.index()]
     }
 
-    /// Ids of all currently healthy nodes.
-    pub fn healthy_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| self.node_healthy[n.id.index()])
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// Brings every fabric link touching `spine` up or down (used to halve
     /// the spine layer for the 2:1 oversubscription experiments).
     pub fn set_spine_up(&mut self, spine: SwitchId, up: bool) {
@@ -564,7 +540,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 16);
         assert_eq!(t.num_leaves(), 8);
         assert_eq!(t.num_spines(), 8);
-        assert_eq!(t.nics().len(), 16 * 8);
+        assert_eq!(t.nics.len(), 16 * 8);
         assert_eq!(t.ports().len(), 16 * 8 * 2);
         // links: fabric 8*8*4*2 + host 256*2 + per-gpu 128*4
         assert_eq!(t.num_links(), 8 * 8 * 4 * 2 + 256 * 2 + 128 * 4);
@@ -602,7 +578,6 @@ mod tests {
         let pa = t.port_of_gpu(a, PortSide::Left);
         let pb = t.port_of_gpu(b, PortSide::Left);
         assert_ne!(t.port(pa).leaf, t.port(pb).leaf);
-        assert!(!t.same_leaf(pa, pb));
         assert_eq!(t.node(NodeId::from_index(0)).group, 0);
         assert_eq!(t.node(NodeId::from_index(8)).group, 1);
     }
@@ -711,9 +686,14 @@ mod tests {
     #[test]
     fn node_health_marking() {
         let mut t = Topology::build(&ClosConfig::tiny(4));
-        assert_eq!(t.healthy_nodes().len(), 4);
+        let healthy = |t: &Topology| {
+            (0..4)
+                .filter(|&n| t.is_node_healthy(NodeId::from_index(n)))
+                .count()
+        };
+        assert_eq!(healthy(&t), 4);
         t.set_node_healthy(NodeId::from_index(2), false);
         assert!(!t.is_node_healthy(NodeId::from_index(2)));
-        assert_eq!(t.healthy_nodes().len(), 3);
+        assert_eq!(healthy(&t), 3);
     }
 }

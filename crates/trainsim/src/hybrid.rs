@@ -502,7 +502,7 @@ mod tests {
         assert_eq!(job.dp_comms().len(), 4 * 8); // stages × rails
         assert_eq!(job.ep_comms().len(), 4 * 8 * 2); // each DP ring → 2 slices
         for c in job.tp_comms() {
-            assert!(c.is_single_node());
+            assert_eq!(c.nodes().len(), 1);
             assert_eq!(c.nranks(), 8);
         }
         for c in job.dp_comms() {

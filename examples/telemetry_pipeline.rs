@@ -1,7 +1,7 @@
 //! The streaming telemetry → detection pipeline, end to end: run the Fig 12
 //! spine-kill scenario with telemetry capture on, stream the recorded
-//! traffic through the incremental C4D master while a CSV sink records the
-//! event stream, then replay the CSV through a fresh master and check all
+//! traffic through the incremental C4D master while the event stream is
+//! recorded to CSV, then replay the CSV through a fresh master and check all
 //! three detection paths (batch matrix scan, live stream, CSV replay) agree
 //! verdict for verdict.
 //!
@@ -42,14 +42,13 @@ fn main() {
     println!("captured {} events: {:?}", events.len(), by_kind);
 
     // 3. Windowed view of the same stream: mean completed-collective
-    //    latency per 100 ms of simulated time, flattened to summary records.
+    //    latency per 100 ms of simulated time, one line per closed pane.
     // The canonical order is snapshot-major (rank 0's full history, then
     // rank 1's, …), so time rewinds at each snapshot boundary; allowed
     // lateness spanning the run keeps those arrivals in their panes.
     let lateness = SimDuration::from_secs(1).as_nanos();
     let mut window: WindowedAggregate<u64> = WindowedAggregate::new(
         WindowSpec::tumbling_time(SimDuration::from_millis(100)).with_lateness(lateness),
-        Combiner::Mean,
         |e| match e {
             TelemetryEvent::Coll(c) if c.end.is_some() => Some(c.comm),
             _ => None,
@@ -59,19 +58,19 @@ fn main() {
             _ => None,
         },
     );
-    let mut summary = SummarySink::new();
+    let mut panes = Vec::new();
     for e in &events {
-        summary.accept_panes(&window.push(e));
+        panes.extend(window.push(e));
     }
-    summary.accept_panes(&window.flush());
-    for w in summary.records() {
+    panes.extend(window.flush());
+    for p in &panes {
         println!(
             "  window [{:>5} ms, {:>5} ms) comm {}: mean coll latency {:.2} ms over {} ops",
-            w.window_start / 1_000_000,
-            w.window_end / 1_000_000,
-            w.key,
-            w.mean,
-            w.count
+            p.start / 1_000_000,
+            p.end / 1_000_000,
+            p.key,
+            p.aggregate.mean().expect("a pane holds at least one value"),
+            p.aggregate.count()
         );
     }
 

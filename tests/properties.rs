@@ -121,16 +121,6 @@ proptest! {
         prop_assert!(max - min <= 1);
     }
 
-    /// Transfer time inverts bandwidth within float tolerance.
-    #[test]
-    fn transfer_time_round_trips(mib in 1u64..4096, gbps in 1.0_f64..400.0) {
-        let size = ByteSize::from_mib(mib);
-        let rate = Bandwidth::from_gbps(gbps);
-        let t = size.transfer_time(rate).as_secs_f64();
-        let implied_gbps = size.as_bytes() as f64 * 8.0 / t / 1e9;
-        prop_assert!((implied_gbps - gbps).abs() < gbps * 1e-6);
-    }
-
     /// Fault injection respects the horizon and keeps events ordered for
     /// any job size.
     #[test]

@@ -228,7 +228,12 @@ fn dead_port_hangs_ecmp_and_c4d_diagnoses_it() {
         "localizes the dead rail's node"
     );
     assert_eq!(
-        master.log().of_kind(EventKind::CommHang).count(),
+        master
+            .log()
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::CommHang)
+            .count(),
         1,
         "one CommHang event in the log"
     );
