@@ -39,7 +39,6 @@
 pub mod detectors;
 pub mod master;
 pub mod matrix;
-pub mod rca;
 pub mod smoothing;
 pub mod steering;
 pub mod streaming;
@@ -47,7 +46,6 @@ pub mod streaming;
 pub use detectors::{detect_hang, detect_noncomm_slow, DetectorConfig, Syndrome};
 pub use master::{C4dMaster, Diagnosis};
 pub use matrix::{DelayMatrix, MatrixFinding};
-pub use rca::{analyze as analyze_root_cause, Hypothesis, RcaReport};
 pub use smoothing::{raw_straggler, LoadSmoother};
 pub use steering::{JobSteering, ReplacementPlan, SteeringConfig, SteeringError};
 pub use streaming::{

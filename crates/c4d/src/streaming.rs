@@ -31,12 +31,12 @@
 //! scenario wiring streams one final snapshot set).
 //!
 //! [`CollHealthDetector`] and [`StreamSmoother`] are the *windowed*
-//! detectors: CCL-D-style per-collective slow/hang verdicts over tumbling
+//! detectors: CCL-D-style per-collective slow verdicts over tumbling
 //! event-time windows, and the EP straggler test over sliding step windows
 //! (the streaming twin of [`LoadSmoother`](crate::smoothing::LoadSmoother)).
 
 use std::collections::VecDeque;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use c4_simcore::{SimDuration, SimTime};
 use c4_telemetry::pipeline::{TelemetryEvent, WindowSpec, WindowedAggregate};
@@ -349,50 +349,28 @@ pub enum StreamVerdict {
         /// `mean_ms / baseline_ms`.
         ratio: f64,
     },
-    /// A collective has ranks in flight past the hang timeout (watermark
-    /// time, no completion reported).
-    CollHang {
-        /// Communicator id.
-        comm: u64,
-        /// Hung sequence number.
-        seq: u64,
-        /// Oldest in-flight start among the stuck ranks.
-        start: SimTime,
-        /// Ranks still parked in the operation.
-        stuck_ranks: Vec<u32>,
-    },
 }
 
 /// CCL-D-style streaming collective health: per-communicator tumbling
 /// event-time windows of completed-collective durations compared against a
-/// trailing baseline, plus watermark-driven hang detection on in-flight
-/// reports.
+/// trailing baseline. Hangs are [`StreamingC4dMaster`]'s to find.
 ///
 /// This detector has no batch counterpart — it is the first detector that
 /// exists only on the streaming path.
 pub struct CollHealthDetector {
     window: WindowedAggregate<u64>,
-    timeout: SimDuration,
     slow_factor: f64,
     baseline_window: usize,
     /// Trailing window means per communicator (bounded).
     history: BTreeMap<u64, VecDeque<f64>>,
-    /// In-flight collectives: `(comm, seq)` → oldest start, stuck ranks,
-    /// whether a hang verdict has already been emitted.
-    inflight: BTreeMap<(u64, u64), (SimTime, BTreeSet<u32>, bool)>,
 }
 
 impl CollHealthDetector {
     /// Creates a detector: `window` is the tumbling event-time pane width,
-    /// `timeout` the in-flight hang threshold, `slow_factor` the mean-over-
-    /// baseline ratio that flags a slow window, `baseline_window` how many
-    /// previous window means form the baseline median.
-    pub fn new(
-        window: SimDuration,
-        timeout: SimDuration,
-        slow_factor: f64,
-        baseline_window: usize,
-    ) -> Self {
+    /// `slow_factor` the mean-over-baseline ratio that flags a slow window,
+    /// `baseline_window` how many previous window means form the baseline
+    /// median.
+    pub fn new(window: SimDuration, slow_factor: f64, baseline_window: usize) -> Self {
         CollHealthDetector {
             window: WindowedAggregate::new(
                 WindowSpec::tumbling_time(window),
@@ -405,50 +383,23 @@ impl CollHealthDetector {
                     _ => None,
                 },
             ),
-            timeout,
             slow_factor,
             baseline_window: baseline_window.max(1),
             history: BTreeMap::new(),
-            inflight: BTreeMap::new(),
         }
     }
 
-    /// Feeds one event; every event advances the watermark (hang checks),
-    /// completed collectives also land in the duration windows.
+    /// Feeds one event; every event advances the watermark, completed
+    /// collectives also land in the duration windows.
     pub fn feed(&mut self, event: &TelemetryEvent) -> Vec<StreamVerdict> {
-        if let TelemetryEvent::Coll(c) = event {
-            match c.end {
-                None => {
-                    let entry = self.inflight.entry((c.comm, c.seq)).or_insert((
-                        c.start,
-                        BTreeSet::new(),
-                        false,
-                    ));
-                    entry.0 = entry.0.min(c.start);
-                    entry.1.insert(c.rank);
-                }
-                Some(_) => {
-                    if let Some(entry) = self.inflight.get_mut(&(c.comm, c.seq)) {
-                        entry.1.remove(&c.rank);
-                        if entry.1.is_empty() {
-                            self.inflight.remove(&(c.comm, c.seq));
-                        }
-                    }
-                }
-            }
-        }
         let panes = self.window.push(event);
-        let mut verdicts = self.judge_panes(panes);
-        verdicts.extend(self.check_hangs());
-        verdicts
+        self.judge_panes(panes)
     }
 
     /// Closes remaining windows at end of stream.
     pub fn flush(&mut self) -> Vec<StreamVerdict> {
         let panes = self.window.flush();
-        let mut verdicts = self.judge_panes(panes);
-        verdicts.extend(self.check_hangs());
-        verdicts
+        self.judge_panes(panes)
     }
 
     fn judge_panes(
@@ -477,26 +428,6 @@ impl CollHealthDetector {
                 history.pop_front();
             }
             history.push_back(mean);
-        }
-        out
-    }
-
-    fn check_hangs(&mut self) -> Vec<StreamVerdict> {
-        let Some(watermark) = self.window.watermark() else {
-            return Vec::new();
-        };
-        let now = SimTime::from_nanos(watermark);
-        let mut out = Vec::new();
-        for (&(comm, seq), entry) in self.inflight.iter_mut() {
-            if !entry.2 && now - entry.0 >= self.timeout {
-                entry.2 = true;
-                out.push(StreamVerdict::CollHang {
-                    comm,
-                    seq,
-                    start: entry.0,
-                    stuck_ranks: entry.1.iter().copied().collect(),
-                });
-            }
         }
         out
     }
@@ -771,12 +702,7 @@ mod tests {
 
     #[test]
     fn coll_health_flags_a_slow_window_against_the_trailing_baseline() {
-        let mut det = CollHealthDetector::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(30),
-            2.0,
-            4,
-        );
+        let mut det = CollHealthDetector::new(SimDuration::from_secs(1), 2.0, 4);
         let mut verdicts = Vec::new();
         // Four healthy windows: one 10 ms collective completing per second.
         for s in 0..4u64 {
@@ -794,89 +720,14 @@ mod tests {
             Some(end),
         )));
         verdicts.extend(det.flush());
-        let slow: Vec<&StreamVerdict> = verdicts
-            .iter()
-            .filter(|v| matches!(v, StreamVerdict::CollSlow { .. }))
-            .collect();
-        assert_eq!(slow.len(), 1, "exactly the degraded window: {verdicts:?}");
-        match slow[0] {
-            StreamVerdict::CollSlow { comm, ratio, .. } => {
-                assert_eq!(*comm, 1);
-                assert!(*ratio > 2.5 && *ratio < 3.5, "ratio {ratio}");
-            }
-            v => panic!("unexpected {v:?}"),
-        }
-    }
-
-    #[test]
-    fn coll_health_reports_a_watermark_hang_once() {
-        let mut det =
-            CollHealthDetector::new(SimDuration::from_secs(1), SimDuration::from_secs(5), 2.0, 4);
-        // Ranks 0 and 1 enter seq 3 at t=1s and never complete.
-        assert!(det
-            .feed(&coll_event(7, 3, 0, SimTime::from_secs(1), None))
-            .is_empty());
-        assert!(det
-            .feed(&coll_event(7, 3, 1, SimTime::from_secs(1), None))
-            .is_empty());
-        // Time passes (another communicator's completions drive the
-        // watermark); at 7s the 5s timeout has elapsed.
-        let end = SimTime::from_secs(7);
-        let verdicts = det.feed(&coll_event(
-            8,
-            0,
-            0,
-            end - SimDuration::from_millis(1),
-            Some(end),
-        ));
-        let hangs: Vec<&StreamVerdict> = verdicts
-            .iter()
-            .filter(|v| matches!(v, StreamVerdict::CollHang { .. }))
-            .collect();
-        assert_eq!(hangs.len(), 1);
-        match hangs[0] {
-            StreamVerdict::CollHang {
-                comm,
-                seq,
-                stuck_ranks,
-                ..
-            } => {
-                assert_eq!((*comm, *seq), (7, 3));
-                assert_eq!(stuck_ranks, &vec![0, 1]);
-            }
-            v => panic!("unexpected {v:?}"),
-        }
-        // Emitted once: further watermark advances stay silent.
-        let end = SimTime::from_secs(9);
-        let again = det.feed(&coll_event(
-            8,
+        assert_eq!(
+            verdicts.len(),
             1,
-            0,
-            end - SimDuration::from_millis(1),
-            Some(end),
-        ));
-        assert!(
-            !again
-                .iter()
-                .any(|v| matches!(v, StreamVerdict::CollHang { .. })),
-            "{again:?}"
+            "exactly the degraded window: {verdicts:?}"
         );
-        // A completion clears the in-flight entry.
-        det.feed(&coll_event(
-            7,
-            3,
-            0,
-            SimTime::from_secs(1),
-            Some(SimTime::from_secs(10)),
-        ));
-        det.feed(&coll_event(
-            7,
-            3,
-            1,
-            SimTime::from_secs(1),
-            Some(SimTime::from_secs(10)),
-        ));
-        assert!(det.inflight.is_empty());
+        let StreamVerdict::CollSlow { comm, ratio, .. } = verdicts[0];
+        assert_eq!(comm, 1);
+        assert!(ratio > 2.5 && ratio < 3.5, "ratio {ratio}");
     }
 
     fn load_event(rank: u32, step: u64, value: f64) -> TelemetryEvent {

@@ -1135,9 +1135,10 @@ mod tests {
         let res = run_collective(&t, &req, &mut sel, None, &mut rng, Some(&mut tel));
         assert!(!res.hung());
         for &g in comm.devices() {
-            assert_eq!(tel[g.index()].colls().len(), 1);
-            assert_eq!(tel[g.index()].ranks().len(), 1);
-            assert!(tel[g.index()].colls()[0].end.is_some());
+            let snap = tel[g.index()].snapshot(SimTime::ZERO);
+            assert_eq!(snap.colls.len(), 1);
+            assert_eq!(snap.ranks.len(), 1);
+            assert!(snap.colls[0].end.is_some());
         }
         let senders: usize = tel.iter().map(|w| w.conns().count()).sum();
         assert_eq!(senders, 16 * 2); // 16 streams × 2 QPs

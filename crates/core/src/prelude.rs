@@ -40,10 +40,10 @@ pub use c4_faults::{
 };
 
 pub use c4_diagnosis::{
-    analyze_root_cause, detect_hang, detect_noncomm_slow, raw_straggler, C4dMaster,
-    CollHealthDetector, DelayMatrix, DetectorConfig, Diagnosis, Hypothesis, JobSteering,
-    LoadSmoother, MatrixFinding, RcaReport, ReplacementPlan, SteeringConfig, SteeringError,
-    StepVerdict, StreamSmoother, StreamVerdict, StreamingC4dMaster, Syndrome,
+    detect_hang, detect_noncomm_slow, raw_straggler, C4dMaster, CollHealthDetector, DelayMatrix,
+    DetectorConfig, Diagnosis, JobSteering, LoadSmoother, MatrixFinding, ReplacementPlan,
+    SteeringConfig, SteeringError, StepVerdict, StreamSmoother, StreamVerdict, StreamingC4dMaster,
+    Syndrome,
 };
 
 pub use c4_traffic::{C4pConfig, C4pMaster, PathCatalog, PathLoadLedger};

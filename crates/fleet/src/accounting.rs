@@ -21,11 +21,12 @@ pub struct JobAccounting {
     /// Productive training time.
     pub productive: SimDuration,
     /// Total unproductive time: detection + steering + re-init + redone
-    /// post-checkpoint work + retry stalls.
+    /// post-checkpoint work + retry waits.
     pub downtime: SimDuration,
     /// Completed recovery events (isolate/replace/shrink).
     pub recoveries: u64,
-    /// Transient-fault retries (backoff waits that did not isolate).
+    /// Hangs C4D did not localize, each waited out for `retry_backoff`
+    /// without an isolation.
     pub retries: u64,
     /// Times the job shrank its DP width because no backup remained.
     pub dp_shrinks: u64,
@@ -121,9 +122,10 @@ pub struct FleetReport {
     pub replacements: u64,
     /// DP shrinks after backup-pool exhaustion.
     pub dp_shrinks: u64,
-    /// Transient retries (backoff without isolation).
+    /// Unlocalized hangs waited out for `retry_backoff` (no isolation).
     pub retries: u64,
-    /// Transient faults escalated to permanent after N strikes.
+    /// Fabric links that failed `flap_strikes` times within `flap_window`
+    /// and stay down.
     pub escalations: u64,
     /// Repaired nodes returned to the pools.
     pub repairs_returned: u64,

@@ -13,10 +13,13 @@
 //!    `run_concurrent_cached`, feed its telemetry to the streaming
 //!    detectors, and extrapolate `stride - 1` further iterations (BSP
 //!    periodicity makes the extrapolation exact up to compute jitter);
-//! 6. act on verdicts: retry/backoff transient flaps with N-strike
-//!    escalation, otherwise isolate through [`JobSteering`] and resume per
-//!    the job's [`RecoveryPolicy`] — backup swap, whole-job re-placement,
-//!    or DP shrink when the backup pool is dry;
+//! 6. act on what the detectors saw, through one free function (`decide`)
+//!    that cannot read the fault schedule: a hang isolates C4D's critical
+//!    suspect, or waits `retry_backoff` and runs again when nothing
+//!    localizes; persistent slowness isolates the slow suspect. Isolation
+//!    goes through [`JobSteering`] and the job resumes per its
+//!    [`RecoveryPolicy`] — backup swap, whole-job re-placement, or DP
+//!    shrink when the backup pool is dry;
 //! 7. depart finished jobs and advance the fleet clock.
 //!
 //! [`PlanCache`]: c4_collectives::PlanCache
@@ -25,7 +28,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use c4_collectives::Communicator;
 use c4_diagnosis::{
-    CollHealthDetector, DetectorConfig, JobSteering, SteeringConfig, SteeringError, StreamVerdict,
+    CollHealthDetector, DetectorConfig, Diagnosis, JobSteering, SteeringConfig, SteeringError,
     StreamingC4dMaster,
 };
 use c4_faults::{
@@ -89,14 +92,15 @@ pub struct FleetConfig {
     pub reinit: SimDuration,
     /// Per-collective give-up horizon (hang modelling).
     pub comm_deadline: SimDuration,
-    /// Strike window for transient faults.
+    /// Strike window of the fabric-link flap tracker, and of the slow
+    /// tracker (`slow_strikes`).
     pub flap_window: SimDuration,
-    /// Strikes within the window before a transient fault is escalated to
-    /// permanent isolation.
+    /// Failures of one fabric link within `flap_window` after which the
+    /// link is no longer repaired and stays down.
     pub flap_strikes: usize,
-    /// Auto-repair delay of a transient fault (link flap, NIC brown-out).
+    /// Auto-repair delay of a fabric link failure.
     pub flap_repair: SimDuration,
-    /// Extra wait after a transient repair before the job retries.
+    /// Wait before a job whose hang C4D did not localize runs again.
     pub retry_backoff: SimDuration,
     /// How long degradation events (slow GPU, PCIe downgrade, GC pauses)
     /// persist before self-healing.
@@ -231,7 +235,6 @@ impl FleetConfig {
 #[derive(Debug, Clone)]
 struct ActiveFault {
     node: Option<NodeId>,
-    link: Option<LinkId>,
     /// Topology-level effects to revert on repair.
     degradations: Vec<Degradation>,
     /// Compute-side effects (consumed by matching jobs each round).
@@ -263,14 +266,52 @@ struct FleetJob {
 }
 
 /// What the verdict loop decided for one job this round.
+#[derive(Debug, PartialEq)]
 enum Action {
-    /// Wait out a transient fault, optionally escalating it first.
-    Retry {
-        until: SimTime,
-        strike_key: Option<u64>,
-    },
+    /// Wait `retry_backoff` and run the job again.
+    Retry,
     /// Isolate `victim` and resume per policy.
     Recover { victim: NodeId },
+}
+
+/// The verdict → action rule, C4D's online path (localize, isolate,
+/// restart): it reads the detectors' output and the controller's own
+/// state, never the fault schedule.
+///
+/// A hung iteration isolates a critical suspect on the job, preferring one
+/// not swapped in since the last clean iteration; with no such suspect the
+/// job waits and runs again. Persistent slowness (`slow_escalates`)
+/// isolates the first non-critical suspect, if it is on the job.
+fn decide(
+    hung: bool,
+    diags: &[Diagnosis],
+    slow_escalates: bool,
+    job_nodes: &[NodeId],
+    recent_replacements: &[NodeId],
+) -> Option<Action> {
+    if hung {
+        let mut candidates: Vec<NodeId> = diags
+            .iter()
+            .filter(|d| d.critical)
+            .filter_map(|d| d.suspect)
+            .filter(|n| job_nodes.contains(n))
+            .collect();
+        candidates.dedup();
+        let victim = candidates
+            .iter()
+            .find(|n| !recent_replacements.contains(n))
+            .or_else(|| candidates.first());
+        return Some(victim.map_or(Action::Retry, |&victim| Action::Recover { victim }));
+    }
+    if !slow_escalates {
+        return None;
+    }
+    diags
+        .iter()
+        .filter(|d| !d.critical)
+        .find_map(|d| d.suspect)
+        .filter(|n| job_nodes.contains(n))
+        .map(|victim| Action::Recover { victim })
 }
 
 /// Pending repair of a whole node.
@@ -343,14 +384,6 @@ fn node_links(topo: &Topology, node: NodeId) -> Vec<LinkId> {
         out.push(gpu.pcie_rx);
     }
     out
-}
-
-/// Strike-tracker key namespaces (links and nodes share one tracker).
-fn link_key(l: LinkId) -> u64 {
-    (l.index() as u64) << 1
-}
-fn node_key(n: NodeId) -> u64 {
-    ((n.index() as u64) << 1) | 1
 }
 
 /// One communicator's telemetry as the detectors read it: the member
@@ -447,11 +480,6 @@ impl FleetController {
         ctl
     }
 
-    /// The live topology (for inspection in tests).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Nodes of a currently running job, admission order (test hook for
     /// aiming injected faults at live jobs).
     pub fn job_nodes(&self, job: u64) -> Option<Vec<NodeId>> {
@@ -535,21 +563,14 @@ impl FleetController {
         // --- act on verdicts --------------------------------------------
         for (id, action) in actions {
             match action {
-                Action::Retry { until, strike_key } => {
+                Action::Retry => {
                     self.retries += 1;
-                    let escalate = match strike_key {
-                        Some(k) => self.flaps.record(k, self.clock),
-                        None => false,
-                    };
-                    if escalate {
-                        self.escalate(strike_key.expect("escalation implies a key"), id);
-                    } else if let Some(fj) = self.jobs.get_mut(&id) {
-                        let wait = until.saturating_since(self.clock) + self.cfg.retry_backoff;
-                        fj.blocked_until = self.clock + wait;
-                        fj.acc.retries += 1;
-                        fj.acc.downtime += wait;
-                        fj.job.advance_clock(wait);
-                    }
+                    let wait = self.cfg.retry_backoff;
+                    let fj = self.jobs.get_mut(&id).expect("job exists");
+                    fj.blocked_until = self.clock + wait;
+                    fj.acc.retries += 1;
+                    fj.acc.downtime += wait;
+                    fj.job.advance_clock(wait);
                 }
                 Action::Recover { victim } => self.recover(id, victim),
             }
@@ -627,7 +648,7 @@ impl FleetController {
         // hashed onto the dead port, so every group must be watched.
         let scan_at = fj.job.now() + cfg_detector.hang_timeout + SimDuration::from_secs(1);
         let mut diags = Vec::new();
-        let mut verdicts: Vec<StreamVerdict> = Vec::new();
+        let mut slow_verdict = false;
         for comm in fj.job.comms() {
             let mut master = StreamingC4dMaster::new(
                 cfg_detector,
@@ -639,133 +660,50 @@ impl FleetController {
             );
             for e in comm_events(tel, comm) {
                 master.feed(&e);
-                verdicts.extend(fj.health.feed(&e));
+                slow_verdict |= !fj.health.feed(&e).is_empty();
             }
             diags.extend(master.scan(scan_at, topo));
         }
 
-        let job_nodes = fj.job.layout().nodes.clone();
-        let mut candidates: Vec<NodeId> = diags
-            .iter()
-            .filter(|d| d.critical)
-            .filter_map(|d| d.suspect)
-            .filter(|n| job_nodes.contains(n))
-            .collect();
-        candidates.dedup();
-        let critical_suspect = candidates
-            .iter()
-            .find(|n| !fj.recent_replacements.contains(n))
-            .or_else(|| candidates.first())
-            .copied();
         if diags.iter().any(|d| d.critical) {
             self.detections += 1;
         }
 
-        if report.hung {
+        let slow_escalates = if report.hung {
             // The wasted iteration attempt plus the hang-detection latency
             // are downtime no matter how the job resumes.
             let waste = report.total + cfg_detector.hang_timeout + self.cfg.localize_delay;
             fj.acc.downtime += waste;
             fj.job
                 .advance_clock(cfg_detector.hang_timeout + self.cfg.localize_delay);
+            false
+        } else {
+            // Healthy (or merely slow) round: credit the stride.
+            fj.recent_replacements.clear();
+            let credited = report.total * stride as f64;
+            fj.acc.iterations += stride;
+            fj.acc.productive += credited;
+            fj.productive_since_ckpt += credited;
+            fj.job.advance_clock(report.total * (stride - 1) as f64);
+            *round_wall = (*round_wall).max(credited);
 
-            // Prefer the detector's localization; corroborate against the
-            // fault ledger to classify transient vs permanent.
-            let victim = critical_suspect.or_else(|| {
-                self.active
-                    .iter()
-                    .filter(|f| f.repair_at.is_none())
-                    .find_map(|f| f.node.filter(|n| job_nodes.contains(n)))
-            });
-            if let Some(v) = victim {
-                let transient = self
-                    .active
-                    .iter()
-                    .find(|f| f.node == Some(v) && f.repair_at.is_some());
-                if let Some(f) = transient {
-                    return Some(Action::Retry {
-                        until: f.repair_at.expect("transient has repair time"),
-                        strike_key: Some(node_key(v)),
-                    });
-                }
-                return Some(Action::Recover { victim: v });
-            }
-            // No localization: wait out the nearest pending repair (or a
-            // plain backoff when the ledger has nothing — e.g. a race with
-            // an event this controller has not applied yet).
-            let until = self
-                .active
-                .iter()
-                .filter_map(|f| f.repair_at)
-                .min()
-                .unwrap_or(self.clock);
-            return Some(Action::Retry {
-                until,
-                strike_key: None,
-            });
-        }
-
-        // Healthy (or merely slow) round: credit the stride.
-        fj.recent_replacements.clear();
-        let credited = report.total * stride as f64;
-        fj.acc.iterations += stride;
-        fj.acc.productive += credited;
-        fj.productive_since_ckpt += credited;
-        fj.job.advance_clock(report.total * (stride - 1) as f64);
-        *round_wall = (*round_wall).max(credited);
-
-        let slow = verdicts
-            .iter()
-            .any(|v| matches!(v, StreamVerdict::CollSlow { .. }))
-            || diags.iter().any(|d| !d.critical);
-        if slow {
-            if fj.policy == RecoveryPolicy::DegradedContinue {
+            let slow = slow_verdict || diags.iter().any(|d| !d.critical);
+            if !slow {
+                false
+            } else if fj.policy == RecoveryPolicy::DegradedContinue {
                 fj.acc.degraded_iterations += stride;
-                return None;
+                false
+            } else {
+                self.slow.record(id, self.clock)
             }
-            if self.slow.record(id, self.clock) {
-                // Persistent slowness: isolate whatever slow component the
-                // detectors or the ledger point at.
-                let victim = diags
-                    .iter()
-                    .filter(|d| !d.critical)
-                    .find_map(|d| d.suspect)
-                    .filter(|n| job_nodes.contains(n))
-                    .or_else(|| {
-                        self.active
-                            .iter()
-                            .find_map(|f| f.node.filter(|n| job_nodes.contains(n)))
-                    });
-                if let Some(v) = victim {
-                    return Some(Action::Recover { victim: v });
-                }
-            }
-        }
-        None
-    }
-
-    /// Escalates a transient fault (by strike key) to permanent: cancels
-    /// its auto-repair; node-scoped faults then isolate through the normal
-    /// recovery path.
-    fn escalate(&mut self, key: u64, job_id: u64) {
-        self.escalations += 1;
-        let mut victim = None;
-        for f in &mut self.active {
-            let matches = match (f.node, f.link) {
-                (Some(n), _) if node_key(n) == key => {
-                    victim = Some(n);
-                    true
-                }
-                (_, Some(l)) if link_key(l) == key => true,
-                _ => false,
-            };
-            if matches {
-                f.repair_at = None;
-            }
-        }
-        if let Some(v) = victim {
-            self.recover(job_id, v);
-        }
+        };
+        decide(
+            report.hung,
+            &diags,
+            slow_escalates,
+            &fj.job.layout().nodes,
+            &fj.recent_replacements,
+        )
     }
 
     /// Isolates `victim` through steering and resumes the job per policy.
@@ -893,7 +831,6 @@ impl FleetController {
         }
 
         self.slow.clear_key(id);
-        self.flaps.clear_key(node_key(victim));
         self.rebase_caches(&victim_links);
         self.audit_stale_routes(&victim_links);
     }
@@ -970,7 +907,7 @@ impl FleetController {
             self.faults.link_failures += 1;
             // N-strike ledger: a link that keeps flapping stops being
             // repaired (stays down; ECMP routes around it permanently).
-            let escalate = self.flaps.record(link_key(link), self.clock);
+            let escalate = self.flaps.record(link.index() as u64, self.clock);
             let repair_at = if escalate {
                 self.escalations += 1;
                 None
@@ -979,7 +916,6 @@ impl FleetController {
             };
             self.active.push(ActiveFault {
                 node: None,
-                link: Some(link),
                 degradations: vec![deg],
                 perturbations: Vec::new(),
                 links: vec![link],
@@ -1012,7 +948,6 @@ impl FleetController {
                 .any(|j| j.job.layout().nodes.contains(&node));
             self.active.push(ActiveFault {
                 node: Some(node),
-                link: None,
                 degradations: degs,
                 perturbations: Vec::new(),
                 links,
@@ -1039,7 +974,6 @@ impl FleetController {
         let fault = match e.kind {
             FaultKind::SlowGpu => ActiveFault {
                 node: Some(node),
-                link: None,
                 degradations: Vec::new(),
                 perturbations: vec![ComputePerturbation::slow_gpu(
                     e.gpu.expect("slow-gpu is gpu-scoped"),
@@ -1050,7 +984,6 @@ impl FleetController {
             },
             FaultKind::GcPause => ActiveFault {
                 node: Some(node),
-                link: None,
                 degradations: Vec::new(),
                 perturbations: vec![ComputePerturbation::gc_pause(
                     self.topo.gpu_at(node, 0),
@@ -1068,7 +1001,6 @@ impl FleetController {
                 changed.extend(links.iter().copied());
                 ActiveFault {
                     node: Some(node),
-                    link: None,
                     degradations: vec![deg],
                     perturbations: Vec::new(),
                     links,
@@ -1087,7 +1019,6 @@ impl FleetController {
                 changed.extend(links.iter().copied());
                 ActiveFault {
                     node: Some(node),
-                    link: None,
                     degradations: vec![deg],
                     perturbations: Vec::new(),
                     links,
@@ -1163,7 +1094,6 @@ impl FleetController {
                 rng: DetRng::seed_from(salt ^ 0xF1EE_7000),
                 health: CollHealthDetector::new(
                     self.cfg.slow_window,
-                    self.cfg.comm_deadline,
                     self.cfg.slow_factor,
                     self.cfg.slow_baseline,
                 ),
@@ -1213,9 +1143,91 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c4_diagnosis::Syndrome;
     use c4_telemetry::pipeline::events_from_snapshots;
     use c4_telemetry::{AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord};
     use c4_topology::{GpuId, PortId};
+
+    fn node(i: usize) -> NodeId {
+        NodeId::from_index(i)
+    }
+
+    /// A diagnosis blaming `suspect`: a hang when `critical`, else a
+    /// straggler.
+    fn diag(suspect: usize, critical: bool) -> Diagnosis {
+        let syndrome = if critical {
+            Syndrome::NonCommHang {
+                comm: 1,
+                seq: 0,
+                missing_ranks: vec![0],
+            }
+        } else {
+            Syndrome::NonCommSlow {
+                comm: 1,
+                straggler: 0,
+                ratio: 3.0,
+            }
+        };
+        Diagnosis {
+            at: SimTime::ZERO,
+            syndrome,
+            suspect: Some(node(suspect)),
+            critical,
+        }
+    }
+
+    #[test]
+    fn an_unlocalized_hang_waits_and_runs_again() {
+        let job = [node(0), node(1)];
+        // The only critical suspect is off the job; the slow one does not
+        // count for a hang.
+        let diags = [diag(7, true), diag(1, false)];
+        assert_eq!(decide(true, &diags, false, &job, &[]), Some(Action::Retry));
+        assert_eq!(decide(true, &[], false, &job, &[]), Some(Action::Retry));
+    }
+
+    #[test]
+    fn a_hang_isolates_the_suspect_not_swapped_in_since_the_last_clean_iteration() {
+        let job = [node(0), node(1), node(2)];
+        let diags = [diag(2, true), diag(2, true), diag(0, true)];
+        assert_eq!(
+            decide(true, &diags, false, &job, &[node(2)]),
+            Some(Action::Recover { victim: node(0) })
+        );
+        assert_eq!(
+            decide(true, &diags, false, &job, &[]),
+            Some(Action::Recover { victim: node(2) })
+        );
+    }
+
+    #[test]
+    fn a_hang_blamed_only_on_a_swapped_in_node_isolates_it() {
+        let job = [node(0), node(1)];
+        assert_eq!(
+            decide(true, &[diag(1, true)], false, &job, &[node(1)]),
+            Some(Action::Recover { victim: node(1) })
+        );
+    }
+
+    #[test]
+    fn persistent_slowness_isolates_only_a_slow_suspect_on_the_job() {
+        let job = [node(0), node(1)];
+        assert_eq!(
+            decide(false, &[diag(1, false)], true, &job, &[]),
+            Some(Action::Recover { victim: node(1) })
+        );
+        // Escalation with no non-critical suspect on the job: nobody.
+        assert_eq!(decide(false, &[diag(0, true)], true, &job, &[]), None);
+        assert_eq!(decide(false, &[diag(5, false)], true, &job, &[]), None);
+        assert_eq!(decide(false, &[], true, &job, &[]), None);
+    }
+
+    #[test]
+    fn a_clean_or_unescalated_iteration_does_nothing() {
+        let job = [node(0), node(1)];
+        assert_eq!(decide(false, &[], false, &job, &[]), None);
+        assert_eq!(decide(false, &[diag(1, false)], false, &job, &[]), None);
+    }
 
     #[test]
     fn comm_events_follow_the_member_order_not_the_gpu_order() {

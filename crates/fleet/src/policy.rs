@@ -1,4 +1,4 @@
-//! Per-job recovery policies and the transient-fault strike tracker.
+//! Per-job recovery policies and the sliding-window strike tracker.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -21,13 +21,13 @@ pub enum RecoveryPolicy {
     Replace,
 }
 
-/// Sliding-window strike counter for transient faults (link flaps, NIC
-/// brown-outs, repeated slow verdicts).
+/// Sliding-window strike counter for repeat offenders: fabric link flaps
+/// and repeated slow verdicts.
 ///
-/// Each key (a link, node or job identifier chosen by the caller)
-/// accumulates timestamped strikes; [`FlapTracker::record`] returns `true`
-/// when the key has reached the configured strike count within the window —
-/// the signal to stop retrying and escalate to isolation.
+/// Each key (a link or job identifier chosen by the caller) accumulates
+/// timestamped strikes; [`FlapTracker::record`] returns `true` when the key
+/// has reached the configured strike count within the window — the signal
+/// to escalate (keep the link down, isolate the slow node).
 #[derive(Debug, Clone)]
 pub struct FlapTracker {
     window: SimDuration,
@@ -70,7 +70,7 @@ impl FlapTracker {
         }
     }
 
-    /// Forgets a key (e.g. the component was replaced).
+    /// Forgets a key (e.g. the slow job was just recovered).
     pub fn clear_key(&mut self, key: u64) {
         self.history.remove(&key);
     }

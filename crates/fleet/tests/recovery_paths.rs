@@ -1,10 +1,11 @@
 //! Targeted recovery-path tests: each fault class is aimed at a live job
-//! and must flow detect → isolate/retry → replace/shrink → restart through
-//! the live network stack.
+//! and must flow detect → isolate → replace/shrink → restart through the
+//! live network stack.
 
 use c4_faults::{FaultEvent, FaultKind};
 use c4_fleet::{FleetConfig, FleetController, RecoveryPolicy};
 use c4_simcore::{SimDuration, SimTime};
+use c4_topology::{LinkId, NodeId, Topology};
 
 /// A quiet config: no random faults, a couple of small jobs, short horizon.
 fn quiet(seed: u64) -> FleetConfig {
@@ -16,7 +17,7 @@ fn quiet(seed: u64) -> FleetConfig {
     cfg
 }
 
-fn crash_at(id: u64, secs: u64, node: c4_topology::NodeId) -> FaultEvent {
+fn crash_at(id: u64, secs: u64, node: NodeId) -> FaultEvent {
     FaultEvent {
         id,
         time: SimTime::ZERO + SimDuration::from_secs(secs),
@@ -82,10 +83,9 @@ fn backup_exhaustion_shrinks_dp_instead_of_crashing() {
 }
 
 #[test]
-fn transient_nic_fault_retries_then_recovers_on_repair() {
+fn half_down_nic_is_isolated_on_first_localization() {
     let mut cfg = quiet(13);
     cfg.initial_jobs.truncate(1);
-    cfg.flap_strikes = 10; // never escalate in this test
     let mut ctl = FleetController::new(cfg);
     let victim = ctl.job_nodes(0).expect("job 0 admitted")[0];
     ctl.inject_event(FaultEvent {
@@ -100,67 +100,37 @@ fn transient_nic_fault_retries_then_recovers_on_repair() {
     let report = ctl.run();
 
     assert_eq!(report.faults.degradations, 1);
-    assert!(
-        report.retries >= 1,
-        "half-down NIC hangs flows; the job retries: {report:?}"
+    assert_eq!(
+        report.isolations, 1,
+        "C4D localizes the hang the dead port causes: {report:?}"
     );
-    assert_eq!(report.isolations, 0, "a single flap never isolates");
+    assert_eq!(report.retries, 0, "a localized hang is not waited out");
     assert_eq!(report.escalations, 0);
     assert_eq!(report.stale_plan_routes, 0);
     let job0 = &report.jobs[0];
-    assert!(
-        job0.completed,
-        "job finishes once the NIC repairs: {job0:?}"
-    );
-    assert!(job0.accounting.retries >= 1);
+    assert!(job0.completed, "job finishes after the swap: {job0:?}");
+    assert_eq!(job0.accounting.recoveries, 1);
 }
 
-#[test]
-fn repeated_nic_flaps_escalate_to_isolation() {
-    let mut cfg = quiet(14);
-    cfg.initial_jobs.truncate(1);
-    cfg.flap_strikes = 2;
-    cfg.degradation_duration = SimDuration::from_secs(120);
-    cfg.retry_backoff = SimDuration::from_secs(10);
-    let mut ctl = FleetController::new(cfg);
-    let victim = ctl.job_nodes(0).expect("job 0 admitted")[0];
-    for (i, secs) in [300u64, 1500, 2700, 3900].into_iter().enumerate() {
-        ctl.inject_event(FaultEvent {
-            id: 900_010 + i as u64,
-            time: SimTime::ZERO + SimDuration::from_secs(secs),
-            kind: FaultKind::NicHalfDown,
-            node: Some(victim),
-            gpu: None,
-            link: None,
-            local: true,
-        });
+fn link_failure_at(id: u64, secs: u64, link: LinkId) -> FaultEvent {
+    FaultEvent {
+        id,
+        time: SimTime::ZERO + SimDuration::from_secs(secs),
+        kind: FaultKind::LinkFailure,
+        node: None,
+        gpu: None,
+        link: Some(link),
+        local: true,
     }
-    let report = ctl.run();
-
-    assert!(
-        report.escalations >= 1,
-        "repeat offender escalates: {report:?}"
-    );
-    assert!(report.isolations >= 1, "escalation isolates the node");
-    assert_eq!(report.stale_plan_routes, 0);
-    assert!(report.jobs[0].completed);
 }
 
 #[test]
 fn fabric_link_flap_reroutes_without_isolation() {
     let mut cfg = quiet(15);
     cfg.initial_jobs.truncate(2);
+    let link = Topology::build(&cfg.clos).fabric_links()[0];
     let mut ctl = FleetController::new(cfg);
-    let link = ctl.topology().fabric_links()[0];
-    ctl.inject_event(FaultEvent {
-        id: 900_020,
-        time: SimTime::ZERO + SimDuration::from_secs(300),
-        kind: FaultKind::LinkFailure,
-        node: None,
-        gpu: None,
-        link: Some(link),
-        local: true,
-    });
+    ctl.inject_event(link_failure_at(900_020, 300, link));
     let report = ctl.run();
 
     assert_eq!(report.faults.link_failures, 1);
@@ -172,6 +142,29 @@ fn fabric_link_flap_reroutes_without_isolation() {
         report.stale_plan_routes, 0,
         "caches rebased when the link dropped"
     );
+    assert!(report.jobs.iter().all(|j| j.completed));
+}
+
+#[test]
+fn a_fabric_link_that_keeps_flapping_stays_down() {
+    let cfg = quiet(16);
+    let link = Topology::build(&cfg.clos).fabric_links()[0];
+    let mut ctl = FleetController::new(cfg);
+    for (i, secs) in [300, 900, 1500].into_iter().enumerate() {
+        ctl.inject_event(link_failure_at(900_030 + i as u64, secs, link));
+    }
+    let report = ctl.run();
+
+    assert_eq!(
+        report.faults.link_failures, 3,
+        "each flap lands: {report:?}"
+    );
+    assert_eq!(
+        report.escalations, 1,
+        "the third flap within the window keeps the link down"
+    );
+    assert_eq!(report.isolations, 0, "ECMP routes around the link");
+    assert_eq!(report.stale_plan_routes, 0);
     assert!(report.jobs.iter().all(|j| j.completed));
 }
 

@@ -1366,7 +1366,7 @@ mod tests {
     #[test]
     fn single_flow_gets_port_bandwidth() {
         let t = topo();
-        let spec = FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), simple_route(&t));
+        let spec = FlowSpec::new(key(0, 8, 0), ByteSize::from_mib(1024), simple_route(&t));
         let mut rng = DetRng::seed_from(1);
         let report = drain(&t, &[spec], &DrainConfig::default(), &mut rng);
         assert!(report.all_completed());
@@ -1383,7 +1383,7 @@ mod tests {
     fn two_flows_share_receive_port() {
         let t = topo();
         // Two flows into the same destination port → 100 Gbps each.
-        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
+        let specs = shared_rx_specs(&t, ByteSize::from_mib(1024), ByteSize::from_mib(1024));
         let mut rng = DetRng::seed_from(2);
         let report = drain(&t, &specs, &DrainConfig::default(), &mut rng);
         assert!(report.all_completed());
@@ -1560,7 +1560,7 @@ mod tests {
     fn cnp_emitted_only_under_shared_saturation() {
         let t = topo();
         // Single flow: saturated but unshared → no CNPs.
-        let spec = FlowSpec::new(key(0, 8, 0), ByteSize::from_gib(1), simple_route(&t));
+        let spec = FlowSpec::new(key(0, 8, 0), ByteSize::from_mib(1024), simple_route(&t));
         let mut rng = DetRng::seed_from(7);
         let cfg = DrainConfig {
             cnp: Some(CnpModel::paper_default()),
@@ -1572,7 +1572,7 @@ mod tests {
         assert_eq!(report.congested_flows, 0);
 
         // Two flows sharing an rx port → CNPs on both sender ports.
-        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
+        let specs = shared_rx_specs(&t, ByteSize::from_mib(1024), ByteSize::from_mib(1024));
         let mut rng = DetRng::seed_from(8);
         let report = drain(&t, &specs, &cfg, &mut rng);
         assert_eq!(report.congested_flows, 2);
@@ -1591,7 +1591,7 @@ mod tests {
     #[test]
     fn noise_reduces_rates_slightly() {
         let t = topo();
-        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_gib(1));
+        let specs = shared_rx_specs(&t, ByteSize::from_mib(1024), ByteSize::from_mib(1024));
         let mut rng = DetRng::seed_from(9);
         let cfg = DrainConfig {
             rate_noise: 0.2,
@@ -1610,7 +1610,7 @@ mod tests {
         let t = topo();
         let specs = vec![FlowSpec::new(
             key(0, 8, 0),
-            ByteSize::from_gib(1),
+            ByteSize::from_mib(1024),
             simple_route(&t),
         )];
         let cfg = DrainConfig {
@@ -1629,7 +1629,7 @@ mod tests {
     #[test]
     fn incremental_matches_reference_on_a_noisy_shared_drain() {
         let t = topo();
-        let specs = shared_rx_specs(&t, ByteSize::from_gib(1), ByteSize::from_mib(700));
+        let specs = shared_rx_specs(&t, ByteSize::from_mib(1024), ByteSize::from_mib(700));
         let cfg = DrainConfig {
             rate_noise: 0.15,
             cnp: Some(CnpModel::paper_default()),
@@ -1713,7 +1713,7 @@ mod tests {
         let t = topo();
         // Flow 0 finishes while flow 1 still shares its receive port, so it
         // stays congested for its whole life.
-        let mut specs = shared_rx_specs(&t, ByteSize::from_mib(600), ByteSize::from_gib(2));
+        let mut specs = shared_rx_specs(&t, ByteSize::from_mib(600), ByteSize::from_mib(2048));
         let sizes: Vec<ByteSize> = (0..5).map(|i| ByteSize::from_mib(20 + 20 * i)).collect();
         specs.extend(lone_specs(&t, 3, 9, 2, &sizes));
         let cfg = DrainConfig {

@@ -107,11 +107,6 @@ impl SimDuration {
         SimDuration(hours * 3_600 * 1_000_000_000)
     }
 
-    /// Creates a span of `days` days.
-    pub const fn from_days(days: u64) -> Self {
-        SimDuration(days * 86_400 * 1_000_000_000)
-    }
-
     /// Creates a span from fractional seconds, rounding to the nearest
     /// nanosecond and saturating on overflow or negative input.
     pub fn from_secs_f64(secs: f64) -> Self {

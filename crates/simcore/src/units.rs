@@ -121,19 +121,9 @@ impl ByteSize {
         ByteSize(n)
     }
 
-    /// Creates a volume of `n` KiB.
-    pub const fn from_kib(n: u64) -> Self {
-        ByteSize(n * 1024)
-    }
-
     /// Creates a volume of `n` MiB.
     pub const fn from_mib(n: u64) -> Self {
         ByteSize(n * 1024 * 1024)
-    }
-
-    /// Creates a volume of `n` GiB.
-    pub const fn from_gib(n: u64) -> Self {
-        ByteSize(n * 1024 * 1024 * 1024)
     }
 
     /// The volume in bytes.
@@ -268,9 +258,9 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(format!("{}", ByteSize::from_bytes(5)), "5 B");
-        assert_eq!(format!("{}", ByteSize::from_kib(2)), "2.00 KiB");
+        assert_eq!(format!("{}", ByteSize::from_bytes(2 * 1024)), "2.00 KiB");
         assert_eq!(format!("{}", ByteSize::from_mib(3)), "3.00 MiB");
-        assert_eq!(format!("{}", ByteSize::from_gib(4)), "4.00 GiB");
+        assert_eq!(format!("{}", ByteSize::from_mib(4 * 1024)), "4.00 GiB");
         assert_eq!(format!("{}", Bandwidth::from_gbps(1.5)), "1.50 Gbps");
     }
 }

@@ -80,20 +80,10 @@ impl WorkerTelemetry {
         &self.comms
     }
 
-    /// Collective records, append order.
-    pub fn colls(&self) -> &[CollRecord] {
-        &self.colls
-    }
-
     /// Connection aggregates, in the order their first message was
     /// recorded.
     pub fn conns(&self) -> impl Iterator<Item = &ConnRecord> {
         self.conns.iter()
-    }
-
-    /// Rank records, append order.
-    pub fn ranks(&self) -> &[RankRecord] {
-        &self.ranks
     }
 
     /// The store's records as pipeline events, in the canonical per-store
@@ -239,7 +229,7 @@ mod tests {
         assert_eq!(snap.colls.len(), 1);
         // Mutating the worker afterwards does not affect the snapshot.
         w.record_coll(coll(1, 1, None));
-        assert_eq!(w.colls().len(), 2);
+        assert_eq!(w.colls.len(), 2);
         assert_eq!(snap.colls.len(), 1);
     }
 
@@ -256,8 +246,8 @@ mod tests {
             arrived: SimTime::ZERO,
         });
         w.clear();
-        assert!(w.colls().is_empty());
-        assert!(w.ranks().is_empty());
+        assert!(w.colls.is_empty());
+        assert!(w.ranks.is_empty());
         assert_eq!(w.conns().count(), 0);
         assert_eq!(w.gpu(), Some(GpuId::from_index(0)));
     }

@@ -413,9 +413,10 @@ mod tests {
         j.run_iteration(&t, &mut sel, None, &mut rng, &[], Some(&mut tel));
         // Every GPU belongs to exactly one DP group → 2 coll records.
         for g in t.gpus() {
-            assert_eq!(tel[g.id.index()].colls().len(), 2);
-            assert_eq!(tel[g.id.index()].comms().len(), 1);
-            assert_eq!(tel[g.id.index()].ranks().len(), 2);
+            let snap = tel[g.id.index()].snapshot(j.now());
+            assert_eq!(snap.colls.len(), 2);
+            assert_eq!(snap.comms.len(), 1);
+            assert_eq!(snap.ranks.len(), 2);
         }
     }
 

@@ -112,7 +112,7 @@ fn gc_pause_is_visible_but_smoothing_separates_transients() {
     let comm = &h.job.comms()[5];
     let mut smoother = LoadSmoother::new(comm.nranks(), 4);
     for (rank, &gpu) in comm.devices().iter().enumerate() {
-        for rec in h.telemetry[gpu.index()].ranks() {
+        for rec in &h.telemetry[gpu.index()].snapshot(h.job.now()).ranks {
             smoother.push(rank, rec.compute.as_secs_f64());
         }
     }

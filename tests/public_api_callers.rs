@@ -1,13 +1,14 @@
-//! Every `pub fn` in the library crates has a production caller, or an entry
-//! in [`ALLOWED`] that names the rule keeping it.
+//! Every `pub fn` and `pub const fn` in the library crates has a production
+//! caller, or an entry in [`ALLOWED`] that names the rule keeping it.
 //!
 //! The scan is by name. Definitions come from the non-test part of
 //! `crates/*/src/**/*.rs` (bins excluded): each file is cut at its first
 //! `#[cfg(test)]`. The caller corpus is those same sources plus the bench
 //! binaries (`crates/bench/src/bin`), the umbrella crate (`src/`) and the
 //! benchmark harness (`perfbench/src`), each cut the same way, with `//`
-//! lines and `use` statements dropped. A name counts as called when it occurs
-//! as a whole word more often than the corpus defines it (`fn <name>`).
+//! lines and `use` statements dropped. A name counts as called only in call
+//! syntax: `name(` not preceded by `fn`, or `::name`. A field, a local or a
+//! binding that shares the name does not count.
 //!
 //! Tests and examples do not count as callers. An uncalled function stays
 //! only under one of three rules, named in its [`ALLOWED`] entry:
@@ -19,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Uncalled `pub fn` names that stay: (name, keep rule and its user).
+/// Uncalled public function names that stay: (name, keep rule and its user).
 #[rustfmt::skip]
 const ALLOWED: &[(&str, &str)] = &[
     ("parse_csv", "(a) EventLog::parse_csv: tests/csv_roundtrip.rs"),
@@ -31,15 +32,23 @@ const ALLOWED: &[(&str, &str)] = &[
     ("run_with_telemetry", "(a) fig12::run_with_telemetry: tests/streaming_differential.rs"),
     ("run_detection", "(a) fig12::run_detection: tests/streaming_differential.rs"),
     ("least_loaded_rotated", "(a) oracle for PathLoadLedger::least_loaded_indexed (ledger tests)"),
+    ("ledger", "(a) C4pMaster::ledger: tests/c4p_differential.rs"),
+    ("from_micros", "(a) SimDuration::from_micros: tests/maxmin_differential.rs"),
     ("inject_event", "(b) FleetController::inject_event: fault set-up in recovery_paths.rs"),
+    ("job_nodes", "(b) FleetController::job_nodes: aims faults at live jobs in recovery_paths.rs"),
     ("tiny", "(b) ClosConfig::tiny: the smallest fabric, set-up of most tests"),
     ("backups_left", "(b) JobSteering::backups_left: observed in steering_edges.rs"),
+    ("isolated", "(b) JobSteering::isolated: observed in steering_edges.rs"),
+    ("catalog", "(b) C4pMaster::catalog: read by tests/traffic_engineering.rs and its example"),
     ("eliminated_links", "(b) PathCatalog::eliminated_links: observed in traffic_engineering.rs"),
     ("healthy_count", "(b) PathCatalog::healthy_count: printed by examples/traffic_engineering"),
     ("residual", "(b) maxmin::residual: the feasibility check in tests/properties.rs"),
+    ("stalled", "(b) DrainReport::stalled: observed in tests/{workspace_smoke,dead_port_no_deadline}.rs"),
+    ("restart", "(b) TrainingJob::restart: examples/fault_detection restarts after the swap"),
+    ("goodput_fraction", "(b) JobAccounting::goodput_fraction: printed by the fleet_soak example"),
     ("set_batch_min_keys", "(c) C4pMaster::set_batch_min_keys: ROADMAP item 4"),
-    ("probable_cause", "(c) RcaReport::probable_cause: ROADMAP item 5 (the rca classifier)"),
     ("with_lateness", "(c) WindowSpec::with_lateness: ROADMAP item 6 (late-dropped durations)"),
+    ("late_dropped", "(c) WindowedAggregate::late_dropped: ROADMAP item 6 (its measurement)"),
 ];
 
 /// Every `.rs` file under `dir`, in path order.
@@ -106,7 +115,33 @@ fn defined_names<'a>(text: &'a str, prefix: &[&str]) -> Vec<&'a str> {
         .collect()
 }
 
-/// Uncalled `pub fn` names, each with the files defining it.
+/// The names `text` calls: `name(` not preceded by `fn`, or `::name`.
+fn called_names(text: &str) -> BTreeSet<&str> {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut called = BTreeSet::new();
+    let mut start = None;
+    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+        match (start, is_word(c)) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                start = None;
+                let before = &text[..s];
+                let defines = before
+                    .trim_end()
+                    .strip_suffix("fn")
+                    .is_some_and(|b| !b.ends_with(is_word));
+                if before.ends_with("::") || (c == '(' && !defines) {
+                    called.insert(&text[s..i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    called
+}
+
+/// Uncalled `pub fn` and `pub const fn` names, each with the files
+/// defining it.
 fn uncalled() -> BTreeMap<String, BTreeSet<String>> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut library = Vec::new();
@@ -126,11 +161,13 @@ fn uncalled() -> BTreeMap<String, BTreeSet<String>> {
     for file in &library {
         let text = non_test_part(file);
         let rel = file.strip_prefix(&root).expect("under root").display();
-        for name in defined_names(&text, &["pub"]) {
-            defined
-                .entry(name.to_string())
-                .or_default()
-                .insert(rel.to_string());
+        for prefix in [&["pub"][..], &["pub", "const"]] {
+            for name in defined_names(&text, prefix) {
+                defined
+                    .entry(name.to_string())
+                    .or_default()
+                    .insert(rel.to_string());
+            }
         }
         corpus.push_str(&corpus_lines(&text));
     }
@@ -142,20 +179,10 @@ fn uncalled() -> BTreeMap<String, BTreeSet<String>> {
         corpus.push_str(&corpus_lines(&non_test_part(file)));
     }
 
-    let mut occurrences: BTreeMap<&str, usize> = BTreeMap::new();
-    for w in words(&corpus) {
-        *occurrences.entry(w).or_default() += 1;
-    }
-    let mut definitions: BTreeMap<&str, usize> = BTreeMap::new();
-    for name in defined_names(&corpus, &[]) {
-        *definitions.entry(name).or_default() += 1;
-    }
+    let called = called_names(&corpus);
     defined
         .into_iter()
-        .filter(|(name, _)| {
-            let name = name.as_str();
-            occurrences.get(name) <= definitions.get(name)
-        })
+        .filter(|(name, _)| !called.contains(name.as_str()))
         .collect()
 }
 
@@ -178,7 +205,7 @@ fn every_public_function_has_a_production_caller_or_a_keep_rule() {
         .collect();
     assert!(
         unjustified.is_empty(),
-        "{} pub fn(s) with no production caller; delete each or add an ALLOWED entry \
+        "{} public fn(s) with no production caller; delete each or add an ALLOWED entry \
          naming its keep rule:\n  {}",
         unjustified.len(),
         unjustified.join("\n  ")

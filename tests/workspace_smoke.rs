@@ -237,9 +237,4 @@ fn dead_port_hangs_ecmp_and_c4d_diagnoses_it() {
         1,
         "one CommHang event in the log"
     );
-
-    // Background RCA: silent in both directions at the transport layer →
-    // the ACK-timeout (NIC/transport) verdict, not a host-side cause.
-    let rca = analyze_root_cause(&rec, &snapshots, &hang.syndrome);
-    assert_eq!(rca.probable_cause(), FaultKind::AckTimeout, "{rca:?}");
 }
