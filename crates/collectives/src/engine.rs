@@ -1,7 +1,7 @@
 //! The collective execution engine: plan → flows → drain → result, with
 //! telemetry emission.
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * [`run_collective`] — one collective on an otherwise idle network;
 //! * [`run_concurrent`] — several collectives (e.g. the paper's 8
@@ -9,7 +9,16 @@
 //!   drain, so their flows contend for links exactly as concurrent tenants
 //!   do. A single [`PathSelector`] serves all requests — matching the
 //!   paper's design where one C4P master is the control center for multiple
-//!   jobs/tenants (§III-B).
+//!   jobs/tenants (§III-B);
+//! * [`run_concurrent_cached`] — the same, reusing flow plans (and
+//!   noise-free drains) across calls through a [`PlanCache`]. Every
+//!   iteration loop runs through it; the other two call it without a cache.
+//!
+//! Each call takes one path from plan to drain: every cache-missed
+//! request's flow keys — intra-node and network alike — are built up
+//! front, the network keys of all of them go through one
+//! [`PathSelector::select_batch`] call, and one assembler turns keys and
+//! choices into routes for ring and all-to-all plans alike.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -21,7 +30,7 @@ use c4_simcore::{scoped_map, ByteSize, DetRng, ParallelPolicy, SimTime};
 use c4_telemetry::{
     AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord, WorkerTelemetry,
 };
-use c4_topology::{LinkId, Topology};
+use c4_topology::{GpuId, LinkId, Topology};
 
 use crate::alltoall::{channel_pair, pair_channel, AllToAllPlan};
 use crate::comm::{CommConfig, Communicator};
@@ -29,8 +38,8 @@ use crate::memo::{self, DrainMemo};
 use crate::plan::{bus_factor, RingPlan};
 use crate::result::CollectiveResult;
 
-/// Minimum route-assembly items (intra edges + boundary QPs) in one
-/// [`build_plan`] before worker threads are spawned; below it the
+/// Minimum route-assembly items (intra-node plus network flows) in one
+/// plan before [`assemble_plan`] spawns worker threads; below it the
 /// per-thread setup cost exceeds the topology walks. A wall-clock
 /// heuristic only — plans are bit-identical either way.
 const PARALLEL_MIN_ROUTES: usize = 64;
@@ -85,10 +94,13 @@ struct BuiltRequest {
 /// selection, route assembly) and the part [`PlanCache`] keeps.
 #[derive(Debug, Clone)]
 struct PlanSpec {
-    /// Intra-node NVLink edges.
+    /// Intra-node NVLink flows.
     intra: Vec<(FlowKey, Vec<LinkId>)>,
-    /// Boundary streams, one inner vec of Q QP flows per stream.
-    streams: Vec<Vec<(FlowKey, Vec<LinkId>)>>,
+    /// Network flows in canonical (stream, QP) order, `qps` per stream.
+    inter: Vec<(FlowKey, Vec<LinkId>)>,
+    /// QP flows per stream: the ring family's configured count, 1 for an
+    /// all-to-all (one flow per rank pair).
+    qps: u16,
 }
 
 /// Identity of a cached plan. Message size/kind/dtype are deliberately
@@ -322,15 +334,13 @@ impl PlanCache {
     }
 }
 
-/// True when any route of `plan` (intra edges or boundary streams) uses
-/// one of `links`.
+/// True when any route of `plan` (intra-node or network) uses one of
+/// `links`.
 fn plan_routes_through(plan: &PlanSpec, links: &[LinkId]) -> bool {
-    let touches = |route: &[LinkId]| route.iter().any(|l| links.contains(l));
-    plan.intra.iter().any(|(_, route)| touches(route))
-        || plan
-            .streams
-            .iter()
-            .any(|stream| stream.iter().any(|(_, route)| touches(route)))
+    plan.intra
+        .iter()
+        .chain(&plan.inter)
+        .any(|(_, route)| route.iter().any(|l| links.contains(l)))
 }
 
 /// Where a request's plan lives after [`plan_requests`]: in the cache (by
@@ -340,21 +350,27 @@ enum PlanSource {
     Owned(usize),
 }
 
-/// The route structure a cache-missed request is waiting to assemble.
-enum PendingShape {
-    /// Ring family (allreduce/allgather/…): intra chains + rail streams.
-    Ring(RingPlan),
-    /// Pairwise all-to-all: one flow per ordered rank pair.
-    A2a(AllToAllPlan),
-}
-
 /// A cache-missed request awaiting plan construction.
 struct PendingPlan {
     source_idx: usize,
-    qps: u16,
-    shape: PendingShape,
+    key: PlanKey,
+    /// Intra-node flow keys; the network keys sit in the call's batch
+    /// from `key_start` on.
+    intra: Vec<FlowKey>,
     parallel: ParallelPolicy,
     key_start: usize,
+}
+
+/// A flow key of `comm`'s current incarnation.
+fn comm_key(comm: &Communicator, src: GpuId, dst: GpuId, channel: u16, qp: u16) -> FlowKey {
+    FlowKey {
+        src_gpu: src,
+        dst_gpu: dst,
+        comm: comm.id(),
+        channel,
+        qp,
+        incarnation: comm.incarnation(),
+    }
 }
 
 /// Builds the boundary-stream flow keys of one ring plan in the canonical
@@ -362,14 +378,8 @@ struct PendingPlan {
 fn boundary_keys(ring: &RingPlan, comm: &Communicator, qps: u16, out: &mut Vec<FlowKey>) {
     for stream in &ring.boundaries {
         for q in 0..qps {
-            out.push(FlowKey {
-                src_gpu: stream.src_gpu,
-                dst_gpu: stream.dst_gpu,
-                comm: comm.id(),
-                channel: stream.boundary as u16,
-                qp: q,
-                incarnation: comm.incarnation(),
-            });
+            let channel = stream.boundary as u16;
+            out.push(comm_key(comm, stream.src_gpu, stream.dst_gpu, channel, q));
         }
     }
 }
@@ -380,124 +390,47 @@ fn boundary_keys(ring: &RingPlan, comm: &Communicator, qps: u16, out: &mut Vec<F
 /// without the communicator; all-to-all pins one QP per pair.
 fn a2a_keys(plan: &AllToAllPlan, comm: &Communicator, out: &mut Vec<FlowKey>) {
     for e in &plan.inter {
-        out.push(FlowKey {
-            src_gpu: e.src_gpu,
-            dst_gpu: e.dst_gpu,
-            comm: comm.id(),
-            channel: pair_channel(e.src_rank, e.dst_rank),
-            qp: 0,
-            incarnation: comm.incarnation(),
-        });
+        let channel = pair_channel(e.src_rank, e.dst_rank);
+        out.push(comm_key(comm, e.src_gpu, e.dst_gpu, channel, 0));
     }
 }
 
-/// Assembles one plan from its ring and the selector's choices: intra-node
-/// routes plus per-stream inter-node route assembly, fanned out over
+/// Assembles one plan, ring or all-to-all, from its flow keys and the
+/// selector's choices: an NVLink route per intra-node key and an
+/// inter-node route per network key through its choice, fanned out over
 /// `parallel` scoped threads (bit-identical at any thread count).
 fn assemble_plan(
     topo: &Topology,
-    ring: &RingPlan,
-    comm: &Communicator,
+    intra: &[FlowKey],
+    keys: &[FlowKey],
+    choices: &[PathChoice],
     qps: u16,
-    keys: &[FlowKey],
-    choices: &[PathChoice],
     parallel: ParallelPolicy,
 ) -> PlanSpec {
-    let route_items = ring.intra_edges.len() + ring.boundaries.len() * qps as usize;
-    let parallel = if route_items < PARALLEL_MIN_ROUTES {
+    let parallel = if intra.len() + keys.len() < PARALLEL_MIN_ROUTES {
         ParallelPolicy::SERIAL
     } else {
         parallel
     };
-
-    // Intra-node NVLink edges, each carrying the full stream B.
-    let intra: Vec<(FlowKey, Vec<LinkId>)> =
-        scoped_map(parallel, &ring.intra_edges, |&(src, dst)| {
-            let key = FlowKey {
-                src_gpu: src,
-                dst_gpu: dst,
-                comm: comm.id(),
-                channel: u16::MAX,
-                qp: 0,
-                incarnation: comm.incarnation(),
-            };
-            (key, topo.intra_node_route(src, dst))
-        });
-
-    // Route assembly per stream — the expensive per-QP topology walk, a
-    // pure function of (topology, key, choice).
-    let stream_chunks: Vec<(&[FlowKey], &[PathChoice])> = keys
-        .chunks(qps as usize)
-        .zip(choices.chunks(qps as usize))
-        .collect();
-    let streams: Vec<Vec<(FlowKey, Vec<LinkId>)>> =
-        scoped_map(parallel, &stream_chunks, |&(keys, choices)| {
-            keys.iter()
-                .zip(choices)
-                .map(|(&k, choice)| {
-                    let src_port = topo.port_of_gpu(k.src_gpu, choice.src_side);
-                    let dst_port = topo.port_of_gpu(k.dst_gpu, choice.dst_side);
-                    let route = topo.inter_node_route(
-                        k.src_gpu,
-                        src_port,
-                        choice.fabric.as_ref(),
-                        dst_port,
-                        k.dst_gpu,
-                    );
-                    (k, route)
-                })
-                .collect()
-        });
-
-    PlanSpec { intra, streams }
-}
-
-/// Assembles one all-to-all plan: same-node pairs over NVLink, cross-node
-/// pairs through the selector's choices — each a single-QP "stream" so the
-/// byte-application layer treats pairs uniformly. Route assembly fans out
-/// like the ring path (bit-identical at any thread count).
-fn assemble_a2a_plan(
-    topo: &Topology,
-    a2a: &AllToAllPlan,
-    comm: &Communicator,
-    keys: &[FlowKey],
-    choices: &[PathChoice],
-    parallel: ParallelPolicy,
-) -> PlanSpec {
-    let parallel = if a2a.flow_count() < PARALLEL_MIN_ROUTES {
-        ParallelPolicy::SERIAL
-    } else {
-        parallel
-    };
-
-    let intra: Vec<(FlowKey, Vec<LinkId>)> = scoped_map(parallel, &a2a.intra, |e| {
-        let key = FlowKey {
-            src_gpu: e.src_gpu,
-            dst_gpu: e.dst_gpu,
-            comm: comm.id(),
-            channel: pair_channel(e.src_rank, e.dst_rank),
-            qp: 0,
-            incarnation: comm.incarnation(),
-        };
-        (key, topo.intra_node_route(e.src_gpu, e.dst_gpu))
+    let intra = scoped_map(parallel, intra, |&k| {
+        (k, topo.intra_node_route(k.src_gpu, k.dst_gpu))
     });
-
+    // The expensive per-flow topology walk, a pure function of (topology,
+    // key, choice).
     let pairs: Vec<(&FlowKey, &PathChoice)> = keys.iter().zip(choices).collect();
-    let streams: Vec<Vec<(FlowKey, Vec<LinkId>)>> =
-        scoped_map(parallel, &pairs, |&(&k, choice)| {
-            let src_port = topo.port_of_gpu(k.src_gpu, choice.src_side);
-            let dst_port = topo.port_of_gpu(k.dst_gpu, choice.dst_side);
-            let route = topo.inter_node_route(
-                k.src_gpu,
-                src_port,
-                choice.fabric.as_ref(),
-                dst_port,
-                k.dst_gpu,
-            );
-            vec![(k, route)]
-        });
-
-    PlanSpec { intra, streams }
+    let inter = scoped_map(parallel, &pairs, |&(&k, choice)| {
+        let src_port = topo.port_of_gpu(k.src_gpu, choice.src_side);
+        let dst_port = topo.port_of_gpu(k.dst_gpu, choice.dst_side);
+        let route = topo.inter_node_route(
+            k.src_gpu,
+            src_port,
+            choice.fabric.as_ref(),
+            dst_port,
+            k.dst_gpu,
+        );
+        (k, route)
+    });
+    PlanSpec { intra, inter, qps }
 }
 
 /// Resolves every request's route plan: cache hits are served directly;
@@ -518,7 +451,6 @@ fn plan_requests(
     let build_start = Instant::now();
     let mut sources: Vec<PlanSource> = Vec::with_capacity(reqs.len());
     let mut pending: Vec<PendingPlan> = Vec::new();
-    let mut pending_keys: Vec<PlanKey> = Vec::new();
     let mut all_keys: Vec<FlowKey> = Vec::new();
 
     for req in reqs {
@@ -548,7 +480,7 @@ fn plan_requests(
         // the earlier request's build will populate the cache before
         // flow-spec assembly reads it (the old per-request get_or_build
         // served the second request the same way).
-        if usable || (cacheable && pending_keys.contains(&key)) {
+        if usable || (cacheable && pending.iter().any(|p| p.key == key)) {
             if let Some(c) = cache.as_deref_mut() {
                 c.hits += 1;
             }
@@ -558,23 +490,31 @@ fn plan_requests(
         if let (Some(c), Some(_)) = (cache.as_deref_mut(), token) {
             c.misses += 1;
         }
-        if cacheable {
-            pending_keys.push(key);
-        }
+        // Intra-node keys next to the network keys: ring edges carry
+        // channel `u16::MAX`, all-to-all pairs their pair channel.
         let key_start = all_keys.len();
-        let shape = if alltoall {
+        let intra = if alltoall {
             let a2a = AllToAllPlan::build(topo, comm);
             a2a_keys(&a2a, comm, &mut all_keys);
-            PendingShape::A2a(a2a)
+            a2a.intra
+                .iter()
+                .map(|e| {
+                    let channel = pair_channel(e.src_rank, e.dst_rank);
+                    comm_key(comm, e.src_gpu, e.dst_gpu, channel, 0)
+                })
+                .collect()
         } else {
             let ring = RingPlan::build(topo, comm);
             boundary_keys(&ring, comm, qps, &mut all_keys);
-            PendingShape::Ring(ring)
+            ring.intra_edges
+                .iter()
+                .map(|&(src, dst)| comm_key(comm, src, dst, u16::MAX, 0))
+                .collect()
         };
         pending.push(PendingPlan {
             source_idx: sources.len(),
-            qps,
-            shape,
+            key,
+            intra,
             parallel: req.drain.parallel,
             key_start,
         });
@@ -590,47 +530,26 @@ fn plan_requests(
 
     let mut owned: Vec<PlanSpec> = Vec::with_capacity(pending.len());
     for (i, p) in pending.iter().enumerate() {
-        let req = &reqs[p.source_idx];
-        let key_end = pending
-            .get(i + 1)
-            .map(|n| n.key_start)
-            .unwrap_or(all_keys.len());
-        let plan = match &p.shape {
-            PendingShape::Ring(ring) => assemble_plan(
-                topo,
-                ring,
-                req.comm,
-                p.qps,
-                &all_keys[p.key_start..key_end],
-                &choices[p.key_start..key_end],
-                p.parallel,
-            ),
-            PendingShape::A2a(a2a) => assemble_a2a_plan(
-                topo,
-                a2a,
-                req.comm,
-                &all_keys[p.key_start..key_end],
-                &choices[p.key_start..key_end],
-                p.parallel,
-            ),
-        };
+        let keys = p.key_start..pending.get(i + 1).map_or(all_keys.len(), |n| n.key_start);
+        let plan = assemble_plan(
+            topo,
+            &p.intra,
+            &all_keys[keys.clone()],
+            &choices[keys],
+            p.key.qps,
+            p.parallel,
+        );
         match (cache.as_deref_mut(), token) {
             (Some(c), Some(token)) => {
-                let key = PlanKey {
-                    comm: req.comm.id(),
-                    incarnation: req.comm.incarnation(),
-                    qps: p.qps,
-                    alltoall: matches!(p.shape, PendingShape::A2a(_)),
-                };
                 c.entries.insert(
-                    key.clone(),
+                    p.key.clone(),
                     PlanEntry {
                         topo_version: topo.version(),
                         selector_token: token,
                         plan,
                     },
                 );
-                sources[p.source_idx] = PlanSource::Cached(key);
+                sources[p.source_idx] = PlanSource::Cached(p.key.clone());
             }
             _ => {
                 sources[p.source_idx] = PlanSource::Owned(owned.len());
@@ -675,8 +594,7 @@ fn build_request(
         .unwrap_or(req.start)
         .max(req.start);
 
-    let flow_count = plan.intra.len() + plan.streams.iter().map(Vec::len).sum::<usize>();
-    specs.reserve(flow_count);
+    specs.reserve(plan.intra.len() + plan.inter.len());
     let first = specs.len();
 
     if req.kind == CollKind::AllToAll {
@@ -693,10 +611,8 @@ fn build_request(
             specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
         }
         let intra_count = specs.len() - first;
-        for stream in &plan.streams {
-            for (key, route) in stream {
-                specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
-            }
+        for (key, route) in &plan.inter {
+            specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
         }
         return BuiltRequest {
             specs: first..specs.len(),
@@ -714,7 +630,7 @@ fn build_request(
     let intra_count = specs.len() - first;
 
     // Boundary streams: B bytes per rail, split across Q QPs by weight.
-    for stream in &plan.streams {
+    for stream in plan.inter.chunks(plan.qps as usize) {
         let raw: Vec<f64> = stream
             .iter()
             .map(|(k, _)| {

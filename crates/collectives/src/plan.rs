@@ -131,11 +131,6 @@ impl RingPlan {
         }
         plan
     }
-
-    /// Total flows this plan will create with `qps` QPs per stream.
-    pub fn flow_count(&self, qps: u16) -> usize {
-        self.intra_edges.len() + self.boundaries.len() * qps as usize
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(plan.intra_edges.len(), 14);
         // 2 cyclic boundaries × 8 rails.
         assert_eq!(plan.boundaries.len(), 16);
-        assert_eq!(plan.flow_count(2), 14 + 32);
         // Same-rail proxies on both ends.
         for b in &plan.boundaries {
             let rail_src = t.nic(t.gpu(b.src_gpu).nic).local_index;

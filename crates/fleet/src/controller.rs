@@ -562,18 +562,7 @@ impl FleetController {
 
         // --- act on verdicts --------------------------------------------
         for (id, action) in actions {
-            match action {
-                Action::Retry => {
-                    self.retries += 1;
-                    let wait = self.cfg.retry_backoff;
-                    let fj = self.jobs.get_mut(&id).expect("job exists");
-                    fj.blocked_until = self.clock + wait;
-                    fj.acc.retries += 1;
-                    fj.acc.downtime += wait;
-                    fj.job.advance_clock(wait);
-                }
-                Action::Recover { victim } => self.recover(id, victim),
-            }
+            self.act(id, action);
         }
 
         // --- advance the fleet clock -------------------------------------
@@ -593,6 +582,23 @@ impl FleetController {
         for id in done {
             let failed = self.jobs[&id].failed;
             self.depart(id, !failed, failed);
+        }
+    }
+
+    /// Carries out one verdict for job `id`. A retry blocks the job for
+    /// `retry_backoff` and books the wait as downtime.
+    fn act(&mut self, id: u64, action: Action) {
+        match action {
+            Action::Retry => {
+                self.retries += 1;
+                let wait = self.cfg.retry_backoff;
+                let fj = self.jobs.get_mut(&id).expect("job exists");
+                fj.blocked_until = self.clock + wait;
+                fj.acc.retries += 1;
+                fj.acc.downtime += wait;
+                fj.job.advance_clock(wait);
+            }
+            Action::Recover { victim } => self.recover(id, victim),
         }
     }
 
@@ -1227,6 +1233,21 @@ mod tests {
         let job = [node(0), node(1)];
         assert_eq!(decide(false, &[], false, &job, &[]), None);
         assert_eq!(decide(false, &[diag(1, false)], false, &job, &[]), None);
+    }
+
+    #[test]
+    fn a_retry_blocks_the_job_for_the_backoff() {
+        let mut ctl = FleetController::new(FleetConfig::smoke(5));
+        let wait = ctl.cfg.retry_backoff;
+        assert!(!wait.is_zero());
+        let job_clock = ctl.jobs[&0].job.now();
+        ctl.act(0, Action::Retry);
+        assert_eq!(ctl.retries, 1);
+        let fj = &ctl.jobs[&0];
+        assert_eq!(fj.blocked_until, ctl.clock + wait);
+        assert_eq!(fj.acc.retries, 1);
+        assert_eq!(fj.acc.downtime, wait);
+        assert_eq!(fj.job.now(), job_clock + wait, "the job's clock waits too");
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!     completions become [`MaxMinState::remove_flow`], and the solver's
 //!     worklist re-rates only the flows whose bottleneck moved. Link loads
 //!     apply those flows' rate deltas in place, off the solver's
-//!     changed-flow feed ([`MaxMinState::refresh`],
-//!     [`MaxMinState::changed_flows`]), instead of being rebuilt over every
-//!     active flow each event.
+//!     changed-flow feed ([`MaxMinState::changed_flows`]), instead of being
+//!     rebuilt over every active flow each event. A seed solve lists every
+//!     live flow, so the first seed and a fallback re-seed take that same
+//!     path.
 //!   * CNP congestion scores come from per-link flags: each link keeps
 //!     [`CnpModel::link_congested`], each flow a count of congested links
 //!     on its route, and its score is `count > 0`. Only the links whose
@@ -70,7 +71,7 @@ use c4_topology::{LinkKind, Topology};
 
 use crate::congestion::CnpModel;
 use crate::flow::{FlowOutcome, FlowSpec};
-use crate::maxmin::{self, MaxMinState, SolveScope};
+use crate::maxmin::{self, MaxMinState};
 
 /// Configuration of one drain run.
 #[derive(Debug, Clone)]
@@ -487,7 +488,7 @@ impl Touched {
 }
 
 /// Releases a completed flow's contribution to the incrementally-maintained
-/// link loads/counts, and marks the links so the next sparse refresh
+/// link loads/counts, and marks the links so the next refresh
 /// re-tests their congestion flags.
 fn release_completed(
     f: usize,
@@ -641,7 +642,13 @@ pub fn drain(
     let mut touch_s = vec![0.0_f64; nf];
     let mut score = vec![0.0_f64; nf];
     let mut link_load = vec![0.0_f64; ndl];
+    // Live flows per link: counted once here, decremented by completions.
     let mut link_flows = vec![0u32; ndl];
+    for &f in &active {
+        for &l in &p.dense_routes[f as usize] {
+            link_flows[l as usize] += 1;
+        }
+    }
     // Congestion flags: `link_sat[l]` is `CnpModel::link_congested` for
     // link `l`, and `nsat[f]` counts the congested links on flow `f`'s
     // route, so a flow's score is `nsat > 0`.
@@ -660,11 +667,11 @@ pub fn drain(
     let mut events = 0u64;
     let mut batched_instants = 0u64;
     let mut batched_completions = 0u64;
-    // Sparse bookkeeping: `base_prev` mirrors the base rate each active
-    // flow last contributed to `link_load`, so a sparse refresh can apply
-    // per-flow deltas instead of rebuilding loads; `touched` tracks the
-    // links those deltas (and completion-time releases) moved, the only
-    // links whose congestion flag can flip.
+    // Delta bookkeeping: `base_prev` mirrors the base rate each live flow
+    // last contributed to `link_load` (0 before the first refresh), so each
+    // refresh applies per-flow deltas instead of rebuilding loads;
+    // `touched` tracks the links those deltas (and completion-time
+    // releases) moved, the only links whose congestion flag can flip.
     let mut base_prev = vec![0.0_f64; nf];
     let mut touched = Touched::new(ndl);
 
@@ -676,122 +683,87 @@ pub fn drain(
         }
         events += 1;
 
-        // 1. Bring the base allocation up to date: the solver propagates
-        //    the last event's completions through its worklist.
-        let scope = base.refresh();
+        // 1. Bring the base allocation up to date: the first refresh seeds,
+        //    later ones propagate the last event's completions through the
+        //    solver's worklist.
+        base.refresh();
         let base_rates = base.current_rates();
 
-        // 2. Refresh link loads/counts for exactly the flows the solver
-        //    re-rated, then the congestion flags of the links that moved,
-        //    and collect the flows whose base rate or score moved.
+        // 2. Apply the rate deltas of exactly the flows the solver re-rated
+        //    (every live flow after a seed) to the link loads in place;
+        //    completed flows already released theirs in step 6. Then
+        //    re-test the congestion flags of the links that moved, and
+        //    collect the flows whose base rate or score moved.
         moved.clear();
-        match scope {
-            SolveScope::Unchanged => {}
-            SolveScope::Full => {
-                link_load.fill(0.0);
-                link_flows.fill(0);
-                for &f in &active {
-                    if finish[f as usize].is_none() {
-                        for &l in &p.dense_routes[f as usize] {
-                            link_load[l as usize] += base_rates[f as usize];
-                            link_flows[l as usize] += 1;
-                        }
-                        moved.push(f);
-                    }
-                }
-                // Loads were rebuilt wholesale — the delta mirror and the
-                // flags restart from the fresh base rates.
-                touched.clear();
-                base_prev.fill(0.0);
-                for (l, sat) in link_sat.iter_mut().enumerate() {
-                    *sat =
-                        cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
-                }
-                for &f in &moved {
-                    let f = f as usize;
-                    base_prev[f] = base_rates[f];
-                    nsat[f] = p.dense_routes[f]
-                        .iter()
-                        .filter(|&&l| link_sat[l as usize])
-                        .count() as u32;
-                }
+        for &f in base.changed_flows() {
+            let fu = f as usize;
+            if finish[fu].is_some() {
+                continue;
             }
-            SolveScope::Sparse => {
-                // Only `changed_flows` moved. Apply their rate deltas to the
-                // link loads in place (completed flows already released
-                // theirs in step 6).
-                for &f in base.changed_flows() {
-                    let fu = f as usize;
-                    if finish[fu].is_some() {
-                        continue;
-                    }
-                    let delta = base_rates[fu] - base_prev[fu];
-                    if delta != 0.0 {
-                        for &l in &p.dense_routes[fu] {
-                            link_load[l as usize] += delta;
-                            touched.touch(l as usize);
-                        }
-                        base_prev[fu] = base_rates[fu];
-                    }
-                    moved.push(f);
+            let delta = base_rates[fu] - base_prev[fu];
+            if delta != 0.0 {
+                for &l in &p.dense_routes[fu] {
+                    link_load[l as usize] += delta;
+                    touched.touch(l as usize);
+                }
+                base_prev[fu] = base_rates[fu];
+            }
+            moved.push(f);
+            in_moved[fu] = true;
+        }
+        // A flipped flag moves the congested-link count of every live
+        // subscriber, and a count crossing zero may flip that flow's score.
+        // A link no delta has touched carries no load and so is not
+        // congested: every flag rightly starts `false`.
+        let changed = moved.len();
+        for &l in &touched.links {
+            let l = l as usize;
+            let sat = cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
+            if sat == link_sat[l] {
+                continue;
+            }
+            link_sat[l] = sat;
+            for &f in base.subscribers(l) {
+                let fu = f as usize;
+                if finish[fu].is_some() {
+                    continue;
+                }
+                if sat {
+                    nsat[fu] += 1;
+                } else {
+                    nsat[fu] -= 1;
+                }
+                if !in_moved[fu] && (nsat[fu] > 0) != (score[fu] > 0.0) {
                     in_moved[fu] = true;
+                    moved.push(f);
                 }
-                // Re-test the touched links; a flipped flag moves the
-                // congested-link count of every live subscriber, and a
-                // count crossing zero may flip that flow's score.
-                let changed = moved.len();
-                for &l in &touched.links {
-                    let l = l as usize;
-                    let sat =
-                        cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
-                    if sat == link_sat[l] {
-                        continue;
-                    }
-                    link_sat[l] = sat;
-                    for &f in base.subscribers(l) {
-                        let fu = f as usize;
-                        if finish[fu].is_some() {
-                            continue;
-                        }
-                        if sat {
-                            nsat[fu] += 1;
-                        } else {
-                            nsat[fu] -= 1;
-                        }
-                        if !in_moved[fu] && (nsat[fu] > 0) != (score[fu] > 0.0) {
-                            in_moved[fu] = true;
-                            moved.push(f);
-                        }
-                    }
-                }
-                // Keep the flows whose score really flipped (a count may
-                // cross zero and back), ordered as a scan of the touched
-                // links' subscribers reaches them: by the earliest touched
-                // link on the route, then by flow id. That order fixes the
-                // CNP flushes and re-rates below, and so the association
-                // of every per-port CNP sum and link-load update.
-                for &f in &moved {
-                    in_moved[f as usize] = false;
-                }
-                let mut kept = changed;
-                for i in changed..moved.len() {
-                    let f = moved[i] as usize;
-                    if (nsat[f] > 0) != (score[f] > 0.0) {
-                        moved[kept] = f as u32;
-                        kept += 1;
-                    }
-                }
-                moved.truncate(kept);
-                let first_touch = |f: u32| {
-                    p.dense_routes[f as usize]
-                        .iter()
-                        .map(|&l| touched.pos[l as usize])
-                        .min()
-                };
-                moved[changed..].sort_unstable_by_key(|&f| (first_touch(f), f));
-                touched.clear();
             }
         }
+        // Keep the flows whose score really flipped (a count may cross zero
+        // and back), ordered as a scan of the touched links' subscribers
+        // reaches them: by the earliest touched link on the route, then by
+        // flow id. That order fixes the CNP flushes and re-rates below, and
+        // so the association of every per-port CNP sum and link-load update.
+        for &f in &moved {
+            in_moved[f as usize] = false;
+        }
+        let mut kept = changed;
+        for i in changed..moved.len() {
+            let f = moved[i] as usize;
+            if (nsat[f] > 0) != (score[f] > 0.0) {
+                moved[kept] = f as u32;
+                kept += 1;
+            }
+        }
+        moved.truncate(kept);
+        let first_touch = |f: u32| {
+            p.dense_routes[f as usize]
+                .iter()
+                .map(|&l| touched.pos[l as usize])
+                .min()
+        };
+        moved[changed..].sort_unstable_by_key(|&f| (first_touch(f), f));
+        touched.clear();
         for &f in &moved {
             let f = f as usize;
             let s = if nsat[f] > 0 { 1.0 } else { 0.0 };
@@ -1738,6 +1710,72 @@ mod tests {
             );
             let g = congested.mean_rate.as_gbps();
             assert!((75.0..100.0).contains(&g), "{name}: throttled rate {g}");
+        }
+    }
+
+    /// Asserts two reports agree at the differential harness's 1e-9: every
+    /// flow completes at the same instant, and link bytes, CNPs and the
+    /// congested-flow count match.
+    fn assert_reports_close(a: &DrainReport, b: &DrainReport, what: &str) {
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0);
+        let secs = |o: &FlowOutcome| (o.finish.expect("completes") - SimTime::ZERO).as_secs_f64();
+        for (f, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
+            assert!(close(secs(x), secs(y)), "{what}: flow {f} finish");
+        }
+        assert_eq!(a.congested_flows, b.congested_flows, "{what}");
+        for (x, y) in [
+            (&a.link_bytes, &b.link_bytes),
+            (&a.cnp_per_port, &b.cnp_per_port),
+        ] {
+            assert!(x.iter().zip(y.iter()).all(|(&x, &y)| close(x, y)), "{what}");
+        }
+    }
+
+    /// A chain whose bottleneck levels settle one link per worklist round:
+    /// flow i crosses fabric links i and i+1, capacities rise along the
+    /// chain, and a short flow on link 0 completes first. With 64 chain
+    /// flows its removal exhausts the solver's 64-round budget, so the
+    /// drain goes on from a fallback re-seed, whose changed-flow feed lists
+    /// every live flow; with 63 the worklist settles within budget. Both
+    /// agree with the reference, noise-free and under noise plus CNP.
+    #[test]
+    fn a_fallback_reseed_mid_drain_agrees_with_the_reference() {
+        let mut t = topo();
+        let chain = t.fabric_links()[..65].to_vec();
+        for (i, &l) in chain.iter().enumerate() {
+            t.link_mut(l).set_degradation(0.5 * (1.0 + 0.01 * i as f64));
+        }
+        let noisy = DrainConfig {
+            rate_noise: 0.1,
+            cnp: Some(CnpModel::paper_default()),
+            ..DrainConfig::default()
+        };
+        for (n, fallbacks) in [(63, 0), (64, 1)] {
+            let mut specs: Vec<FlowSpec> = (0..n)
+                .map(|i| {
+                    let route = chain[i..i + 2].to_vec();
+                    FlowSpec::new(key(i, i + 1, 0), ByteSize::from_mib(4096), route)
+                })
+                .collect();
+            specs.push(FlowSpec::new(
+                key(0, 1, 1),
+                ByteSize::from_mib(1),
+                vec![chain[0]],
+            ));
+            for cfg in [DrainConfig::default(), noisy.clone()] {
+                let what = format!("{n} chain flows, noise {}", cfg.rate_noise);
+                let (mut r1, mut r2) = (DetRng::seed_from(12), DetRng::seed_from(12));
+                let report = drain(&t, &specs, &cfg, &mut r1);
+                let reference = drain_reference(&t, &specs, &cfg, &mut r2);
+                assert_eq!(report.solver.fallback_solves, fallbacks, "{what}");
+                assert_eq!(report.solver.full_solves, 1 + fallbacks, "{what}");
+                assert_reports_close(&report, &reference, &what);
+                assert_eq!(
+                    r1.uniform().to_bits(),
+                    r2.uniform().to_bits(),
+                    "{what}: RNG parity"
+                );
+            }
         }
     }
 

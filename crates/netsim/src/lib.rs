@@ -31,14 +31,14 @@
 //! loop therefore keeps a persistent [`MaxMinState`] per run instead of
 //! calling the from-scratch solver at every event. Its invariants:
 //!
-//! * **One seed solve, then removals only.** The first refresh runs the
-//!   event-driven water-filling kernel over every flow and records each
-//!   link's bottleneck level (the water level at which it saturated). The
-//!   drain feeds the state completions only
+//! * **Built once, then removals only.** The state is constructed once
+//!   with every flow of the drain ([`MaxMinState::with_flows`]), and its
+//!   first refresh runs the event-driven water-filling kernel over every
+//!   live flow, recording each link's bottleneck level (the water level at
+//!   which it saturated). The drain feeds the state completions only
 //!   ([`MaxMinState::remove_flow`]), and that is the whole mutation API:
 //!   noise throttles apply on top of the base allocation, and link faults
-//!   are in the topology before a drain starts. Adding a flow forces a
-//!   fresh seed solve.
+//!   are in the topology before a drain starts.
 //! * **Bottleneck-level worklist.** A removal dirties its links. The next
 //!   refresh re-fills each dirty link from its subscribers' demands (the
 //!   lowest level on each subscriber's other links) and commits a level
@@ -53,13 +53,15 @@
 //!   rounds and commits are exactly those of the unskipped worklist.
 //! * **Convergence backstop.** A worklist still dirty after 64 rounds
 //!   gives up, and the state re-seeds with one exact solve.
-//! * **Changed-flow feed.** [`MaxMinState::refresh`] reports what each
-//!   lazy solve changed ([`SolveScope`]: nothing, the listed
-//!   [`MaxMinState::changed_flows`], or a full seed), so the drain engine
-//!   maintains its link loads and completion heap incrementally for
-//!   exactly the flows whose rates moved. Congestion scores come from one
-//!   flag per link ([`CnpModel::link_congested`]) and a per-flow count of
-//!   congested links, re-tested only on the links whose load moved.
+//! * **One changed-flow feed.** After each refresh,
+//!   [`MaxMinState::changed_flows`] lists the flows whose rates moved:
+//!   every live flow after a seed solve, the re-rated and removed flows
+//!   after a propagation. The drain engine applies exactly those flows'
+//!   rate deltas to its link loads and completion heap, on one path for
+//!   the first seed, every propagation and the fallback re-seed alike.
+//!   Congestion scores come from one flag per link
+//!   ([`CnpModel::link_congested`]) and a per-flow count of congested
+//!   links, re-tested only on the links whose load moved.
 //! * **One serial solve path.** Seed solves run through a single reused
 //!   scratch arena. The drain never reads a thread budget, so its results
 //!   cannot depend on one.
@@ -87,5 +89,5 @@ pub use congestion::CnpModel;
 pub use drain::{drain, drain_reference, DrainConfig, DrainReport, DrainSolverStats};
 pub use flow::{FlowKey, FlowOutcome, FlowSpec};
 pub use hash::mix64;
-pub use maxmin::{MaxMinState, SolveScope};
+pub use maxmin::MaxMinState;
 pub use selector::{EcmpSelector, PathChoice, PathSelector, RailLocalSelector};

@@ -16,7 +16,7 @@
 //! move. LLM-training traffic makes this profitable: a drain's flow set is
 //! fixed up front and only ever shrinks by completions, and a completion
 //! moves the levels of a few links, however many flows share the spine
-//! with it. Only flow additions force a fresh seed solve.
+//! with it.
 
 /// Per-flow rate caps; `f64::INFINITY` means uncapped.
 pub type RateCaps = Vec<f64>;
@@ -591,24 +591,6 @@ pub fn residual(capacity: &[f64], routes: &[Vec<u32>], rates: &[f64]) -> Vec<f64
     res
 }
 
-/// What the last [`MaxMinState::refresh`] call changed — the feed the
-/// event-driven drain loop consumes to update its link loads, congestion
-/// scores and completion heap incrementally instead of rebuilding them over
-/// every active flow each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveScope {
-    /// Nothing was removed: no rate changed since the previous refresh.
-    Unchanged,
-    /// The worklist propagated the removals: only the flows listed by
-    /// [`MaxMinState::changed_flows`] have different rates — every other
-    /// flow's rate is bit-identical to before.
-    Sparse,
-    /// A seed solve ran (the first refresh, the first after a flow
-    /// addition, or the convergence fallback): every rate is fresh —
-    /// derived state must rebuild from scratch.
-    Full,
-}
-
 /// The bottleneck-level worklist behind [`MaxMinState`]: a Charny-style
 /// fixed point over per-link bottleneck levels `mu`.
 ///
@@ -630,8 +612,8 @@ pub enum SolveScope {
 /// commit — are exactly those of the unskipped worklist.
 #[derive(Debug, Clone, Default)]
 struct Worklist {
-    /// Whether `mu`/triples/subscribers reflect the current flow table
-    /// (false until the first seed solve and after every flow addition).
+    /// Whether `mu`/triples/subscribers are built (false until the first
+    /// seed solve).
     seeded: bool,
     /// Bottleneck level per link.
     mu: Vec<f64>,
@@ -659,7 +641,7 @@ struct Worklist {
     flow_mask: Vec<bool>,
     pending: Vec<u32>,
     /// The changed-flow set of the *last* refresh (ascending) — the
-    /// [`SolveScope::Sparse`] feed.
+    /// [`MaxMinState::changed_flows`] feed.
     changed: Vec<u32>,
     /// Scratch: demand staging for the per-link fill, and the per-round
     /// worklist batch.
@@ -768,17 +750,18 @@ fn fill_level(cap: f64, demand: &mut [f64]) -> f64 {
 
 /// Persistent max-min problem with incremental re-solving.
 ///
-/// The access pattern is the drain loop's: build the problem once, then
-/// remove flows as they complete ([`remove_flow`]) and re-read [`rates`] (or
-/// [`refresh`] and read [`current_rates`]).
+/// The access pattern is the drain loop's: build the problem once
+/// ([`with_flows`]), then remove flows as they complete ([`remove_flow`])
+/// and re-read [`rates`] (or [`refresh`] and read [`current_rates`] and
+/// [`changed_flows`]). Flows are never added after construction.
 ///
-/// The first refresh — and the first after any [`add_flow`] — runs one
-/// *seed* solve: the event-driven water-filling kernel over every live
-/// flow, which also records each link's bottleneck level. After that a
-/// removal never re-solves from scratch. It marks the removed flow's links
-/// dirty, and the next refresh runs a worklist to quiescence: each dirty
-/// link re-fills from its subscribers' demands (the smallest level on each
-/// subscriber's *other* links), and a level that moves by more than 1e-12
+/// The first refresh runs one *seed* solve: the event-driven
+/// water-filling kernel over every live flow, which also records each
+/// link's bottleneck level. After that a removal never re-solves from
+/// scratch. It marks the removed flow's links dirty, and the next refresh
+/// runs a worklist to quiescence: each dirty link re-fills from its
+/// subscribers' demands (the smallest level on each subscriber's *other*
+/// links), and a level that moves by more than 1e-12
 /// relative commits, re-rates the subscribers whose route minimum moved
 /// and dirties their other links. The work per completion is proportional
 /// to the links whose levels actually moved, not to the flows sharing the
@@ -798,11 +781,12 @@ fn fill_level(cap: f64, demand: &mut [f64]) -> f64 {
 /// backstop, a worklist that has not settled after 64 rounds gives up and
 /// the state re-seeds with one exact solve.
 ///
-/// [`add_flow`]: MaxMinState::add_flow
+/// [`with_flows`]: MaxMinState::with_flows
 /// [`remove_flow`]: MaxMinState::remove_flow
 /// [`rates`]: MaxMinState::rates
 /// [`refresh`]: MaxMinState::refresh
 /// [`current_rates`]: MaxMinState::current_rates
+/// [`changed_flows`]: MaxMinState::changed_flows
 #[derive(Debug, Clone)]
 pub struct MaxMinState {
     capacity: Vec<f64>,
@@ -810,7 +794,6 @@ pub struct MaxMinState {
     /// flattened CSR (struct-of-arrays).
     routes: RouteTable,
     alive: Vec<bool>,
-    n_alive: usize,
     rates: Vec<f64>,
     /// Seed solves since construction.
     full_solves: u64,
@@ -836,48 +819,32 @@ const MAX_ROUNDS: usize = 64;
 const SLACK_FRACTION: f64 = 1.0 - 1e-9;
 
 impl MaxMinState {
-    /// Creates an empty state over the given link-capacity table.
-    pub fn new(capacity: &[f64]) -> Self {
-        MaxMinState {
-            capacity: capacity.to_vec(),
-            routes: RouteTable::default(),
-            alive: Vec::new(),
-            n_alive: 0,
-            rates: Vec::new(),
-            full_solves: 0,
-            scratch: SolveScratch::default(),
-            worklist: Worklist::default(),
-        }
-    }
-
-    /// Creates a state pre-loaded with flows (the drain-loop entry path).
-    pub fn with_flows(capacity: &[f64], routes: &[Vec<u32>]) -> Self {
-        let mut s = Self::new(capacity);
-        for r in routes {
-            s.add_flow(r);
-        }
-        s
-    }
-
-    /// Adds a flow; returns its id (dense, in insertion order).
-    ///
-    /// Adding flows invalidates the worklist: the next [`rates`] call runs
-    /// one seed solve.
+    /// Creates the state over a link-capacity table and every flow it will
+    /// ever hold: flow `f` crosses `routes[f]`. The first [`rates`] call
+    /// runs the seed solve.
     ///
     /// [`rates`]: MaxMinState::rates
     ///
     /// # Panics
     ///
-    /// Panics if the route references a link beyond the capacity table.
-    pub fn add_flow(&mut self, route: &[u32]) -> usize {
-        let ls = normalize_route(route, self.capacity.len());
-        let f = self.routes.len();
-        self.rates.push(if ls.is_empty() { UNBOUNDED } else { 0.0 });
-        self.routes.push(&ls);
-        self.alive.push(true);
-        self.n_alive += 1;
-        self.worklist.seeded = false;
-        f
+    /// Panics if a route references a link beyond the capacity table.
+    pub fn with_flows(capacity: &[f64], routes: &[Vec<u32>]) -> Self {
+        let mut table = RouteTable::default();
+        let mut rates = Vec::with_capacity(routes.len());
+        for r in routes {
+            let ls = normalize_route(r, capacity.len());
+            rates.push(if ls.is_empty() { UNBOUNDED } else { 0.0 });
+            table.push(&ls);
+        }
+        MaxMinState {
+            capacity: capacity.to_vec(),
+            routes: table,
+            alive: vec![true; routes.len()],
+            rates,
+            full_solves: 0,
+            scratch: SolveScratch::default(),
+            worklist: Worklist::default(),
+        }
     }
 
     /// Removes a flow (completion): its capacity share is released, and
@@ -889,7 +856,6 @@ impl MaxMinState {
             return;
         }
         self.alive[f] = false;
-        self.n_alive -= 1;
         self.rates[f] = 0.0;
         if !self.worklist.seeded {
             // The next refresh seeds from the live flows anyway.
@@ -927,21 +893,20 @@ impl MaxMinState {
         &self.rates
     }
 
-    /// Brings the allocation up to date (lazily, like [`rates`]) and reports
-    /// what changed, so derived per-flow state (link loads, scores,
-    /// completion events) can be updated for exactly the flows whose rates
-    /// moved. Read the result via [`current_rates`] and [`changed_flows`].
+    /// Brings the allocation up to date (lazily, like [`rates`]) and records
+    /// which flows' rates moved, so derived per-flow state (link loads,
+    /// scores, completion events) can be updated for exactly those flows.
+    /// Read the result via [`current_rates`] and [`changed_flows`].
     ///
     /// [`rates`]: MaxMinState::rates
     /// [`current_rates`]: MaxMinState::current_rates
     /// [`changed_flows`]: MaxMinState::changed_flows
-    pub fn refresh(&mut self) -> SolveScope {
+    pub fn refresh(&mut self) {
         self.worklist.changed.clear();
         if !self.worklist.seeded {
             self.seed();
-            SolveScope::Full
         } else if self.worklist.dirty_links.is_empty() && self.worklist.pending.is_empty() {
-            SolveScope::Unchanged
+            // Nothing was removed: no rate changed.
         } else if self.propagate() {
             let w = &mut self.worklist;
             w.sparse_solves += 1;
@@ -950,13 +915,11 @@ impl MaxMinState {
             for &f in &w.changed {
                 w.flow_mask[f as usize] = false;
             }
-            SolveScope::Sparse
         } else {
             // The worklist did not settle within the round budget: fall
             // back to one exact seed solve.
             self.worklist.fallback_solves += 1;
             self.seed();
-            SolveScope::Full
         }
     }
 
@@ -980,10 +943,12 @@ impl MaxMinState {
         self.scratch.hwm_bytes
     }
 
-    /// Flows whose rate changed in the last [`refresh`] (ascending, deduped)
-    /// — the [`SolveScope::Sparse`] feed. Removed flows appear here once
-    /// (their rate dropped to 0). Empty unless the last refresh returned
-    /// `Sparse`.
+    /// Flows whose rate changed in the last [`refresh`] (ascending, deduped),
+    /// the feed derived state is updated from. After a seed solve (the first
+    /// refresh, or the 64-round fallback) it lists every live flow. After a
+    /// worklist propagation it lists the re-rated flows plus each flow
+    /// removed since the previous refresh (its rate dropped to 0). Empty
+    /// when nothing was removed.
     ///
     /// [`refresh`]: MaxMinState::refresh
     pub fn changed_flows(&self) -> &[u32] {
@@ -1028,7 +993,7 @@ impl MaxMinState {
     /// (Re)seeds the worklist with one exact solve over every live flow:
     /// rates come straight from the event kernel, `mu` from its per-link
     /// saturation levels, and the subscriber CSR / route-min triples are
-    /// rebuilt.
+    /// rebuilt. Every live flow is reported changed.
     fn seed(&mut self) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
@@ -1125,6 +1090,8 @@ impl MaxMinState {
         w.flow_mask.clear();
         w.flow_mask.resize(nf, false);
         w.pending.clear();
+        w.changed
+            .extend((0..nf as u32).filter(|&f| self.alive[f as usize]));
         w.seeded = true;
         self.full_solves += 1;
     }
@@ -1400,13 +1367,13 @@ mod tests {
         for (f, partner) in [(1, 0), (3, 2)] {
             s.remove_flow(f);
             alive[f] = false;
-            assert_eq!(s.refresh(), SolveScope::Sparse, "removals never re-seed");
+            s.refresh();
             let mut expect = [partner as u32, f as u32];
             expect.sort_unstable();
             assert_eq!(s.changed_flows(), &expect);
             assert_matches_reference(&mut s, &capacity, &routes, &alive);
         }
-        assert_eq!(s.full_solves(), 1);
+        assert_eq!(s.full_solves(), 1, "removals never re-seed");
     }
 
     #[test]
@@ -1420,7 +1387,7 @@ mod tests {
         let full_before = s.full_solves();
         // Removing a flow on link 0 must not touch link 1's flows.
         s.remove_flow(0);
-        assert_eq!(s.refresh(), SolveScope::Sparse);
+        s.refresh();
         assert_eq!(
             s.changed_flows(),
             &[0, 1],
@@ -1465,7 +1432,7 @@ mod tests {
         for f in [0, 3, 6] {
             s.remove_flow(f);
         }
-        assert_eq!(s.refresh(), SolveScope::Sparse);
+        s.refresh();
         assert_eq!(s.changed_flows(), &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
         let r = s.current_rates();
         for f in [1, 2, 4, 5, 7, 8] {
@@ -1487,10 +1454,11 @@ mod tests {
         s.remove_flow(0);
         // The emptied link reports its last flow once (its derived loads
         // must be released by the consumer) and then never dirties again.
-        assert_eq!(s.refresh(), SolveScope::Sparse);
+        s.refresh();
         assert_eq!(s.changed_flows(), &[0]);
-        assert_eq!(s.refresh(), SolveScope::Unchanged);
+        s.refresh();
         assert!(s.changed_flows().is_empty());
+        assert_eq!(s.sparse_solves(), 1);
         assert_eq!(s.rates()[0], 0.0);
         assert!(close(s.rates()[1], 20.0));
     }
@@ -1500,17 +1468,21 @@ mod tests {
         let capacity = vec![10.0, 20.0];
         let routes = vec![vec![0], vec![1], vec![1]];
         let mut s = MaxMinState::with_flows(&capacity, &routes);
-        assert_eq!(s.refresh(), SolveScope::Full, "first refresh seeds");
-        assert_eq!(s.refresh(), SolveScope::Unchanged);
+        // Removed before the seed, as the drain removes zero-byte flows.
+        s.remove_flow(0);
+        s.refresh();
+        assert_eq!(s.changed_flows(), &[1, 2], "a seed lists every live flow");
+        assert_eq!(s.full_solves(), 1, "first refresh seeds");
+        s.refresh();
+        assert!(s.changed_flows().is_empty(), "nothing moved");
         s.remove_flow(2);
-        assert_eq!(s.refresh(), SolveScope::Sparse);
+        s.refresh();
         assert_eq!(s.changed_flows(), &[1, 2]);
         assert_eq!(s.current_rates()[1], 20.0);
         assert_eq!(s.current_rates()[2], 0.0);
-        assert_eq!(s.refresh(), SolveScope::Unchanged);
+        s.refresh();
         assert!(s.changed_flows().is_empty());
-        s.add_flow(&[0]);
-        assert_eq!(s.refresh(), SolveScope::Full, "additions re-seed");
+        assert_eq!((s.full_solves(), s.sparse_solves()), (1, 1));
     }
 
     /// The round budget is the worklist's only convergence backstop. On a
@@ -1539,40 +1511,30 @@ mod tests {
 
             s.remove_flow(n);
             alive[n] = false;
-            let expect_scope = if fallbacks == 0 {
-                SolveScope::Sparse
-            } else {
-                SolveScope::Full
-            };
-            assert_eq!(s.refresh(), expect_scope, "n = {n}");
+            s.refresh();
             assert_eq!(s.spine_rounds(), rounds, "n = {n}: worklist rounds");
             assert_eq!(s.fallback_solves(), fallbacks, "n = {n}: fallbacks");
             assert_eq!(s.full_solves(), 1 + fallbacks, "n = {n}: seed solves");
+            if fallbacks == 1 {
+                let live: Vec<u32> = (0..n as u32).collect();
+                assert_eq!(
+                    s.changed_flows(),
+                    &live[..],
+                    "a re-seed lists every live flow"
+                );
+            }
             assert_matches_reference(&mut s, &capacity, &routes, &alive);
         }
     }
 
     #[test]
-    fn add_flow_after_solve_is_picked_up() {
-        let capacity = vec![12.0];
-        let mut s = MaxMinState::new(&capacity);
-        let a = s.add_flow(&[0]);
-        assert!(close(s.rates()[a], 12.0));
-        let b = s.add_flow(&[0]);
-        let r = s.rates();
-        assert!(close(r[a], 6.0) && close(r[b], 6.0));
-    }
-
-    #[test]
     fn empty_route_flows_are_unbounded_singletons() {
-        let mut s = MaxMinState::new(&[10.0]);
-        let a = s.add_flow(&[]);
-        let c = s.add_flow(&[0]);
+        let mut s = MaxMinState::with_flows(&[10.0], &[vec![], vec![0]]);
         let r = s.rates();
-        assert!(r[a] > 1e30);
-        assert!(close(r[c], 10.0));
-        s.remove_flow(a);
-        assert_eq!(s.rates()[a], 0.0);
+        assert!(r[0] > 1e30);
+        assert!(close(r[1], 10.0));
+        s.remove_flow(0);
+        assert_eq!(s.rates()[0], 0.0);
     }
 
     #[test]
@@ -1584,6 +1546,6 @@ mod tests {
         let r = s.rates();
         assert_eq!(r[0], 0.0);
         assert!(close(r[1], 10.0));
-        assert_eq!(s.n_alive, 1);
+        assert_eq!(s.changed_flows(), &[0, 1], "flow 0 is listed once");
     }
 }

@@ -126,7 +126,7 @@ impl TrainingJob {
     }
 
     /// Registers the job's communicators into per-worker telemetry stores.
-    pub fn register_telemetry(&self, topo: &Topology, tel: &mut [WorkerTelemetry]) {
+    pub fn register_telemetry(&self, tel: &mut [WorkerTelemetry]) {
         for comm in &self.comms {
             for &g in comm.devices() {
                 tel[g.index()].record_comm(CommRecord {
@@ -136,7 +136,6 @@ impl TrainingJob {
                 });
             }
         }
-        let _ = topo;
     }
 
     /// The job's flow-plan cache (hit/miss statistics, explicit
@@ -406,7 +405,7 @@ mod tests {
             .iter()
             .map(|g| WorkerTelemetry::new(g.id))
             .collect();
-        j.register_telemetry(&t, &mut tel);
+        j.register_telemetry(&mut tel);
         let mut sel = RailLocalSelector::new();
         let mut rng = DetRng::seed_from(5);
         j.run_iteration(&t, &mut sel, None, &mut rng, &[], Some(&mut tel));

@@ -25,7 +25,7 @@ fn main() {
         .iter()
         .map(|g| WorkerTelemetry::new(g.id))
         .collect();
-    job.register_telemetry(&topo, &mut telemetry);
+    job.register_telemetry(&mut telemetry);
 
     let mut selector = RailLocalSelector::new();
     let mut rng = DetRng::seed_from(11);

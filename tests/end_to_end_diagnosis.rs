@@ -25,7 +25,7 @@ impl Harness {
             .iter()
             .map(|g| WorkerTelemetry::new(g.id))
             .collect();
-        job.register_telemetry(&topo, &mut telemetry);
+        job.register_telemetry(&mut telemetry);
         Harness {
             topo,
             job,
@@ -136,7 +136,7 @@ fn dead_nic_hangs_and_steering_replaces_node() {
         .iter()
         .map(|g| WorkerTelemetry::new(g.id))
         .collect();
-    job.register_telemetry(&topo, &mut telemetry);
+    job.register_telemetry(&mut telemetry);
     let mut sel = RailLocalSelector::new();
     let mut rng = DetRng::seed_from(4);
     for _ in 0..2 {

@@ -125,49 +125,6 @@ proptest! {
             );
         }
     }
-
-    /// Adding flows mid-flight (a new collective joining the network) keeps
-    /// the state in agreement.
-    #[test]
-    fn solver_agrees_after_flow_additions(
-        n_links in 2usize..16,
-        seed in 0u64..1_000_000,
-        batches in 1usize..6,
-    ) {
-        let mut rng = DetRng::seed_from(seed);
-        let capacity: Vec<f64> =
-            (0..n_links).map(|_| 1.0 + rng.uniform() * 400.0).collect();
-        let mut state = MaxMinState::new(&capacity);
-        let mut routes: Vec<Vec<u32>> = Vec::new();
-        let mut alive: Vec<bool> = Vec::new();
-        for _ in 0..batches {
-            for _ in 0..1 + rng.index(8) {
-                let len = 1 + rng.index(4);
-                let route: Vec<u32> =
-                    (0..len).map(|_| rng.index(n_links) as u32).collect();
-                state.add_flow(&route);
-                routes.push(route);
-                alive.push(true);
-            }
-            assert_rates_agree(
-                state.rates(),
-                &reference_rates(&capacity, &routes, &alive),
-                "after addition batch",
-            );
-            // Interleave a removal so additions mix with removals across
-            // partition rebuilds.
-            if rng.chance(0.5) {
-                let f = rng.index(routes.len());
-                state.remove_flow(f);
-                alive[f] = false;
-                assert_rates_agree(
-                    state.rates(),
-                    &reference_rates(&capacity, &routes, &alive),
-                    "after interleaved removal",
-                );
-            }
-        }
-    }
 }
 
 /// Builds a random flow population over a tiny Clos topology: a mix of

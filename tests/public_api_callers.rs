@@ -34,6 +34,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("least_loaded_rotated", "(a) oracle for PathLoadLedger::least_loaded_indexed (ledger tests)"),
     ("ledger", "(a) C4pMaster::ledger: tests/c4p_differential.rs"),
     ("from_micros", "(a) SimDuration::from_micros: tests/maxmin_differential.rs"),
+    ("flow_count", "(a) AllToAllPlan::flow_count: tests/hybrid_differential.rs"),
     ("inject_event", "(b) FleetController::inject_event: fault set-up in recovery_paths.rs"),
     ("job_nodes", "(b) FleetController::job_nodes: aims faults at live jobs in recovery_paths.rs"),
     ("tiny", "(b) ClosConfig::tiny: the smallest fabric, set-up of most tests"),

@@ -17,7 +17,7 @@ fn hang_incident() -> Vec<TelemetrySnapshot> {
         .iter()
         .map(|g| WorkerTelemetry::new(g.id))
         .collect();
-    job.register_telemetry(&topo, &mut telemetry);
+    job.register_telemetry(&mut telemetry);
     let mut sel = RailLocalSelector::new();
     let mut rng = DetRng::seed_from(21);
     for _ in 0..2 {

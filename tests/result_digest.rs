@@ -281,7 +281,7 @@ fn noise_free_cached_iterations_and_soak_are_unchanged() {
         .iter()
         .map(|g| WorkerTelemetry::new(g.id))
         .collect();
-    job.register_telemetry(&topo, &mut tel);
+    job.register_telemetry(&mut tel);
     let mut sel = EcmpSelector::new(0x5EED);
     let mut rng = DetRng::seed_from(11);
     let mut d = Digest::new();
