@@ -6,10 +6,11 @@
 //! restart loop (streaming C4D verdicts → steering → plan-cache rebase).
 //!
 //! The document carries the control-loop census (detections, isolations,
-//! replacements, DP shrinks, retries, escalations), the plan-cache audit
-//! (`stale_plan_routes` must be zero), and the reconciliation of the live
-//! loop's downtime against the closed-form Table III operation model on a
-//! matched configuration.
+//! replacements, DP shrinks, retries, escalations), the detection block
+//! (completed-collective durations the health windows dropped late), the
+//! plan-cache audit (`stale_plan_routes` must be zero), and the
+//! reconciliation of the live loop's downtime against the closed-form
+//! Table III operation model on a matched configuration.
 //!
 //! `--iters N` sets the simulated horizon in hours (default 168 = one
 //! week). `--json-out BENCH_fleet.json` writes the machine-readable
@@ -66,6 +67,10 @@ fn main() {
     println!(
         "control loop: {} detections, {} isolations, {} replacements, {} DP shrinks, {} retries, {} escalations, {} repairs returned",
         r.detections, r.isolations, r.replacements, r.dp_shrinks, r.retries, r.escalations, r.repairs_returned,
+    );
+    println!(
+        "detection: {} completed-collective durations dropped late by the health windows",
+        r.late_dropped_durations,
     );
     println!(
         "plan cache: {} hits / {} misses, {} drain reuses, {} rebased drops, {} stale routes (invariant: 0)",

@@ -3,11 +3,10 @@
 //! on the drain loop's one operation — a flow completion — and the two
 //! drain implementations end to end).
 //!
-//! Same workload constructors as the criterion bench (`cargo bench
-//! --bench maxmin`; both call the shared builders in `c4_bench`, here
-//! seeded from `--seed`) — but emits the machine-readable `c4-bench-v1`
-//! document instead of console medians, so `BENCH_maxmin.json` and
-//! `BENCH_scale.json` share one schema and neither is hand-written:
+//! The workloads come from the shared builders in `c4_bench`, seeded from
+//! `--seed`, and the binary emits the machine-readable `c4-bench-v1`
+//! document, so `BENCH_maxmin.json` and `BENCH_scale.json` share one
+//! schema and neither is hand-written:
 //!
 //! ```text
 //! cargo run --release -p c4_bench --bin bench_maxmin -- --json-out BENCH_maxmin.json

@@ -356,8 +356,7 @@ pub fn enforce_baseline_gates(fresh: &JsonValue, baseline: &JsonValue, wall_fact
 }
 
 /// Synthesizes `flows` random 4-link routes over `links` links — the
-/// max-min solver workload shared by the criterion bench
-/// (`benches/maxmin.rs`) and the `bench_maxmin` binary that regenerates
+/// max-min solver workload of the `bench_maxmin` binary that regenerates
 /// `BENCH_maxmin.json`.
 pub fn synth_maxmin_problem(links: usize, flows: usize, seed: u64) -> (Vec<f64>, Vec<Vec<u32>>) {
     let mut rng = DetRng::seed_from(seed);
@@ -368,9 +367,9 @@ pub fn synth_maxmin_problem(links: usize, flows: usize, seed: u64) -> (Vec<f64>,
     (capacity, routes)
 }
 
-/// Builds the `drain_noisy_shared` workload: `n` same-sized ECMP-routed
-/// QPs contending on shared receive ports (the scenario-suite hot path),
-/// shared by the criterion bench and the `bench_maxmin` binary.
+/// Builds the `drain_noisy_shared` workload of the `bench_maxmin` binary:
+/// `n` same-sized ECMP-routed QPs contending on shared receive ports (the
+/// scenario-suite hot path).
 pub fn synth_drain_specs(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> {
     let mut sel = EcmpSelector::new(seed.wrapping_mul(3).wrapping_add(2));
     let mut rng = DetRng::seed_from(seed);
@@ -400,8 +399,8 @@ pub fn synth_drain_specs(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> 
 }
 
 /// Runs `routine` repeatedly for up to `budget` (≥ 1 call after one warm-up)
-/// and returns `(median_wall_us, samples)` — the same measurement loop as
-/// the vendored criterion stub, reusable from binaries.
+/// and returns `(median_wall_us, samples)`: criterion-style medians for the
+/// `bench_maxmin` binary.
 pub fn median_wall_us<F: FnMut()>(budget: Duration, mut routine: F) -> (f64, usize) {
     routine(); // warm-up, untimed
     let mut samples: Vec<f64> = Vec::new();

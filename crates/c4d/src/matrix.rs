@@ -52,10 +52,25 @@ impl MatrixFinding {
 
 /// A dense `n×n` matrix of pairwise communication delays (seconds); absent
 /// pairs are `NaN`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DelayMatrix {
     n: usize,
     cells: Vec<f64>,
+}
+
+/// Buffers that [`DelayMatrix::refill`] and [`DelayMatrix::analyze_with`]
+/// reuse from call to call, so a streaming master re-analyzing its matrix
+/// every scan allocates nothing once they have grown.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MatrixScratch {
+    /// Records folded into each cell.
+    counts: Vec<u32>,
+    /// Present off-diagonal values, sorted for the baseline median.
+    present: Vec<f64>,
+    /// Rows flagged slow (Tx).
+    rows: Vec<bool>,
+    /// Columns flagged slow (Rx).
+    cols: Vec<bool>,
 }
 
 impl DelayMatrix {
@@ -74,10 +89,29 @@ impl DelayMatrix {
         devices: &[GpuId],
         records: impl Iterator<Item = &'a ConnRecord>,
     ) -> Self {
+        let mut m = DelayMatrix::default();
+        m.refill(devices, records, &mut MatrixScratch::default());
+        m
+    }
+
+    /// [`from_conn_records`](Self::from_conn_records) in place: resizes the
+    /// matrix to `devices.len()` ranks, sums each cell's record delays in
+    /// record order, then divides by the cell's record count (`NaN` when
+    /// none landed).
+    pub(crate) fn refill<'a>(
+        &mut self,
+        devices: &[GpuId],
+        records: impl Iterator<Item = &'a ConnRecord>,
+        scratch: &mut MatrixScratch,
+    ) {
         let n = devices.len();
         let rank_of = |g: GpuId| devices.iter().position(|&d| d == g);
-        let mut sums = vec![0.0_f64; n * n];
-        let mut counts = vec![0u32; n * n];
+        self.n = n;
+        self.cells.clear();
+        self.cells.resize(n * n, 0.0);
+        let counts = &mut scratch.counts;
+        counts.clear();
+        counts.resize(n * n, 0);
         for rec in records {
             let (Some(src), Some(dst)) = (rank_of(rec.key.src_gpu), rank_of(rec.key.dst_gpu))
             else {
@@ -86,16 +120,16 @@ impl DelayMatrix {
             if rec.messages == 0 {
                 continue;
             }
-            sums[src * n + dst] += rec.mean_message_duration().as_secs_f64();
+            self.cells[src * n + dst] += rec.mean_message_duration().as_secs_f64();
             counts[src * n + dst] += 1;
         }
-        let mut m = DelayMatrix::new(n);
-        for i in 0..n * n {
-            if counts[i] > 0 {
-                m.cells[i] = sums[i] / counts[i] as f64;
-            }
+        for (cell, &count) in self.cells.iter_mut().zip(counts.iter()) {
+            *cell = if count > 0 {
+                *cell / count as f64
+            } else {
+                f64::NAN
+            };
         }
-        m
     }
 
     /// Sets one cell (delay in seconds).
@@ -113,14 +147,17 @@ impl DelayMatrix {
         self.cells[src * self.n + dst]
     }
 
-    /// Median of all present off-diagonal entries (the healthy baseline).
-    pub fn baseline(&self) -> Option<f64> {
-        let mut present: Vec<f64> = (0..self.n)
-            .flat_map(|i| (0..self.n).map(move |j| (i, j)))
-            .filter(|&(i, j)| i != j)
-            .map(|(i, j)| self.get(i, j))
-            .filter(|v| v.is_finite())
-            .collect();
+    /// Median of all present off-diagonal entries (the healthy baseline),
+    /// sorted in `present`.
+    fn baseline(&self, present: &mut Vec<f64>) -> Option<f64> {
+        present.clear();
+        present.extend(
+            (0..self.n)
+                .flat_map(|i| (0..self.n).map(move |j| (i, j)))
+                .filter(|&(i, j)| i != j)
+                .map(|(i, j)| self.get(i, j))
+                .filter(|v| v.is_finite()),
+        );
         if present.is_empty() {
             return None;
         }
@@ -135,60 +172,52 @@ impl DelayMatrix {
     /// `row_col_fraction` is the fraction of abnormal entries required to
     /// call a whole row/column slow.
     pub fn analyze(&self, slow_factor: f64, row_col_fraction: f64) -> Vec<MatrixFinding> {
-        let Some(base) = self.baseline() else {
+        self.analyze_with(slow_factor, row_col_fraction, &mut MatrixScratch::default())
+    }
+
+    /// [`analyze`](Self::analyze) with its working vectors in `scratch`.
+    pub(crate) fn analyze_with(
+        &self,
+        slow_factor: f64,
+        row_col_fraction: f64,
+        scratch: &mut MatrixScratch,
+    ) -> Vec<MatrixFinding> {
+        let Some(base) = self.baseline(&mut scratch.present) else {
             return Vec::new();
         };
         if base <= 0.0 {
             return Vec::new();
         }
         let abnormal = |v: f64| v.is_finite() && v > base * slow_factor;
-
+        let n = self.n;
         let mut findings = Vec::new();
-        let mut row_flagged = vec![false; self.n];
-        let mut col_flagged = vec![false; self.n];
-
-        for (i, flagged) in row_flagged.iter_mut().enumerate() {
-            let entries: Vec<f64> = (0..self.n)
-                .filter(|&j| j != i)
-                .map(|j| self.get(i, j))
-                .filter(|v| v.is_finite())
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            let bad = entries.iter().filter(|&&v| abnormal(v)).count();
-            if bad as f64 / entries.len() as f64 >= row_col_fraction {
-                let mean_bad: f64 =
-                    entries.iter().filter(|&&v| abnormal(v)).sum::<f64>() / bad.max(1) as f64;
+        let MatrixScratch { rows, cols, .. } = scratch;
+        rows.clear();
+        rows.resize(n, false);
+        cols.clear();
+        cols.resize(n, false);
+        for (i, flagged) in rows.iter_mut().enumerate() {
+            let row = (0..n).filter(|&j| j != i).map(|j| self.get(i, j));
+            if let Some(ratio) = slow_line_ratio(row, abnormal, base, row_col_fraction) {
                 *flagged = true;
                 findings.push(MatrixFinding::TxSlow {
                     rank: i as u32,
-                    ratio: mean_bad / base,
+                    ratio,
                 });
             }
         }
-        for (j, flagged) in col_flagged.iter_mut().enumerate() {
-            let entries: Vec<f64> = (0..self.n)
-                .filter(|&i| i != j)
-                .map(|i| self.get(i, j))
-                .filter(|v| v.is_finite())
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            let bad = entries.iter().filter(|&&v| abnormal(v)).count();
-            if bad as f64 / entries.len() as f64 >= row_col_fraction {
-                let mean_bad: f64 =
-                    entries.iter().filter(|&&v| abnormal(v)).sum::<f64>() / bad.max(1) as f64;
+        for (j, flagged) in cols.iter_mut().enumerate() {
+            let col = (0..n).filter(|&i| i != j).map(|i| self.get(i, j));
+            if let Some(ratio) = slow_line_ratio(col, abnormal, base, row_col_fraction) {
                 *flagged = true;
                 findings.push(MatrixFinding::RxSlow {
                     rank: j as u32,
-                    ratio: mean_bad / base,
+                    ratio,
                 });
             }
         }
-        for (i, &row_is_slow) in row_flagged.iter().enumerate() {
-            for (j, &col_is_slow) in col_flagged.iter().enumerate() {
+        for (i, &row_is_slow) in rows.iter().enumerate() {
+            for (j, &col_is_slow) in cols.iter().enumerate() {
                 if i == j || row_is_slow || col_is_slow {
                     continue;
                 }
@@ -228,6 +257,28 @@ impl DelayMatrix {
     }
 }
 
+/// The Fig 7 test of one row or column: the mean of its abnormal values
+/// over `base`, when at least `row_col_fraction` of its present (finite)
+/// values are abnormal. One pass in index order; the abnormal sum starts at
+/// -0.0, as `Iterator::sum` does.
+fn slow_line_ratio(
+    values: impl Iterator<Item = f64>,
+    abnormal: impl Fn(f64) -> bool,
+    base: f64,
+    row_col_fraction: f64,
+) -> Option<f64> {
+    let (mut present, mut bad, mut bad_sum) = (0usize, 0usize, -0.0_f64);
+    for v in values.filter(|v| v.is_finite()) {
+        present += 1;
+        if abnormal(v) {
+            bad += 1;
+            bad_sum += v;
+        }
+    }
+    (present > 0 && bad as f64 / present as f64 >= row_col_fraction)
+        .then(|| bad_sum / bad.max(1) as f64 / base)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +300,7 @@ mod tests {
     fn healthy_matrix_has_no_findings() {
         let m = healthy(8, 0.010);
         assert!(m.analyze(2.0, 0.7).is_empty());
-        assert!((m.baseline().unwrap() - 0.010).abs() < 1e-12);
+        assert!((m.baseline(&mut Vec::new()).unwrap() - 0.010).abs() < 1e-12);
     }
 
     #[test]
@@ -334,7 +385,7 @@ mod tests {
     #[test]
     fn empty_matrix_is_silent() {
         let m = DelayMatrix::new(4);
-        assert!(m.baseline().is_none());
+        assert!(m.baseline(&mut Vec::new()).is_none());
         assert!(m.analyze(2.0, 0.7).is_empty());
     }
 

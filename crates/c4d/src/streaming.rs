@@ -13,8 +13,9 @@
 //! ([`events_from_snapshots`](c4_telemetry::pipeline::events_from_snapshots)):
 //!
 //! * [`StreamingDelayMatrix`] keeps connection aggregates in first-arrival
-//!   order and rebuilds cells with the same `sum/count` fold as
-//!   [`DelayMatrix::from_conn_records`] — bit-identical cells;
+//!   order and refills its matrix with the same `sum/count` fold as
+//!   [`DelayMatrix::from_conn_records`] — bit-identical cells, analyzed by
+//!   the same [`DelayMatrix::analyze`] arithmetic in reused buffers;
 //! * [`StreamingStragglerDetector`] keeps per-rank `(sum, count)` compute
 //!   accumulators — per-rank sums are folded in per-rank arrival order, so
 //!   the means equal [`detect_noncomm_slow`](crate::detectors::detect_noncomm_slow)'s
@@ -35,52 +36,47 @@
 //! event-time windows, and the EP straggler test over sliding step windows
 //! (the streaming twin of [`LoadSmoother`](crate::smoothing::LoadSmoother)).
 
-use std::collections::VecDeque;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
-use c4_simcore::{SimDuration, SimTime};
+use c4_simcore::{FastMap, SimDuration, SimTime};
 use c4_telemetry::pipeline::{TelemetryEvent, WindowSpec, WindowedAggregate};
 use c4_telemetry::{CollRecord, CommRecord, ConnKey, ConnRecord, EventLog, RankRecord};
-use c4_topology::Topology;
+use c4_topology::{GpuId, Topology};
 
 use crate::detectors::{DetectorConfig, Syndrome};
 use crate::master::{emit_diagnoses, stalled_rank_from_conns, Diagnosis};
-use crate::matrix::DelayMatrix;
+use crate::matrix::{DelayMatrix, MatrixFinding, MatrixScratch};
 use crate::smoothing::raw_straggler;
 
 /// Incremental delay-matrix state: connection aggregates upserted in
-/// first-arrival order.
+/// first-arrival order, plus the matrix and the analysis buffers that each
+/// scan refills in place.
 ///
 /// Re-reports of the same [`ConnKey`] replace in place (worker aggregates
-/// are cumulative), keeping the fold order of [`to_matrix`] equal to the
-/// batch path's snapshot iteration — which makes the resulting cells
-/// bit-identical to [`DelayMatrix::from_conn_records`] over the same
-/// records.
-///
-/// [`to_matrix`]: StreamingDelayMatrix::to_matrix
-#[derive(Debug, Clone)]
+/// are cumulative), keeping the fold order of the refill equal to the
+/// batch path's snapshot iteration — which makes the cells bit-identical
+/// to [`DelayMatrix::from_conn_records`] over the same records.
+#[derive(Debug, Clone, Default)]
 pub struct StreamingDelayMatrix {
-    comm: CommRecord,
     order: Vec<ConnRecord>,
-    index: HashMap<ConnKey, usize>,
+    index: FastMap<ConnKey, usize>,
+    matrix: DelayMatrix,
+    scratch: MatrixScratch,
 }
 
 impl StreamingDelayMatrix {
-    /// Creates empty state for one communicator.
-    pub fn new(comm: CommRecord) -> Self {
-        StreamingDelayMatrix {
-            comm,
-            order: Vec::new(),
-            index: HashMap::new(),
-        }
+    /// Forgets every tracked connection and keeps the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.order.clear();
+        self.index.clear();
     }
 
     /// Folds one connection aggregate in (records for other communicators
-    /// or unmapped GPUs are ignored).
-    pub fn feed(&mut self, rec: &ConnRecord) {
-        if rec.key.comm != self.comm.comm
-            || self.comm.rank_of(rec.key.src_gpu).is_none()
-            || self.comm.rank_of(rec.key.dst_gpu).is_none()
+    /// than `comm` or for GPUs outside it are ignored).
+    pub fn feed(&mut self, comm: &CommRecord, rec: &ConnRecord) {
+        if rec.key.comm != comm.comm
+            || comm.rank_of(rec.key.src_gpu).is_none()
+            || comm.rank_of(rec.key.dst_gpu).is_none()
         {
             return;
         }
@@ -98,10 +94,19 @@ impl StreamingDelayMatrix {
         self.order.iter()
     }
 
-    /// Materializes the delay matrix from the tracked connections, with the
-    /// exact fold of [`DelayMatrix::from_conn_records`].
-    pub fn to_matrix(&self) -> DelayMatrix {
-        DelayMatrix::from_conn_records(&self.comm.devices, self.order.iter())
+    /// Refills the delay matrix of `devices` from the tracked connections,
+    /// with the exact fold of [`DelayMatrix::from_conn_records`], and runs
+    /// [`DelayMatrix::analyze`] on it.
+    pub(crate) fn analyze(
+        &mut self,
+        devices: &[GpuId],
+        slow_factor: f64,
+        row_col_fraction: f64,
+    ) -> Vec<MatrixFinding> {
+        self.matrix
+            .refill(devices, self.order.iter(), &mut self.scratch);
+        self.matrix
+            .analyze_with(slow_factor, row_col_fraction, &mut self.scratch)
     }
 }
 
@@ -125,6 +130,11 @@ impl HangState {
         HangState {
             latest: vec![None; nranks],
         }
+    }
+
+    fn reset(&mut self, nranks: usize) {
+        self.latest.clear();
+        self.latest.resize(nranks, None);
     }
 
     fn feed(&mut self, rec: &CollRecord) {
@@ -210,6 +220,16 @@ impl StreamingStragglerDetector {
         }
     }
 
+    /// Re-targets the detector at another communicator: the state
+    /// [`new`](Self::new) would build, in the same buffers.
+    pub(crate) fn reset(&mut self, comm: u64, nranks: usize) {
+        self.comm = comm;
+        self.sums.clear();
+        self.sums.resize(nranks, 0.0);
+        self.counts.clear();
+        self.counts.resize(nranks, 0);
+    }
+
     /// Folds one rank report in.
     pub fn feed(&mut self, rec: &RankRecord) {
         if rec.comm != self.comm {
@@ -273,11 +293,28 @@ impl StreamingC4dMaster {
         StreamingC4dMaster {
             cfg,
             hang: HangState::new(nranks),
-            conns: StreamingDelayMatrix::new(comm.clone()),
+            conns: StreamingDelayMatrix::default(),
             ranks: StreamingStragglerDetector::new(id, nranks),
             comm,
             log: EventLog::new(),
         }
+    }
+
+    /// Re-targets the master at communicator `comm` over `devices` (rank
+    /// order), created at `created`: afterwards it holds exactly the state
+    /// [`new`](Self::new) would build for that communicator — no hang,
+    /// connection or straggler state and an empty log — in the buffers it
+    /// already has. A fleet that scans many communicators one after another
+    /// keeps one master this way.
+    pub fn reset(&mut self, comm: u64, devices: &[GpuId], created: SimTime) {
+        self.comm.comm = comm;
+        self.comm.devices.clear();
+        self.comm.devices.extend_from_slice(devices);
+        self.comm.created = created;
+        self.hang.reset(devices.len());
+        self.conns.clear();
+        self.ranks.reset(comm, devices.len());
+        self.log = EventLog::new();
     }
 
     /// The detector configuration.
@@ -294,7 +331,7 @@ impl StreamingC4dMaster {
     pub fn feed(&mut self, event: &TelemetryEvent) {
         match event {
             TelemetryEvent::Coll(c) if c.comm == self.comm.comm => self.hang.feed(c),
-            TelemetryEvent::Conn(c) => self.conns.feed(c),
+            TelemetryEvent::Conn(c) => self.conns.feed(&self.comm, c),
             TelemetryEvent::Rank(r) => self.ranks.feed(r),
             _ => {}
         }
@@ -313,10 +350,11 @@ impl StreamingC4dMaster {
                     .flatten();
                 (syndrome, stalled)
             });
-        let findings = self
-            .conns
-            .to_matrix()
-            .analyze(self.cfg.slow_factor, self.cfg.row_col_fraction);
+        let findings = self.conns.analyze(
+            &self.comm.devices,
+            self.cfg.slow_factor,
+            self.cfg.row_col_fraction,
+        );
         let noncomm = self.ranks.syndrome(self.cfg.straggler_factor);
         emit_diagnoses(
             now,
@@ -400,6 +438,14 @@ impl CollHealthDetector {
     pub fn flush(&mut self) -> Vec<StreamVerdict> {
         let panes = self.window.flush();
         self.judge_panes(panes)
+    }
+
+    /// Completed-collective durations dropped because their window had
+    /// already closed when they arrived: they never reach a verdict. The
+    /// windows allow no lateness, so a duration that ends in a pane another
+    /// communicator's later events have closed counts here.
+    pub fn late_dropped(&self) -> u64 {
+        self.window.late_dropped()
     }
 
     fn judge_panes(
@@ -631,6 +677,102 @@ mod tests {
         assert_eq!(stream_diags, batch_diags);
         assert!(!stream_diags.is_empty(), "the hang must be diagnosed");
         assert_eq!(stream.log().to_csv(), batch.log().to_csv());
+    }
+
+    /// A healthy ring on `comm` (each rank sends to the next over two QPs,
+    /// so absent cells outnumber present ones) in which rank `slow`'s sends
+    /// take 10× longer; every collective completed.
+    fn slow_sender_snapshots(comm: &CommRecord, slow: usize) -> Vec<TelemetrySnapshot> {
+        comm.devices
+            .iter()
+            .enumerate()
+            .map(|(rank, &gpu)| {
+                let mut w = WorkerTelemetry::new(gpu);
+                w.record_coll(CollRecord {
+                    comm: comm.comm,
+                    seq: 3,
+                    rank: rank as u32,
+                    kind: CollKind::AllReduce,
+                    algo: AlgoKind::Ring,
+                    dtype: DataType::F16,
+                    count: 1,
+                    start: SimTime::from_secs(100),
+                    end: Some(SimTime::from_secs(101)),
+                });
+                let next = (rank + 1) % comm.devices.len();
+                for (qp, micros) in [(0, 1_100), (1, 1_300)] {
+                    let micros = if rank == slow { micros * 10 } else { micros };
+                    w.record_message(
+                        ConnKey {
+                            comm: comm.comm,
+                            channel: 0,
+                            qp,
+                            src_gpu: gpu,
+                            dst_gpu: comm.devices[next],
+                        },
+                        PortId::from_index(0),
+                        1000,
+                        SimDuration::from_micros(micros),
+                        SimTime::from_secs(101),
+                    );
+                }
+                w.snapshot(SimTime::from_secs(120))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reset_master_scans_like_a_fresh_one() {
+        let t = topo();
+        let cfg = DetectorConfig::default();
+        let big = comm_of(&t, 16);
+        let mut master = StreamingC4dMaster::new(cfg, big.clone());
+        for event in events_from_snapshots(&hang_snapshots(&big, 11)) {
+            master.feed(&event);
+        }
+        assert!(!master.scan(SimTime::from_secs(60), &t).is_empty());
+
+        // Same id, half the ranks, GPUs shared with the first communicator.
+        let small = CommRecord {
+            comm: big.comm,
+            devices: big.devices[4..12].to_vec(),
+            created: SimTime::from_secs(90),
+        };
+        let snaps = slow_sender_snapshots(&small, 3);
+        master.reset(small.comm, &small.devices, small.created);
+        let mut fresh = StreamingC4dMaster::new(cfg, small.clone());
+        for event in events_from_snapshots(&snaps) {
+            master.feed(&event);
+            fresh.feed(&event);
+        }
+        let now = SimTime::from_secs(120);
+        let diags = master.scan(now, &t);
+        assert_eq!(diags, fresh.scan(now, &t));
+        assert_eq!(master.log().to_csv(), fresh.log().to_csv());
+        match &diags[..] {
+            [Diagnosis {
+                syndrome: Syndrome::CommSlow { findings, .. },
+                suspect,
+                critical: false,
+                ..
+            }] => {
+                assert!(matches!(findings[0], MatrixFinding::TxSlow { rank: 3, .. }));
+                assert_eq!(*suspect, Some(t.gpu(small.devices[3]).node));
+            }
+            other => panic!("expected one slow-sender diagnosis, got {other:?}"),
+        }
+
+        // The matrix the scan refilled is the batch matrix, cell for cell.
+        let batch =
+            DelayMatrix::from_conn_records(&small.devices, snaps.iter().flat_map(|s| &s.conns));
+        let reused = &master.conns.matrix;
+        assert_eq!(reused.to_display_ms().len(), small.nranks());
+        for i in 0..small.nranks() {
+            for j in 0..small.nranks() {
+                assert_eq!(reused.get(i, j).to_bits(), batch.get(i, j).to_bits());
+            }
+        }
+        assert!(reused.get(0, 2).is_nan(), "a ring leaves (0, 2) absent");
     }
 
     #[test]

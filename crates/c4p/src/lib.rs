@@ -22,7 +22,6 @@
 //! The master implements [`c4_netsim::PathSelector`], so the collective
 //! engine can run with the ECMP baseline or C4P interchangeably.
 
-pub mod fasthash;
 pub mod ledger;
 pub mod master;
 pub mod probe;

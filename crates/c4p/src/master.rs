@@ -19,10 +19,9 @@
 //! entries to the serial key order (pinned by `tests/c4p_differential.rs`).
 
 use c4_netsim::{mix64, FlowKey, PathChoice, PathSelector};
-use c4_simcore::{scoped_map, Bandwidth, ParallelPolicy, UnionFind};
+use c4_simcore::{scoped_map, Bandwidth, FastMap, ParallelPolicy, UnionFind};
 use c4_topology::{FabricPath, PortSide, SwitchId, Topology};
 
-use crate::fasthash::FastMap;
 use crate::ledger::PathLoadLedger;
 use crate::probe::PathCatalog;
 

@@ -20,13 +20,12 @@
 //! [`PathSelector::select_batch`] call, and one assembler turns keys and
 //! choices into routes for ring and all-to-all plans alike.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use c4_netsim::{drain, DrainConfig, DrainReport, FlowKey, FlowSpec, PathChoice, PathSelector};
-use c4_simcore::{scoped_map, ByteSize, DetRng, ParallelPolicy, SimTime};
+use c4_simcore::{scoped_map, ByteSize, DetRng, FastMap, ParallelPolicy, SimTime};
 use c4_telemetry::{
     AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord, WorkerTelemetry,
 };
@@ -176,10 +175,10 @@ struct PlanEntry {
 /// overwrites the slot.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: HashMap<PlanKey, PlanEntry>,
+    entries: FastMap<PlanKey, PlanEntry>,
     /// The drain memo, one slot per request set (its plan keys, in
     /// request order).
-    drains: HashMap<Vec<PlanKey>, DrainMemo>,
+    drains: FastMap<Vec<PlanKey>, DrainMemo>,
     hits: u64,
     misses: u64,
     drain_reuses: u64,

@@ -154,6 +154,9 @@ impl FleetSoakSweep {
             .push("escalations", r.escalations)
             .push("repairs_returned", r.repairs_returned);
 
+        let mut detection = JsonValue::object();
+        detection.push("late_dropped_durations", r.late_dropped_durations);
+
         let mut cache = JsonValue::object();
         cache
             .push("hits", r.cache_hits)
@@ -183,6 +186,7 @@ impl FleetSoakSweep {
             .push("soak", soak)
             .push("faults", faults)
             .push("control", control)
+            .push("detection", detection)
             .push("plan_cache", cache)
             .push("reconciliation", reconcile)
             .push("total_wall_ms", self.total_wall_ms);

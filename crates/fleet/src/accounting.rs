@@ -136,6 +136,11 @@ pub struct FleetReport {
     /// Noise-free drains the jobs' plan caches replayed instead of drained
     /// (`c4_collectives::PlanCache::drain_reuses`), summed over all jobs.
     pub drain_reuses: u64,
+    /// Completed-collective durations the jobs' collective-health
+    /// detectors dropped because their window had already closed
+    /// (`c4_diagnosis::CollHealthDetector::late_dropped`), summed over all
+    /// jobs. They never reach a slow verdict.
+    pub late_dropped_durations: u64,
     /// Cache entries surgically dropped by rebase (routes through changed
     /// links).
     pub cache_rebased_drops: u64,

@@ -348,6 +348,9 @@ pub struct FleetController {
     /// Per-GPU telemetry stores, built on the first live iteration and
     /// reused: each live iteration clears and writes only its job's stores.
     tel: Vec<WorkerTelemetry>,
+    /// The streaming C4D master, re-targeted at each communicator in turn
+    /// (jobs run one after another, so one master serves them all).
+    c4d: StreamingC4dMaster,
     outcomes: Vec<JobOutcome>,
     faults: FaultCounts,
     detections: u64,
@@ -362,6 +365,7 @@ pub struct FleetController {
     cache_hits: u64,
     cache_misses: u64,
     drain_reuses: u64,
+    late_dropped_durations: u64,
     rounds: u64,
     live_iterations: u64,
 }
@@ -454,6 +458,14 @@ impl FleetController {
             node_repairs: Vec::new(),
             clock: SimTime::ZERO,
             tel: Vec::new(),
+            c4d: StreamingC4dMaster::new(
+                cfg.detector,
+                CommRecord {
+                    comm: 0,
+                    devices: Vec::new(),
+                    created: SimTime::ZERO,
+                },
+            ),
             outcomes: Vec::new(),
             faults: FaultCounts::default(),
             detections: 0,
@@ -468,6 +480,7 @@ impl FleetController {
             cache_hits: 0,
             cache_misses: 0,
             drain_reuses: 0,
+            late_dropped_durations: 0,
             rounds: 0,
             live_iterations: 0,
             cfg,
@@ -531,6 +544,7 @@ impl FleetController {
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             drain_reuses: self.drain_reuses,
+            late_dropped_durations: self.late_dropped_durations,
             cache_rebased_drops: self.cache_rebased_drops,
             stale_plan_routes: self.stale_plan_routes,
         }
@@ -633,6 +647,7 @@ impl FleetController {
                 .collect();
         }
         let tel = &mut self.tel;
+        let master = &mut self.c4d;
         for comm in fj.job.comms() {
             for &g in comm.devices() {
                 tel[g.index()].clear();
@@ -649,21 +664,15 @@ impl FleetController {
         );
         self.live_iterations += 1;
 
-        // Stream this round's telemetry through one per-communicator
-        // streaming master each: a half-down NIC only hangs the DP groups
-        // hashed onto the dead port, so every group must be watched.
+        // Stream this round's telemetry through the streaming master once
+        // per communicator, re-targeted at each in turn: a half-down NIC
+        // only hangs the DP groups hashed onto the dead port, so every
+        // group must be watched.
         let scan_at = fj.job.now() + cfg_detector.hang_timeout + SimDuration::from_secs(1);
         let mut diags = Vec::new();
         let mut slow_verdict = false;
         for comm in fj.job.comms() {
-            let mut master = StreamingC4dMaster::new(
-                cfg_detector,
-                CommRecord {
-                    comm: comm.id(),
-                    devices: comm.devices().to_vec(),
-                    created: round_start,
-                },
-            );
+            master.reset(comm.id(), comm.devices(), round_start);
             for e in comm_events(tel, comm) {
                 master.feed(&e);
                 slow_verdict |= !fj.health.feed(&e).is_empty();
@@ -1125,6 +1134,7 @@ impl FleetController {
         self.cache_hits += fj.job.plan_cache().hits();
         self.cache_misses += fj.job.plan_cache().misses();
         self.drain_reuses += fj.job.plan_cache().drain_reuses();
+        self.late_dropped_durations += fj.health.late_dropped();
         for &n in &fj.job.layout().nodes {
             if self.topo.is_node_healthy(n) {
                 self.free_nodes.push(n);

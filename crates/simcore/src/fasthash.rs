@@ -1,13 +1,15 @@
-//! A fast, deterministic multiply-rotate hasher for the selection hot
-//! path's keyed tables (sticky allocations, rate EMAs, leaf-pair groups).
+//! A fast, deterministic multiply-rotate hasher for the simulator's hot
+//! keyed tables: C4P's sticky allocations and rate EMAs, the telemetry
+//! stores' connection index, the streaming delay matrix's connection
+//! index, and the plan cache's plans and drain memo.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs ~10× more per key
 //! than the tables here need: every key is a small fixed tuple of dense
-//! ids, fully attacker-free inside the simulator, and the plan-build inner
-//! loop hashes each flow key several times. The mixer below is the same
-//! splitmix-style arithmetic as `c4_netsim::mix64`, folded per write —
-//! deterministic across runs and platforms, so selection stays a pure
-//! function of its inputs.
+//! ids, fully attacker-free inside the simulator, and the hot loops hash
+//! each key once or more per flow, connection or iteration. The mixer
+//! below is the same splitmix-style arithmetic as `c4_netsim::mix64`,
+//! folded per write — deterministic across runs and platforms, so every
+//! table lookup is a pure function of its inputs.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -15,6 +15,10 @@
 //!   (per-stream route assembly, C4P batch selection, fleet jobs); results
 //!   are bit-identical at any thread count.
 //! * [`UnionFind`] — the partitioner behind C4P's batch selection.
+//! * [`FastMap`] — a `HashMap` keyed by the deterministic
+//!   [`Mix64Hasher`](fasthash::Mix64Hasher) instead of SipHash, for the
+//!   per-flow, per-connection and per-iteration tables of C4P, telemetry,
+//!   streaming C4D and the plan cache.
 //! * [`JsonValue`] — a tiny JSON tree (build/print/parse) so the bench
 //!   binaries emit machine-readable `BENCH_*.json` files without a
 //!   networked `serde_json`.
@@ -34,6 +38,7 @@
 //! assert_eq!(serial, threaded);
 //! ```
 
+pub mod fasthash;
 pub mod json;
 pub mod parallel;
 pub mod rng;
@@ -41,6 +46,7 @@ pub mod time;
 pub mod unionfind;
 pub mod units;
 
+pub use fasthash::FastMap;
 pub use json::JsonValue;
 pub use parallel::{scoped_map, ParallelPolicy};
 pub use rng::DetRng;

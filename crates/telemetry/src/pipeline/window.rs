@@ -211,27 +211,24 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
             return Vec::new();
         };
         // Pane keys are ordered by (start, key) and closure depends only on
-        // start, so closed panes are exactly a prefix of the map.
+        // start, so closed panes are exactly a prefix of the map: pop from
+        // the front until the first pane is still open (on most events it
+        // already is, and nothing is visited beyond it).
         let mut closed = Vec::new();
-        for k in self.panes.keys() {
-            if k.0.saturating_add(self.spec.width) <= watermark {
-                closed.push(k.clone());
-            } else {
+        while let Some(first) = self.panes.first_entry() {
+            let end = first.key().0.saturating_add(self.spec.width);
+            if end > watermark {
                 break;
             }
+            let ((start, key), aggregate) = first.remove_entry();
+            closed.push(WindowPane {
+                key,
+                start,
+                end,
+                aggregate,
+            });
         }
         closed
-            .into_iter()
-            .map(|k| {
-                let aggregate = self.panes.remove(&k).expect("key collected from the map");
-                WindowPane {
-                    start: k.0,
-                    end: k.0.saturating_add(self.spec.width),
-                    key: k.1,
-                    aggregate,
-                }
-            })
-            .collect()
     }
 
     fn emit(&self, panes: BTreeMap<(u64, K), Aggregate>) -> Vec<WindowPane<K>> {

@@ -7,9 +7,7 @@
 //! to the central master, which is where cross-worker comparison (the heart
 //! of C4D) happens.
 
-use std::collections::HashMap;
-
-use c4_simcore::{SimDuration, SimTime};
+use c4_simcore::{FastMap, SimDuration, SimTime};
 use c4_topology::{GpuId, PortId};
 
 use crate::pipeline::{store_events, TelemetryEvent};
@@ -25,7 +23,7 @@ pub struct WorkerTelemetry {
     /// event order derived from them) repeat exactly from run to run.
     conns: Vec<ConnRecord>,
     /// Position of each connection's aggregate in `conns`.
-    conn_index: HashMap<ConnKey, usize>,
+    conn_index: FastMap<ConnKey, usize>,
     ranks: Vec<RankRecord>,
 }
 

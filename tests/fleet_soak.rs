@@ -78,6 +78,23 @@ fn soak_is_bit_identical_at_1_2_and_4_threads() {
     assert_eq!(one, four, "1-thread vs 4-thread soak diverged");
 }
 
+/// The jobs' collective-health windows (5 s, tumbling) allow no lateness
+/// and are fed one communicator at a time, so a DP group that finished just
+/// before a pane boundary can arrive after another group has closed that
+/// pane, and its completed-collective durations are dropped. This pins the
+/// count over one simulated day of `FleetConfig::soak_512`; ROADMAP item
+/// 6's late-drop fix (a lateness sized to the spread of end times within
+/// one live iteration) takes both to 0.
+#[test]
+fn soak_512_day_counts_its_late_dropped_durations() {
+    for (seed, dropped) in [(2, 97), (42, 49)] {
+        let mut cfg = FleetConfig::soak_512(seed);
+        cfg.horizon = SimDuration::from_hours(24);
+        let report = FleetController::new(cfg).run();
+        assert_eq!(report.late_dropped_durations, dropped, "seed {seed}");
+    }
+}
+
 #[test]
 fn soak_downtime_reconciles_with_the_operation_model() {
     let sweep = run_soak(&soak(11));

@@ -49,7 +49,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("goodput_fraction", "(b) JobAccounting::goodput_fraction: printed by the fleet_soak example"),
     ("set_batch_min_keys", "(c) C4pMaster::set_batch_min_keys: ROADMAP item 4"),
     ("with_lateness", "(c) WindowSpec::with_lateness: ROADMAP item 6 (late-dropped durations)"),
-    ("late_dropped", "(c) WindowedAggregate::late_dropped: ROADMAP item 6 (its measurement)"),
 ];
 
 /// Every `.rs` file under `dir`, in path order.

@@ -320,7 +320,8 @@ fn noise_free_cached_iterations_and_soak_are_unchanged() {
 }
 
 /// Folds every field of a fleet report except `drain_reuses`, which
-/// counts replays (how the work was done) rather than outcomes.
+/// counts replays (how the work was done) rather than outcomes, and
+/// `late_dropped_durations`, which `tests/fleet_soak.rs` pins on its own.
 fn fleet_report(d: &mut Digest, r: &FleetReport) {
     d.word(r.horizon.as_nanos());
     d.word(r.ended.as_nanos());
