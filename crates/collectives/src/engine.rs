@@ -90,13 +90,14 @@ struct BuiltRequest {
 /// The byte-independent route structure of one collective: flow keys and
 /// routes before message sizes and QP byte-split weights are applied. This
 /// is the expensive part of request construction (ring planning, path
-/// selection, route assembly) and the part [`PlanCache`] keeps.
+/// selection, route assembly) and the part [`PlanCache`] keeps. Each
+/// route is shared with every flow spec built from the plan.
 #[derive(Debug, Clone)]
 struct PlanSpec {
     /// Intra-node NVLink flows.
-    intra: Vec<(FlowKey, Vec<LinkId>)>,
+    intra: Vec<(FlowKey, Arc<[LinkId]>)>,
     /// Network flows in canonical (stream, QP) order, `qps` per stream.
-    inter: Vec<(FlowKey, Vec<LinkId>)>,
+    inter: Vec<(FlowKey, Arc<[LinkId]>)>,
     /// QP flows per stream: the ring family's configured count, 1 for an
     /// all-to-all (one flow per rank pair).
     qps: u16,
@@ -150,7 +151,9 @@ struct PlanEntry {
 /// the recorded report, its times shifted to the new start, when a call
 /// presents exactly the inputs the recorded drain read:
 ///
-/// * the same flow specs (key, bytes and route, in order);
+/// * the same flow specs (key, bytes and route, in order; the recorded
+///   specs share the plans' routes, so a route of an unchanged plan
+///   compares equal by pointer);
 /// * the same effective capacity, to the bit, on every route link (a
 ///   down link reads 0);
 /// * the same link and port counts (the lengths of `link_bytes` and
@@ -250,13 +253,15 @@ impl PlanCache {
     /// hits. Returns the number of entries dropped.
     ///
     /// The caller must pass the union of **all** links whose state changed
-    /// since the cache last matched the topology version (a fleet
-    /// controller calls this after every batch of fault/repair events).
-    /// Passing an incomplete set cannot route traffic through a dead link
-    /// — a wrongly re-stamped entry is simply a plan the selector would no
-    /// longer pick, not an invalid route — but for *down* links the set
-    /// must be complete or [`PlanCache::any_route_through`] audits will
-    /// flag the stale route. Dropping any plan drops every recorded drain
+    /// since the cache last matched the topology version, counting a
+    /// node-health change (which bumps the version but changes no link) as
+    /// a change of that node's host links: a fleet controller calls this
+    /// after every batch of fault and repair events, node repairs
+    /// included. Passing an incomplete set cannot route traffic through a
+    /// dead link — a wrongly re-stamped entry is simply a plan the selector
+    /// would no longer pick, not an invalid route — but for *down* links
+    /// the set must be complete or [`PlanCache::any_route_through`] audits
+    /// will flag the stale route. Dropping any plan drops every recorded drain
     /// too; the drains of re-stamped plans stay, since the drain memo checks
     /// the route capacities itself.
     pub fn rebase(&mut self, topo: &Topology, affected: &[LinkId]) -> usize {
@@ -412,7 +417,7 @@ fn assemble_plan(
         parallel
     };
     let intra = scoped_map(parallel, intra, |&k| {
-        (k, topo.intra_node_route(k.src_gpu, k.dst_gpu))
+        (k, topo.intra_node_route(k.src_gpu, k.dst_gpu).into())
     });
     // The expensive per-flow topology walk, a pure function of (topology,
     // key, choice).
@@ -427,7 +432,7 @@ fn assemble_plan(
             dst_port,
             k.dst_gpu,
         );
-        (k, route)
+        (k, route.into())
     });
     PlanSpec { intra, inter, qps }
 }
@@ -607,11 +612,11 @@ fn build_request(
             message_bytes.scaled(skew.share(src, dst, nranks))
         };
         for (key, route) in &plan.intra {
-            specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
+            specs.push(FlowSpec::new(*key, pair_bytes(key), Arc::clone(route)));
         }
         let intra_count = specs.len() - first;
         for (key, route) in &plan.inter {
-            specs.push(FlowSpec::new(*key, pair_bytes(key), route.clone()));
+            specs.push(FlowSpec::new(*key, pair_bytes(key), Arc::clone(route)));
         }
         return BuiltRequest {
             specs: first..specs.len(),
@@ -624,29 +629,26 @@ fn build_request(
     }
 
     for (key, route) in &plan.intra {
-        specs.push(FlowSpec::new(*key, edge_bytes, route.clone()));
+        specs.push(FlowSpec::new(*key, edge_bytes, Arc::clone(route)));
     }
     let intra_count = specs.len() - first;
 
     // Boundary streams: B bytes per rail, split across Q QPs by weight.
+    let weight = |k: &FlowKey| {
+        let w = weight_of(k);
+        if w.is_finite() && w > 0.0 {
+            w
+        } else {
+            1e-3
+        }
+    };
     for stream in plan.inter.chunks(plan.qps as usize) {
-        let raw: Vec<f64> = stream
-            .iter()
-            .map(|(k, _)| {
-                let w = weight_of(k);
-                if w.is_finite() && w > 0.0 {
-                    w
-                } else {
-                    1e-3
-                }
-            })
-            .collect();
-        let total: f64 = raw.iter().sum();
-        for ((k, route), w) in stream.iter().zip(&raw) {
+        let total: f64 = stream.iter().map(|(k, _)| weight(k)).sum();
+        for (k, route) in stream {
             specs.push(FlowSpec::new(
                 *k,
-                edge_bytes.scaled(w / total),
-                route.clone(),
+                edge_bytes.scaled(weight(k) / total),
+                Arc::clone(route),
             ));
         }
     }
@@ -838,10 +840,10 @@ pub fn run_concurrent_cached(
     } else {
         None
     };
-    let report = match (cache, slot) {
+    let report = Arc::new(match (cache, slot) {
         (Some(c), Some(slot)) => c.drain_memoized(slot, topo, &specs, &drain_cfg, rng),
         _ => drain(topo, &specs, &drain_cfg, rng),
-    };
+    });
 
     // Split outcomes back per request.
     let mut results = Vec::with_capacity(reqs.len());
@@ -867,14 +869,6 @@ pub fn run_concurrent_cached(
                 tel,
             );
         }
-        let sub_report = c4_netsim::DrainReport {
-            outcomes: outcomes.to_vec(),
-            end: finished.unwrap_or(report.end),
-            link_bytes: Arc::clone(&report.link_bytes),
-            cnp_per_port: Arc::clone(&report.cnp_per_port),
-            congested_flows: report.congested_flows,
-            solver: report.solver,
-        };
         results.push(CollectiveResult {
             comm: req.comm.id(),
             seq: req.seq,
@@ -885,7 +879,7 @@ pub fn run_concurrent_cached(
             finished,
             intra_outcomes: outcomes[..b.intra_count].to_vec(),
             qp_outcomes: outcomes[b.intra_count..].to_vec(),
-            report: sub_report,
+            report: Arc::clone(&report),
         });
     }
     results
@@ -1572,6 +1566,41 @@ mod tests {
         // The fresh drain overwrote the slot: the next call replays it.
         cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
         assert_eq!(cache.drain_reuses(), 1);
+    }
+
+    #[test]
+    fn one_call_shares_one_report_across_its_results() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        // A smaller second message, so the two requests finish apart.
+        let reqs = [
+            request(&c1),
+            CollectiveRequest {
+                count: 64 * 1024 * 1024,
+                ..request(&c2)
+            },
+        ];
+        let mut rng = DetRng::seed_from(46);
+        let results = cached_matches_uncached(&t, &reqs, &mut PlanCache::new(), &mut rng);
+        let report = &results[0].report;
+        assert!(
+            Arc::ptr_eq(report, &results[1].report),
+            "one report per call"
+        );
+        let mut own = report.outcomes.as_slice();
+        for r in &results {
+            let (intra, rest) = own.split_at(r.intra_outcomes.len());
+            let (qp, rest) = rest.split_at(r.qp_outcomes.len());
+            assert_eq!((intra, qp), (&r.intra_outcomes[..], &r.qp_outcomes[..]));
+            assert_eq!(
+                r.finished,
+                intra.iter().chain(qp).filter_map(|o| o.finish).max()
+            );
+            own = rest;
+        }
+        assert!(own.is_empty(), "the report holds exactly the call's flows");
+        assert!(results[1].finished < results[0].finished);
+        assert_eq!(Some(report.end), results[0].finished, "the call's end");
     }
 
     #[test]

@@ -33,7 +33,9 @@ const DEADLINE_SLACK: SimDuration = SimDuration::from_nanos(1);
 /// One recorded noise-free drain and the inputs it read.
 #[derive(Debug, Clone)]
 pub(crate) struct DrainMemo {
-    /// The drained flows, in drain order.
+    /// The drained flows, in drain order. Their routes are the cached
+    /// plans' shared routes, so checking an unchanged plan's specs
+    /// compares each route by pointer, not link by link.
     specs: Vec<FlowSpec>,
     /// Capacity bits of every route link, in spec and route order.
     capacity_bits: Vec<u64>,
@@ -75,8 +77,9 @@ fn clear_of(end: SimTime, deadline: Option<SimTime>) -> bool {
 
 impl DrainMemo {
     /// Records `report`, the [`drain`](c4_netsim::drain) of `specs` under
-    /// `cfg`, with a copy of `specs`, or returns `None` when the drain hung
-    /// or may have been cut by its deadline. `cfg` must be [`replayable`].
+    /// `cfg`, with a copy of `specs` that shares their routes, or returns
+    /// `None` when the drain hung or may have been cut by its deadline.
+    /// `cfg` must be [`replayable`].
     pub(crate) fn record(
         topo: &Topology,
         specs: &[FlowSpec],

@@ -1,11 +1,14 @@
 //! Result of one collective operation.
 
+use std::sync::Arc;
+
 use c4_netsim::{DrainReport, FlowOutcome};
 use c4_simcore::{ByteSize, SimDuration, SimTime};
 use c4_telemetry::CollKind;
 
 /// Everything one collective run produced: timing, bus bandwidth, per-QP
-/// outcomes and the raw network report (link bytes, CNP rates).
+/// outcomes and the shared drain report of the call that ran it (link
+/// bytes, CNP rates).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveResult {
     /// Communicator id.
@@ -27,8 +30,12 @@ pub struct CollectiveResult {
     pub intra_outcomes: Vec<FlowOutcome>,
     /// Outcomes of the boundary QP flows (network side).
     pub qp_outcomes: Vec<FlowOutcome>,
-    /// The raw drain report (per-link bytes, CNP accounting).
-    pub report: DrainReport,
+    /// The call's one drain report, shared by every result of the call:
+    /// its outcomes cover every request's flows in request order (this
+    /// request's are `intra_outcomes` then `qp_outcomes`), its `end` is
+    /// the drain's end, and its per-link bytes, CNP accounting, congested
+    /// count and solver counters are the whole drain's.
+    pub report: Arc<DrainReport>,
 }
 
 impl CollectiveResult {
@@ -83,14 +90,14 @@ mod tests {
             finished,
             intra_outcomes: vec![],
             qp_outcomes: vec![outcome(100.0), outcome(200.0)],
-            report: DrainReport {
+            report: Arc::new(DrainReport {
                 outcomes: vec![],
                 end: finished.unwrap_or(SimTime::ZERO),
                 link_bytes: vec![].into(),
                 cnp_per_port: vec![].into(),
                 congested_flows: 0,
                 solver: Default::default(),
-            },
+            }),
         }
     }
 

@@ -867,7 +867,10 @@ impl FleetController {
 
     /// Processes due node repairs and transient-fault expiries.
     fn process_repairs(&mut self, changed: &mut Vec<LinkId>) {
-        // Node repairs: return to the appropriate pool.
+        // Node repairs: return to the appropriate pool. Marking the node
+        // healthy bumps the topology version, so its links join the
+        // round's changed set: the rebase then re-stamps every plan that
+        // avoids them instead of leaving every cache stale.
         let mut i = 0;
         while i < self.node_repairs.len() {
             if self.node_repairs[i].at <= self.clock {
@@ -880,6 +883,7 @@ impl FleetController {
                     self.free_nodes.push(r.node);
                     self.free_nodes.sort();
                 }
+                changed.extend(node_links(&self.topo, r.node));
                 self.repairs_returned += 1;
             } else {
                 i += 1;

@@ -184,3 +184,36 @@ fn soak_is_deterministic_per_seed() {
         "different seed draws a different schedule"
     );
 }
+
+#[test]
+fn a_node_repair_rebuilds_no_plan() {
+    let run = |jobs: usize, crash: bool| {
+        let mut cfg = quiet(17);
+        cfg.initial_jobs.truncate(jobs);
+        // Short enough that the repair lands while both jobs run again.
+        cfg.node_repair = SimDuration::from_secs(1800);
+        let mut ctl = FleetController::new(cfg);
+        if crash {
+            let victim = ctl.job_nodes(0).expect("job 0 admitted")[1];
+            ctl.inject_event(crash_at(900_000, 60, victim));
+        }
+        ctl.run()
+    };
+    let initial_builds = run(2, false).cache_misses;
+    let job0_plans = run(1, false).cache_misses;
+    let report = run(2, true);
+
+    assert_eq!(report.isolations, 1);
+    assert_eq!(report.repairs_returned, 1, "the repair lands in the soak");
+    assert_eq!(report.stale_plan_routes, 0);
+    // The crash drops every plan of job 0 (each routes through the
+    // victim), which its next iteration rebuilds, and its recovery
+    // re-plans every communicator. The repair re-stamps every plan:
+    // neither job re-plans.
+    assert_eq!(report.cache_rebased_drops, job0_plans);
+    assert_eq!(
+        report.cache_misses,
+        initial_builds + 2 * job0_plans,
+        "{report:?}"
+    );
+}

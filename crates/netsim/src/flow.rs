@@ -4,6 +4,8 @@
 //! directed links it traverses. The collective layer produces specs; the
 //! [`mod@crate::drain`] loop turns them into [`FlowOutcome`]s.
 
+use std::sync::Arc;
+
 use c4_simcore::{Bandwidth, ByteSize, SimTime};
 use c4_topology::{GpuId, LinkId};
 
@@ -37,6 +39,10 @@ impl FlowKey {
 }
 
 /// One flow to be drained: demand, route and identity.
+///
+/// The route is shared, not owned: a collective's cached plan builds each
+/// route once, and every iteration's spec of that flow points at it, so
+/// cloning a spec copies no links. Equal routes compare by pointer first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// Flow identity (drives ECMP hashing and telemetry attribution).
@@ -44,13 +50,17 @@ pub struct FlowSpec {
     /// Bytes to move.
     pub bytes: ByteSize,
     /// Directed links traversed, in order.
-    pub route: Vec<LinkId>,
+    pub route: Arc<[LinkId]>,
 }
 
 impl FlowSpec {
-    /// Creates a spec.
-    pub fn new(key: FlowKey, bytes: ByteSize, route: Vec<LinkId>) -> Self {
-        FlowSpec { key, bytes, route }
+    /// Creates a spec; `route` is a `Vec` or an already shared route.
+    pub fn new(key: FlowKey, bytes: ByteSize, route: impl Into<Arc<[LinkId]>>) -> Self {
+        FlowSpec {
+            key,
+            bytes,
+            route: route.into(),
+        }
     }
 }
 

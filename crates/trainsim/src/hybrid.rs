@@ -430,8 +430,8 @@ impl HybridJob {
                 Some(&mut self.plan_cache),
             );
 
-            // One shared drain per phase: every sub-result carries the same
-            // per-drain counters, so fold the first rather than summing.
+            // One shared drain per phase: every result shares the call's
+            // report, so fold its counters once rather than per result.
             if let Some(first) = results.first() {
                 solver.merge(&first.report.solver);
             }
