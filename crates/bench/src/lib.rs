@@ -400,14 +400,20 @@ pub fn synth_drain_specs(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> 
 
 /// Runs `routine` repeatedly for up to `budget` (≥ 1 call after one warm-up)
 /// and returns `(median_wall_us, samples)`: criterion-style medians for the
-/// `bench_maxmin` binary.
-pub fn median_wall_us<F: FnMut()>(budget: Duration, mut routine: F) -> (f64, usize) {
-    routine(); // warm-up, untimed
+/// `bench_maxmin` binary. Each call gets a fresh input from `setup`, which
+/// (like dropping the input afterwards) is not timed.
+pub fn median_wall_us<S>(
+    budget: Duration,
+    mut setup: impl FnMut() -> S,
+    mut routine: impl FnMut(&mut S),
+) -> (f64, usize) {
+    routine(&mut setup()); // warm-up, untimed
     let mut samples: Vec<f64> = Vec::new();
     let deadline = Instant::now() + budget;
     while samples.is_empty() || (Instant::now() < deadline && samples.len() < 1000) {
+        let mut input = setup();
         let start = Instant::now();
-        routine();
+        routine(&mut input);
         samples.push(start.elapsed().as_secs_f64() * 1e6);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));

@@ -71,7 +71,7 @@ use c4_topology::{LinkKind, Topology};
 
 use crate::congestion::CnpModel;
 use crate::flow::{FlowOutcome, FlowSpec};
-use crate::maxmin::{self, MaxMinState};
+use crate::maxmin::{self, MaxMinState, RouteTable};
 
 /// Configuration of one drain run.
 #[derive(Debug, Clone)]
@@ -507,49 +507,34 @@ fn release_completed(
     base_prev[f] = 0.0;
 }
 
-/// Static per-flow tables shared by both drain implementations.
-struct Problem {
-    /// Dense capacity table over links referenced by at least one flow.
-    dense_capacity: Vec<f64>,
-    /// Per-flow sorted, deduplicated dense link ids.
-    dense_routes: Vec<Vec<u32>>,
-    /// Per-flow sorted, deduplicated **original** link ids (byte accounting).
-    orig_routes: Vec<Vec<u32>>,
-    /// Sender port of each flow (first HostUp link on the route).
-    src_port_of: Vec<Option<usize>>,
-}
-
-impl Problem {
-    fn build(topo: &Topology, specs: &[FlowSpec]) -> Self {
-        let nl = topo.num_links();
-        let mut dense_of = vec![u32::MAX; nl];
-        let mut dense_capacity: Vec<f64> = Vec::new();
-        let mut dense_routes: Vec<Vec<u32>> = Vec::with_capacity(specs.len());
-        let mut orig_routes: Vec<Vec<u32>> = Vec::with_capacity(specs.len());
-        for s in specs {
-            let mut orig: Vec<u32> = s.route.iter().map(|l| l.index() as u32).collect();
-            orig.sort_unstable();
-            orig.dedup();
-            let mut dense: Vec<u32> = Vec::with_capacity(orig.len());
-            for &l in &orig {
-                if dense_of[l as usize] == u32::MAX {
-                    dense_of[l as usize] = dense_capacity.len() as u32;
-                    let link = topo.link(c4_topology::LinkId::from_index(l as usize));
-                    dense_capacity.push(link.capacity().as_bytes_per_sec());
-                }
-                dense.push(dense_of[l as usize]);
+/// The drain's max-min problem over the links its flows use: the solver
+/// state, whose route table (per flow, the sorted dense ids of its
+/// deduplicated links) is the drain's one route table, and the dense →
+/// original link table the byte accounting reads. Dense ids are assigned in
+/// order of first use — per flow, ascending original id — so ascending
+/// dense order, the worklist's batch order, follows the spec order.
+fn dense_problem(topo: &Topology, specs: &[FlowSpec]) -> (MaxMinState, Vec<u32>) {
+    let mut dense_of = vec![u32::MAX; topo.num_links()];
+    let mut orig_of: Vec<u32> = Vec::new();
+    let mut capacity: Vec<f64> = Vec::new();
+    let mut routes = RouteTable::default();
+    let mut orig: Vec<u32> = Vec::new();
+    for s in specs {
+        orig.clear();
+        orig.extend(s.route.iter().map(|l| l.index() as u32));
+        orig.sort_unstable();
+        orig.dedup();
+        routes.push_sorted(orig.iter().map(|&l| {
+            if dense_of[l as usize] == u32::MAX {
+                dense_of[l as usize] = orig_of.len() as u32;
+                orig_of.push(l);
+                let link = topo.link(c4_topology::LinkId::from_index(l as usize));
+                capacity.push(link.capacity().as_bytes_per_sec());
             }
-            dense.sort_unstable();
-            dense_routes.push(dense);
-            orig_routes.push(orig);
-        }
-        Problem {
-            dense_capacity,
-            dense_routes,
-            orig_routes,
-            src_port_of: sender_ports(topo, specs),
-        }
+            dense_of[l as usize]
+        }));
     }
+    (MaxMinState::from_table(capacity, routes), orig_of)
 }
 
 /// Sender port of each flow: the first HostUp link on its route.
@@ -578,8 +563,7 @@ pub fn drain(
 ) -> DrainReport {
     let nf = specs.len();
     let nl = topo.num_links();
-    let p = Problem::build(topo, specs);
-    let ndl = p.dense_capacity.len();
+    let src_port_of = sender_ports(topo, specs);
 
     let initial: Vec<f64> = specs.iter().map(|s| s.bytes.as_bytes() as f64).collect();
     let mut remaining = initial.clone();
@@ -628,7 +612,8 @@ pub fn drain(
     // throttled flows pin to `base·φ`, the rest stay at their private
     // bottlenecks. The differential harness holds this identity against the
     // reference's full capped re-solve at 1e-9.
-    let mut base = MaxMinState::with_flows(&p.dense_capacity, &p.dense_routes);
+    let (mut base, orig_of) = dense_problem(topo, specs);
+    let ndl = orig_of.len();
     for (f, fin) in finish.iter().enumerate() {
         if fin.is_some() {
             base.remove_flow(f);
@@ -645,7 +630,7 @@ pub fn drain(
     // Live flows per link: counted once here, decremented by completions.
     let mut link_flows = vec![0u32; ndl];
     for &f in &active {
-        for &l in &p.dense_routes[f as usize] {
+        for &l in base.route(f as usize) {
             link_flows[l as usize] += 1;
         }
     }
@@ -702,7 +687,7 @@ pub fn drain(
             }
             let delta = base_rates[fu] - base_prev[fu];
             if delta != 0.0 {
-                for &l in &p.dense_routes[fu] {
+                for &l in base.route(fu) {
                     link_load[l as usize] += delta;
                     touched.touch(l as usize);
                 }
@@ -718,7 +703,7 @@ pub fn drain(
         let changed = moved.len();
         for &l in &touched.links {
             let l = l as usize;
-            let sat = cnp_model.link_congested(link_load[l], p.dense_capacity[l], link_flows[l]);
+            let sat = cnp_model.link_congested(link_load[l], base.capacity()[l], link_flows[l]);
             if sat == link_sat[l] {
                 continue;
             }
@@ -757,7 +742,7 @@ pub fn drain(
         }
         moved.truncate(kept);
         let first_touch = |f: u32| {
-            p.dense_routes[f as usize]
+            base.route(f as usize)
                 .iter()
                 .map(|&l| touched.pos[l as usize])
                 .min()
@@ -769,17 +754,12 @@ pub fn drain(
             let s = if nsat[f] > 0 { 1.0 } else { 0.0 };
             debug_assert_eq!(
                 s,
-                cnp_model.flow_score(
-                    &p.dense_routes[f],
-                    &link_load,
-                    &p.dense_capacity,
-                    &link_flows
-                ),
+                cnp_model.flow_score(base.route(f), &link_load, base.capacity(), &link_flows),
                 "flag-derived score of flow {f}"
             );
             if s != score[f] {
                 if let Some(c) = &mut cnp {
-                    c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+                    c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
                 }
                 score[f] = s;
                 congested_flags[f] |= s > 0.0;
@@ -798,7 +778,7 @@ pub fn drain(
                 let f = f as usize;
                 if finish[f].is_none() {
                     if let Some(c) = &mut cnp {
-                        c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+                        c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
                     }
                     noise.draw(f, rng);
                 }
@@ -915,11 +895,11 @@ pub fn drain(
         for &f in &done {
             base.remove_flow(f);
             if let Some(c) = &mut cnp {
-                c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+                c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
             }
             release_completed(
                 f,
-                &p.dense_routes[f],
+                base.route(f),
                 &mut base_prev,
                 &mut link_load,
                 &mut link_flows,
@@ -954,7 +934,7 @@ pub fn drain(
         if finish[f].is_none() {
             materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
             if let Some(c) = &mut cnp {
-                c.flush(f, p.src_port_of[f], now_s, score[f], noise.jitter[f]);
+                c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
             }
         }
     }
@@ -966,8 +946,8 @@ pub fn drain(
     for f in 0..nf {
         let moved = initial[f] - remaining[f];
         if moved > 0.0 {
-            for &l in &p.orig_routes[f] {
-                link_bytes[l as usize] += moved;
+            for &l in base.route(f) {
+                link_bytes[orig_of[l as usize] as usize] += moved;
             }
         }
     }

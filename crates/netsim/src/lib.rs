@@ -32,10 +32,12 @@
 //! calling the from-scratch solver at every event. Its invariants:
 //!
 //! * **Built once, then removals only.** The state is constructed once
-//!   with every flow of the drain ([`MaxMinState::with_flows`]), and its
-//!   first refresh runs the event-driven water-filling kernel over every
-//!   live flow, recording each link's bottleneck level (the water level at
-//!   which it saturated). The drain feeds the state completions only
+//!   with every flow of the drain ([`MaxMinState::with_flows`]; the drain
+//!   builds its dense routes straight into the state's CSR route table,
+//!   which is then the drain's only route table), and its first refresh
+//!   runs the event-driven water-filling kernel over every live flow,
+//!   recording each link's bottleneck level (the water level at which it
+//!   saturated). The drain feeds the state completions only
 //!   ([`MaxMinState::remove_flow`]), and that is the whole mutation API:
 //!   noise throttles apply on top of the base allocation, and link faults
 //!   are in the topology before a drain starts.
@@ -46,11 +48,18 @@
 //!   re-rates the subscribers whose route minimum moved and dirties their
 //!   other links. The work per completion follows the levels that moved,
 //!   not the size of the spine-connected component the flow sat in.
-//! * **Slack links cost O(1).** Most dirty links have slack and keep it.
-//!   A per-link tally of the subscribers' demands proves that every demand
-//!   fits, and the fill — which would commit nothing — is skipped. The
-//!   test runs when a link is filled, not when it is marked dirty, so the
-//!   rounds and commits are exactly those of the unskipped worklist.
+//! * **An event pays only for the links whose level can move.** Two O(1)
+//!   skip tests prove that a dirty link's fill would commit nothing: a
+//!   per-link tally of the subscribers' demands shows that a link with
+//!   slack keeps it, and a level-crossing threshold shows that the link's
+//!   last real fill still holds (no subscriber left, and every demand that
+//!   moved stayed strictly above the threshold). The tests are
+//!   re-evaluated whenever their inputs move, so a round sorts and visits
+//!   only the dirty links that failed one. A link dirty for the current
+//!   round that fails before its turn joins that round at its ascending
+//!   position, so the rounds and commits are exactly those of the unskipped
+//!   worklist. A commit rescans only the subscribers whose two smallest
+//!   levels it can reach.
 //! * **Convergence backstop.** A worklist still dirty after 64 rounds
 //!   gives up, and the state re-seeds with one exact solve.
 //! * **One changed-flow feed.** After each refresh,

@@ -32,8 +32,11 @@ const UNBOUNDED: f64 = f64::MAX / 4.0;
 /// them as one contiguous pair of arrays (instead of a `Vec<Vec<u32>>` with
 /// one heap allocation per flow) lets the waterfill kernel and the worklist
 /// stream link ids sequentially, and makes cloning the table two `memcpy`s.
+/// The drain builds its dense routes straight into one and hands it to
+/// [`MaxMinState::from_table`], so the solver's table is the drain's only
+/// route table.
 #[derive(Debug, Clone)]
-struct RouteTable {
+pub(crate) struct RouteTable {
     /// `len + 1` offsets into `links`.
     offsets: Vec<u32>,
     /// Concatenated per-flow link lists.
@@ -58,6 +61,15 @@ impl RouteTable {
     /// Appends one flow's link list.
     fn push(&mut self, route: &[u32]) {
         self.links.extend_from_slice(route);
+        self.offsets.push(self.links.len() as u32);
+    }
+
+    /// Appends one flow's link list given as distinct ids in any order,
+    /// sorting it in place.
+    pub(crate) fn push_sorted(&mut self, route: impl IntoIterator<Item = u32>) {
+        let start = self.links.len();
+        self.links.extend(route);
+        self.links[start..].sort_unstable();
         self.offsets.push(self.links.len() as u32);
     }
 
@@ -598,18 +610,27 @@ pub fn residual(capacity: &[f64], routes: &[Vec<u32>], rates: &[f64]) -> Vec<f64
 /// saturates given its alive subscribers' demands (or [`UNBOUNDED`] when it
 /// never constrains anyone); each flow's `(min1, min1_link, min2)` caches
 /// the two smallest `mu` values on its route; and each flow's rate is
-/// `min1`. Removals mark route links dirty, and the worklist re-fills each
-/// dirty link from its subscribers' demands — committing (and rescanning
-/// subscribers) only when the level moves by more than [`LEVEL_GATE`].
+/// `min1`. Removals mark route links dirty, and each round re-fills the
+/// links dirtied before it began, in ascending order, from their
+/// subscribers' demands — committing (and rescanning subscribers) only when
+/// the level moves by more than [`LEVEL_GATE`].
 ///
-/// Most dirty links have slack and keep it: their fill returns
-/// [`UNBOUNDED`], equal to the old level, and commits nothing. A per-link
-/// *slack tally* of the subscribers' demands (`dsum`, `nbig`) proves that
-/// outcome in O(1): when no demand is unbounded and the finite ones sum to
-/// at most `cap·(1 − 1e-9)`, every demand fits, so the fill is skipped.
-/// The test runs when a link is filled, never when it is marked dirty, so
-/// dirty marking, batch order and the round count — and with them every
-/// commit — are exactly those of the unskipped worklist.
+/// Most dirty links would commit nothing, and two O(1) *skip tests* prove
+/// it without a fill:
+///
+/// * **Slack.** A per-link *slack tally* of the subscribers' demands
+///   (`dsum`, `nbig`): when the link's level is [`UNBOUNDED`], no demand is
+///   unbounded and the finite ones sum to at most `cap·(1 − 1e-9)`, every
+///   demand fits and the fill would return [`UNBOUNDED`] again.
+/// * **Kept.** The link's last real fill still holds ([`FillQueue`]'s
+///   level-crossing threshold): it would see the same below-level demands,
+///   the same count and a first above-level demand still above the level,
+///   so it would return the same level and commit nothing.
+///
+/// [`FillQueue`] re-evaluates the tests whenever one of their inputs moves
+/// and visits only the links that failed one; the fill-time test still
+/// decides each visit. Rounds, batch order and every commit are exactly
+/// those of the unskipped worklist.
 #[derive(Debug, Clone, Default)]
 struct Worklist {
     /// Whether `mu`/triples/subscribers are built (false until the first
@@ -634,19 +655,16 @@ struct Worklist {
     /// in place when a subscriber is removed or its demand moves.
     dsum: Vec<f64>,
     nbig: Vec<u32>,
-    /// Links whose fill level must be recomputed.
-    link_dirty: Vec<bool>,
-    dirty_links: Vec<u32>,
+    /// Which links each round fills, and which links' last fill holds.
+    queue: FillQueue,
     /// Flows whose rate changed since the last refresh (mask-deduped).
     flow_mask: Vec<bool>,
     pending: Vec<u32>,
     /// The changed-flow set of the *last* refresh (ascending) — the
     /// [`MaxMinState::changed_flows`] feed.
     changed: Vec<u32>,
-    /// Scratch: demand staging for the per-link fill, and the per-round
-    /// worklist batch.
+    /// Scratch: demand staging for the per-link fill.
     demand: Vec<f64>,
-    batch: Vec<u32>,
     /// Statistics for [`DrainSolverStats`](crate::DrainSolverStats).
     sparse_solves: u64,
     rounds: u64,
@@ -675,6 +693,378 @@ impl Worklist {
         }
         self.sub_flows.truncate(write);
         self.sub_dead_entries = 0;
+    }
+
+    /// The slack test: link `l` has slack and keeps it, so its fill would
+    /// return [`UNBOUNDED`] again.
+    fn has_slack(&self, l: usize, cap: f64) -> bool {
+        self.mu[l] == UNBOUNDED
+            && self.nbig[l] == 0
+            && self.dsum[l] <= cap.max(0.0) * SLACK_FRACTION
+    }
+
+    /// Whether link `l`'s fill would commit nothing by either skip test.
+    fn skips(&self, l: usize, cap: f64) -> bool {
+        self.queue.kept(l) || self.has_slack(l, cap)
+    }
+
+    /// Fills link `l` from its alive subscribers' demands: the level and
+    /// keep threshold of [`fill_level`], and the link's exact slack tally.
+    fn fill(&mut self, l: u32, cap: f64, alive: &[bool]) -> ((f64, f64), (f64, u32)) {
+        let lu = l as usize;
+        let subs =
+            &self.sub_flows[self.sub_offsets[lu] as usize..self.sub_offsets[lu + 1] as usize];
+        let tally = gather_demands(
+            l,
+            subs,
+            alive,
+            (&self.min1, &self.min1_link, &self.min2),
+            &mut self.demand,
+        );
+        (fill_level(cap, &mut self.demand), tally)
+    }
+
+    /// Runs the worklist to quiescence. Returns `false` when the round
+    /// budget is exhausted (the caller falls back to a seed solve).
+    fn propagate(
+        &mut self,
+        capacity: &[f64],
+        routes: &RouteTable,
+        alive: &[bool],
+        rates: &mut [f64],
+    ) -> bool {
+        let mut rounds = 0usize;
+        while self.queue.n_next > 0 {
+            rounds += 1;
+            if rounds > MAX_ROUNDS {
+                return false;
+            }
+            self.rounds += 1;
+            // The round's fill candidates, in ascending link order: that
+            // keeps propagation deterministic regardless of the order
+            // removals arrived in.
+            self.queue.start_round();
+            #[cfg(debug_assertions)]
+            let (dirty, mut walked) = (self.queue.take_marked(), 0usize);
+            let mut i = 0;
+            while let Some(&bl) = self.queue.batch.get(i) {
+                i += 1;
+                let l = bl as usize;
+                #[cfg(debug_assertions)]
+                self.check_left_out(&dirty, &mut walked, bl, capacity, alive);
+                self.queue.at = bl;
+                if self.skips(l, capacity[l]) {
+                    #[cfg(debug_assertions)]
+                    self.assert_skip_commits_nothing(bl, capacity[l], alive);
+                    continue;
+                }
+                // Single-link progressive fill over the alive subscribers'
+                // demands; gathering them rebuilds the link's tally exactly,
+                // and the fill holds until its threshold is crossed.
+                let ((new_mu, keep_above), exact) = self.fill(bl, capacity[l], alive);
+                (self.dsum[l], self.nbig[l]) = exact;
+                self.queue.keep(l, keep_above);
+                let old_mu = self.mu[l];
+                if !level_moves(old_mu, new_mu) {
+                    continue;
+                }
+                self.mu[l] = new_mu;
+                self.commits += 1;
+                self.rescan(bl, old_mu, capacity, routes, alive, rates);
+            }
+            self.queue.at = u32::MAX;
+            #[cfg(debug_assertions)]
+            self.check_left_out(&dirty, &mut walked, u32::MAX, capacity, alive);
+        }
+        true
+    }
+
+    /// After link `l`'s level moved from `old_mu`: rescans its subscribers'
+    /// route-min triples, re-rates the flows whose minimum moved, and marks
+    /// their other links dirty.
+    fn rescan(
+        &mut self,
+        l: u32,
+        old_mu: f64,
+        capacity: &[f64],
+        routes: &RouteTable,
+        alive: &[bool],
+        rates: &mut [f64],
+    ) {
+        let lu = l as usize;
+        let new_mu = self.mu[lu];
+        for i in self.sub_offsets[lu] as usize..self.sub_offsets[lu + 1] as usize {
+            let f = self.sub_flows[i] as usize;
+            if !alive[f] {
+                continue;
+            }
+            // `l` neither was nor becomes one of the flow's two smallest
+            // levels, so the rescan would rebuild the same triple. (Every
+            // level change rescans, so each triple matches the levels.)
+            if self.min1_link[f] != l && self.min2[f] < old_mu && self.min2[f] < new_mu {
+                continue;
+            }
+            let r = routes.route(f);
+            let (mut m1, mut m1l, mut m2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
+            for &rl in r {
+                let v = self.mu[rl as usize];
+                if v < m1 {
+                    m2 = m1;
+                    m1 = v;
+                    m1l = rl;
+                } else if v < m2 {
+                    m2 = v;
+                }
+            }
+            let old = (self.min1[f], self.min1_link[f], self.min2[f]);
+            if m1.to_bits() == old.0.to_bits() && m1l == old.1 && m2.to_bits() == old.2.to_bits() {
+                continue;
+            }
+            self.min1[f] = m1;
+            self.min1_link[f] = m1l;
+            self.min2[f] = m2;
+            if m1.to_bits() != rates[f].to_bits() {
+                rates[f] = m1;
+                if !self.flow_mask[f] {
+                    self.flow_mask[f] = true;
+                    self.pending.push(f as u32);
+                }
+            }
+            // The flow's demand at `l` itself cannot have moved.
+            for &rl in r.iter().filter(|&&rl| rl != l) {
+                let rlu = rl as usize;
+                let (od, nd) = (
+                    demand_at(old.0, old.1, old.2, rl),
+                    demand_at(m1, m1l, m2, rl),
+                );
+                if od != nd {
+                    tally(&mut self.dsum, &mut self.nbig, rlu, od, false);
+                    tally(&mut self.dsum, &mut self.nbig, rlu, nd, true);
+                    self.queue.demand_moved(rlu, od, nd);
+                }
+                let slack = self.has_slack(rlu, capacity[rlu]);
+                self.queue.mark(rl, slack);
+            }
+        }
+    }
+
+    /// Debug oracle for the links the round leaves out: walks the round's
+    /// full dirty set in ascending order up to (not including) `below`, and
+    /// asserts that each link not among the fill candidates passes a skip
+    /// test at its turn — nothing moves between two visited links — and
+    /// that its fill would commit nothing.
+    #[cfg(debug_assertions)]
+    fn check_left_out(
+        &mut self,
+        dirty: &[u32],
+        walked: &mut usize,
+        below: u32,
+        capacity: &[f64],
+        alive: &[bool],
+    ) {
+        while let Some(&d) = dirty.get(*walked).filter(|&&d| d < below) {
+            *walked += 1;
+            let du = d as usize;
+            if self.queue.bits(du) & CAND == 0 {
+                assert!(
+                    self.skips(du, capacity[du]),
+                    "link {d} was left out of the round's fills but fails its skip tests"
+                );
+                self.assert_skip_commits_nothing(d, capacity[du], alive);
+            }
+        }
+    }
+
+    /// Re-runs a skipped fill of link `l` and asserts that it would commit
+    /// nothing (debug builds).
+    #[cfg(debug_assertions)]
+    fn assert_skip_commits_nothing(&mut self, l: u32, cap: f64, alive: &[bool]) {
+        let ((level, _), _) = self.fill(l, cap, alive);
+        let old = self.mu[l as usize];
+        assert!(
+            !level_moves(old, level),
+            "skipped fill of link {l} would commit {level} over {old}"
+        );
+    }
+}
+
+/// Whether a fill moving a link's level from `old` to `new` commits: by more
+/// than [`LEVEL_GATE`] relative.
+fn level_moves(old: f64, new: f64) -> bool {
+    new != old && (new - old).abs() / old.abs().max(new.abs()).max(1.0) > LEVEL_GATE
+}
+
+/// [`FillQueue`] flag bits. The round bits are relative to the link's stamp
+/// `s`: dirty for round `s` and a fill candidate of it ([`DIRTY`],
+/// [`CAND`]), and the same for round `s + 1` ([`DIRTY_NEXT`],
+/// [`CAND_NEXT`]).
+const DIRTY: u8 = 1;
+const CAND: u8 = 2;
+const DIRTY_NEXT: u8 = 4;
+const CAND_NEXT: u8 = 8;
+/// Persistent bit: the link's last real fill still holds.
+const KEPT: u8 = 16;
+
+/// Which links each worklist round fills, and which links' last fill holds.
+///
+/// A round's *dirty set* is every link marked since the previous round
+/// began. The unsplit worklist visits all of them in ascending order and
+/// tests each for a skip at its turn; most pass. The queue instead
+/// re-evaluates a dirty link's skip tests whenever one of their inputs
+/// moves — at each mark, which carries any tally change, and at each
+/// subscriber removal — and keeps as *fill candidates* only the links that
+/// failed at some evaluation since they were marked. A dirty link's only
+/// other input changes are its own fill and commit, and a real fill leaves
+/// the link kept, which passes. So a link that has passed every evaluation
+/// would pass at its turn, and only candidates are sorted and visited; the
+/// fill-time test still decides each visit.
+///
+/// A link can be dirty for the current round without being one of its
+/// candidates. When a commit on a lower link makes it fail before its turn,
+/// it joins the current batch at its ascending position — where the unsplit
+/// worklist would fill it — so rounds, batch order and every commit stay
+/// exactly the unsplit worklist's.
+///
+/// **Kept links.** Every real fill keeps the link, with the threshold
+/// `keep_above` = the larger of the level it returned and the largest
+/// below-level demand it subtracted. A subscriber removal un-keeps it, and so
+/// does any demand change at the link unless both the old and the new demand
+/// lie strictly above the threshold. A kept link's fill would see the same
+/// below-level demands in the same order, the same count and a first
+/// above-level demand still above the level, so it would return the last
+/// real fill's level and commit nothing; a fill the gate rejected is
+/// rejected again.
+///
+/// Per link the state is one stamp and one flag byte (plus the threshold):
+/// the round bits are kept relative to the stamped round and shifted when
+/// the link is next read, so starting a round touches only its candidates.
+#[derive(Debug, Clone, Default)]
+struct FillQueue {
+    /// The current round (the last one started): marks are for the next.
+    round: u32,
+    /// Per link: the round its flag bits are relative to.
+    stamp: Vec<u32>,
+    flags: Vec<u8>,
+    /// Per link: the threshold of its last real fill.
+    keep_above: Vec<f64>,
+    /// How many links are dirty for the next round.
+    n_next: usize,
+    /// The next round's fill candidates, unordered.
+    next: Vec<u32>,
+    /// The current round's fill candidates, ascending.
+    batch: Vec<u32>,
+    /// The link the current round is filling (`u32::MAX` between rounds):
+    /// only links above it still wait for their turn.
+    at: u32,
+    /// Debug builds: every link dirty for the next round, for the oracle.
+    #[cfg(debug_assertions)]
+    marked: Vec<u32>,
+}
+
+impl FillQueue {
+    /// Clears every mark and un-keeps every link (a seed).
+    fn reset(&mut self, nl: usize) {
+        self.round = 0;
+        self.stamp.clear();
+        self.stamp.resize(nl, 0);
+        self.flags.clear();
+        self.flags.resize(nl, 0);
+        self.keep_above.clear();
+        self.keep_above.resize(nl, 0.0);
+        self.n_next = 0;
+        self.next.clear();
+        self.batch.clear();
+        self.at = u32::MAX;
+        #[cfg(debug_assertions)]
+        self.marked.clear();
+    }
+
+    /// Link `l`'s flag bits relative to the current round.
+    fn bits(&self, l: usize) -> u8 {
+        let b = self.flags[l];
+        match self.round - self.stamp[l] {
+            0 => b,
+            1 => (b >> 2) & (DIRTY | CAND) | b & KEPT,
+            _ => b & KEPT,
+        }
+    }
+
+    /// Starts the next round: its candidates become the batch.
+    fn start_round(&mut self) {
+        if self.round == u32::MAX {
+            // Re-stamp every link before the counter wraps.
+            for l in 0..self.flags.len() {
+                self.flags[l] = self.bits(l);
+                self.stamp[l] = 0;
+            }
+            self.round = 0;
+        }
+        self.round += 1;
+        self.n_next = 0;
+        self.batch.clear();
+        std::mem::swap(&mut self.batch, &mut self.next);
+        self.batch.sort_unstable();
+    }
+
+    /// Marks link `l` dirty for the next round and re-evaluates its skip
+    /// tests (`slack` is the slack test's outcome) for the next round and,
+    /// while it waits for its turn unvisited, for the current one.
+    fn mark(&mut self, l: u32, slack: bool) {
+        let lu = l as usize;
+        let mut bits = self.bits(lu);
+        if bits & DIRTY_NEXT == 0 {
+            bits |= DIRTY_NEXT;
+            self.n_next += 1;
+            #[cfg(debug_assertions)]
+            self.marked.push(l);
+        }
+        let next = bits & CAND_NEXT == 0;
+        let now = bits & (DIRTY | CAND) == DIRTY && l > self.at;
+        if (next || now) && !slack && bits & KEPT == 0 {
+            if next {
+                bits |= CAND_NEXT;
+                self.next.push(l);
+            }
+            if now {
+                bits |= CAND;
+                let at = self.batch.partition_point(|&b| b < l);
+                self.batch.insert(at, l);
+            }
+        }
+        self.flags[lu] = bits;
+        self.stamp[lu] = self.round;
+    }
+
+    /// Whether link `l`'s last real fill still holds.
+    fn kept(&self, l: usize) -> bool {
+        self.flags[l] & KEPT != 0
+    }
+
+    /// Keeps link `l` after a real fill with threshold `keep_above`.
+    fn keep(&mut self, l: usize, keep_above: f64) {
+        self.flags[l] |= KEPT;
+        self.keep_above[l] = keep_above;
+    }
+
+    /// Un-keeps link `l` (a subscriber was removed).
+    fn unkeep(&mut self, l: usize) {
+        self.flags[l] &= !KEPT;
+    }
+
+    /// A subscriber's demand at link `l` moved from `old` to `new`: the last
+    /// fill holds only if both lie strictly above its threshold.
+    fn demand_moved(&mut self, l: usize, old: f64, new: f64) {
+        if !(old > self.keep_above[l] && new > self.keep_above[l]) {
+            self.unkeep(l);
+        }
+    }
+
+    /// Debug builds: the current round's full dirty set, ascending.
+    #[cfg(debug_assertions)]
+    fn take_marked(&mut self) -> Vec<u32> {
+        let mut dirty = std::mem::take(&mut self.marked);
+        dirty.sort_unstable();
+        dirty
     }
 }
 
@@ -732,20 +1122,24 @@ fn gather_demands(
 
 /// Single-link progressive fill: the level at which a link of capacity
 /// `cap` saturates under `demand` (sorted in place), or [`UNBOUNDED`] when
-/// every demand fits and the link constrains nobody.
-fn fill_level(cap: f64, demand: &mut [f64]) -> f64 {
+/// every demand fits and the link constrains nobody. Also returns the
+/// fill's keep threshold: the larger of that level and the largest demand
+/// it subtracted below it (which rounding can leave an ulp above the level).
+fn fill_level(cap: f64, demand: &mut [f64]) -> (f64, f64) {
     demand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("demands are not NaN"));
     let mut rem = cap.max(0.0);
     let mut k = demand.len();
+    let mut below = f64::NEG_INFINITY;
     for &d in demand.iter() {
         let share = rem / k as f64;
         if d > share {
-            return share;
+            return (share, share.max(below));
         }
         rem -= d;
         k -= 1;
+        below = d;
     }
-    UNBOUNDED
+    (UNBOUNDED, UNBOUNDED.max(below))
 }
 
 /// Persistent max-min problem with incremental re-solving.
@@ -767,14 +1161,18 @@ fn fill_level(cap: f64, demand: &mut [f64]) -> f64 {
 /// to the links whose levels actually moved, not to the flows sharing the
 /// removed flow's connected component.
 ///
-/// A dirty link that has slack and keeps it costs O(1): a per-link tally
-/// of its subscribers' demands proves that all of them fit, so the fill —
-/// which would return "unconstrained" and commit nothing — is skipped. The
-/// test runs when the link is filled rather than when it is marked dirty,
-/// which leaves the worklist's rounds and commits exactly as without it.
-/// The margin (1e-9 of capacity) covers the fill's own rounding and the
-/// tally's drift between exact rebuilds; debug builds re-run every skipped
-/// fill and assert that it commits nothing.
+/// A drain event pays only for the links whose level can move. Two O(1)
+/// skip tests prove that a dirty link's fill would commit nothing: a
+/// per-link tally of its subscribers' demands shows that a link with slack
+/// keeps it (the margin, 1e-9 of capacity, covers the fill's own rounding
+/// and the tally's drift between exact rebuilds), and a level-crossing
+/// threshold shows that the link's last real fill still holds. The tests
+/// are re-evaluated whenever their inputs move, so each round sorts and
+/// visits only the dirty links that failed one, and a commit skips the
+/// route rescan of each subscriber whose two smallest levels it cannot
+/// reach. Rounds and commits are exactly those of the unskipped worklist;
+/// debug builds check every link a round leaves out and re-run every
+/// skipped fill, asserting that it commits nothing.
 ///
 /// The result matches the reference [`solve`] within 1e-9 relative
 /// (`tests/maxmin_differential.rs` enforces this). As a convergence
@@ -830,21 +1228,45 @@ impl MaxMinState {
     /// Panics if a route references a link beyond the capacity table.
     pub fn with_flows(capacity: &[f64], routes: &[Vec<u32>]) -> Self {
         let mut table = RouteTable::default();
-        let mut rates = Vec::with_capacity(routes.len());
         for r in routes {
-            let ls = normalize_route(r, capacity.len());
-            rates.push(if ls.is_empty() { UNBOUNDED } else { 0.0 });
-            table.push(&ls);
+            table.push(&normalize_route(r, capacity.len()));
         }
+        Self::from_table(capacity.to_vec(), table)
+    }
+
+    /// [`with_flows`](MaxMinState::with_flows) over a route table already
+    /// sorted, deduplicated and within `capacity` (the drain's dense
+    /// routes), taking both without a copy.
+    pub(crate) fn from_table(capacity: Vec<f64>, routes: RouteTable) -> Self {
+        let nf = routes.len();
+        let rates = (0..nf)
+            .map(|f| {
+                if routes.route(f).is_empty() {
+                    UNBOUNDED
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         MaxMinState {
-            capacity: capacity.to_vec(),
-            routes: table,
-            alive: vec![true; routes.len()],
+            capacity,
+            routes,
+            alive: vec![true; nf],
             rates,
             full_solves: 0,
             scratch: SolveScratch::default(),
             worklist: Worklist::default(),
         }
+    }
+
+    /// Flow `f`'s sorted, deduplicated link list.
+    pub(crate) fn route(&self, f: usize) -> &[u32] {
+        self.routes.route(f)
+    }
+
+    /// The link-capacity table.
+    pub(crate) fn capacity(&self) -> &[f64] {
+        &self.capacity
     }
 
     /// Removes a flow (completion): its capacity share is released, and
@@ -862,6 +1284,7 @@ impl MaxMinState {
             return;
         }
         let MaxMinState {
+            capacity,
             routes,
             alive,
             worklist: w,
@@ -873,12 +1296,12 @@ impl MaxMinState {
             w.pending.push(f as u32);
         }
         for &l in r {
+            let lu = l as usize;
             let d = demand_at(w.min1[f], w.min1_link[f], w.min2[f], l);
-            tally(&mut w.dsum, &mut w.nbig, l as usize, d, false);
-            if !w.link_dirty[l as usize] {
-                w.link_dirty[l as usize] = true;
-                w.dirty_links.push(l);
-            }
+            tally(&mut w.dsum, &mut w.nbig, lu, d, false);
+            w.queue.unkeep(lu);
+            let slack = w.has_slack(lu, capacity[lu]);
+            w.queue.mark(l, slack);
         }
         w.sub_dead_entries += r.len();
         if w.sub_dead_entries * 2 >= w.sub_flows.len() {
@@ -905,9 +1328,14 @@ impl MaxMinState {
         self.worklist.changed.clear();
         if !self.worklist.seeded {
             self.seed();
-        } else if self.worklist.dirty_links.is_empty() && self.worklist.pending.is_empty() {
+        } else if self.worklist.queue.n_next == 0 && self.worklist.pending.is_empty() {
             // Nothing was removed: no rate changed.
-        } else if self.propagate() {
+        } else if self.worklist.propagate(
+            &self.capacity,
+            &self.routes,
+            &self.alive,
+            &mut self.rates,
+        ) {
             let w = &mut self.worklist;
             w.sparse_solves += 1;
             std::mem::swap(&mut w.pending, &mut w.changed);
@@ -1036,7 +1464,9 @@ impl MaxMinState {
         w.sub_flows.clear();
         w.sub_flows.resize(w.sub_offsets[nl] as usize, 0);
         {
-            let cursor = &mut w.batch;
+            // The queue's batch buffer doubles as the fill cursor; the queue
+            // is reset below.
+            let cursor = &mut w.queue.batch;
             cursor.clear();
             cursor.extend_from_slice(&w.sub_offsets[..nl]);
             for f in 0..nf {
@@ -1084,9 +1514,7 @@ impl MaxMinState {
                 tally(&mut w.dsum, &mut w.nbig, l as usize, d, true);
             }
         }
-        w.link_dirty.clear();
-        w.link_dirty.resize(nl, false);
-        w.dirty_links.clear();
+        w.queue.reset(nl);
         w.flow_mask.clear();
         w.flow_mask.resize(nf, false);
         w.pending.clear();
@@ -1094,140 +1522,6 @@ impl MaxMinState {
             .extend((0..nf as u32).filter(|&f| self.alive[f as usize]));
         w.seeded = true;
         self.full_solves += 1;
-    }
-
-    /// Runs the worklist to quiescence. Returns `false` when the round
-    /// budget is exhausted (the caller falls back to a seed solve).
-    fn propagate(&mut self) -> bool {
-        let MaxMinState {
-            capacity,
-            routes,
-            alive,
-            rates,
-            worklist,
-            ..
-        } = self;
-        let Worklist {
-            mu,
-            sub_offsets,
-            sub_flows,
-            min1,
-            min1_link,
-            min2,
-            dsum,
-            nbig,
-            link_dirty,
-            dirty_links,
-            flow_mask,
-            pending,
-            demand,
-            batch,
-            rounds: total_rounds,
-            commits,
-            ..
-        } = worklist;
-        let mut rounds = 0usize;
-        while !dirty_links.is_empty() {
-            rounds += 1;
-            if rounds > MAX_ROUNDS {
-                return false;
-            }
-            *total_rounds += 1;
-            batch.clear();
-            batch.append(dirty_links);
-            // Ascending link order keeps propagation deterministic
-            // regardless of the order removals arrived in.
-            batch.sort_unstable();
-            for &l in batch.iter() {
-                link_dirty[l as usize] = false;
-            }
-            for &bl in batch.iter() {
-                let l = bl as usize;
-                let subs = &sub_flows[sub_offsets[l] as usize..sub_offsets[l + 1] as usize];
-                let triples = (&min1[..], &min1_link[..], &min2[..]);
-                if mu[l] == UNBOUNDED
-                    && nbig[l] == 0
-                    && dsum[l] <= capacity[l].max(0.0) * SLACK_FRACTION
-                {
-                    // Slack kept: every demand fits, so the fill would
-                    // return UNBOUNDED again and commit nothing.
-                    #[cfg(debug_assertions)]
-                    {
-                        gather_demands(bl, subs, alive, triples, demand);
-                        let level = fill_level(capacity[l], demand);
-                        assert_eq!(level, UNBOUNDED, "skipped fill of link {l} would commit");
-                    }
-                    continue;
-                }
-                // Single-link progressive fill over the alive subscribers'
-                // demands; gathering them rebuilds the link's tally exactly.
-                (dsum[l], nbig[l]) = gather_demands(bl, subs, alive, triples, demand);
-                let new_mu = fill_level(capacity[l], demand);
-                let old_mu = mu[l];
-                if new_mu == old_mu {
-                    continue;
-                }
-                let rel = (new_mu - old_mu).abs() / old_mu.abs().max(new_mu.abs()).max(1.0);
-                if rel <= LEVEL_GATE {
-                    continue;
-                }
-                mu[l] = new_mu;
-                *commits += 1;
-                // Commit: rescan subscribers' route-min triples; flows whose
-                // demand profile moved ripple to their other links.
-                for &fid in subs {
-                    let f = fid as usize;
-                    if !alive[f] {
-                        continue;
-                    }
-                    let r = routes.route(f);
-                    let (mut m1, mut m1l, mut m2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
-                    for &rl in r {
-                        let v = mu[rl as usize];
-                        if v < m1 {
-                            m2 = m1;
-                            m1 = v;
-                            m1l = rl;
-                        } else if v < m2 {
-                            m2 = v;
-                        }
-                    }
-                    if m1.to_bits() == min1[f].to_bits()
-                        && m1l == min1_link[f]
-                        && m2.to_bits() == min2[f].to_bits()
-                    {
-                        continue;
-                    }
-                    let old = (min1[f], min1_link[f], min2[f]);
-                    min1[f] = m1;
-                    min1_link[f] = m1l;
-                    min2[f] = m2;
-                    if m1.to_bits() != rates[f].to_bits() {
-                        rates[f] = m1;
-                        if !flow_mask[f] {
-                            flow_mask[f] = true;
-                            pending.push(fid);
-                        }
-                    }
-                    // The flow's demand at `l` itself cannot have moved.
-                    for &rl in r.iter().filter(|&&rl| rl as usize != l) {
-                        let (od, nd) = (
-                            demand_at(old.0, old.1, old.2, rl),
-                            demand_at(m1, m1l, m2, rl),
-                        );
-                        if od != nd {
-                            tally(dsum, nbig, rl as usize, od, false);
-                            tally(dsum, nbig, rl as usize, nd, true);
-                        }
-                        if !link_dirty[rl as usize] {
-                            link_dirty[rl as usize] = true;
-                            dirty_links.push(rl);
-                        }
-                    }
-                }
-            }
-        }
-        true
     }
 }
 
@@ -1547,5 +1841,101 @@ mod tests {
         assert_eq!(r[0], 0.0);
         assert!(close(r[1], 10.0));
         assert_eq!(s.changed_flows(), &[0, 1], "flow 0 is listed once");
+    }
+
+    // ---- fill queue ----
+
+    /// Seeds a state, removes `removals` one refresh at a time (checking
+    /// each allocation against the reference) and returns the worklist's
+    /// `(spine_rounds, spine_link_updates)`.
+    fn run_removals(
+        state: &mut MaxMinState,
+        capacity: &[f64],
+        routes: &[Vec<u32>],
+        removals: &[usize],
+    ) -> (u64, u64) {
+        let mut alive = vec![true; routes.len()];
+        assert_matches_reference(state, capacity, routes, &alive);
+        for &f in removals {
+            state.remove_flow(f);
+            alive[f] = false;
+            assert_matches_reference(state, capacity, routes, &alive);
+        }
+        (state.spine_rounds(), state.spine_link_updates())
+    }
+
+    /// Links 0–2 (capacities 5, 7, 10) carry flows `[1, 2]`, `[0, 2]` and
+    /// `[0, 1, 2]`; removing flow 2 dirties all three links.
+    fn mid_round_problem() -> (Vec<f64>, Vec<Vec<u32>>) {
+        (
+            vec![5.0, 7.0, 10.0],
+            vec![vec![1, 2], vec![0, 2], vec![0, 1, 2]],
+        )
+    }
+
+    /// A link dirty for a round but not among its fill candidates joins the
+    /// round when a commit on a lower link makes it fail its skip tests
+    /// before its turn. Removing flow 2 leaves link 2 with slack (demands
+    /// 4.5 and 2.5 of 10), so it is held out of the round's candidates.
+    /// Link 0 then commits level 5 (demand 5 at link 2, still slack), and
+    /// link 1 commits level 7, which raises flow 0's demand at link 2 to 7
+    /// and the tally to 12: link 2 must fill in this round, at level 5, as
+    /// the unsplit worklist does. Its counts, recorded from the unsplit
+    /// worklist on this script, are 3 rounds and 5 commits; filling link 2
+    /// one round late takes 4 rounds.
+    #[test]
+    fn a_link_failing_its_skip_tests_mid_round_joins_that_round() {
+        let (capacity, routes) = mid_round_problem();
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
+        let _ = s.rates();
+        s.remove_flow(2);
+        let held = s.worklist.queue.bits(2);
+        assert_eq!(
+            held & (DIRTY_NEXT | CAND_NEXT),
+            DIRTY_NEXT,
+            "link 2 starts held"
+        );
+        assert_matches_reference(&mut s, &capacity, &routes, &[true, true, false]);
+        assert_eq!((s.spine_rounds(), s.spine_link_updates()), (3, 5));
+    }
+
+    /// The round counter re-stamps every link before it wraps, so marks
+    /// made across the wrap keep their rounds: the mid-round script gives
+    /// the same counts.
+    #[test]
+    fn the_round_counter_wraps_without_losing_marks() {
+        let (capacity, routes) = mid_round_problem();
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
+        let _ = s.rates();
+        s.worklist.queue.round = u32::MAX - 1;
+        assert_eq!(run_removals(&mut s, &capacity, &routes, &[2]), (3, 5));
+    }
+
+    /// A demand that moves to exactly a kept link's threshold forces a real
+    /// fill. Flows `[0, 1]`, `[0]` and `[1]` on links of capacity 1 and 2;
+    /// removing flow 1 fills link 0 at level 1 (threshold 1, flow 0's
+    /// demand 1.5). Link 1 then commits level 1, moving that demand to
+    /// exactly 1, where it fits: link 0's level becomes unbounded. Counts
+    /// recorded from the unsplit worklist on this script: 4 rounds and 3
+    /// commits; keeping link 0 would skip that commit.
+    #[test]
+    fn a_demand_moving_to_exactly_the_keep_threshold_forces_a_fill() {
+        let capacity = [1.0, 2.0];
+        let routes = [vec![0, 1], vec![0], vec![1]];
+        let mut s = MaxMinState::with_flows(&capacity, &routes);
+        assert_eq!(run_removals(&mut s, &capacity, &routes, &[1]), (4, 3));
+    }
+
+    /// The keep threshold is the fill's level, or the largest demand it
+    /// subtracted when rounding leaves that above the level: 0.7 shared by
+    /// four subtracts 0.175 = 0.7/4, then saturates at 0.525/3, an ulp
+    /// below it.
+    #[test]
+    fn the_keep_threshold_covers_a_subtracted_demand_above_the_level() {
+        let (level, keep_above) = fill_level(0.7, &mut [1.0, 0.175, 1.0, 1.0]);
+        assert!(level < 0.175, "level {level}");
+        assert_eq!(keep_above, 0.175);
+        assert_eq!(fill_level(10.0, &mut [9.0, 2.0]), (8.0, 8.0));
+        assert_eq!(fill_level(10.0, &mut [3.0, 2.0]), (UNBOUNDED, UNBOUNDED));
     }
 }
