@@ -133,13 +133,7 @@ fn main() {
         cli.iters,
         fail_at,
         |topo| {
-            let mut m = C4pMaster::new(
-                topo,
-                C4pConfig {
-                    dynamic: false,
-                    ema_alpha: 0.5,
-                },
-            );
+            let mut m = C4pMaster::new(topo, C4pConfig { dynamic: false });
             Box::new(move |t, k| m.select(t, k))
         },
         false,

@@ -19,39 +19,26 @@
 //! non-zero when any simulated leaf differs by a bit from a checked-in
 //! baseline or `total_wall_ms` exceeds 2× its — the CI result and perf
 //! gates, same pattern as `fig3 --sweep scale`.
-//! `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::scenarios::fig10;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, pct, read_json, write_csv, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli, pct};
 
 fn main() {
     let cli = parse_cli(2);
     // `--sweep 16k`/`--sweep 32k` select the scale extensions (their own
     // baselines, so the 4k trajectory stays comparable across PRs).
-    let mut cfg = match cli.sweep.as_deref() {
+    let cfg = match cli.sweep.as_deref() {
         None | Some("scale") => fig10::C4pScaleConfig::scale_4096(cli.seed, cli.iters),
         Some("16k") => fig10::C4pScaleConfig::scale_16384(cli.seed, cli.iters),
         Some("32k") => fig10::C4pScaleConfig::scale_32768(cli.seed, cli.iters),
         Some(other) => panic!("unknown --sweep {other} (expected scale|16k|32k)"),
     };
-    cfg.parallel = cli.parallel();
     let max_gpus = cfg.node_scales.iter().max().unwrap_or(&0) * 8;
     banner(
         &format!("C4P vs ECMP at cluster scale — 8 concurrent jobs, up to {max_gpus} GPUs"),
         "Fig 10 pattern: engineered allocation beats hashing as collisions compound",
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = fig10::run_scale(&cfg);
     // Stdout carries only seed-deterministic simulation results (identical
@@ -78,45 +65,5 @@ fn main() {
     }
     eprintln!("total wall: {:.1} ms", sweep.total_wall_ms);
 
-    let doc = sweep.to_json();
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = cli.csv_out.as_deref() {
-        let rows: Vec<Vec<String>> = sweep
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.gpus.to_string(),
-                    format!("{}:1", r.oversub),
-                    format!("{:.3}", r.ecmp_gbps),
-                    format!("{:.3}", r.c4p_gbps),
-                    format!("{:.6}", r.improvement),
-                    format!("{:.3}", r.ecmp_plan_ms),
-                    format!("{:.3}", r.c4p_plan_ms),
-                    format!("{:.3}", r.wall_ms),
-                ]
-            })
-            .collect();
-        write_csv(
-            path,
-            &[
-                "gpus",
-                "oversub",
-                "ecmp_gbps",
-                "c4p_gbps",
-                "improvement",
-                "ecmp_plan_ms",
-                "c4p_plan_ms",
-                "wall_ms",
-            ],
-            &rows,
-        );
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &sweep.to_json());
 }

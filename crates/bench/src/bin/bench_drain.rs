@@ -15,31 +15,19 @@
 //! (schema `c4-bench-v1`); `--check-against <baseline.json>` exits
 //! non-zero when any simulated leaf differs by a bit from a checked-in
 //! baseline or `total_wall_ms` exceeds 2× its — the CI result and perf
-//! gates, same pattern as `fig3 --sweep scale` and `bench_c4p`. `--threads N|max` overrides the `C4_THREADS` selection.
+//! gates, same pattern as `fig3 --sweep scale` and `bench_c4p`.
 
 use c4::scenarios::fig10;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, read_json, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli};
 
 fn main() {
     let cli = parse_cli(2);
-    let mut cfg = fig10::C4pScaleConfig::drain_4096(cli.seed, cli.iters);
-    cfg.parallel = cli.parallel();
+    let cfg = fig10::C4pScaleConfig::drain_4096(cli.seed, cli.iters);
     banner(
         "Noisy drain engine at 4096 GPUs — 8 jobs, DCQCN noise + CNP live",
         "event-driven drains do work proportional to what changed, not what exists",
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = fig10::run_scale(&cfg);
     // Stdout carries only seed-deterministic simulation results (identical
@@ -65,12 +53,5 @@ fn main() {
     }
     eprintln!("total wall: {:.1} ms", sweep.total_wall_ms);
 
-    let doc = sweep.to_drain_json();
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &sweep.to_drain_json());
 }

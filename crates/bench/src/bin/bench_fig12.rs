@@ -15,31 +15,18 @@
 //! non-zero when any simulated leaf differs by a bit from a checked-in
 //! baseline or `total_wall_ms` exceeds 2× its — the CI result and perf
 //! gates, same pattern as `bench_c4p` and `bench_drain`.
-//! `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::scenarios::fig12;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, pct, read_json, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli, pct};
 
 fn main() {
     let cli = parse_cli(6);
-    let mut cfg = fig12::FaultScaleConfig::scale_4096(cli.seed, cli.iters);
-    cfg.parallel = cli.parallel();
+    let cfg = fig12::FaultScaleConfig::scale_4096(cli.seed, cli.iters);
     banner(
         "Fig 12 at 4096 GPUs — spine kill mid-run, static TE vs dynamic LB",
         "static: 185.76 Gbps post-failure; dynamic: 301.46 vs 7/8 ideal 315",
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = fig12::run_scale_sweep(&cfg);
     // Stdout carries only seed-deterministic simulation results (identical
@@ -63,12 +50,5 @@ fn main() {
     );
     eprintln!("total wall: {:.1} ms", sweep.total_wall_ms);
 
-    let doc = sweep.to_json();
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &sweep.to_json());
 }

@@ -18,33 +18,20 @@
 //! exits non-zero when any simulated leaf differs by a bit from a
 //! checked-in baseline or `total_wall_ms` exceeds 2× its — the CI result
 //! and perf gates, same pattern as `bench_fig12`.
-//! `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::prelude::{FleetConfig, SimDuration};
 use c4::scenarios::fleet;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, pct, read_json, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli, pct};
 
 fn main() {
     let cli = parse_cli(168);
     let mut cfg = FleetConfig::soak_512(cli.seed);
     cfg.horizon = SimDuration::from_hours(cli.iters as u64);
-    cfg.parallel = cli.parallel();
     banner(
         "Fleet soak — 512 GPUs, one simulated week, churn + live fault loop",
         "detect → isolate → replace → restart through the live network stack",
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = fleet::run_soak(&cfg);
     let r = &sweep.report;
@@ -104,12 +91,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    let doc = sweep.to_json();
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &sweep.to_json());
 }

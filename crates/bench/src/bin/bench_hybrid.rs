@@ -16,14 +16,9 @@
 //! non-zero when any simulated leaf differs by a bit from a checked-in
 //! baseline or `total_wall_ms` exceeds 2× its — the CI result and perf
 //! gates, same pattern as `bench_c4p` and `bench_drain`.
-//! `--threads N|max` overrides the `C4_THREADS` selection.
 
 use c4::scenarios::hybrid;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, read_json, write_csv, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli};
 
 fn main() {
     // One iteration per cell: plan-build cost is a rounding error next to
@@ -32,26 +27,18 @@ fn main() {
     let cli = parse_cli(1);
     // `--sweep 16k`/`--sweep 32k` select the scale extensions (their own
     // baselines, so the 4k trajectory stays comparable across PRs).
-    let mut cfg = match cli.sweep.as_deref() {
+    let cfg = match cli.sweep.as_deref() {
         None | Some("scale") => hybrid::HybridScaleConfig::scale_4096(cli.seed, cli.iters),
         Some("16k") => hybrid::HybridScaleConfig::scale_16384(cli.seed, cli.iters),
         Some("32k") => hybrid::HybridScaleConfig::scale_32768(cli.seed, cli.iters),
         Some(other) => panic!("unknown --sweep {other} (expected scale|16k|32k)"),
     };
-    cfg.parallel = cli.parallel();
     let max_gpus = cfg.node_scales.iter().max().unwrap_or(&0) * 8;
     banner(
         &format!("4D-hybrid workload at {max_gpus} GPUs — TP/PP/DP/EP phases, ECMP vs C4P"),
         "asymmetric bursty traffic through batched planning; EP smoothing study",
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = hybrid::run_scale(&cfg);
     // Stdout carries only seed-deterministic simulation results (identical
@@ -92,54 +79,5 @@ fn main() {
 
     let mut doc = sweep.to_json();
     doc.push("ep_imbalance", study.to_json());
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = cli.csv_out.as_deref() {
-        let rows: Vec<Vec<String>> = sweep
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.gpus.to_string(),
-                    format!("{:.3}", r.ecmp_iter_ms),
-                    format!("{:.3}", r.c4p_iter_ms),
-                    format!("{:.6}", r.improvement),
-                    format!("{:.3}", r.ecmp_ep_gbps),
-                    format!("{:.3}", r.c4p_ep_gbps),
-                    format!("{:.3}", r.ecmp_dp_gbps),
-                    format!("{:.3}", r.c4p_dp_gbps),
-                    format!("{:.3}", r.wall_ms),
-                    r.ecmp_solver.events.to_string(),
-                    r.ecmp_solver.sparse_solves.to_string(),
-                    r.c4p_solver.events.to_string(),
-                    r.c4p_solver.sparse_solves.to_string(),
-                ]
-            })
-            .collect();
-        write_csv(
-            path,
-            &[
-                "gpus",
-                "ecmp_iter_ms",
-                "c4p_iter_ms",
-                "improvement",
-                "ecmp_ep_gbps",
-                "c4p_ep_gbps",
-                "ecmp_dp_gbps",
-                "c4p_dp_gbps",
-                "wall_ms",
-                "ecmp_solver_events",
-                "ecmp_sparse_solves",
-                "c4p_solver_events",
-                "c4p_sparse_solves",
-            ],
-            &rows,
-        );
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &doc);
 }

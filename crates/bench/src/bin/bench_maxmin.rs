@@ -40,8 +40,8 @@ impl Recorder {
         setup: impl FnMut() -> S,
         routine: impl FnMut(&mut S),
     ) -> f64 {
-        let (median_us, samples) = median_wall_us(BUDGET, setup, routine);
-        println!("{name:<56} median {median_us:>12.1} us  ({samples} samples)");
+        let (median_us, samples, batch) = median_wall_us(BUDGET, setup, routine);
+        println!("{name:<56} median {median_us:>12.2} us  ({samples} samples of {batch})");
         let mut row = JsonValue::object();
         row.push("name", name)
             .push("median_us", median_us)

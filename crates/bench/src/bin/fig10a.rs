@@ -28,17 +28,4 @@ fn main() {
         r.c4p_mean,
         pct(r.improvement)
     );
-    if cli.json {
-        let rows: Vec<String> = r
-            .tasks
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"task\":{},\"baseline\":{:.1},\"c4p\":{:.1}}}",
-                    t.task, t.baseline_gbps, t.c4p_gbps
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
 }

@@ -36,17 +36,4 @@ fn main() {
         pct(r.improvement)
     );
     println!("C4P task spread: {:.1} Gbps (paper: 11.27 Gbps)", max - min);
-    if cli.json {
-        let rows: Vec<String> = r
-            .tasks
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"task\":{},\"baseline\":{:.1},\"c4p\":{:.1}}}",
-                    t.task, t.baseline_gbps, t.c4p_gbps
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
 }

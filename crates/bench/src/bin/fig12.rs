@@ -49,10 +49,4 @@ fn main() {
         pct(d.post_mean / s.post_mean - 1.0),
         d.ideal_post
     );
-    if cli.json {
-        println!(
-            "JSON: {{\"static_post\":{:.1},\"dynamic_post\":{:.1},\"ideal\":{:.1}}}",
-            s.post_mean, d.post_mean, d.ideal_post
-        );
-    }
 }

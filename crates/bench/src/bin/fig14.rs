@@ -25,16 +25,4 @@ fn main() {
             pct(r.improvement)
         );
     }
-    if cli.json {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"job\":\"{}\",\"baseline\":{:.2},\"c4p\":{:.2},\"gain\":{:.4}}}",
-                    r.name, r.baseline_sps, r.c4p_sps, r.improvement
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
 }

@@ -13,25 +13,20 @@
 //! exits non-zero when any simulated leaf differs by a bit from a
 //! previously checked-in baseline or `total_wall_ms` exceeds 2× its — the
 //! CI guards against changed results and simulator-performance
-//! regressions. `--threads N|max` overrides the `C4_THREADS` selection.
+//! regressions (see [`c4_bench::finish`]).
 
 use c4::scenarios::fig3;
-use c4_bench::{banner, enforce_baseline_gates, parse_cli, pct, read_json, write_csv, write_json};
-
-/// Allowed wall-clock growth over the checked-in baseline before the gate
-/// trips.
-const REGRESSION_FACTOR: f64 = 2.0;
+use c4_bench::{banner, finish, parse_cli, pct};
 
 fn main() {
     let cli = parse_cli(4);
-    let mut cfg = match cli.sweep.as_deref() {
+    let cfg = match cli.sweep.as_deref() {
         None | Some("paper") => fig3::Fig3Config::paper(cli.seed, cli.iters),
         Some("scale") => fig3::Fig3Config::scale_4096(cli.seed, cli.iters),
         Some("16k") => fig3::Fig3Config::scale_16384(cli.seed, cli.iters),
         Some("32k") => fig3::Fig3Config::scale_32768(cli.seed, cli.iters),
         Some(other) => panic!("unknown --sweep {other} (expected paper|scale|16k|32k)"),
     };
-    cfg.parallel = cli.parallel();
     banner(
         "Fig 3 — performance loss grows with system scale",
         "actual drops to ~30% below ideal at 512 GPUs",
@@ -42,13 +37,6 @@ fn main() {
         cfg.scales.iter().max().unwrap_or(&0) * cfg.clos.gpus_per_node,
     );
     eprintln!("threads: {}", cfg.parallel.threads());
-
-    // Read the baseline before any write: CI points --check-against and
-    // --json-out at the same path.
-    let baseline = cli
-        .check_against
-        .as_deref()
-        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
 
     let sweep = fig3::run_config(&cfg);
     // Stdout carries only seed-deterministic simulation results (same seed
@@ -67,51 +55,10 @@ fn main() {
             pct(r.loss)
         );
     }
-    if cli.json {
-        let rows: Vec<String> = sweep
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"gpus\":{},\"actual\":{:.2},\"ideal\":{:.2},\"loss\":{:.4}}}",
-                    r.gpus, r.actual_sps, r.ideal_sps, r.loss
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
     for r in &sweep.rows {
         eprintln!("wall {:>6} GPUs: {:>9.1} ms", r.gpus, r.wall_ms);
     }
     eprintln!("total wall: {:.1} ms", sweep.total_wall_ms);
 
-    let doc = sweep.to_json();
-    if let Some(path) = cli.json_out.as_deref() {
-        write_json(path, &doc);
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = cli.csv_out.as_deref() {
-        let rows: Vec<Vec<String>> = sweep
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.gpus.to_string(),
-                    format!("{:.3}", r.actual_sps),
-                    format!("{:.3}", r.ideal_sps),
-                    format!("{:.6}", r.loss),
-                    format!("{:.3}", r.wall_ms),
-                ]
-            })
-            .collect();
-        write_csv(
-            path,
-            &["gpus", "actual_sps", "ideal_sps", "loss", "wall_ms"],
-            &rows,
-        );
-        eprintln!("wrote {path}");
-    }
-    if let Some(baseline) = baseline {
-        enforce_baseline_gates(&doc, &baseline, REGRESSION_FACTOR);
-    }
+    finish(&cli, &sweep.to_json());
 }

@@ -24,16 +24,4 @@ fn main() {
             pct(r.c4p_gbps / r.baseline_gbps - 1.0)
         );
     }
-    if cli.json {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"gpus\":{},\"baseline\":{:.1},\"c4p\":{:.1}}}",
-                    r.gpus, r.baseline_gbps, r.c4p_gbps
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
 }

@@ -32,17 +32,4 @@ fn main() {
         / report.crashes.len().max(1) as f64;
     println!();
     println!("node-local crashes overall: {} (paper: ~82.5%)", pct(local));
-    if cli.json {
-        let rows: Vec<String> = report
-            .cause_census()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"cause\":\"{}\",\"count\":{},\"proportion\":{:.4},\"local\":{:.4}}}",
-                    r.cause, r.count, r.proportion, r.local_pct
-                )
-            })
-            .collect();
-        println!("JSON: [{}]", rows.join(","));
-    }
 }

@@ -46,12 +46,4 @@ fn main() {
     println!();
     let ratio = june.downtime_fraction() / dec.downtime_fraction().max(1e-9);
     println!("improvement: {:.1}× less downtime (paper: ≈30×)", ratio);
-    if cli.json {
-        println!(
-            "JSON: {{\"june_total\":{:.4},\"dec_total\":{:.4},\"ratio\":{:.1}}}",
-            june.downtime_fraction(),
-            dec.downtime_fraction(),
-            ratio
-        );
-    }
 }

@@ -2,14 +2,15 @@
 //! tables and figures.
 //!
 //! Every binary accepts `--seed <u64>` (default 42) and, where meaningful,
-//! `--iters <usize>`; outputs are printed as aligned text tables plus an
-//! optional JSON dump via `--json`.
+//! `--iters <usize>`, and prints aligned text tables. The binaries behind
+//! the `BENCH_*.json` documents also take `--sweep`, `--json-out` and
+//! `--check-against`, and end with [`finish`]. The thread budget is
+//! `C4_THREADS` (see `ParallelPolicy::from_env`).
 
 use std::time::{Duration, Instant};
 
 use c4::prelude::{
-    quote_field, ByteSize, DetRng, EcmpSelector, FlowKey, FlowSpec, GpuId, JsonValue,
-    ParallelPolicy, PathSelector, Topology,
+    ByteSize, DetRng, EcmpSelector, FlowKey, FlowSpec, GpuId, JsonValue, PathSelector, Topology,
 };
 
 /// Parsed common CLI options.
@@ -19,22 +20,14 @@ pub struct Cli {
     pub seed: u64,
     /// Iteration count for iterative experiments.
     pub iters: usize,
-    /// Emit a JSON block after the human-readable table.
-    pub json: bool,
     /// Named sweep variant (`--sweep`, e.g. `paper` / `scale` for fig3).
     pub sweep: Option<String>,
     /// Write the machine-readable result document here (`--json-out`).
     pub json_out: Option<String>,
-    /// Write the per-row result table as an RFC 4180 CSV file here
-    /// (`--csv-out`), quoted by the telemetry layer's rules.
-    pub csv_out: Option<String>,
     /// Compare simulated results (bit for bit) and wall clock against this
     /// baseline document and exit non-zero on a difference or a regression
     /// (`--check-against`).
     pub check_against: Option<String>,
-    /// Thread-budget override (`--threads N`, `--threads max`); `None`
-    /// defers to the `C4_THREADS` environment selection.
-    pub threads: Option<ParallelPolicy>,
 }
 
 impl Cli {
@@ -45,16 +38,10 @@ impl Cli {
             ..Cli::default()
         }
     }
-
-    /// The effective thread policy: the `--threads` override, else the
-    /// `C4_THREADS` environment selection.
-    pub fn parallel(&self) -> ParallelPolicy {
-        self.threads.unwrap_or_default()
-    }
 }
 
-/// Parses `--seed`, `--iters`, `--json`, `--sweep`, `--json-out`,
-/// `--check-against` and `--threads` from `std::env::args`.
+/// Parses `--seed`, `--iters`, `--sweep`, `--json-out` and
+/// `--check-against` from `std::env::args`.
 ///
 /// # Panics
 ///
@@ -81,31 +68,13 @@ pub fn parse_cli(default_iters: usize) -> Cli {
                     .parse()
                     .unwrap_or_else(|_| panic!("--iters needs a usize"));
             }
-            "--json" => cli.json = true,
             "--sweep" => cli.sweep = Some(value(&args, &mut i, "--sweep")),
             "--json-out" => cli.json_out = Some(value(&args, &mut i, "--json-out")),
-            "--csv-out" => cli.csv_out = Some(value(&args, &mut i, "--csv-out")),
             "--check-against" => {
                 cli.check_against = Some(value(&args, &mut i, "--check-against"));
             }
-            "--threads" => {
-                let v = value(&args, &mut i, "--threads");
-                // Same semantics as the C4_THREADS env var: `max` or `0`
-                // means one worker per hardware thread.
-                cli.threads = Some(if v.eq_ignore_ascii_case("max") {
-                    ParallelPolicy::max()
-                } else {
-                    match v
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("--threads needs a usize or 'max'"))
-                    {
-                        0 => ParallelPolicy::max(),
-                        n => ParallelPolicy::with_threads(n),
-                    }
-                });
-            }
             other => panic!(
-                "unknown argument: {other} (expected --seed/--iters/--json/--sweep/--json-out/--csv-out/--check-against/--threads)"
+                "unknown argument: {other} (expected --seed/--iters/--sweep/--json-out/--check-against)"
             ),
         }
         i += 1;
@@ -122,48 +91,6 @@ pub fn write_json(path: &str, doc: &JsonValue) {
     std::fs::write(path, doc.pretty()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
-/// Renders a header plus per-row field vectors as one RFC 4180 CSV
-/// document, quoting every field by [`quote_field`]'s rules (the same
-/// quoting the telemetry CSV codecs use, so downstream parsers shared with
-/// the event-log tooling read bench exports unchanged).
-///
-/// # Panics
-///
-/// Panics when a row's width differs from the header's — a bench-binary
-/// bug, not an input condition.
-pub fn csv_document(header: &[&str], rows: &[Vec<String>]) -> String {
-    let render = |fields: &[String]| -> String {
-        fields
-            .iter()
-            .map(|f| quote_field(f))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let head: Vec<String> = header.iter().map(|h| h.to_string()).collect();
-    let mut out = render(&head);
-    out.push('\n');
-    for row in rows {
-        assert_eq!(
-            row.len(),
-            header.len(),
-            "CSV row width must match the header"
-        );
-        out.push_str(&render(row));
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes a `--csv-out` table (header + rows, trailing newline).
-///
-/// # Panics
-///
-/// Panics when the path is unwritable — bench binaries fail loudly.
-pub fn write_csv(path: &str, header: &[&str], rows: &[Vec<String>]) {
-    std::fs::write(path, csv_document(header, rows))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-}
-
 /// Reads and parses a `BENCH_*.json` document.
 ///
 /// # Errors
@@ -174,19 +101,64 @@ pub fn read_json(path: &str) -> Result<JsonValue, String> {
     JsonValue::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Allowed wall-clock growth over the baseline before the perf gate trips.
+const REGRESSION_FACTOR: f64 = 2.0;
+
+/// Ends a `BENCH_*.json` binary: writes its result document to
+/// `--json-out` and applies both `--check-against` gates, the exact result
+/// gate and the 2× wall-clock gate, logging each verdict to stderr. Exits
+/// the process with status 1 if either gate fails. Call it once, after the
+/// binary's own output and checks.
+///
+/// # Panics
+///
+/// Panics when the baseline is unreadable or the output unwritable.
+pub fn finish(cli: &Cli, doc: &JsonValue) {
+    if !write_and_gate(cli, doc) {
+        std::process::exit(1);
+    }
+}
+
+/// [`finish`] without the exit: `true` when both gates pass or none runs.
+/// The baseline is read before the document is written, so when both flags
+/// name one file, as CI's do, the gates compare against its old contents.
+fn write_and_gate(cli: &Cli, doc: &JsonValue) -> bool {
+    let baseline = cli
+        .check_against
+        .as_deref()
+        .map(|path| read_json(path).unwrap_or_else(|e| panic!("baseline: {e}")));
+    if let Some(path) = cli.json_out.as_deref() {
+        write_json(path, doc);
+        eprintln!("wrote {path}");
+    }
+    let Some(baseline) = baseline else {
+        return true;
+    };
+    let mut passed = true;
+    for (gate, verdict) in [
+        ("result gate", check_results_identical(doc, &baseline)),
+        ("perf gate", check_wall_regression(doc, &baseline)),
+    ] {
+        match verdict {
+            Ok(msg) => eprintln!("{gate}: {msg}"),
+            Err(msg) => {
+                eprintln!("{gate} FAILED: {msg}");
+                passed = false;
+            }
+        }
+    }
+    passed
+}
+
 /// Compares a fresh run's `total_wall_ms` against a baseline document of
 /// the same schema.
 ///
 /// # Errors
 ///
-/// `Err(message)` when the new wall clock exceeds `factor ×` the baseline
-/// (the CI perf gate), or when either document lacks the field. `Ok` holds
-/// a one-line comparison summary for the log.
-pub fn check_wall_regression(
-    fresh: &JsonValue,
-    baseline: &JsonValue,
-    factor: f64,
-) -> Result<String, String> {
+/// `Err(message)` when the new wall clock exceeds [`REGRESSION_FACTOR`] ×
+/// the baseline's (the perf gate), or when either document lacks the
+/// field. `Ok` holds a one-line comparison summary for the log.
+fn check_wall_regression(fresh: &JsonValue, baseline: &JsonValue) -> Result<String, String> {
     let wall = |doc: &JsonValue, which: &str| {
         doc.get("total_wall_ms")
             .and_then(|v| v.as_f64())
@@ -195,13 +167,13 @@ pub fn check_wall_regression(
     let new_ms = wall(fresh, "fresh")?;
     let base_ms = wall(baseline, "baseline")?;
     let ratio = new_ms / base_ms.max(1e-9);
-    if ratio > factor {
+    if ratio > REGRESSION_FACTOR {
         return Err(format!(
-            "wall-clock regression: {new_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}× > allowed {factor:.2}×)"
+            "wall-clock regression: {new_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}× > allowed {REGRESSION_FACTOR:.2}×)"
         ));
     }
     Ok(format!(
-        "wall clock {new_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}× ≤ {factor:.2}×)"
+        "wall clock {new_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}× ≤ {REGRESSION_FACTOR:.2}×)"
     ))
 }
 
@@ -223,26 +195,19 @@ const HOST_TIME_KEYS: [&str; 6] = [
 ///
 /// Skipped: the host-time leaves (`wall_ms`, `total_wall_ms`,
 /// `{ecmp,c4p}_drain_ms`, `{ecmp,c4p}_plan_ms`) and the run's thread
-/// budget `config.threads` — results are bit-identical at any thread
-/// count. The solver arena's `arena_hwm_bytes` is compared only when both
-/// documents ran at the same `config.threads`. The fresh document is
-/// compared as it would be written (through its JSON text), so a
-/// non-finite number matches the `null` it serializes to.
+/// budget `config.threads` — results, solver counters and
+/// `arena_hwm_bytes` included, are bit-identical at any thread count. The
+/// fresh document is compared as it would be written (through its JSON
+/// text), so a non-finite number matches the `null` it serializes to.
 ///
 /// # Errors
 ///
 /// `Err(message)` naming the first differing leaves (and how many differ
 /// in all) when any compared leaf differs or exists in only one document.
 /// `Ok` holds a one-line summary for the log.
-pub fn check_results_identical(fresh: &JsonValue, baseline: &JsonValue) -> Result<String, String> {
+fn check_results_identical(fresh: &JsonValue, baseline: &JsonValue) -> Result<String, String> {
     let fresh = JsonValue::parse(&fresh.to_string()).map_err(|e| format!("fresh document: {e}"))?;
-    let threads = |doc: &JsonValue| {
-        doc.get("config")
-            .and_then(|c| c.get("threads"))
-            .and_then(JsonValue::as_f64)
-    };
     let mut diff = LeafDiff {
-        same_threads: threads(&fresh) == threads(baseline),
         compared: 0,
         mismatches: Vec::new(),
     };
@@ -266,7 +231,6 @@ pub fn check_results_identical(fresh: &JsonValue, baseline: &JsonValue) -> Resul
 
 /// The tree walk behind [`check_results_identical`].
 struct LeafDiff {
-    same_threads: bool,
     compared: usize,
     mismatches: Vec<String>,
 }
@@ -280,11 +244,8 @@ impl LeafDiff {
                 format!("{path}.{key}")
             }
         };
-        let same_threads = self.same_threads;
         let compared = |(key, _): &&(String, JsonValue)| {
-            !(HOST_TIME_KEYS.contains(&key.as_str())
-                || (path == "config" && key == "threads")
-                || (key == "arena_hwm_bytes" && !same_threads))
+            !(HOST_TIME_KEYS.contains(&key.as_str()) || (path == "config" && key == "threads"))
         };
         match (fresh, base) {
             (JsonValue::Object(f), JsonValue::Object(b)) => {
@@ -326,32 +287,6 @@ impl LeafDiff {
                 }
             }
         }
-    }
-}
-
-/// Applies both `--check-against` gates to a fresh document: the exact
-/// result gate ([`check_results_identical`]) and the wall-clock gate
-/// ([`check_wall_regression`] at `wall_factor`). Logs each verdict to
-/// stderr and exits the process with status 1 if either fails.
-pub fn enforce_baseline_gates(fresh: &JsonValue, baseline: &JsonValue, wall_factor: f64) {
-    let mut failed = false;
-    for (gate, verdict) in [
-        ("result gate", check_results_identical(fresh, baseline)),
-        (
-            "perf gate",
-            check_wall_regression(fresh, baseline, wall_factor),
-        ),
-    ] {
-        match verdict {
-            Ok(msg) => eprintln!("{gate}: {msg}"),
-            Err(msg) => {
-                eprintln!("{gate} FAILED: {msg}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }
 
@@ -398,26 +333,45 @@ pub fn synth_drain_specs(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> 
         .collect()
 }
 
-/// Runs `routine` repeatedly for up to `budget` (≥ 1 call after one warm-up)
-/// and returns `(median_wall_us, samples)`: criterion-style medians for the
-/// `bench_maxmin` binary. Each call gets a fresh input from `setup`, which
-/// (like dropping the input afterwards) is not timed.
+/// The shortest span one timed sample covers, 10 µs, so that the
+/// `Instant` pair around it (0.02–0.04 µs) stays under 1 % of the sample.
+const MIN_SAMPLE: Duration = Duration::from_nanos(10_000);
+
+/// Runs `routine` repeatedly for up to `budget` (≥ 1 sample after the
+/// warm-up) and returns `(median_wall_us, samples, batch)`: criterion-style
+/// medians of one call for the `bench_maxmin` binary. Each call gets a
+/// fresh input from `setup`, which (like dropping the input afterwards) is
+/// not timed. A sample times a batch of calls back to back and reads the
+/// batch's time over its size. The warm-up, which is not sampled, sizes
+/// the batch: it doubles from 1 until one batch spans 10 µs, so a call
+/// that already does keeps a batch of 1.
 pub fn median_wall_us<S>(
     budget: Duration,
     mut setup: impl FnMut() -> S,
     mut routine: impl FnMut(&mut S),
-) -> (f64, usize) {
-    routine(&mut setup()); // warm-up, untimed
+) -> (f64, usize, usize) {
+    let mut inputs: Vec<S> = Vec::new();
+    let mut time_batch = |batch: usize| {
+        inputs.extend((0..batch).map(|_| setup()));
+        let start = Instant::now();
+        for input in &mut inputs {
+            routine(input);
+        }
+        let elapsed = start.elapsed();
+        inputs.clear();
+        elapsed
+    };
+    let mut batch = 1;
+    while time_batch(batch) < MIN_SAMPLE {
+        batch *= 2;
+    }
     let mut samples: Vec<f64> = Vec::new();
     let deadline = Instant::now() + budget;
     while samples.is_empty() || (Instant::now() < deadline && samples.len() < 1000) {
-        let mut input = setup();
-        let start = Instant::now();
-        routine(&mut input);
-        samples.push(start.elapsed().as_secs_f64() * 1e6);
+        samples.push(time_batch(batch).as_secs_f64() * 1e6 / batch as f64);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    (samples[samples.len() / 2], samples.len())
+    (samples[samples.len() / 2], samples.len(), batch)
 }
 
 /// Prints a header banner for an experiment.
@@ -442,9 +396,7 @@ mod tests {
         let c = Cli::with_defaults(8);
         assert_eq!(c.seed, 42);
         assert_eq!(c.iters, 8);
-        assert!(!c.json);
         assert!(c.sweep.is_none() && c.json_out.is_none() && c.check_against.is_none());
-        assert_eq!(c.parallel(), ParallelPolicy::default());
     }
 
     #[test]
@@ -454,10 +406,10 @@ mod tests {
             d.push("total_wall_ms", ms);
             d
         };
-        assert!(check_wall_regression(&doc(190.0), &doc(100.0), 2.0).is_ok());
-        let err = check_wall_regression(&doc(210.0), &doc(100.0), 2.0).unwrap_err();
+        assert!(check_wall_regression(&doc(190.0), &doc(100.0)).is_ok());
+        let err = check_wall_regression(&doc(210.0), &doc(100.0)).unwrap_err();
         assert!(err.contains("regression"), "{err}");
-        assert!(check_wall_regression(&JsonValue::object(), &doc(1.0), 2.0).is_err());
+        assert!(check_wall_regression(&JsonValue::object(), &doc(1.0)).is_err());
     }
 
     /// A small document shaped like the bench outputs.
@@ -504,12 +456,47 @@ mod tests {
     }
 
     #[test]
-    fn result_gate_skips_host_time_and_gates_the_arena_per_thread_count() {
+    fn result_gate_skips_host_time_and_gates_the_arena_at_any_thread_count() {
         let base = bench_doc(70.2, 100.0, 1, 4096);
         assert!(check_results_identical(&bench_doc(70.2, 250.0, 1, 4096), &base).is_ok());
-        let err = check_results_identical(&bench_doc(70.2, 100.0, 1, 8192), &base).unwrap_err();
-        assert!(err.contains("arena_hwm_bytes"), "{err}");
-        assert!(check_results_identical(&bench_doc(70.2, 100.0, 2, 8192), &base).is_ok());
+        assert!(check_results_identical(&bench_doc(70.2, 100.0, 2, 4096), &base).is_ok());
+        for threads in [1, 2] {
+            let fresh = bench_doc(70.2, 100.0, threads, 8192);
+            let err = check_results_identical(&fresh, &base).unwrap_err();
+            assert!(err.contains("arena_hwm_bytes"), "{threads} threads: {err}");
+        }
+    }
+
+    #[test]
+    fn finish_gates_against_the_old_file_and_leaves_the_fresh_document() {
+        let path =
+            std::env::temp_dir().join(format!("c4_bench_finish_{}.json", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let cli = Cli {
+            json_out: Some(path.clone()),
+            check_against: Some(path.clone()),
+            ..Cli::with_defaults(1)
+        };
+        let old = bench_doc(70.2, 100.0, 1, 4096);
+        let ulp = bench_doc(f64::from_bits(70.2f64.to_bits() + 1), 100.0, 1, 4096);
+        write_json(&path, &old);
+
+        assert!(write_and_gate(&cli, &old), "a bit-identical rerun passes");
+        assert!(
+            !write_and_gate(&cli, &ulp),
+            "one ulp off the file's old contents fails"
+        );
+        assert_eq!(
+            read_json(&path).unwrap(),
+            ulp,
+            "the file holds the fresh run"
+        );
+        assert!(
+            !write_and_gate(&cli, &old),
+            "the gate read the file before this run overwrote it"
+        );
+        assert_eq!(read_json(&path).unwrap(), old);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -527,23 +514,5 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.3119), "31.19%");
-    }
-
-    #[test]
-    fn csv_document_quotes_by_telemetry_rules() {
-        let doc = csv_document(
-            &["gpus", "note"],
-            &[
-                vec!["512".into(), "plain".into()],
-                vec!["1024".into(), "has,comma and \"quote\"".into()],
-            ],
-        );
-        assert_eq!(
-            doc,
-            "gpus,note\n512,plain\n1024,\"has,comma and \"\"quote\"\"\"\n"
-        );
-        // Round-trips through the telemetry splitter.
-        let fields = c4::prelude::split_fields(doc.lines().nth(2).unwrap()).unwrap();
-        assert_eq!(fields, vec!["1024", "has,comma and \"quote\""]);
     }
 }

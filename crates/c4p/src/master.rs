@@ -41,16 +41,11 @@ pub struct C4pConfig {
     /// engineering, the Fig 12a baseline), initial allocations stay put and
     /// flows on dead links fall back to uncoordinated ECMP rerouting.
     pub dynamic: bool,
-    /// EMA factor for observed QP rates (dynamic byte-splitting).
-    pub ema_alpha: f64,
 }
 
 impl Default for C4pConfig {
     fn default() -> Self {
-        C4pConfig {
-            dynamic: true,
-            ema_alpha: 0.5,
-        }
+        C4pConfig { dynamic: true }
     }
 }
 
@@ -162,11 +157,6 @@ impl C4pMaster {
         self
     }
 
-    /// The batch-selection thread budget.
-    pub fn parallel(&self) -> ParallelPolicy {
-        self.parallel
-    }
-
     /// The current path catalog.
     pub fn catalog(&self) -> &PathCatalog {
         &self.catalog
@@ -197,7 +187,9 @@ impl C4pMaster {
         if !self.cfg.dynamic {
             return;
         }
-        let a = self.cfg.ema_alpha;
+        // EMA factor: each observation moves a QP's weight halfway to its
+        // new rate.
+        const ALPHA: f64 = 0.5;
         for o in outcomes {
             let rate = if o.mean_rate > Bandwidth::ZERO {
                 o.mean_rate.as_gbps()
@@ -206,7 +198,7 @@ impl C4pMaster {
                 1.0
             };
             let e = self.rate_ema.entry(o.key).or_insert(rate);
-            *e = a * rate + (1.0 - a) * *e;
+            *e = ALPHA * rate + (1.0 - ALPHA) * *e;
         }
     }
 
@@ -664,13 +656,7 @@ mod tests {
     #[test]
     fn static_mode_falls_back_to_ecmp_on_dead_path() {
         let t0 = topo_grouped();
-        let mut m = C4pMaster::new(
-            &t0,
-            C4pConfig {
-                dynamic: false,
-                ema_alpha: 0.5,
-            },
-        );
+        let mut m = C4pMaster::new(&t0, C4pConfig { dynamic: false });
         let k = key(&t0, 0, 8, 0, 0);
         let a = m.select(&t0, &k);
         let path = a.fabric.unwrap();

@@ -7,24 +7,12 @@ use c4_topology::{GpuId, NodeId, Topology};
 use crate::alltoall::EpSkew;
 
 /// Tunables of the communication library.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CommConfig {
-    /// RDMA QPs per rail stream (the paper's ACCL opens multiple QPs per
-    /// connection and balances them over the bonded ports).
-    pub qps_per_stream: u16,
     /// Byte skew of all-to-all exchanges (EP hot-expert routing); ignored
     /// by every other collective kind. Skew scales bytes, not routes, so
     /// it can change per iteration without invalidating cached plans.
     pub ep_skew: EpSkew,
-}
-
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig {
-            qps_per_stream: 2,
-            ep_skew: EpSkew::default(),
-        }
-    }
 }
 
 /// A communicator: an ordered set of member GPUs (rank order) plus the

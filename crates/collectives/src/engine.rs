@@ -98,8 +98,8 @@ struct PlanSpec {
     intra: Vec<(FlowKey, Arc<[LinkId]>)>,
     /// Network flows in canonical (stream, QP) order, `qps` per stream.
     inter: Vec<(FlowKey, Arc<[LinkId]>)>,
-    /// QP flows per stream: the ring family's configured count, 1 for an
-    /// all-to-all (one flow per rank pair).
+    /// QP flows per stream: [`QPS_PER_STREAM`] for the ring family, 1 for
+    /// an all-to-all (one flow per rank pair).
     qps: u16,
 }
 
@@ -111,7 +111,6 @@ struct PlanSpec {
 struct PlanKey {
     comm: u64,
     incarnation: u32,
-    qps: u16,
     /// True for the pairwise all-to-all shape, false for the ring family.
     alltoall: bool,
 }
@@ -379,9 +378,9 @@ fn comm_key(comm: &Communicator, src: GpuId, dst: GpuId, channel: u16, qp: u16) 
 
 /// Builds the boundary-stream flow keys of one ring plan in the canonical
 /// (stream, qp) order — the order selectors have always been called in.
-fn boundary_keys(ring: &RingPlan, comm: &Communicator, qps: u16, out: &mut Vec<FlowKey>) {
+fn boundary_keys(ring: &RingPlan, comm: &Communicator, out: &mut Vec<FlowKey>) {
     for stream in &ring.boundaries {
-        for q in 0..qps {
+        for q in 0..QPS_PER_STREAM {
             let channel = stream.boundary as u16;
             out.push(comm_key(comm, stream.src_gpu, stream.dst_gpu, channel, q));
         }
@@ -437,6 +436,10 @@ fn assemble_plan(
     PlanSpec { intra, inter, qps }
 }
 
+/// RDMA QPs per rail stream of the ring family: the paper's ACCL opens
+/// several QPs per connection and balances them over the bonded ports.
+const QPS_PER_STREAM: u16 = 2;
+
 /// Resolves every request's route plan: cache hits are served directly;
 /// **all** cache misses are planned together — their flow keys concatenate
 /// in request order and go through one [`PathSelector::select_batch`] call,
@@ -460,17 +463,9 @@ fn plan_requests(
     for req in reqs {
         let comm = req.comm;
         let alltoall = req.kind == CollKind::AllToAll;
-        // All-to-all pins one QP per ordered pair; the ring family splits
-        // each rail stream over the configured QP count.
-        let qps = if alltoall {
-            1
-        } else {
-            req.config.qps_per_stream.max(1)
-        };
         let key = PlanKey {
             comm: comm.id(),
             incarnation: comm.incarnation(),
-            qps,
             alltoall,
         };
         let usable = match (cache.as_deref(), token) {
@@ -509,7 +504,7 @@ fn plan_requests(
                 .collect()
         } else {
             let ring = RingPlan::build(topo, comm);
-            boundary_keys(&ring, comm, qps, &mut all_keys);
+            boundary_keys(&ring, comm, &mut all_keys);
             ring.intra_edges
                 .iter()
                 .map(|&(src, dst)| comm_key(comm, src, dst, u16::MAX, 0))
@@ -535,12 +530,15 @@ fn plan_requests(
     let mut owned: Vec<PlanSpec> = Vec::with_capacity(pending.len());
     for (i, p) in pending.iter().enumerate() {
         let keys = p.key_start..pending.get(i + 1).map_or(all_keys.len(), |n| n.key_start);
+        // All-to-all pins one QP per ordered pair; the ring family splits
+        // each rail stream over QPS_PER_STREAM.
+        let qps = if p.key.alltoall { 1 } else { QPS_PER_STREAM };
         let plan = assemble_plan(
             topo,
             &p.intra,
             &all_keys[keys.clone()],
             &choices[keys],
-            p.key.qps,
+            qps,
             p.parallel,
         );
         match (cache.as_deref_mut(), token) {
@@ -1257,7 +1255,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_in_one_call_build_their_plan_once() {
-        // Two requests on the same (comm, incarnation, qps) in a single
+        // Two requests on the same (comm, incarnation, shape) in a single
         // run_concurrent_cached call: the first builds the plan, the
         // second must be served from it — one miss, one hit, exactly as
         // the per-request cache lookup behaved.

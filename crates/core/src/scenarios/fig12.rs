@@ -193,13 +193,7 @@ fn run_inner(
         ..DrainConfig::default()
     };
     let mut rng = DetRng::seed_from(seed);
-    let mut selector = C4pMaster::new(
-        &topo,
-        C4pConfig {
-            dynamic,
-            ema_alpha: 0.5,
-        },
-    );
+    let mut selector = C4pMaster::new(&topo, C4pConfig { dynamic });
 
     // Leaf 0's eight uplinks, one per spine.
     let uplinks: Vec<_> = (0..topo.num_spines())
@@ -426,14 +420,7 @@ pub fn run_scale(cfg: &FaultScaleConfig, dynamic: bool) -> FaultScaleReport {
         ..DrainConfig::default()
     };
     let mut rng = DetRng::seed_from(cfg.seed ^ 0xF12);
-    let mut selector = C4pMaster::new(
-        &topo,
-        C4pConfig {
-            dynamic,
-            ema_alpha: 0.5,
-        },
-    )
-    .with_parallel(cfg.parallel);
+    let mut selector = C4pMaster::new(&topo, C4pConfig { dynamic }).with_parallel(cfg.parallel);
     let mut cache = c4_collectives::PlanCache::new();
 
     let mut pre = (0.0_f64, 0usize);

@@ -395,7 +395,6 @@ impl HybridJob {
 
         let config = CommConfig {
             ep_skew: self.spec.ep_skew,
-            ..CommConfig::default()
         };
         for phase in order {
             if phase.comms.is_empty() {

@@ -119,16 +119,16 @@ proptest! {
         let dynamic = dynamic_pick == 1;
         let mut topo = build_topo(nodes, spines, uplinks, groups);
         let mut rng = DetRng::seed_from(seed);
-        let cfg = C4pConfig { dynamic, ema_alpha: 0.5 };
+        let cfg = C4pConfig { dynamic };
 
         let mut serial = C4pMaster::new(&topo, cfg);
-        let mut batch: Vec<C4pMaster> = [2usize, 4]
+        let mut batch: Vec<(usize, C4pMaster)> = [2usize, 4]
             .iter()
             .map(|&t| {
                 let mut m = C4pMaster::new(&topo, cfg)
                     .with_parallel(ParallelPolicy::with_threads(t));
                 m.set_batch_min_keys(1);
-                m
+                (t, m)
             })
             .collect();
 
@@ -167,7 +167,7 @@ proptest! {
                 }
                 if rng.chance(0.5) {
                     serial.rebalance(&topo);
-                    for m in batch.iter_mut() {
+                    for (_, m) in batch.iter_mut() {
                         m.rebalance(&topo);
                     }
                 }
@@ -186,8 +186,7 @@ proptest! {
 
             let expected: Vec<PathChoice> =
                 keys.iter().map(|k| serial.select(&topo, k)).collect();
-            for m in batch.iter_mut() {
-                let threads = m.parallel().threads();
+            for (threads, m) in batch.iter_mut() {
                 let got = m.select_batch(&topo, &keys);
                 prop_assert_eq!(
                     &got,
@@ -198,8 +197,7 @@ proptest! {
                 );
             }
             seen.extend(keys);
-            for m in &batch {
-                let threads = m.parallel().threads();
+            for (threads, m) in &batch {
                 assert_masters_agree(
                     m,
                     &serial,

@@ -123,7 +123,7 @@ proptest! {
                 kind: CollKind::AllToAll,
                 dtype: DataType::Bf16,
                 count: 1024 * 1024,
-                config: CommConfig { ep_skew, ..CommConfig::default() },
+                config: CommConfig { ep_skew },
                 start: SimTime::ZERO,
                 rank_ready: None,
                 drain: DrainConfig::default(),
@@ -190,7 +190,7 @@ proptest! {
             keys.push(keys[rng.index(keys.len())]);
         }
 
-        let cfg = C4pConfig { dynamic: dynamic_pick == 1, ema_alpha: 0.5 };
+        let cfg = C4pConfig { dynamic: dynamic_pick == 1 };
         let mut serial = C4pMaster::new(&topo, cfg);
         let expected: Vec<PathChoice> = keys.iter().map(|k| serial.select(&topo, k)).collect();
         for threads in [2usize, 4] {
@@ -321,10 +321,7 @@ fn batch_planning_matches_sequential_planning() {
             kind: CollKind::AllToAll,
             dtype: DataType::Bf16,
             count: 256 * 1024,
-            config: CommConfig {
-                ep_skew: skew,
-                ..CommConfig::default()
-            },
+            config: CommConfig { ep_skew: skew },
             start: SimTime::ZERO,
             rank_ready: None,
             drain: DrainConfig::default(),

@@ -35,6 +35,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("ledger", "(a) C4pMaster::ledger: tests/c4p_differential.rs"),
     ("from_micros", "(a) SimDuration::from_micros: tests/maxmin_differential.rs"),
     ("flow_count", "(a) AllToAllPlan::flow_count: tests/hybrid_differential.rs"),
+    ("set_batch_min_keys", "(a) C4pMaster::set_batch_min_keys: tests/c4p_differential.rs, until ROADMAP item 8 deletes the partition"),
     ("inject_event", "(b) FleetController::inject_event: fault set-up in recovery_paths.rs"),
     ("job_nodes", "(b) FleetController::job_nodes: aims faults at live jobs in recovery_paths.rs"),
     ("tiny", "(b) ClosConfig::tiny: the smallest fabric, set-up of most tests"),
@@ -47,7 +48,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("stalled", "(b) DrainReport::stalled: observed in tests/{workspace_smoke,dead_port_no_deadline}.rs"),
     ("restart", "(b) TrainingJob::restart: examples/fault_detection restarts after the swap"),
     ("goodput_fraction", "(b) JobAccounting::goodput_fraction: printed by the fleet_soak example"),
-    ("set_batch_min_keys", "(c) C4pMaster::set_batch_min_keys: ROADMAP item 4"),
     ("with_lateness", "(c) WindowSpec::with_lateness: ROADMAP item 6 (late-dropped durations)"),
 ];
 
