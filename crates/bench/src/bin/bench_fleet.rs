@@ -53,7 +53,7 @@ fn main() {
     );
     println!(
         "control loop: {} detections, {} isolations, {} replacements, {} DP shrinks, {} retries, {} escalations, {} repairs returned",
-        r.detections, r.isolations, r.replacements, r.dp_shrinks, r.retries, r.escalations, r.repairs_returned,
+        r.detections, r.isolations, r.replacements, r.dp_shrinks(), r.retries(), r.escalations, r.repairs_returned,
     );
     println!(
         "detection: {} completed-collective durations dropped late by the health windows",

@@ -13,32 +13,14 @@ use c4_telemetry::{CommRecord, TelemetrySnapshot};
 
 use crate::matrix::MatrixFinding;
 
-/// Detector thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// How long a collective may stay in flight before it counts as hung.
-    /// C4D detects in tens of seconds — vs the 30-minute PyTorch elastic
-    /// watchdog the paper contrasts with (§IV-B1).
-    pub hang_timeout: SimDuration,
-    /// Delay-matrix abnormality factor vs the median baseline.
-    pub slow_factor: f64,
-    /// Fraction of abnormal row/column entries to call Tx/Rx slow.
-    pub row_col_fraction: f64,
-    /// Straggler threshold: a rank whose compute time exceeds the median by
-    /// this factor is a non-communication-slow suspect.
-    pub straggler_factor: f64,
-}
+/// How long a collective may stay in flight before it counts as hung.
+/// C4D detects in tens of seconds — vs the 30-minute PyTorch elastic
+/// watchdog the paper contrasts with (§IV-B1).
+pub const HANG_TIMEOUT: SimDuration = SimDuration::from_secs(15);
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            hang_timeout: SimDuration::from_secs(15),
-            slow_factor: 2.0,
-            row_col_fraction: 0.7,
-            straggler_factor: 1.5,
-        }
-    }
-}
+/// Straggler threshold: a rank whose compute time exceeds the median by
+/// this factor is a non-communication-slow suspect.
+pub(crate) const STRAGGLER_FACTOR: f64 = 1.5;
 
 /// A detected anomaly syndrome.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +70,6 @@ pub fn detect_hang(
     now: SimTime,
     comm: &CommRecord,
     snapshots: &[TelemetrySnapshot],
-    cfg: &DetectorConfig,
 ) -> Option<Syndrome> {
     assert_eq!(
         snapshots.len(),
@@ -126,7 +107,7 @@ pub fn detect_hang(
 
     // The anchor must have been outstanding long enough.
     let timed_out = oldest_start
-        .map(|t| now - t >= cfg.hang_timeout)
+        .map(|t| now - t >= HANG_TIMEOUT)
         .unwrap_or(false);
     if !timed_out {
         return None;
@@ -156,7 +137,6 @@ pub fn detect_hang(
 pub fn detect_noncomm_slow(
     comm: &CommRecord,
     snapshots: &[TelemetrySnapshot],
-    cfg: &DetectorConfig,
 ) -> Option<Syndrome> {
     assert_eq!(snapshots.len(), comm.nranks());
     let mut means: Vec<f64> = Vec::with_capacity(snapshots.len());
@@ -174,7 +154,7 @@ pub fn detect_noncomm_slow(
     }
     // The shared straggler test handles non-finite means (NaN / the INFINITY
     // "nothing observed" sentinel) by excluding them instead of panicking.
-    let (straggler, ratio) = crate::smoothing::raw_straggler(&means, cfg.straggler_factor)?;
+    let (straggler, ratio) = crate::smoothing::raw_straggler(&means, STRAGGLER_FACTOR)?;
     Some(Syndrome::NonCommSlow {
         comm: comm.comm,
         straggler: straggler as u32,
@@ -232,8 +212,7 @@ mod tests {
                 .map(|r| vec![coll(5, r, 10, None)])
                 .collect::<Vec<_>>(),
         );
-        let cfg = DetectorConfig::default();
-        let syn = detect_hang(SimTime::from_secs(60), &comm, &snaps, &cfg).unwrap();
+        let syn = detect_hang(SimTime::from_secs(60), &comm, &snaps).unwrap();
         match syn {
             Syndrome::CommHang {
                 seq, stuck_ranks, ..
@@ -252,8 +231,7 @@ mod tests {
             (0..4u32).map(|r| vec![coll(5, r, 10, None)]).collect();
         colls[2] = vec![coll(4, 2, 5, Some(9))]; // rank 2 never launched seq 5
         let snaps = snapshots_with(colls);
-        let cfg = DetectorConfig::default();
-        let syn = detect_hang(SimTime::from_secs(60), &comm, &snaps, &cfg).unwrap();
+        let syn = detect_hang(SimTime::from_secs(60), &comm, &snaps).unwrap();
         match syn {
             Syndrome::NonCommHang {
                 seq, missing_ranks, ..
@@ -269,9 +247,8 @@ mod tests {
     fn no_hang_before_timeout() {
         let comm = comm_of(2);
         let snaps = snapshots_with(vec![vec![coll(1, 0, 50, None)], vec![coll(1, 1, 50, None)]]);
-        let cfg = DetectorConfig::default();
-        assert!(detect_hang(SimTime::from_secs(55), &comm, &snaps, &cfg).is_none());
-        assert!(detect_hang(SimTime::from_secs(66), &comm, &snaps, &cfg).is_some());
+        assert!(detect_hang(SimTime::from_secs(55), &comm, &snaps).is_none());
+        assert!(detect_hang(SimTime::from_secs(66), &comm, &snaps).is_some());
     }
 
     #[test]
@@ -281,16 +258,14 @@ mod tests {
             vec![coll(1, 0, 10, Some(12))],
             vec![coll(1, 1, 10, Some(12))],
         ]);
-        let cfg = DetectorConfig::default();
-        assert!(detect_hang(SimTime::from_secs(100), &comm, &snaps, &cfg).is_none());
+        assert!(detect_hang(SimTime::from_secs(100), &comm, &snaps).is_none());
     }
 
     #[test]
     fn empty_history_is_silent() {
         let comm = comm_of(2);
         let snaps = snapshots_with(vec![vec![], vec![]]);
-        let cfg = DetectorConfig::default();
-        assert!(detect_hang(SimTime::from_secs(100), &comm, &snaps, &cfg).is_none());
+        assert!(detect_hang(SimTime::from_secs(100), &comm, &snaps).is_none());
     }
 
     fn rank_snaps(computes_ms: &[Vec<u64>]) -> Vec<TelemetrySnapshot> {
@@ -323,8 +298,7 @@ mod tests {
             vec![300, 310, 290], // rank 2 is 3× slower
             vec![98, 102, 100],
         ]);
-        let cfg = DetectorConfig::default();
-        let syn = detect_noncomm_slow(&comm, &snaps, &cfg).unwrap();
+        let syn = detect_noncomm_slow(&comm, &snaps).unwrap();
         match syn {
             Syndrome::NonCommSlow {
                 straggler, ratio, ..
@@ -340,15 +314,13 @@ mod tests {
     fn homogeneous_ranks_are_silent() {
         let comm = comm_of(3);
         let snaps = rank_snaps(&[vec![100, 101], vec![99, 100], vec![102, 98]]);
-        let cfg = DetectorConfig::default();
-        assert!(detect_noncomm_slow(&comm, &snaps, &cfg).is_none());
+        assert!(detect_noncomm_slow(&comm, &snaps).is_none());
     }
 
     #[test]
     fn missing_rank_data_defers_detection() {
         let comm = comm_of(2);
         let snaps = rank_snaps(&[vec![100], vec![]]);
-        let cfg = DetectorConfig::default();
-        assert!(detect_noncomm_slow(&comm, &snaps, &cfg).is_none());
+        assert!(detect_noncomm_slow(&comm, &snaps).is_none());
     }
 }

@@ -43,11 +43,11 @@ pub mod smoothing;
 pub mod steering;
 pub mod streaming;
 
-pub use detectors::{detect_hang, detect_noncomm_slow, DetectorConfig, Syndrome};
+pub use detectors::{detect_hang, detect_noncomm_slow, Syndrome, HANG_TIMEOUT};
 pub use master::{C4dMaster, Diagnosis};
 pub use matrix::{DelayMatrix, MatrixFinding};
 pub use smoothing::{raw_straggler, LoadSmoother};
-pub use steering::{JobSteering, ReplacementPlan, SteeringConfig, SteeringError};
+pub use steering::{JobSteering, ReplacementPlan, SteeringError, STEERING_TURNAROUND};
 pub use streaming::{
     CollHealthDetector, StepVerdict, StreamSmoother, StreamVerdict, StreamingC4dMaster,
 };

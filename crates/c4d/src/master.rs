@@ -5,7 +5,7 @@ use c4_simcore::SimTime;
 use c4_telemetry::{C4Event, CommRecord, EventKind, EventLog, Severity, TelemetrySnapshot};
 use c4_topology::{NodeId, Topology};
 
-use crate::detectors::{detect_hang, detect_noncomm_slow, DetectorConfig, Syndrome};
+use crate::detectors::{detect_hang, detect_noncomm_slow, Syndrome};
 use crate::matrix::{DelayMatrix, MatrixFinding};
 
 /// A localized diagnosis ready for the steering service.
@@ -21,25 +21,22 @@ pub struct Diagnosis {
     pub critical: bool,
 }
 
+/// Delay-matrix abnormality factor vs the median baseline.
+pub(crate) const SLOW_FACTOR: f64 = 2.0;
+
+/// Fraction of abnormal row/column entries to call Tx/Rx slow.
+pub(crate) const ROW_COL_FRACTION: f64 = 0.7;
+
 /// The central analysis master.
 #[derive(Debug, Clone, Default)]
 pub struct C4dMaster {
-    cfg: DetectorConfig,
     log: EventLog,
 }
 
 impl C4dMaster {
-    /// Creates a master with the given thresholds.
-    pub fn new(cfg: DetectorConfig) -> Self {
-        C4dMaster {
-            cfg,
-            log: EventLog::new(),
-        }
-    }
-
-    /// The detector configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
+    /// Creates a master with an empty event log.
+    pub fn new() -> Self {
+        C4dMaster::default()
     }
 
     /// The accumulated event log (`events.csv`).
@@ -59,7 +56,7 @@ impl C4dMaster {
     ) -> Vec<Diagnosis> {
         // Hang syndromes (critical). For a comm hang the transport-level
         // stalled rank refines the suspect inside `emit_diagnoses`.
-        let hang = detect_hang(now, comm, snapshots, &self.cfg).map(|syndrome| {
+        let hang = detect_hang(now, comm, snapshots).map(|syndrome| {
             let stalled = matches!(syndrome, Syndrome::CommHang { .. })
                 .then(|| {
                     stalled_rank_from_conns(comm, snapshots.iter().flat_map(|s| s.conns.iter()))
@@ -73,10 +70,10 @@ impl C4dMaster {
             &comm.devices,
             snapshots.iter().flat_map(|s| s.conns.iter()),
         );
-        let findings = matrix.analyze(self.cfg.slow_factor, self.cfg.row_col_fraction);
+        let findings = matrix.analyze(SLOW_FACTOR, ROW_COL_FRACTION);
 
         // Non-communication slow (warning): straggler rank.
-        let noncomm = detect_noncomm_slow(comm, snapshots, &self.cfg);
+        let noncomm = detect_noncomm_slow(comm, snapshots);
 
         emit_diagnoses(now, topo, comm, hang, findings, noncomm, &mut self.log)
     }
@@ -312,7 +309,7 @@ mod tests {
         let t = topo();
         let comm = comm_of(&t, 16);
         let snaps = hang_snapshots(&comm, 11);
-        let mut master = C4dMaster::new(DetectorConfig::default());
+        let mut master = C4dMaster::new();
         let diags = master.scan(SimTime::from_secs(60), &t, &comm, &snaps);
         let hang = diags
             .iter()
@@ -356,7 +353,7 @@ mod tests {
                 w.snapshot(SimTime::from_secs(60))
             })
             .collect();
-        let mut master = C4dMaster::new(DetectorConfig::default());
+        let mut master = C4dMaster::new();
         let diags = master.scan(SimTime::from_secs(60), &t, &comm, &snaps);
         assert!(diags.is_empty());
         assert!(master.log().is_empty());
@@ -395,7 +392,7 @@ mod tests {
                 w.snapshot(SimTime::from_secs(60))
             })
             .collect();
-        let mut master = C4dMaster::new(DetectorConfig::default());
+        let mut master = C4dMaster::new();
         let diags = master.scan(SimTime::from_secs(60), &t, &comm, &snaps);
         let slow = diags
             .iter()

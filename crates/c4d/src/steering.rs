@@ -9,25 +9,11 @@ use c4_simcore::{SimDuration, SimTime};
 use c4_telemetry::{C4Event, EventKind, EventLog, Severity};
 use c4_topology::{NodeId, Topology};
 
-/// Timing model of the steering path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SteeringConfig {
-    /// Time to cordon the node and update scheduling state.
-    pub isolation_delay: SimDuration,
-    /// Time to tear down and relaunch the job processes.
-    pub restart_delay: SimDuration,
-}
-
-impl Default for SteeringConfig {
-    fn default() -> Self {
-        // "additional minutes are still required by the steering service"
-        // (§IV-B1): ~1 min to isolate, ~2 min to restart.
-        SteeringConfig {
-            isolation_delay: SimDuration::from_secs(60),
-            restart_delay: SimDuration::from_secs(120),
-        }
-    }
-}
+/// Time from diagnosis to a restart-ready job: "additional minutes are
+/// still required by the steering service" (§IV-B1), ~1 min to cordon the
+/// node and update scheduling state plus ~2 min to tear down and relaunch
+/// the job processes.
+pub const STEERING_TURNAROUND: SimDuration = SimDuration::from_secs(60 + 120);
 
 /// What a successful isolate-and-replace produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +49,6 @@ impl std::error::Error for SteeringError {}
 /// The steering service: owns the backup pool and the isolation ledger.
 #[derive(Debug, Clone)]
 pub struct JobSteering {
-    cfg: SteeringConfig,
     backups: Vec<NodeId>,
     isolated: Vec<NodeId>,
     log: EventLog,
@@ -71,9 +56,8 @@ pub struct JobSteering {
 
 impl JobSteering {
     /// Creates a steering service with the given backup pool.
-    pub fn new(cfg: SteeringConfig, backups: Vec<NodeId>) -> Self {
+    pub fn new(backups: Vec<NodeId>) -> Self {
         JobSteering {
-            cfg,
             backups,
             isolated: Vec::new(),
             log: EventLog::new(),
@@ -128,7 +112,7 @@ impl JobSteering {
             .backups
             .pop()
             .ok_or(SteeringError::BackupPoolExhausted)?;
-        let ready_at = now + self.cfg.isolation_delay + self.cfg.restart_delay;
+        let ready_at = now + STEERING_TURNAROUND;
         self.log.push(C4Event {
             time: ready_at,
             severity: Severity::Info,
@@ -151,11 +135,6 @@ impl JobSteering {
         topo.set_node_healthy(node, true);
         self.backups.push(node);
     }
-
-    /// Total time from diagnosis to a restart-ready job.
-    pub fn turnaround(&self) -> SimDuration {
-        self.cfg.isolation_delay + self.cfg.restart_delay
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +148,7 @@ mod tests {
 
     fn steering(n_backups: usize) -> JobSteering {
         let backups = (0..n_backups).map(|i| NodeId::from_index(15 - i)).collect();
-        JobSteering::new(SteeringConfig::default(), backups)
+        JobSteering::new(backups)
     }
 
     #[test]
@@ -245,7 +224,10 @@ mod tests {
 
     #[test]
     fn turnaround_is_sum_of_delays() {
-        let s = steering(1);
-        assert_eq!(s.turnaround(), SimDuration::from_secs(180));
+        // ~1 min to isolate plus ~2 min to restart (§IV-B1).
+        assert_eq!(
+            STEERING_TURNAROUND,
+            SimDuration::from_mins(1) + SimDuration::from_mins(2)
+        );
     }
 }

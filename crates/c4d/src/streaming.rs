@@ -43,8 +43,10 @@ use c4_telemetry::pipeline::{TelemetryEvent, WindowSpec, WindowedAggregate};
 use c4_telemetry::{CollRecord, CommRecord, ConnKey, ConnRecord, EventLog, RankRecord};
 use c4_topology::{GpuId, Topology};
 
-use crate::detectors::{DetectorConfig, Syndrome};
-use crate::master::{emit_diagnoses, stalled_rank_from_conns, Diagnosis};
+use crate::detectors::{Syndrome, HANG_TIMEOUT, STRAGGLER_FACTOR};
+use crate::master::{
+    emit_diagnoses, stalled_rank_from_conns, Diagnosis, ROW_COL_FRACTION, SLOW_FACTOR,
+};
 use crate::matrix::{DelayMatrix, MatrixFinding, MatrixScratch};
 use crate::smoothing::raw_straggler;
 
@@ -156,7 +158,7 @@ impl HangState {
 
     /// The batch [`detect_hang`](crate::detectors::detect_hang) verdict,
     /// replicated from incremental state.
-    fn syndrome(&self, now: SimTime, comm: u64, cfg: &DetectorConfig) -> Option<Syndrome> {
+    fn syndrome(&self, now: SimTime, comm: u64) -> Option<Syndrome> {
         let seq = self.latest.iter().flatten().map(|l| l.seq).max()?;
         let mut stuck = Vec::new();
         let mut missing = Vec::new();
@@ -176,7 +178,7 @@ impl HangState {
             }
         }
         let timed_out = oldest_start
-            .map(|t| now - t >= cfg.hang_timeout)
+            .map(|t| now - t >= HANG_TIMEOUT)
             .unwrap_or(false);
         if !timed_out {
             return None;
@@ -277,7 +279,6 @@ impl StreamingStragglerDetector {
 /// [`scan`]: StreamingC4dMaster::scan
 #[derive(Debug)]
 pub struct StreamingC4dMaster {
-    cfg: DetectorConfig,
     comm: CommRecord,
     log: EventLog,
     hang: HangState,
@@ -287,11 +288,10 @@ pub struct StreamingC4dMaster {
 
 impl StreamingC4dMaster {
     /// Creates a streaming master for one communicator.
-    pub fn new(cfg: DetectorConfig, comm: CommRecord) -> Self {
+    pub fn new(comm: CommRecord) -> Self {
         let nranks = comm.nranks();
         let id = comm.comm;
         StreamingC4dMaster {
-            cfg,
             hang: HangState::new(nranks),
             conns: StreamingDelayMatrix::default(),
             ranks: StreamingStragglerDetector::new(id, nranks),
@@ -317,11 +317,6 @@ impl StreamingC4dMaster {
         self.log = EventLog::new();
     }
 
-    /// The detector configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     /// The accumulated event log (`events.csv`).
     pub fn log(&self) -> &EventLog {
         &self.log
@@ -341,21 +336,16 @@ impl StreamingC4dMaster {
     /// empty). The batch-equivalent of
     /// [`C4dMaster::scan`](crate::master::C4dMaster::scan).
     pub fn scan(&mut self, now: SimTime, topo: &Topology) -> Vec<Diagnosis> {
-        let hang = self
-            .hang
-            .syndrome(now, self.comm.comm, &self.cfg)
-            .map(|syndrome| {
-                let stalled = matches!(syndrome, Syndrome::CommHang { .. })
-                    .then(|| stalled_rank_from_conns(&self.comm, self.conns.connections()))
-                    .flatten();
-                (syndrome, stalled)
-            });
-        let findings = self.conns.analyze(
-            &self.comm.devices,
-            self.cfg.slow_factor,
-            self.cfg.row_col_fraction,
-        );
-        let noncomm = self.ranks.syndrome(self.cfg.straggler_factor);
+        let hang = self.hang.syndrome(now, self.comm.comm).map(|syndrome| {
+            let stalled = matches!(syndrome, Syndrome::CommHang { .. })
+                .then(|| stalled_rank_from_conns(&self.comm, self.conns.connections()))
+                .flatten();
+            (syndrome, stalled)
+        });
+        let findings = self
+            .conns
+            .analyze(&self.comm.devices, SLOW_FACTOR, ROW_COL_FRACTION);
+        let noncomm = self.ranks.syndrome(STRAGGLER_FACTOR);
         emit_diagnoses(
             now,
             topo,
@@ -665,10 +655,10 @@ mod tests {
         let snaps = hang_snapshots(&comm, 11);
         let now = SimTime::from_secs(60);
 
-        let mut batch = C4dMaster::new(DetectorConfig::default());
+        let mut batch = C4dMaster::new();
         let batch_diags = batch.scan(now, &t, &comm, &snaps);
 
-        let mut stream = StreamingC4dMaster::new(DetectorConfig::default(), comm.clone());
+        let mut stream = StreamingC4dMaster::new(comm.clone());
         for event in events_from_snapshots(&snaps) {
             stream.feed(&event);
         }
@@ -724,9 +714,8 @@ mod tests {
     #[test]
     fn a_reset_master_scans_like_a_fresh_one() {
         let t = topo();
-        let cfg = DetectorConfig::default();
         let big = comm_of(&t, 16);
-        let mut master = StreamingC4dMaster::new(cfg, big.clone());
+        let mut master = StreamingC4dMaster::new(big.clone());
         for event in events_from_snapshots(&hang_snapshots(&big, 11)) {
             master.feed(&event);
         }
@@ -740,7 +729,7 @@ mod tests {
         };
         let snaps = slow_sender_snapshots(&small, 3);
         master.reset(small.comm, &small.devices, small.created);
-        let mut fresh = StreamingC4dMaster::new(cfg, small.clone());
+        let mut fresh = StreamingC4dMaster::new(small.clone());
         for event in events_from_snapshots(&snaps) {
             master.feed(&event);
             fresh.feed(&event);
@@ -806,15 +795,14 @@ mod tests {
             })
             .collect();
 
-        let batch =
-            crate::detectors::detect_noncomm_slow(&comm, &snaps, &DetectorConfig::default());
+        let batch = crate::detectors::detect_noncomm_slow(&comm, &snaps);
         let mut stream = StreamingStragglerDetector::new(comm.comm, comm.nranks());
         for event in events_from_snapshots(&snaps) {
             if let TelemetryEvent::Rank(r) = event {
                 stream.feed(&r);
             }
         }
-        let streamed = stream.syndrome(DetectorConfig::default().straggler_factor);
+        let streamed = stream.syndrome(STRAGGLER_FACTOR);
         assert_eq!(streamed, batch);
         match streamed.expect("rank 2 is 3× slower") {
             Syndrome::NonCommSlow { straggler, .. } => assert_eq!(straggler, 2),

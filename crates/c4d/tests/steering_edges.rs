@@ -3,7 +3,7 @@
 //! (never a panic), and timing consistency over repeated
 //! isolate → repair → isolate cycles.
 
-use c4_diagnosis::{JobSteering, SteeringConfig, SteeringError};
+use c4_diagnosis::{JobSteering, SteeringError, STEERING_TURNAROUND};
 use c4_simcore::{SimDuration, SimTime};
 use c4_telemetry::EventKind;
 use c4_topology::{ClosConfig, NodeId, Topology};
@@ -14,7 +14,7 @@ fn topo() -> Topology {
 
 fn steering(n_backups: usize) -> JobSteering {
     let backups = (0..n_backups).map(|i| NodeId::from_index(15 - i)).collect();
-    JobSteering::new(SteeringConfig::default(), backups)
+    JobSteering::new(backups)
 }
 
 #[test]
@@ -76,8 +76,8 @@ fn exhaustion_is_an_error_that_repair_later_clears() {
 fn repeated_isolate_repair_cycles_keep_turnaround_consistent() {
     let mut t = topo();
     let mut s = steering(2);
-    let expected = s.turnaround();
-    assert_eq!(expected, SimDuration::from_secs(180), "default config");
+    let expected = STEERING_TURNAROUND;
+    assert_eq!(expected, SimDuration::from_secs(180));
 
     let mut now = SimTime::ZERO;
     for cycle in 0..10usize {
@@ -91,7 +91,6 @@ fn repeated_isolate_repair_cycles_keep_turnaround_consistent() {
             expected,
             "cycle {cycle}: ready_at must always be now + turnaround"
         );
-        assert_eq!(s.turnaround(), expected, "turnaround is state-free");
         s.return_repaired(&mut t, victim);
         assert!(s.isolated().is_empty(), "cycle {cycle}: ledger cleared");
         assert!(

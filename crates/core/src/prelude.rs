@@ -41,9 +41,8 @@ pub use c4_faults::{
 
 pub use c4_diagnosis::{
     detect_hang, detect_noncomm_slow, raw_straggler, C4dMaster, CollHealthDetector, DelayMatrix,
-    DetectorConfig, Diagnosis, JobSteering, LoadSmoother, MatrixFinding, ReplacementPlan,
-    SteeringConfig, SteeringError, StepVerdict, StreamSmoother, StreamVerdict, StreamingC4dMaster,
-    Syndrome,
+    Diagnosis, JobSteering, LoadSmoother, MatrixFinding, ReplacementPlan, SteeringError,
+    StepVerdict, StreamSmoother, StreamVerdict, StreamingC4dMaster, Syndrome,
 };
 
 pub use c4_traffic::{C4pConfig, C4pMaster, PathCatalog, PathLoadLedger};

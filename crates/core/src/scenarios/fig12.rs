@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use c4_collectives::{run_concurrent, CollectiveRequest, Communicator};
-use c4_diagnosis::{C4dMaster, DetectorConfig, Diagnosis, StreamingC4dMaster};
+use c4_diagnosis::{C4dMaster, Diagnosis, StreamingC4dMaster};
 use c4_netsim::{CnpModel, DrainConfig};
 use c4_simcore::{DetRng, JsonValue, SimTime};
 use c4_telemetry::csv::{parse_csv_document, to_csv_document};
@@ -319,17 +319,16 @@ pub struct Fig12Detection {
 /// `streaming_differential` integration test pins.
 pub fn run_detection(tele: &Fig12Telemetry) -> Fig12Detection {
     let topo = Topology::build(&fig12_testbed());
-    let cfg = DetectorConfig::default();
     let snaps = tele.snapshots();
     let now = tele.taken();
 
-    let mut batch = C4dMaster::new(cfg);
+    let mut batch = C4dMaster::new();
     let batch_diags = batch.scan(now, &topo, tele.comm(), &snaps);
 
     // Live feed: the canonical event order of the snapshot set, recorded
     // to CSV.
     let events = events_from_snapshots(&snaps);
-    let mut live = StreamingC4dMaster::new(cfg, tele.comm().clone());
+    let mut live = StreamingC4dMaster::new(tele.comm().clone());
     for e in &events {
         live.feed(e);
     }
@@ -339,7 +338,7 @@ pub fn run_detection(tele: &Fig12Telemetry) -> Fig12Detection {
     // Replay: parse the recorded stream and drive a fresh master.
     let replay_events: Vec<TelemetryEvent> =
         parse_csv_document(&events_csv).expect("lossless transport");
-    let mut replay = StreamingC4dMaster::new(cfg, tele.comm().clone());
+    let mut replay = StreamingC4dMaster::new(tele.comm().clone());
     for e in &replay_events {
         replay.feed(e);
     }

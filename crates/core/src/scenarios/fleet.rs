@@ -13,7 +13,11 @@
 
 use std::time::Instant;
 
-use c4_fleet::{FleetConfig, FleetController, FleetReport, Reconciliation};
+use c4_diagnosis::{HANG_TIMEOUT, STEERING_TURNAROUND};
+use c4_fleet::{
+    FleetConfig, FleetController, FleetReport, Reconciliation, CHECKPOINT_INTERVAL,
+    LOCALIZE_DELAY, REINIT,
+};
 use c4_simcore::{JsonValue, SimDuration};
 use c4_topology::Topology;
 use c4_trainsim::{
@@ -36,7 +40,6 @@ pub fn matched_operation(cfg: &FleetConfig) -> OperationConfig {
     let topo = Topology::build(&cfg.clos);
     let nodes = topo.num_nodes().saturating_sub(cfg.backup_nodes).max(1);
     let gpus_per_node = topo.num_gpus() / topo.num_nodes().max(1);
-    let turnaround = cfg.steering.isolation_delay + cfg.steering.restart_delay;
     // DetRng::lognormal needs a positive median; sigma 0 makes the 1 s
     // tails exact constants, keeping the model as deterministic as the
     // fleet's charges.
@@ -46,22 +49,22 @@ pub fn matched_operation(cfg: &FleetConfig) -> OperationConfig {
         nodes,
         gpus_per_node,
         horizon: cfg.horizon,
-        rates: cfg.rates.scaled(cfg.rate_multiplier),
+        rates: cfg.fault_rates(),
         recovery: RecoveryConfig {
             detection: DetectionModel::C4d {
-                latency: cfg.detector.hang_timeout + cfg.localize_delay,
+                latency: HANG_TIMEOUT + LOCALIZE_DELAY,
                 tail_median: tick,
                 tail_sigma: 0.0,
             },
             diagnosis: DiagnosisModel::C4dAuto {
                 localize: SimDuration::ZERO,
-                steering: turnaround,
+                steering: STEERING_TURNAROUND,
                 tail_median: tick,
                 tail_sigma: 0.0,
                 nonlocal_median: tick,
             },
-            checkpoint_interval: cfg.checkpoint_interval,
-            reinit: cfg.reinit,
+            checkpoint_interval: CHECKPOINT_INTERVAL,
+            reinit: REINIT,
         },
     }
 }
@@ -149,8 +152,8 @@ impl FleetSoakSweep {
             .push("detections", r.detections)
             .push("isolations", r.isolations)
             .push("replacements", r.replacements)
-            .push("dp_shrinks", r.dp_shrinks)
-            .push("retries", r.retries)
+            .push("dp_shrinks", r.dp_shrinks())
+            .push("retries", r.retries())
             .push("escalations", r.escalations)
             .push("repairs_returned", r.repairs_returned);
 
@@ -236,25 +239,22 @@ mod tests {
         assert_eq!(op.nodes, 32 - cfg.backup_nodes);
         assert_eq!(op.gpus, op.nodes * 8);
         assert_eq!(op.horizon, cfg.horizon);
-        assert_eq!(op.recovery.checkpoint_interval, cfg.checkpoint_interval);
-        assert_eq!(op.recovery.reinit, cfg.reinit);
+        assert_eq!(op.recovery.checkpoint_interval, CHECKPOINT_INTERVAL);
+        assert_eq!(op.recovery.reinit, REINIT);
         match op.recovery.detection {
             DetectionModel::C4d {
                 latency,
                 tail_sigma,
                 ..
             } => {
-                assert_eq!(latency, cfg.detector.hang_timeout + cfg.localize_delay);
+                assert_eq!(latency, HANG_TIMEOUT + LOCALIZE_DELAY);
                 assert_eq!(tail_sigma, 0.0, "deterministic tail");
             }
             other => panic!("expected C4d detection, got {other:?}"),
         }
         match op.recovery.diagnosis {
             DiagnosisModel::C4dAuto { steering, .. } => {
-                assert_eq!(
-                    steering,
-                    cfg.steering.isolation_delay + cfg.steering.restart_delay
-                );
+                assert_eq!(steering, STEERING_TURNAROUND);
             }
             other => panic!("expected C4dAuto diagnosis, got {other:?}"),
         }

@@ -43,8 +43,8 @@ fn main() {
         report.detections,
         report.isolations,
         report.replacements,
-        report.dp_shrinks,
-        report.retries,
+        report.dp_shrinks(),
+        report.retries(),
         report.escalations,
         report.repairs_returned,
     );

@@ -25,8 +25,8 @@ pub struct JobAccounting {
     pub downtime: SimDuration,
     /// Completed recovery events (isolate/replace/shrink).
     pub recoveries: u64,
-    /// Hangs C4D did not localize, each waited out for `retry_backoff`
-    /// without an isolation.
+    /// Hangs C4D did not localize, each waited out for the controller's
+    /// retry backoff (30 s) without an isolation.
     pub retries: u64,
     /// Times the job shrank its DP width because no backup remained.
     pub dp_shrinks: u64,
@@ -100,7 +100,7 @@ impl FaultCounts {
 }
 
 /// What a fleet soak produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// Configured horizon.
     pub horizon: SimDuration,
@@ -120,12 +120,8 @@ pub struct FleetReport {
     pub isolations: u64,
     /// Successful backup swaps / re-placements.
     pub replacements: u64,
-    /// DP shrinks after backup-pool exhaustion.
-    pub dp_shrinks: u64,
-    /// Unlocalized hangs waited out for `retry_backoff` (no isolation).
-    pub retries: u64,
-    /// Fabric links that failed `flap_strikes` times within `flap_window`
-    /// and stay down.
+    /// Fabric links that failed three times within two hours and stay
+    /// down.
     pub escalations: u64,
     /// Repaired nodes returned to the pools.
     pub repairs_returned: u64,
@@ -200,6 +196,16 @@ impl FleetReport {
     /// Total recovery events across the fleet.
     pub fn total_recoveries(&self) -> u64 {
         self.jobs.iter().map(|j| j.accounting.recoveries).sum()
+    }
+
+    /// DP shrinks after backup-pool exhaustion across the fleet.
+    pub fn dp_shrinks(&self) -> u64 {
+        self.jobs.iter().map(|j| j.accounting.dp_shrinks).sum()
+    }
+
+    /// Unlocalized hangs waited out (no isolation) across the fleet.
+    pub fn retries(&self) -> u64 {
+        self.jobs.iter().map(|j| j.accounting.retries).sum()
     }
 
     /// Compares this soak against a matched closed-form

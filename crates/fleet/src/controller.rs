@@ -15,7 +15,7 @@
 //!    periodicity makes the extrapolation exact up to compute jitter);
 //! 6. act on what the detectors saw, through one free function (`decide`)
 //!    that cannot read the fault schedule: a hang isolates C4D's critical
-//!    suspect, or waits `retry_backoff` and runs again when nothing
+//!    suspect, or waits `RETRY_BACKOFF` and runs again when nothing
 //!    localizes; persistent slowness isolates the slow suspect. Isolation
 //!    goes through [`JobSteering`] and the job resumes per its
 //!    [`RecoveryPolicy`] — backup swap, whole-job re-placement, or DP
@@ -24,12 +24,12 @@
 //!
 //! [`PlanCache`]: c4_collectives::PlanCache
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use c4_collectives::Communicator;
 use c4_diagnosis::{
-    CollHealthDetector, DetectorConfig, Diagnosis, JobSteering, SteeringConfig, SteeringError,
-    StreamingC4dMaster,
+    CollHealthDetector, Diagnosis, JobSteering, SteeringError, StreamingC4dMaster, HANG_TIMEOUT,
+    STEERING_TURNAROUND,
 };
 use c4_faults::{
     ComputePerturbation, Degradation, FaultEvent, FaultInjector, FaultKind, FaultRates,
@@ -40,7 +40,7 @@ use c4_telemetry::{CommRecord, TelemetryEvent, WorkerTelemetry};
 use c4_topology::{ClosConfig, LinkId, NodeId, Topology};
 use c4_trainsim::{JobSpec, ParallelLayout, TrainingJob};
 
-use crate::accounting::{FaultCounts, FleetReport, JobAccounting, JobOutcome};
+use crate::accounting::{FleetReport, JobAccounting, JobOutcome};
 use crate::policy::{FlapTracker, RecoveryPolicy};
 
 /// One job the fleet will run.
@@ -69,58 +69,53 @@ pub struct FleetConfig {
     /// Iterations credited per live round (one network-simulated
     /// iteration extrapolated over the stride).
     pub stride: u64,
-    /// Fault rates (scaled by `rate_multiplier`).
-    pub rates: FaultRates,
-    /// Multiplier on every fault rate (soak acceleration).
+    /// Multiplier on every December-2023 fault rate (soak acceleration).
     pub rate_multiplier: f64,
     /// Jobs admitted at time zero.
     pub initial_jobs: Vec<JobTemplate>,
     /// Later arrivals: (offset from start, template). Queued until enough
     /// free healthy nodes exist.
     pub arrivals: Vec<(SimDuration, JobTemplate)>,
-    /// Streaming-detector thresholds.
-    pub detector: DetectorConfig,
-    /// Localization latency charged on top of the hang timeout per
-    /// detection (telemetry comparison on the C4D master).
-    pub localize_delay: SimDuration,
-    /// Steering service timing.
-    pub steering: SteeringConfig,
-    /// Checkpoint cadence: work since the last checkpoint is redone after
-    /// a recovery.
-    pub checkpoint_interval: SimDuration,
-    /// Re-initialization time after a restart.
-    pub reinit: SimDuration,
-    /// Per-collective give-up horizon (hang modelling).
-    pub comm_deadline: SimDuration,
-    /// Strike window of the fabric-link flap tracker, and of the slow
-    /// tracker (`slow_strikes`).
-    pub flap_window: SimDuration,
-    /// Failures of one fabric link within `flap_window` after which the
-    /// link is no longer repaired and stays down.
-    pub flap_strikes: usize,
-    /// Auto-repair delay of a fabric link failure.
-    pub flap_repair: SimDuration,
-    /// Wait before a job whose hang C4D did not localize runs again.
-    pub retry_backoff: SimDuration,
-    /// How long degradation events (slow GPU, PCIe downgrade, GC pauses)
-    /// persist before self-healing.
-    pub degradation_duration: SimDuration,
     /// Time until a crashed/isolated node is repaired and returned to the
     /// backup pool; `ZERO` disables repair (bounded pools drain).
     pub node_repair: SimDuration,
-    /// Slow strikes (windowed verdicts) before a non-degraded-continue job
-    /// escalates persistent slowness to isolation.
-    pub slow_strikes: usize,
-    /// Tumbling-window width of the per-job collective-health detector.
-    pub slow_window: SimDuration,
-    /// Mean-over-baseline ratio flagging a slow window.
-    pub slow_factor: f64,
-    /// Trailing window means forming the health baseline.
-    pub slow_baseline: usize,
     /// Thread budget for the network layers (bit-identical results at any
     /// setting).
     pub parallel: ParallelPolicy,
 }
+
+/// Localization latency charged on top of [`HANG_TIMEOUT`] per detection
+/// (telemetry comparison on the C4D master).
+pub const LOCALIZE_DELAY: SimDuration = SimDuration::from_secs(30);
+/// Checkpoint cadence: work since the last checkpoint is redone after a
+/// recovery.
+pub const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(600);
+/// Re-initialization time after a restart.
+pub const REINIT: SimDuration = SimDuration::from_secs(600);
+/// Per-collective give-up horizon of every job (hang modelling).
+const COMM_DEADLINE: SimDuration = SimDuration::from_secs(30);
+/// Strike window of the fabric-link flap tracker and of the slow tracker.
+const STRIKE_WINDOW: SimDuration = SimDuration::from_hours(2);
+/// Failures of one fabric link within [`STRIKE_WINDOW`] after which the
+/// link is no longer repaired and stays down.
+const FLAP_STRIKES: usize = 3;
+/// Auto-repair delay of a fabric link failure.
+const FLAP_REPAIR: SimDuration = SimDuration::from_secs(300);
+/// Wait before a job whose hang C4D did not localize runs again.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(30);
+/// How long degradation events (slow GPU, PCIe downgrade, GC pauses)
+/// persist before self-healing.
+const DEGRADATION_DURATION: SimDuration = SimDuration::from_secs(1800);
+/// Slow strikes (windowed verdicts) within [`STRIKE_WINDOW`] before a job
+/// that is not degraded-continue escalates persistent slowness to
+/// isolation.
+const SLOW_STRIKES: usize = 3;
+/// Tumbling-window width of the per-job collective-health detector.
+const SLOW_WINDOW: SimDuration = SimDuration::from_secs(5);
+/// Mean-over-baseline ratio flagging a slow window.
+const SLOW_FACTOR: f64 = 1.8;
+/// Trailing window means forming the health baseline.
+const SLOW_BASELINE: usize = 8;
 
 impl FleetConfig {
     /// A small, fast churn mix used by tests: 128-GPU pod, 8+ jobs.
@@ -141,7 +136,6 @@ impl FleetConfig {
             backup_nodes: 3,
             horizon: SimDuration::from_hours(24),
             stride: 200,
-            rates: FaultRates::december_2023(),
             rate_multiplier: 40.0,
             initial_jobs: vec![
                 job(3, RecoveryPolicy::CheckpointRestart, 4_000),
@@ -165,22 +159,7 @@ impl FleetConfig {
                     job(2, RecoveryPolicy::DegradedContinue, 10_000),
                 ),
             ],
-            detector: DetectorConfig::default(),
-            localize_delay: SimDuration::from_secs(30),
-            steering: SteeringConfig::default(),
-            checkpoint_interval: SimDuration::from_secs(600),
-            reinit: SimDuration::from_secs(600),
-            comm_deadline: SimDuration::from_secs(30),
-            flap_window: SimDuration::from_hours(2),
-            flap_strikes: 3,
-            flap_repair: SimDuration::from_secs(300),
-            retry_backoff: SimDuration::from_secs(30),
-            degradation_duration: SimDuration::from_secs(1800),
             node_repair: SimDuration::from_hours(4),
-            slow_strikes: 3,
-            slow_window: SimDuration::from_secs(5),
-            slow_factor: 1.8,
-            slow_baseline: 8,
             parallel: ParallelPolicy::default(),
         }
     }
@@ -227,6 +206,12 @@ impl FleetConfig {
             ..Self::smoke(seed)
         }
     }
+
+    /// The fault rates the soak draws from: the December-2023 fleet's,
+    /// scaled by `rate_multiplier`.
+    pub fn fault_rates(&self) -> FaultRates {
+        FaultRates::december_2023().scaled(self.rate_multiplier)
+    }
 }
 
 /// Links whose state a fault (or its repair) changed — tracked by the
@@ -268,7 +253,7 @@ struct FleetJob {
 /// What the verdict loop decided for one job this round.
 #[derive(Debug, PartialEq)]
 enum Action {
-    /// Wait `retry_backoff` and run the job again.
+    /// Wait `RETRY_BACKOFF` and run the job again.
     Retry,
     /// Isolate `victim` and resume per policy.
     Recover { victim: NodeId },
@@ -331,7 +316,7 @@ pub struct FleetController {
     cfg: FleetConfig,
     topo: Topology,
     steering: JobSteering,
-    free_nodes: Vec<NodeId>,
+    free_nodes: BTreeSet<NodeId>,
     jobs: BTreeMap<u64, FleetJob>,
     next_job_id: u64,
     /// Future arrivals, absolute fleet time, sorted.
@@ -351,23 +336,9 @@ pub struct FleetController {
     /// The streaming C4D master, re-targeted at each communicator in turn
     /// (jobs run one after another, so one master serves them all).
     c4d: StreamingC4dMaster,
-    outcomes: Vec<JobOutcome>,
-    faults: FaultCounts,
-    detections: u64,
-    isolations: u64,
-    replacements: u64,
-    dp_shrinks: u64,
-    retries: u64,
-    escalations: u64,
-    repairs_returned: u64,
-    cache_rebased_drops: u64,
-    stale_plan_routes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    drain_reuses: u64,
-    late_dropped_durations: u64,
-    rounds: u64,
-    live_iterations: u64,
+    /// The report [`run`](Self::run) returns, counted into as the soak
+    /// goes: departed jobs' outcomes land in its `jobs`.
+    report: FleetReport,
 }
 
 /// Host-uplink/downlink + PCIe links of a node (the links a cached plan
@@ -388,6 +359,11 @@ fn node_links(topo: &Topology, node: NodeId) -> Vec<LinkId> {
         out.push(gpu.pcie_rx);
     }
     out
+}
+
+/// Takes the `n` lowest-numbered nodes out of `pool`.
+fn take_lowest(pool: &mut BTreeSet<NodeId>, n: usize) -> Vec<NodeId> {
+    std::iter::from_fn(|| pool.pop_first()).take(n).collect()
 }
 
 /// One communicator's telemetry as the detectors read it: the member
@@ -419,12 +395,12 @@ impl FleetController {
         );
         let backup_start = nodes - cfg.backup_nodes;
         let backups: Vec<NodeId> = (backup_start..nodes).map(NodeId::from_index).collect();
-        let free_nodes: Vec<NodeId> = (0..backup_start).map(NodeId::from_index).collect();
-        let steering = JobSteering::new(cfg.steering, backups);
+        let free_nodes = (0..backup_start).map(NodeId::from_index).collect();
+        let steering = JobSteering::new(backups);
 
         // Pre-draw the three fault schedules over the whole horizon from
         // the injector's disjoint per-class streams.
-        let mut injector = FaultInjector::new(cfg.rates.scaled(cfg.rate_multiplier), cfg.seed);
+        let mut injector = FaultInjector::new(cfg.fault_rates(), cfg.seed);
         let gpus = topo.gpus().len();
         let gpn = gpus / nodes;
         let mut events = injector.schedule_crashes(gpus, nodes, gpn, SimTime::ZERO, cfg.horizon);
@@ -444,8 +420,8 @@ impl FleetController {
         pending.sort_by_key(|(t, _)| *t);
 
         let mut ctl = FleetController {
-            flaps: FlapTracker::new(cfg.flap_window, cfg.flap_strikes),
-            slow: FlapTracker::new(cfg.flap_window, cfg.slow_strikes),
+            flaps: FlapTracker::new(STRIKE_WINDOW, FLAP_STRIKES),
+            slow: FlapTracker::new(STRIKE_WINDOW, SLOW_STRIKES),
             topo,
             steering,
             free_nodes,
@@ -458,31 +434,15 @@ impl FleetController {
             node_repairs: Vec::new(),
             clock: SimTime::ZERO,
             tel: Vec::new(),
-            c4d: StreamingC4dMaster::new(
-                cfg.detector,
-                CommRecord {
-                    comm: 0,
-                    devices: Vec::new(),
-                    created: SimTime::ZERO,
-                },
-            ),
-            outcomes: Vec::new(),
-            faults: FaultCounts::default(),
-            detections: 0,
-            isolations: 0,
-            replacements: 0,
-            dp_shrinks: 0,
-            retries: 0,
-            escalations: 0,
-            repairs_returned: 0,
-            cache_rebased_drops: 0,
-            stale_plan_routes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            drain_reuses: 0,
-            late_dropped_durations: 0,
-            rounds: 0,
-            live_iterations: 0,
+            c4d: StreamingC4dMaster::new(CommRecord {
+                comm: 0,
+                devices: Vec::new(),
+                created: SimTime::ZERO,
+            }),
+            report: FleetReport {
+                horizon: cfg.horizon,
+                ..FleetReport::default()
+            },
             cfg,
         };
         let initial = ctl.cfg.initial_jobs.clone();
@@ -521,38 +481,18 @@ impl FleetController {
             }
         }
         // Departure ledger for jobs still running at the horizon.
-        let ended = self.clock;
         let ids: Vec<u64> = self.jobs.keys().copied().collect();
         for id in ids {
             self.depart(id, false, false);
         }
-        self.outcomes.sort_by_key(|o| o.id);
-        FleetReport {
-            horizon: self.cfg.horizon,
-            ended,
-            rounds: self.rounds,
-            live_iterations: self.live_iterations,
-            jobs: std::mem::take(&mut self.outcomes),
-            faults: self.faults,
-            detections: self.detections,
-            isolations: self.isolations,
-            replacements: self.replacements,
-            dp_shrinks: self.dp_shrinks,
-            retries: self.retries,
-            escalations: self.escalations,
-            repairs_returned: self.repairs_returned,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            drain_reuses: self.drain_reuses,
-            late_dropped_durations: self.late_dropped_durations,
-            cache_rebased_drops: self.cache_rebased_drops,
-            stale_plan_routes: self.stale_plan_routes,
-        }
+        self.report.jobs.sort_by_key(|o| o.id);
+        self.report.ended = self.clock;
+        self.report
     }
 
     /// One controller tick.
     fn round(&mut self) {
-        self.rounds += 1;
+        self.report.rounds += 1;
         let mut changed_links: Vec<LinkId> = Vec::new();
 
         self.process_repairs(&mut changed_links);
@@ -600,17 +540,15 @@ impl FleetController {
     }
 
     /// Carries out one verdict for job `id`. A retry blocks the job for
-    /// `retry_backoff` and books the wait as downtime.
+    /// `RETRY_BACKOFF` and books the wait as downtime.
     fn act(&mut self, id: u64, action: Action) {
         match action {
             Action::Retry => {
-                self.retries += 1;
-                let wait = self.cfg.retry_backoff;
                 let fj = self.jobs.get_mut(&id).expect("job exists");
-                fj.blocked_until = self.clock + wait;
+                fj.blocked_until = self.clock + RETRY_BACKOFF;
                 fj.acc.retries += 1;
-                fj.acc.downtime += wait;
-                fj.job.advance_clock(wait);
+                fj.acc.downtime += RETRY_BACKOFF;
+                fj.job.advance_clock(RETRY_BACKOFF);
             }
             Action::Recover { victim } => self.recover(id, victim),
         }
@@ -618,7 +556,6 @@ impl FleetController {
 
     /// Runs one job's live iteration + detection; returns what to do.
     fn run_job_round(&mut self, id: u64, round_wall: &mut SimDuration) -> Option<Action> {
-        let cfg_detector = self.cfg.detector;
         let stride = self.cfg.stride;
         let topo = &self.topo;
         let fj = self.jobs.get_mut(&id).expect("job exists");
@@ -662,13 +599,13 @@ impl FleetController {
             &perturbs,
             Some(tel),
         );
-        self.live_iterations += 1;
+        self.report.live_iterations += 1;
 
         // Stream this round's telemetry through the streaming master once
         // per communicator, re-targeted at each in turn: a half-down NIC
         // only hangs the DP groups hashed onto the dead port, so every
         // group must be watched.
-        let scan_at = fj.job.now() + cfg_detector.hang_timeout + SimDuration::from_secs(1);
+        let scan_at = fj.job.now() + HANG_TIMEOUT + SimDuration::from_secs(1);
         let mut diags = Vec::new();
         let mut slow_verdict = false;
         for comm in fj.job.comms() {
@@ -681,16 +618,15 @@ impl FleetController {
         }
 
         if diags.iter().any(|d| d.critical) {
-            self.detections += 1;
+            self.report.detections += 1;
         }
 
         let slow_escalates = if report.hung {
             // The wasted iteration attempt plus the hang-detection latency
             // are downtime no matter how the job resumes.
-            let waste = report.total + cfg_detector.hang_timeout + self.cfg.localize_delay;
+            let waste = report.total + HANG_TIMEOUT + LOCALIZE_DELAY;
             fj.acc.downtime += waste;
-            fj.job
-                .advance_clock(cfg_detector.hang_timeout + self.cfg.localize_delay);
+            fj.job.advance_clock(HANG_TIMEOUT + LOCALIZE_DELAY);
             false
         } else {
             // Healthy (or merely slow) round: credit the stride.
@@ -727,18 +663,13 @@ impl FleetController {
         // redone post-checkpoint work (detection was charged at verdict
         // time).
         let (redo, policy, old_nodes) = {
-            let fj = self.jobs.get_mut(&id).expect("job exists");
-            let interval = self.cfg.checkpoint_interval;
-            let redo = if interval.is_zero() {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_secs_f64(
-                    fj.productive_since_ckpt.as_secs_f64() % interval.as_secs_f64(),
-                )
-            };
+            let fj = &self.jobs[&id];
+            let redo = SimDuration::from_secs_f64(
+                fj.productive_since_ckpt.as_secs_f64() % CHECKPOINT_INTERVAL.as_secs_f64(),
+            );
             (redo, fj.policy, fj.job.layout().nodes.clone())
         };
-        let spent = self.steering.turnaround() + self.cfg.reinit + redo;
+        let spent = STEERING_TURNAROUND + REINIT + redo;
 
         // Clear the victim's standing faults before the swap so its links
         // are clean when repair eventually returns it to the pool.
@@ -751,7 +682,7 @@ impl FleetController {
 
         let new_nodes: Option<Vec<NodeId>> = match swap {
             Ok(plan) => {
-                self.isolations += 1;
+                self.report.isolations += 1;
                 if self.cfg.node_repair > SimDuration::ZERO {
                     self.node_repairs.push(NodeRepair {
                         at: self.clock + self.cfg.node_repair,
@@ -767,11 +698,9 @@ impl FleetController {
                     // the job's healthy survivors.
                     self.steering
                         .return_repaired(&mut self.topo, plan.replacement);
-                    let taken: Vec<NodeId> = self.free_nodes.drain(..old_nodes.len()).collect();
-                    for n in old_nodes.iter().filter(|&&n| n != victim) {
-                        self.free_nodes.push(*n);
-                    }
-                    self.free_nodes.sort();
+                    let taken = take_lowest(&mut self.free_nodes, old_nodes.len());
+                    self.free_nodes
+                        .extend(old_nodes.iter().filter(|&&n| n != victim));
                     taken
                 } else {
                     old_nodes
@@ -779,13 +708,13 @@ impl FleetController {
                         .map(|&n| if n == victim { plan.replacement } else { n })
                         .collect()
                 };
-                self.replacements += 1;
+                self.report.replacements += 1;
                 Some(fresh)
             }
             Err(SteeringError::BackupPoolExhausted) => {
                 // Victim is cordoned but nothing replaces it: shrink the
                 // job's DP width over the surviving nodes.
-                self.isolations += 1;
+                self.report.isolations += 1;
                 None
             }
             Err(SteeringError::AlreadyIsolated(_)) => None,
@@ -837,7 +766,6 @@ impl FleetController {
                         Ok(layout) => {
                             fj.job.replace_layout(&self.topo, spec, layout);
                             fj.acc.dp_shrinks += 1;
-                            self.dp_shrinks += 1;
                         }
                         Err(_) => fj.failed = true,
                     }
@@ -880,11 +808,10 @@ impl FleetController {
                     self.steering.return_repaired(&mut self.topo, r.node);
                 } else {
                     self.topo.set_node_healthy(r.node, true);
-                    self.free_nodes.push(r.node);
-                    self.free_nodes.sort();
+                    self.free_nodes.insert(r.node);
                 }
                 changed.extend(node_links(&self.topo, r.node));
-                self.repairs_returned += 1;
+                self.report.repairs_returned += 1;
             } else {
                 i += 1;
             }
@@ -917,21 +844,21 @@ impl FleetController {
         if e.kind == FaultKind::LinkFailure {
             let link = e.link.expect("link failures carry a link");
             if !self.topo.link(link).is_up() {
-                self.faults.skipped += 1;
+                self.report.faults.skipped += 1;
                 return;
             }
             let deg = Degradation::link_down(link);
             deg.apply(&mut self.topo);
             changed.push(link);
-            self.faults.link_failures += 1;
+            self.report.faults.link_failures += 1;
             // N-strike ledger: a link that keeps flapping stops being
             // repaired (stays down; ECMP routes around it permanently).
             let escalate = self.flaps.record(link.index() as u64, self.clock);
             let repair_at = if escalate {
-                self.escalations += 1;
+                self.report.escalations += 1;
                 None
             } else {
-                Some(self.clock + self.cfg.flap_repair)
+                Some(self.clock + FLAP_REPAIR)
             };
             self.active.push(ActiveFault {
                 node: None,
@@ -945,7 +872,7 @@ impl FleetController {
 
         let node = e.node.expect("node faults carry a node");
         if !self.topo.is_node_healthy(node) || self.active.iter().any(|f| f.node == Some(node)) {
-            self.faults.skipped += 1;
+            self.report.faults.skipped += 1;
             return;
         }
 
@@ -960,7 +887,7 @@ impl FleetController {
             }
             let links = node_links(&self.topo, node);
             changed.extend(links.iter().copied());
-            self.faults.crashes += 1;
+            self.report.faults.crashes += 1;
             let hosts_job = self
                 .jobs
                 .values()
@@ -975,7 +902,7 @@ impl FleetController {
             if !hosts_job {
                 // Idle-node crash: pull it out of the pools directly.
                 self.topo.set_node_healthy(node, false);
-                self.free_nodes.retain(|&n| n != node);
+                self.free_nodes.remove(&node);
                 if self.cfg.node_repair > SimDuration::ZERO {
                     self.node_repairs.push(NodeRepair {
                         at: self.clock + self.cfg.node_repair,
@@ -988,8 +915,8 @@ impl FleetController {
         }
 
         // Degradations.
-        self.faults.degradations += 1;
-        let repair_at = Some(self.clock + self.cfg.degradation_duration);
+        self.report.faults.degradations += 1;
+        let repair_at = Some(self.clock + DEGRADATION_DURATION);
         let fault = match e.kind {
             FaultKind::SlowGpu => ActiveFault {
                 node: Some(node),
@@ -1052,7 +979,8 @@ impl FleetController {
     /// Surgically rebases every job's plan cache after link-state changes.
     fn rebase_caches(&mut self, affected: &[LinkId]) {
         for fj in self.jobs.values_mut() {
-            self.cache_rebased_drops += fj.job.plan_cache_mut().rebase(&self.topo, affected) as u64;
+            self.report.cache_rebased_drops +=
+                fj.job.plan_cache_mut().rebase(&self.topo, affected) as u64;
         }
     }
 
@@ -1068,7 +996,7 @@ impl FleetController {
         }
         for fj in self.jobs.values() {
             if fj.job.plan_cache().any_route_through(changed) {
-                self.stale_plan_routes += 1;
+                self.report.stale_plan_routes += 1;
             }
         }
     }
@@ -1087,14 +1015,13 @@ impl FleetController {
                 break;
             }
             let t = self.queue.pop_front().expect("front checked");
-            let nodes: Vec<NodeId> = self.free_nodes.drain(..need).collect();
+            let nodes = take_lowest(&mut self.free_nodes, need);
             let layout = match ParallelLayout::place(&self.topo, &t.spec, nodes.clone()) {
                 Ok(l) => l,
                 Err(_) => {
                     // Placement raced with a fault on a drained node; put
                     // the nodes back and retry next round.
                     self.free_nodes.extend(nodes);
-                    self.free_nodes.sort();
                     self.queue.push_front(t);
                     break;
                 }
@@ -1102,7 +1029,7 @@ impl FleetController {
             let id = self.next_job_id;
             self.next_job_id += 1;
             let mut job = TrainingJob::new(&self.topo, t.spec.clone(), layout, id * 1024);
-            job.comm_deadline = self.cfg.comm_deadline;
+            job.comm_deadline = COMM_DEADLINE;
             job.parallel = self.cfg.parallel;
             let salt = self.cfg.seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let fj = FleetJob {
@@ -1111,11 +1038,7 @@ impl FleetController {
                 job,
                 selector: EcmpSelector::new(salt),
                 rng: DetRng::seed_from(salt ^ 0xF1EE_7000),
-                health: CollHealthDetector::new(
-                    self.cfg.slow_window,
-                    self.cfg.slow_factor,
-                    self.cfg.slow_baseline,
-                ),
+                health: CollHealthDetector::new(SLOW_WINDOW, SLOW_FACTOR, SLOW_BASELINE),
                 acc: JobAccounting {
                     admitted: self.clock,
                     ..JobAccounting::default()
@@ -1135,20 +1058,18 @@ impl FleetController {
             Some(j) => j,
             None => return,
         };
-        self.cache_hits += fj.job.plan_cache().hits();
-        self.cache_misses += fj.job.plan_cache().misses();
-        self.drain_reuses += fj.job.plan_cache().drain_reuses();
-        self.late_dropped_durations += fj.health.late_dropped();
-        for &n in &fj.job.layout().nodes {
-            if self.topo.is_node_healthy(n) {
-                self.free_nodes.push(n);
-            }
-        }
-        self.free_nodes.sort();
-        self.free_nodes.dedup();
+        let cache = fj.job.plan_cache();
+        self.report.cache_hits += cache.hits();
+        self.report.cache_misses += cache.misses();
+        self.report.drain_reuses += cache.drain_reuses();
+        self.report.late_dropped_durations += fj.health.late_dropped();
+        let topo = &self.topo;
+        let nodes = fj.job.layout().nodes.iter();
+        self.free_nodes
+            .extend(nodes.filter(|&&n| topo.is_node_healthy(n)));
         let mut acc = fj.acc;
         acc.finished = Some(self.clock);
-        self.outcomes.push(JobOutcome {
+        self.report.jobs.push(JobOutcome {
             id,
             name: fj.job.spec().name.clone(),
             policy: fj.policy,
@@ -1252,16 +1173,17 @@ mod tests {
     #[test]
     fn a_retry_blocks_the_job_for_the_backoff() {
         let mut ctl = FleetController::new(FleetConfig::smoke(5));
-        let wait = ctl.cfg.retry_backoff;
-        assert!(!wait.is_zero());
         let job_clock = ctl.jobs[&0].job.now();
         ctl.act(0, Action::Retry);
-        assert_eq!(ctl.retries, 1);
         let fj = &ctl.jobs[&0];
-        assert_eq!(fj.blocked_until, ctl.clock + wait);
+        assert_eq!(fj.blocked_until, ctl.clock + RETRY_BACKOFF);
         assert_eq!(fj.acc.retries, 1);
-        assert_eq!(fj.acc.downtime, wait);
-        assert_eq!(fj.job.now(), job_clock + wait, "the job's clock waits too");
+        assert_eq!(fj.acc.downtime, RETRY_BACKOFF);
+        assert_eq!(
+            fj.job.now(),
+            job_clock + RETRY_BACKOFF,
+            "the job's clock waits too"
+        );
     }
 
     #[test]

@@ -38,5 +38,7 @@ pub mod controller;
 pub mod policy;
 
 pub use accounting::{FaultCounts, FleetReport, JobAccounting, JobOutcome, Reconciliation};
-pub use controller::{FleetConfig, FleetController, JobTemplate};
+pub use controller::{
+    FleetConfig, FleetController, JobTemplate, CHECKPOINT_INTERVAL, LOCALIZE_DELAY, REINIT,
+};
 pub use policy::{FlapTracker, RecoveryPolicy};

@@ -75,7 +75,7 @@ fn backup_exhaustion_shrinks_dp_instead_of_crashing() {
 
     assert_eq!(report.isolations, 2);
     assert_eq!(report.replacements, 1, "only one backup existed");
-    assert_eq!(report.dp_shrinks, 1, "second recovery shrinks DP");
+    assert_eq!(report.dp_shrinks(), 1, "second recovery shrinks DP");
     assert_eq!(report.stale_plan_routes, 0);
     let job0 = &report.jobs[0];
     assert!(!job0.failed, "shrunk, not dead: {job0:?}");
@@ -104,7 +104,7 @@ fn half_down_nic_is_isolated_on_first_localization() {
         report.isolations, 1,
         "C4D localizes the hang the dead port causes: {report:?}"
     );
-    assert_eq!(report.retries, 0, "a localized hang is not waited out");
+    assert_eq!(report.retries(), 0, "a localized hang is not waited out");
     assert_eq!(report.escalations, 0);
     assert_eq!(report.stale_plan_routes, 0);
     let job0 = &report.jobs[0];

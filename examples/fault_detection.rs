@@ -29,10 +29,7 @@ fn main() {
 
     let mut selector = RailLocalSelector::new();
     let mut rng = DetRng::seed_from(11);
-    let mut master = C4dMaster::new(DetectorConfig {
-        hang_timeout: SimDuration::from_secs(15),
-        ..DetectorConfig::default()
-    });
+    let mut master = C4dMaster::new();
 
     // Phase 1: a GPU starts running at half speed (non-communication slow).
     let victim_gpu = topo.gpu_at(NodeId::from_index(5), 3);
@@ -86,10 +83,7 @@ fn main() {
     );
 
     // Steering: isolate the node, pull a backup, restart the job.
-    let mut steering = JobSteering::new(
-        SteeringConfig::default(),
-        vec![NodeId::from_index(15)], // one spare in the pool
-    );
+    let mut steering = JobSteering::new(vec![NodeId::from_index(15)]); // one spare in the pool
     let plan = steering
         .isolate_and_replace(&mut topo, suspect, scan_at)
         .expect("backup available");

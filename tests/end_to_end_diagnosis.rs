@@ -74,7 +74,7 @@ impl Harness {
 fn healthy_training_raises_no_diagnoses() {
     let mut h = Harness::new(1);
     h.run_iterations(3, &[]);
-    let mut master = C4dMaster::new(DetectorConfig::default());
+    let mut master = C4dMaster::new();
     for group in 0..8 {
         let diags = h.scan_group(&mut master, group, h.job.now());
         assert!(diags.is_empty(), "group {group}: {diags:?}");
@@ -87,7 +87,7 @@ fn slow_gpu_is_localized_as_noncomm_slow() {
     let victim = h.topo.gpu_at(NodeId::from_index(7), 2);
     let perturb = [ComputePerturbation::slow_gpu(victim, 2.0)];
     h.run_iterations(3, &perturb);
-    let mut master = C4dMaster::new(DetectorConfig::default());
+    let mut master = C4dMaster::new();
     // Victim sits in DP group 2 (tp rank = local index).
     let diags = h.scan_group(&mut master, 2, h.job.now());
     let slow = diags
@@ -153,7 +153,7 @@ fn dead_nic_hangs_and_steering_replaces_node() {
     let report = job.run_iteration(&topo, &mut sel, None, &mut rng, &[], Some(&mut telemetry));
     assert!(report.hung, "dead rail must hang the gradient sync");
 
-    let mut master = C4dMaster::new(DetectorConfig::default());
+    let mut master = C4dMaster::new();
     let at = job.now() + SimDuration::from_secs(30);
     let comm = &job.comms()[4];
     let rec = CommRecord {
@@ -176,10 +176,7 @@ fn dead_nic_hangs_and_steering_replaces_node() {
 
     // Steering isolates and swaps in a backup; placement then succeeds on
     // the replacement set.
-    let mut steering = JobSteering::new(
-        SteeringConfig::default(),
-        vec![NodeId::from_index(14), NodeId::from_index(15)],
-    );
+    let mut steering = JobSteering::new(vec![NodeId::from_index(14), NodeId::from_index(15)]);
     let plan = steering
         .isolate_and_replace(&mut topo, victim_node, at)
         .expect("backup pool has nodes");
@@ -273,7 +270,7 @@ fn pp_stage_stall_propagates_to_dp_syndrome() {
         .iter()
         .map(|g| telemetry[g.index()].snapshot(job.now()))
         .collect();
-    let syndrome = detect_noncomm_slow(&rec, &snaps, &DetectorConfig::default())
+    let syndrome = detect_noncomm_slow(&rec, &snaps)
         .expect("stall visible through DP");
     match syndrome {
         Syndrome::NonCommSlow { straggler, .. } => {

@@ -46,7 +46,7 @@ fn soak_closes_the_loop_on_all_three_fault_classes() {
     // steering isolations, and replacements/shrinks to keep jobs running.
     assert!(report.isolations > 0, "no isolation: {report:?}");
     assert!(
-        report.replacements + report.dp_shrinks > 0,
+        report.replacements + report.dp_shrinks() > 0,
         "no recovery action: {report:?}"
     );
     assert!(

@@ -344,8 +344,8 @@ fn fleet_report(d: &mut Digest, r: &FleetReport) {
         r.detections,
         r.isolations,
         r.replacements,
-        r.dp_shrinks,
-        r.retries,
+        r.dp_shrinks(),
+        r.retries(),
         r.escalations,
         r.repairs_returned,
         r.cache_rebased_drops,

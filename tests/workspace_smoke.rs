@@ -58,8 +58,8 @@ fn prelude_exposes_core_entry_points() {
     // faults: calibrated rate presets.
     let _ = FaultInjector::new(FaultRates::june_2023(), 7);
 
-    // c4d + telemetry: master, detector config, worker stores.
-    let _ = C4dMaster::new(DetectorConfig::default());
+    // c4d + telemetry: master, worker stores.
+    let _ = C4dMaster::new();
     let _ = WorkerTelemetry::new(topo.gpus()[0].id);
     let _ = DelayMatrix::new(4);
 
@@ -215,7 +215,7 @@ fn dead_port_hangs_ecmp_and_c4d_diagnoses_it() {
         .iter()
         .map(|g| telemetry[g.index()].snapshot(at))
         .collect();
-    let mut master = C4dMaster::new(DetectorConfig::default());
+    let mut master = C4dMaster::new();
     let diags = master.scan(at, &topo, &rec, &snapshots);
     let hang = diags
         .iter()
