@@ -64,9 +64,9 @@ impl JobSteering {
         }
     }
 
-    /// Remaining backup nodes.
-    pub fn backups_left(&self) -> usize {
-        self.backups.len()
+    /// The backup pool; the last node serves the next isolation.
+    pub fn backups(&self) -> &[NodeId] {
+        &self.backups
     }
 
     /// Nodes currently isolated.
@@ -129,6 +129,16 @@ impl JobSteering {
         })
     }
 
+    /// Takes `node` out of the backup pool (it crashed there, idle);
+    /// `false` when it was not in the pool. [`return_repaired`] puts it
+    /// back.
+    ///
+    /// [`return_repaired`]: Self::return_repaired
+    pub fn withdraw(&mut self, node: NodeId) -> bool {
+        let pos = self.backups.iter().position(|&n| n == node);
+        pos.map(|i| self.backups.remove(i)).is_some()
+    }
+
     /// Returns a repaired node to the backup pool and clears its isolation.
     pub fn return_repaired(&mut self, topo: &mut Topology, node: NodeId) {
         self.isolated.retain(|&n| n != node);
@@ -163,7 +173,7 @@ mod tests {
         assert_eq!(plan.replacement, NodeId::from_index(14));
         assert_eq!(plan.ready_at, SimTime::from_secs(100 + 180));
         assert!(!t.is_node_healthy(victim));
-        assert_eq!(s.backups_left(), 1);
+        assert_eq!(s.backups(), &[NodeId::from_index(15)]);
         assert_eq!(s.isolated(), &[victim]);
         assert_eq!(
             s.log()
@@ -215,9 +225,9 @@ mod tests {
         let victim = NodeId::from_index(7);
         s.isolate_and_replace(&mut t, victim, SimTime::ZERO)
             .unwrap();
-        assert_eq!(s.backups_left(), 0);
+        assert!(s.backups().is_empty());
         s.return_repaired(&mut t, victim);
-        assert_eq!(s.backups_left(), 1);
+        assert_eq!(s.backups(), &[victim]);
         assert!(t.is_node_healthy(victim));
         assert!(s.isolated().is_empty());
     }

@@ -25,13 +25,13 @@ fn repaired_node_is_readmitted_and_serves_the_next_isolation() {
     let second = NodeId::from_index(5);
 
     let plan = s.isolate_and_replace(&mut t, first, SimTime::ZERO).unwrap();
-    assert_eq!(s.backups_left(), 0, "the only backup is in service");
+    assert!(s.backups().is_empty(), "the only backup is in service");
 
     // Mid-run repair: the original victim comes back as pool capacity
     // while its replacement keeps running the job.
     s.return_repaired(&mut t, first);
     assert!(t.is_node_healthy(first));
-    assert_eq!(s.backups_left(), 1);
+    assert_eq!(s.backups(), &[first]);
     assert!(s.isolated().is_empty());
 
     // The next fault (on a different node) is served by the re-admitted
@@ -97,7 +97,7 @@ fn repeated_isolate_repair_cycles_keep_turnaround_consistent() {
             t.is_node_healthy(victim),
             "cycle {cycle}: victim healthy again"
         );
-        assert!(s.backups_left() >= 1, "cycle {cycle}: pool never drains");
+        assert!(!s.backups().is_empty(), "cycle {cycle}: pool never drains");
         now += SimDuration::from_secs(1_000);
     }
 

@@ -76,8 +76,9 @@ pub struct FleetConfig {
     /// Later arrivals: (offset from start, template). Queued until enough
     /// free healthy nodes exist.
     pub arrivals: Vec<(SimDuration, JobTemplate)>,
-    /// Time until a crashed/isolated node is repaired and returned to the
-    /// backup pool; `ZERO` disables repair (bounded pools drain).
+    /// Time until a crashed/isolated node is repaired: an isolated node
+    /// returns to the backup pool, a node that crashed idle to the pool it
+    /// sat in; `ZERO` disables repair (bounded pools drain).
     pub node_repair: SimDuration,
     /// Thread budget for the network layers (bit-identical results at any
     /// setting).
@@ -304,9 +305,9 @@ fn decide(
 struct NodeRepair {
     at: SimTime,
     node: NodeId,
-    /// True when the node was isolated through the steering service (goes
-    /// back to the backup pool); false for idle-node crashes (goes back to
-    /// the free pool).
+    /// True when the node goes back to the backup pool: it was isolated
+    /// through the steering service or crashed idle in the backup pool.
+    /// False for an idle crash in the free pool (goes back there).
     via_steering: bool,
 }
 
@@ -492,6 +493,9 @@ impl FleetController {
 
     /// One controller tick.
     fn round(&mut self) {
+        if cfg!(debug_assertions) {
+            self.assert_pools_disjoint();
+        }
         self.report.rounds += 1;
         let mut changed_links: Vec<LinkId> = Vec::new();
 
@@ -536,6 +540,25 @@ impl FleetController {
         for id in done {
             let failed = self.jobs[&id].failed;
             self.depart(id, !failed, failed);
+        }
+    }
+
+    /// Panics when a node is held twice: the free pool, the backup pool,
+    /// steering's isolated set and the running jobs must be pairwise
+    /// disjoint.
+    fn assert_pools_disjoint(&self) {
+        let job_nodes = self.jobs.values().flat_map(|j| &j.job.layout().nodes);
+        let held = (self.free_nodes.iter())
+            .chain(self.steering.backups())
+            .chain(self.steering.isolated())
+            .chain(job_nodes);
+        let mut seen = BTreeSet::new();
+        for &n in held {
+            assert!(
+                seen.insert(n),
+                "round {}: node {n} is held twice",
+                self.report.rounds
+            );
         }
     }
 
@@ -900,14 +923,16 @@ impl FleetController {
                 repair_at: None,
             });
             if !hosts_job {
-                // Idle-node crash: pull it out of the pools directly.
+                // Idle-node crash: pull it out of the pool it sits in; its
+                // repair returns it there.
                 self.topo.set_node_healthy(node, false);
+                let via_steering = self.steering.withdraw(node);
                 self.free_nodes.remove(&node);
                 if self.cfg.node_repair > SimDuration::ZERO {
                     self.node_repairs.push(NodeRepair {
                         at: self.clock + self.cfg.node_repair,
                         node,
-                        via_steering: false,
+                        via_steering,
                     });
                 }
             }

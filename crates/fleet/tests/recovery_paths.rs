@@ -83,6 +83,30 @@ fn backup_exhaustion_shrinks_dp_instead_of_crashing() {
 }
 
 #[test]
+fn a_backup_that_crashed_idle_is_not_swapped_in() {
+    let mut cfg = quiet(12);
+    cfg.backup_nodes = 1;
+    cfg.initial_jobs.truncate(1);
+    cfg.initial_jobs[0].policy = RecoveryPolicy::CheckpointRestart;
+    let backup = NodeId::from_index(Topology::build(&cfg.clos).num_nodes() - 1);
+    let mut ctl = FleetController::new(cfg);
+    let nodes = ctl.job_nodes(0).expect("job 0 admitted");
+    assert!(!nodes.contains(&backup), "the last node is the backup");
+    ctl.inject_event(crash_at(900_000, 60, backup));
+    ctl.inject_event(crash_at(900_001, 600, nodes[0]));
+    let report = ctl.run();
+
+    assert_eq!(report.faults.crashes, 2);
+    assert_eq!(report.isolations, 1, "only the job node is isolated");
+    assert_eq!(report.replacements, 0, "the dead backup is not swapped in");
+    assert_eq!(report.dp_shrinks(), 1, "no healthy backup: DP shrinks");
+    assert_eq!(report.stale_plan_routes, 0);
+    let job0 = &report.jobs[0];
+    assert!(job0.completed && !job0.failed, "{job0:?}");
+    assert_eq!(job0.final_dp, 2);
+}
+
+#[test]
 fn half_down_nic_is_isolated_on_first_localization() {
     let mut cfg = quiet(13);
     cfg.initial_jobs.truncate(1);

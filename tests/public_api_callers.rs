@@ -39,8 +39,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("inject_event", "(b) FleetController::inject_event: fault set-up in recovery_paths.rs"),
     ("job_nodes", "(b) FleetController::job_nodes: aims faults at live jobs in recovery_paths.rs"),
     ("tiny", "(b) ClosConfig::tiny: the smallest fabric, set-up of most tests"),
-    ("backups_left", "(b) JobSteering::backups_left: observed in steering_edges.rs"),
-    ("isolated", "(b) JobSteering::isolated: observed in steering_edges.rs"),
     ("catalog", "(b) C4pMaster::catalog: read by tests/traffic_engineering.rs and its example"),
     ("eliminated_links", "(b) PathCatalog::eliminated_links: observed in traffic_engineering.rs"),
     ("healthy_count", "(b) PathCatalog::healthy_count: printed by examples/traffic_engineering"),
