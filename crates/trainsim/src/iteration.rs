@@ -20,8 +20,6 @@ pub struct IterationReport {
     pub compute: SimDuration,
     /// Gradient-sync duration (slowest DP group, from last-rank-ready).
     pub comm: SimDuration,
-    /// Communication not hidden by overlap.
-    pub exposed_comm: SimDuration,
     /// Iteration wall time: compute + exposed communication.
     pub total: SimDuration,
     /// Minimum bus bandwidth across DP groups (Gbps); `None` on hang.
@@ -303,7 +301,6 @@ impl TrainingJob {
         IterationReport {
             compute: max_compute,
             comm,
-            exposed_comm: exposed,
             total,
             busbw_min_gbps: busbw_min,
             busbw_mean_gbps: busbw_mean,

@@ -26,10 +26,6 @@ pub struct JobSpec {
     pub dp: usize,
     /// Gradient-accumulation micro-batches per iteration.
     pub ga: usize,
-    /// ZeRO optimizer sharding (DeepSpeed): gradients sync as
-    /// reduce-scatter + allgather — same total bytes on the wire as an
-    /// allreduce ring, so the network model treats them identically.
-    pub zero: bool,
     /// Samples per global batch (for samples/s accounting).
     pub global_batch: usize,
     /// Forward+backward time of one micro-batch (includes TP/PP comm).
@@ -74,7 +70,6 @@ impl JobSpec {
             pp: 1,
             dp: 16,
             ga: 1,
-            zero: false,
             global_batch: 78,
             micro_compute: SimDuration::from_millis(750),
             overlap: 0.3,
@@ -82,7 +77,9 @@ impl JobSpec {
     }
 
     /// Fig 14 Job2: Llama-7B on DeepSpeed with ZeRO, pure DP over 128 GPUs.
-    /// Paper baseline: 156.59 samples/s.
+    /// Paper baseline: 156.59 samples/s. ZeRO syncs gradients as
+    /// reduce-scatter + allgather, the same bytes on the wire as an
+    /// allreduce ring, so the network model runs it as one.
     pub fn llama7b_dp128_zero() -> Self {
         JobSpec {
             name: "Llama-7B DP128+ZeRO (DeepSpeed)".into(),
@@ -92,7 +89,6 @@ impl JobSpec {
             pp: 1,
             dp: 128,
             ga: 1,
-            zero: true,
             global_batch: 440,
             micro_compute: SimDuration::from_millis(2030),
             overlap: 0.3,
@@ -110,7 +106,6 @@ impl JobSpec {
             pp: 8,
             dp: 2,
             ga: 16,
-            zero: false,
             global_batch: 64,
             micro_compute: SimDuration::from_millis(210),
             overlap: 0.3,
