@@ -134,10 +134,7 @@ pub fn detect_hang(
 /// Uses each rank's mean compute time over its recorded steps; the paper's
 /// receiver-driven wait chain surfaces the same rank as the one every
 /// successor ends up waiting on.
-pub fn detect_noncomm_slow(
-    comm: &CommRecord,
-    snapshots: &[TelemetrySnapshot],
-) -> Option<Syndrome> {
+pub fn detect_noncomm_slow(comm: &CommRecord, snapshots: &[TelemetrySnapshot]) -> Option<Syndrome> {
     assert_eq!(snapshots.len(), comm.nranks());
     let mut means: Vec<f64> = Vec::with_capacity(snapshots.len());
     for snap in snapshots {

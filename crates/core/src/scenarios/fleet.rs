@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use c4_diagnosis::{HANG_TIMEOUT, STEERING_TURNAROUND};
 use c4_fleet::{
-    FleetConfig, FleetController, FleetReport, Reconciliation, CHECKPOINT_INTERVAL,
-    LOCALIZE_DELAY, REINIT,
+    FleetConfig, FleetController, FleetReport, Reconciliation, CHECKPOINT_INTERVAL, LOCALIZE_DELAY,
+    REINIT,
 };
 use c4_simcore::{JsonValue, SimDuration};
 use c4_topology::Topology;

@@ -270,8 +270,7 @@ fn pp_stage_stall_propagates_to_dp_syndrome() {
         .iter()
         .map(|g| telemetry[g.index()].snapshot(job.now()))
         .collect();
-    let syndrome = detect_noncomm_slow(&rec, &snaps)
-        .expect("stall visible through DP");
+    let syndrome = detect_noncomm_slow(&rec, &snaps).expect("stall visible through DP");
     match syndrome {
         Syndrome::NonCommSlow { straggler, .. } => {
             assert_eq!(comm.devices()[straggler as usize], stalled);
