@@ -12,10 +12,14 @@
 //! 3. `c4p-static`   — full allocation incl. faulty-link elimination, but
 //!    static after start-up;
 //! 4. `c4p-dynamic`  — everything, incl. rebalance + byte re-splitting.
+//!
+//! The C4P rungs feed every iteration's per-QP rates back to the master
+//! (`observe`, which re-splits bytes only when dynamic); only the dynamic
+//! rung re-probes at the failure (`rebalance`).
 
 use c4::prelude::*;
 use c4::scenarios::benchmark_request;
-use c4_bench::{banner, parse_cli};
+use c4_bench::{banner, parse_cli, Cli};
 
 struct Outcome {
     name: &'static str,
@@ -23,19 +27,32 @@ struct Outcome {
     post_mean: f64,
 }
 
-fn run_ladder(
-    name: &'static str,
-    seed: u64,
-    iters: usize,
-    fail_at: usize,
-    make: impl Fn(&Topology) -> Box<dyn FnMut(&Topology, &FlowKey) -> PathChoice>,
-    dynamic_master: bool,
-) -> Outcome {
-    // Grouped trunked testbed with a pre-degraded (flapping) uplink.
+/// A rung's path selector. A C4P master also takes every iteration's
+/// per-QP rates (a no-op when static), and the dynamic rung's master
+/// re-probes the fabric at the failure, as `fig12` does.
+enum Selector<'a> {
+    Plain(&'a mut dyn PathSelector),
+    C4p {
+        master: &'a mut C4pMaster,
+        rebalance: bool,
+    },
+}
+
+/// Grouped trunked testbed with a pre-degraded (flapping) uplink.
+fn testbed() -> Topology {
     let mut topo = Topology::build(&ClosConfig::testbed_128_grouped(2).trunked());
     let flaky = topo.fabric_up_links(1, 5)[0];
     topo.link_mut(flaky).set_degradation(0.6);
+    topo
+}
 
+fn run_ladder(
+    name: &'static str,
+    cli: &Cli,
+    mut topo: Topology,
+    mut selector: Selector<'_>,
+) -> Outcome {
+    let fail_at = cli.iters / 2;
     let jobs: Vec<Communicator> = (0..8)
         .map(|i| {
             let devices: Vec<GpuId> = [i, 8 + i]
@@ -50,36 +67,36 @@ fn run_ladder(
         cnp: Some(CnpModel::paper_default()),
         ..DrainConfig::default()
     };
-    let mut rng = DetRng::seed_from(seed);
-    let mut select = make(&topo);
-
-    struct Shim<'a>(&'a mut dyn FnMut(&Topology, &FlowKey) -> PathChoice);
-    impl PathSelector for Shim<'_> {
-        fn select(&mut self, topo: &Topology, key: &FlowKey) -> PathChoice {
-            (self.0)(topo, key)
-        }
-        fn name(&self) -> &'static str {
-            "ablation-shim"
-        }
-    }
+    let mut rng = DetRng::seed_from(cli.seed);
 
     let mut pre = Vec::new();
     let mut post = Vec::new();
-    for it in 0..iters {
+    for it in 0..cli.iters {
         if it == fail_at {
             let spine = topo.spines()[0];
             topo.set_spine_up(spine, false);
-            if dynamic_master {
-                // The dynamic rung re-probes; rebuild its closure.
-                select = make(&topo);
+            if let Selector::C4p {
+                master,
+                rebalance: true,
+            } = &mut selector
+            {
+                master.rebalance(&topo);
             }
         }
         let reqs: Vec<CollectiveRequest<'_>> = jobs
             .iter()
             .map(|c| benchmark_request(c, it as u64, drain.clone()))
             .collect();
-        let mut shim = Shim(&mut *select);
-        let results = run_concurrent(&topo, &reqs, &mut shim, None, &mut rng, None);
+        let results = match &mut selector {
+            Selector::Plain(sel) => run_concurrent(&topo, &reqs, *sel, None, &mut rng, None),
+            Selector::C4p { master, .. } => {
+                let results = run_concurrent(&topo, &reqs, *master, None, &mut rng, None);
+                for r in &results {
+                    master.observe(&r.qp_outcomes);
+                }
+                results
+            }
+        };
         let mean =
             results.iter().filter_map(|r| r.busbw_gbps()).sum::<f64>() / results.len() as f64;
         if it < fail_at {
@@ -102,53 +119,43 @@ fn main() {
         "dual-port balance lifts healthy busbw; link elimination removes the \
          flaky-path tax; dynamic rebalance recovers after failures",
     );
-    let fail_at = cli.iters / 2;
-    let mut rows = Vec::new();
-
-    rows.push(run_ladder(
-        "1. ecmp (no C4P)",
-        cli.seed,
-        cli.iters,
-        fail_at,
-        |_| {
-            let mut sel = EcmpSelector::new(0xAB1);
-            Box::new(move |t, k| sel.select(t, k))
-        },
-        false,
-    ));
-    rows.push(run_ladder(
-        "2. balance-only",
-        cli.seed,
-        cli.iters,
-        fail_at,
-        |_| {
-            let mut sel = RailLocalSelector::new();
-            Box::new(move |t, k| sel.select(t, k))
-        },
-        false,
-    ));
-    rows.push(run_ladder(
-        "3. c4p-static",
-        cli.seed,
-        cli.iters,
-        fail_at,
-        |topo| {
-            let mut m = C4pMaster::new(topo, C4pConfig { dynamic: false });
-            Box::new(move |t, k| m.select(t, k))
-        },
-        false,
-    ));
-    rows.push(run_ladder(
-        "4. c4p-dynamic",
-        cli.seed,
-        cli.iters,
-        fail_at,
-        |topo| {
-            let mut m = C4pMaster::new(topo, C4pConfig::default());
-            Box::new(move |t, k| m.select(t, k))
-        },
-        true,
-    ));
+    let topo = testbed();
+    let mut ecmp = EcmpSelector::new(0xAB1);
+    let mut balance = RailLocalSelector::new();
+    let mut c4p_static = C4pMaster::new(&topo, C4pConfig { dynamic: false });
+    let mut c4p_dynamic = C4pMaster::new(&topo, C4pConfig::default());
+    let rows = [
+        run_ladder(
+            "1. ecmp (no C4P)",
+            &cli,
+            topo.clone(),
+            Selector::Plain(&mut ecmp),
+        ),
+        run_ladder(
+            "2. balance-only",
+            &cli,
+            topo.clone(),
+            Selector::Plain(&mut balance),
+        ),
+        run_ladder(
+            "3. c4p-static",
+            &cli,
+            topo.clone(),
+            Selector::C4p {
+                master: &mut c4p_static,
+                rebalance: false,
+            },
+        ),
+        run_ladder(
+            "4. c4p-dynamic",
+            &cli,
+            topo,
+            Selector::C4p {
+                master: &mut c4p_dynamic,
+                rebalance: true,
+            },
+        ),
+    ];
 
     println!(
         "{:<22} {:>18} {:>18}",
