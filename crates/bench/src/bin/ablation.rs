@@ -113,7 +113,7 @@ fn run_ladder(
 }
 
 fn main() {
-    let cli = parse_cli(12);
+    let cli = parse_cli(12, &[]);
     banner(
         "Ablation — C4P mechanism ladder",
         "dual-port balance lifts healthy busbw; link elimination removes the \

@@ -21,10 +21,10 @@
 //! gates, same pattern as `fig3 --sweep scale`.
 
 use c4::scenarios::fig10;
-use c4_bench::{banner, finish, parse_cli, pct};
+use c4_bench::{banner, finish, parse_cli, pct, SWEEP_FLAGS};
 
 fn main() {
-    let cli = parse_cli(2);
+    let cli = parse_cli(2, SWEEP_FLAGS);
     // `--sweep 16k`/`--sweep 32k` select the scale extensions (their own
     // baselines, so the 4k trajectory stays comparable across PRs).
     let cfg = match cli.sweep.as_deref() {

@@ -18,10 +18,10 @@
 //! gates, same pattern as `fig3 --sweep scale` and `bench_c4p`.
 
 use c4::scenarios::fig10;
-use c4_bench::{banner, finish, parse_cli};
+use c4_bench::{banner, finish, parse_cli, FINISH_FLAGS};
 
 fn main() {
-    let cli = parse_cli(2);
+    let cli = parse_cli(2, FINISH_FLAGS);
     let cfg = fig10::C4pScaleConfig::drain_4096(cli.seed, cli.iters);
     banner(
         "Noisy drain engine at 4096 GPUs — 8 jobs, DCQCN noise + CNP live",

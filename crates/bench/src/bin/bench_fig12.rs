@@ -17,10 +17,10 @@
 //! gates, same pattern as `bench_c4p` and `bench_drain`.
 
 use c4::scenarios::fig12;
-use c4_bench::{banner, finish, parse_cli, pct};
+use c4_bench::{banner, finish, parse_cli, pct, FINISH_FLAGS};
 
 fn main() {
-    let cli = parse_cli(6);
+    let cli = parse_cli(6, FINISH_FLAGS);
     let cfg = fig12::FaultScaleConfig::scale_4096(cli.seed, cli.iters);
     banner(
         "Fig 12 at 4096 GPUs — spine kill mid-run, static TE vs dynamic LB",

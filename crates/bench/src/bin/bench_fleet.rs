@@ -21,10 +21,10 @@
 
 use c4::prelude::{FleetConfig, SimDuration};
 use c4::scenarios::fleet;
-use c4_bench::{banner, finish, parse_cli, pct};
+use c4_bench::{banner, finish, parse_cli, pct, FINISH_FLAGS};
 
 fn main() {
-    let cli = parse_cli(168);
+    let cli = parse_cli(168, FINISH_FLAGS);
     let mut cfg = FleetConfig::soak_512(cli.seed);
     cfg.horizon = SimDuration::from_hours(cli.iters as u64);
     banner(

@@ -18,13 +18,13 @@
 //! gates, same pattern as `bench_c4p` and `bench_drain`.
 
 use c4::scenarios::hybrid;
-use c4_bench::{banner, finish, parse_cli};
+use c4_bench::{banner, finish, parse_cli, SWEEP_FLAGS};
 
 fn main() {
     // One iteration per cell: plan-build cost is a rounding error next to
     // the four noisy phase drains, and the scenario tests already pin the
     // cache-reuse behaviour — the bench measures the drains.
-    let cli = parse_cli(1);
+    let cli = parse_cli(1, SWEEP_FLAGS);
     // `--sweep 16k`/`--sweep 32k` select the scale extensions (their own
     // baselines, so the 4k trajectory stays comparable across PRs).
     let cfg = match cli.sweep.as_deref() {

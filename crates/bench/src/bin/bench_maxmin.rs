@@ -52,7 +52,7 @@ impl Recorder {
 }
 
 fn main() {
-    let cli = parse_cli(1);
+    let cli = parse_cli(1, &["--json-out"]);
     banner(
         "BENCH_maxmin — max-min solver stack medians",
         "incremental MaxMinState vs from-scratch reference",

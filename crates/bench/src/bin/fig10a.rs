@@ -5,7 +5,7 @@ use c4::scenarios::fig10;
 use c4_bench::{banner, parse_cli, pct};
 
 fn main() {
-    let cli = parse_cli(6);
+    let cli = parse_cli(6, &[]);
     banner(
         "Fig 10a — global traffic engineering, 1:1 oversubscription",
         "baseline 171.93–263.27 Gbps; C4P 353.86–360.57 Gbps; +70.3% mean",

@@ -6,7 +6,7 @@ use c4::scenarios::fig10;
 use c4_bench::{banner, parse_cli, pct};
 
 fn main() {
-    let cli = parse_cli(6);
+    let cli = parse_cli(6, &[]);
     banner(
         "Fig 10b — global traffic engineering, 2:1 oversubscription",
         "C4P spread ≈11 Gbps around ~180 Gbps; +65.55% mean over baseline",

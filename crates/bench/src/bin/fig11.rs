@@ -5,7 +5,7 @@ use c4::scenarios::fig10;
 use c4_bench::{banner, parse_cli};
 
 fn main() {
-    let cli = parse_cli(12);
+    let cli = parse_cli(12, &[]);
     banner(
         "Fig 11 — CNP count per bonded port (2:1 oversubscription, C4P)",
         "≈15 kp/s per port, fluctuating between 12.5 and 17.5 kp/s",

@@ -31,7 +31,7 @@ fn summarize(label: &str, r: &fig12::Fig12Report) {
 }
 
 fn main() {
-    let cli = parse_cli(60);
+    let cli = parse_cli(60, &[]);
     banner(
         "Fig 12 — tolerance to a dynamic link failure (1 of 8 uplinks)",
         "static TE: 160–220 Gbps (mean 185.76); dynamic LB: 290–335 Gbps \

@@ -30,7 +30,7 @@ fn print_series(label: &str, r: &fig12::Fig12Report) {
 }
 
 fn main() {
-    let cli = parse_cli(60);
+    let cli = parse_cli(60, &[]);
     banner(
         "Fig 13 — switch-port bandwidth with/without dynamic load balance",
         "static: rerouted flows pile onto few ports, the rest sag; \

@@ -5,7 +5,7 @@ use c4::scenarios::fig14;
 use c4_bench::{banner, parse_cli, pct};
 
 fn main() {
-    let cli = parse_cli(4);
+    let cli = parse_cli(4, &[]);
     banner(
         "Fig 14 — performance improvement in real-life jobs",
         "Job1 GPT-22B: 74.82 → 86.76 sps (+15.95%); \

@@ -16,10 +16,10 @@
 //! regressions (see [`c4_bench::finish`]).
 
 use c4::scenarios::fig3;
-use c4_bench::{banner, finish, parse_cli, pct};
+use c4_bench::{banner, finish, parse_cli, pct, SWEEP_FLAGS};
 
 fn main() {
-    let cli = parse_cli(4);
+    let cli = parse_cli(4, SWEEP_FLAGS);
     let cfg = match cli.sweep.as_deref() {
         None | Some("paper") => fig3::Fig3Config::paper(cli.seed, cli.iters),
         Some("scale") => fig3::Fig3Config::scale_4096(cli.seed, cli.iters),

@@ -25,7 +25,7 @@ fn print_matrix(ms: &[Vec<f64>]) {
 }
 
 fn main() {
-    let cli = parse_cli(1);
+    let cli = parse_cli(1, &[]);
     banner(
         "Fig 7 — communication-slow syndromes in the delay matrix (ms)",
         "one hot cell = slow connection; hot row = rank Tx slow; \

@@ -5,7 +5,7 @@ use c4::scenarios::fig9;
 use c4_bench::{banner, parse_cli, pct};
 
 fn main() {
-    let cli = parse_cli(5);
+    let cli = parse_cli(5, &[]);
     banner(
         "Fig 9 — balancing traffic between the bonded physical ports",
         "baseline <240 Gbps; C4P ≈360 Gbps (NVLink-capped 362); ~50% gain",

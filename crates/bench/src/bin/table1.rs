@@ -5,7 +5,7 @@ use c4::scenarios::tables::table1;
 use c4_bench::{banner, parse_cli, pct};
 
 fn main() {
-    let cli = parse_cli(1);
+    let cli = parse_cli(1, &[]);
     banner(
         "Table I — crash-cause census, 4096-GPU job, one month (June 2023)",
         "40 crashes; CUDA 12.5%/100% local; ECC+NVLink 27.5%/100%; \

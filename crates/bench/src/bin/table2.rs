@@ -2,9 +2,10 @@
 //! workspace presets.
 
 use c4::prelude::*;
-use c4_bench::banner;
+use c4_bench::{banner, parse_cli};
 
 fn main() {
+    parse_cli(1, &[]);
     banner(
         "Table II — evaluation configuration",
         "GPT-175B (C4D); allreduce benchmarks + GPT-22B/Llama-13B/GPT-175B \

@@ -28,7 +28,7 @@ fn column(label: &str, r: &OperationReport) {
 }
 
 fn main() {
-    let cli = parse_cli(1);
+    let cli = parse_cli(1, &[]);
     banner(
         "Table III — error-induced downtime (2400-GPU GPT-175B job)",
         "June 2023: Post-CKPT 7.53, Detection 3.41, Diag&Iso 19.65 \

@@ -3,9 +3,12 @@
 //!
 //! Every binary accepts `--seed <u64>` (default 42) and, where meaningful,
 //! `--iters <usize>`, and prints aligned text tables. The binaries behind
-//! the `BENCH_*.json` documents also take `--sweep`, `--json-out` and
-//! `--check-against`, and end with [`finish`]. The thread budget is
-//! `C4_THREADS` (see `ParallelPolicy::from_env`).
+//! the `BENCH_*.json` documents also take `--json-out` and
+//! `--check-against` ([`FINISH_FLAGS`]) and end with [`finish`]; fig3,
+//! `bench_c4p` and `bench_hybrid` also read `--sweep` ([`SWEEP_FLAGS`]),
+//! and `bench_maxmin` reads `--json-out` alone. A binary rejects every flag
+//! it does not read. The thread budget is `C4_THREADS` (see
+//! `ParallelPolicy::from_env`).
 
 use std::time::{Duration, Instant};
 
@@ -40,15 +43,29 @@ impl Cli {
     }
 }
 
-/// Parses `--seed`, `--iters`, `--sweep`, `--json-out` and
-/// `--check-against` from `std::env::args`.
+/// The flags of a binary that ends with [`finish`].
+pub const FINISH_FLAGS: &[&str] = &["--json-out", "--check-against"];
+
+/// [`FINISH_FLAGS`] plus `--sweep`, for the binaries with sweep variants.
+pub const SWEEP_FLAGS: &[&str] = &["--sweep", "--json-out", "--check-against"];
+
+/// Parses `--seed`, `--iters` and those of `--sweep`, `--json-out` and
+/// `--check-against` that the binary `reads` from `std::env::args`.
 ///
 /// # Panics
 ///
-/// Panics with a usage message on malformed values.
-pub fn parse_cli(default_iters: usize) -> Cli {
+/// Panics with a usage message on malformed values and on any other flag.
+pub fn parse_cli(default_iters: usize, reads: &[&str]) -> Cli {
+    parse_args(
+        &std::env::args().skip(1).collect::<Vec<_>>(),
+        default_iters,
+        reads,
+    )
+}
+
+/// [`parse_cli`] over explicit arguments.
+fn parse_args(args: &[String], default_iters: usize, reads: &[&str]) -> Cli {
     let mut cli = Cli::with_defaults(default_iters);
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, flag: &str| -> String {
         *i += 1;
@@ -59,22 +76,32 @@ pub fn parse_cli(default_iters: usize) -> Cli {
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => {
-                cli.seed = value(&args, &mut i, "--seed")
+                cli.seed = value(args, &mut i, "--seed")
                     .parse()
                     .unwrap_or_else(|_| panic!("--seed needs a u64"));
             }
             "--iters" => {
-                cli.iters = value(&args, &mut i, "--iters")
+                cli.iters = value(args, &mut i, "--iters")
                     .parse()
                     .unwrap_or_else(|_| panic!("--iters needs a usize"));
             }
-            "--sweep" => cli.sweep = Some(value(&args, &mut i, "--sweep")),
-            "--json-out" => cli.json_out = Some(value(&args, &mut i, "--json-out")),
-            "--check-against" => {
-                cli.check_against = Some(value(&args, &mut i, "--check-against"));
+            "--sweep" if reads.contains(&"--sweep") => {
+                cli.sweep = Some(value(args, &mut i, "--sweep"));
+            }
+            "--json-out" if reads.contains(&"--json-out") => {
+                cli.json_out = Some(value(args, &mut i, "--json-out"));
+            }
+            "--check-against" if reads.contains(&"--check-against") => {
+                cli.check_against = Some(value(args, &mut i, "--check-against"));
             }
             other => panic!(
-                "unknown argument: {other} (expected --seed/--iters/--sweep/--json-out/--check-against)"
+                "unknown argument: {other} (expected {})",
+                ["--seed", "--iters"]
+                    .iter()
+                    .chain(reads)
+                    .copied()
+                    .collect::<Vec<_>>()
+                    .join("/")
             ),
         }
         i += 1;
@@ -397,6 +424,36 @@ mod tests {
         assert_eq!(c.seed, 42);
         assert_eq!(c.iters, 8);
         assert!(c.sweep.is_none() && c.json_out.is_none() && c.check_against.is_none());
+    }
+
+    #[test]
+    fn a_binary_rejects_the_flags_it_does_not_read() {
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        let all = "--seed 7 --iters 3 --sweep 16k --json-out o.json --check-against b.json";
+        let cli = parse_args(&args(all), 1, SWEEP_FLAGS);
+        assert_eq!((cli.seed, cli.iters), (7, 3));
+        assert_eq!(cli.sweep.as_deref(), Some("16k"));
+        assert_eq!(cli.json_out.as_deref(), Some("o.json"));
+        assert_eq!(cli.check_against.as_deref(), Some("b.json"));
+        let cli = parse_args(&args("--json-out o.json"), 1, &["--json-out"]);
+        assert_eq!(cli.json_out.as_deref(), Some("o.json"));
+
+        for (line, reads) in [
+            ("--sweep bogus", FINISH_FLAGS),
+            ("--check-against b.json", &["--json-out"]),
+            ("--json-out o.json", &[]),
+            ("--check-against b.json", &[]),
+            ("--sweep scale", &[]),
+        ] {
+            let err =
+                std::panic::catch_unwind(|| parse_args(&args(line), 1, reads)).expect_err(line);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            let flag = line.split(' ').next().unwrap();
+            assert!(
+                msg.starts_with(&format!("unknown argument: {flag} ")),
+                "{line}: {msg}"
+            );
+        }
     }
 
     #[test]
