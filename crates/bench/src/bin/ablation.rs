@@ -27,9 +27,8 @@ struct Outcome {
     post_mean: f64,
 }
 
-/// A rung's path selector. A C4P master also takes every iteration's
-/// per-QP rates (a no-op when static), and the dynamic rung's master
-/// re-probes the fabric at the failure, as `fig12` does.
+/// A rung's path selector: a C4P master also gets the rate feedback and,
+/// when `rebalance`, the re-probe the module doc describes.
 enum Selector<'a> {
     Plain(&'a mut dyn PathSelector),
     C4p {

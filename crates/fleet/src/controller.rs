@@ -548,7 +548,9 @@ impl FleetController {
     /// disjoint.
     fn assert_pools_disjoint(&self) {
         let job_nodes = self.jobs.values().flat_map(|j| &j.job.layout().nodes);
-        let held = (self.free_nodes.iter())
+        let held = self
+            .free_nodes
+            .iter()
             .chain(self.steering.backups())
             .chain(self.steering.isolated())
             .chain(job_nodes);
