@@ -12,6 +12,11 @@
 //! * the **counters** digest: every [`DrainSolverStats`] counter except
 //!   `arena_hwm_bytes`, which measures scratch capacity rather than work.
 //!
+//! One hybrid case runs three warm noisy iterations per selector, whose
+//! drains go over plans the job's [`PlanCache`] already holds; its counters
+//! digest folds `arena_hwm_bytes` as well, which a drain must report the
+//! same however its seed solve was reached.
+//!
 //! Two cases run fleet soaks, whose counters digest folds the report's
 //! plan-cache hits and misses instead: how often plans were built, not
 //! what the soak did. One folds noise-free plan-cached BSP iterations and
@@ -234,29 +239,28 @@ fn noisy_alltoall_drain_is_unchanged() {
     );
 }
 
-/// One noisy iteration of the TP2/PP2/EP2 hybrid job on the 8-node tiny
-/// fabric under C4P (the job of `tests/hybrid_differential.rs`).
-#[test]
-fn noisy_tiny_hybrid_iteration_is_unchanged() {
-    let topo = Topology::build(&ClosConfig::tiny(8));
+/// The TP2/PP2/EP2 hybrid job on the 8-node tiny fabric (the job of
+/// `tests/hybrid_differential.rs`), with 10 % rate noise and paper CNP
+/// accounting.
+fn tiny_hybrid_job(topo: &Topology) -> HybridJob {
     let mut spec = HybridSpec::moe(2, 2, 2);
     spec.tp_elems = 256 * 1024;
     spec.pp_elems = 128 * 1024;
     spec.dp_elems = 512 * 1024;
     spec.ep_elems = 256 * 1024;
     let nodes: Vec<NodeId> = (0..topo.num_nodes()).map(NodeId::from_index).collect();
-    let mut job = HybridJob::new(&topo, spec, nodes, 1).expect("tiny hybrid places");
+    let mut job = HybridJob::new(topo, spec, nodes, 1).expect("tiny hybrid places");
     job.drain = DrainConfig {
         rate_noise: 0.10,
         cnp: Some(CnpModel::paper_default()),
         ..DrainConfig::default()
     };
-    job.set_ep_skew(EpSkew::hot(1, 3.0));
-    let mut master = C4pMaster::new(&topo, C4pConfig::default());
-    let report = job.run_iteration(&topo, &mut master, None, &mut DetRng::seed_from(5));
-    assert!(!report.hung, "tiny hybrid iteration completes");
+    job
+}
 
-    let mut d = Digest::new();
+/// Folds a hybrid iteration's results: each phase's comm count, duration
+/// and mean bus bandwidth, the total and the per-rank EP bytes.
+fn hybrid_iteration(d: &mut Digest, report: &HybridIterationReport) {
     for p in &report.phases {
         d.word(p.comms as u64);
         d.word(p.duration.as_nanos());
@@ -268,10 +272,59 @@ fn noisy_tiny_hybrid_iteration_is_unchanged() {
             d.word(b);
         }
     }
+}
+
+/// One noisy iteration of the tiny hybrid job under C4P, from cold plan
+/// caches.
+#[test]
+fn noisy_tiny_hybrid_iteration_is_unchanged() {
+    let topo = Topology::build(&ClosConfig::tiny(8));
+    let mut job = tiny_hybrid_job(&topo);
+    job.set_ep_skew(EpSkew::hot(1, 3.0));
+    let mut master = C4pMaster::new(&topo, C4pConfig::default());
+    let report = job.run_iteration(&topo, &mut master, None, &mut DetRng::seed_from(5));
+    assert!(!report.hung, "tiny hybrid iteration completes");
+
+    let mut d = Digest::new();
+    hybrid_iteration(&mut d, &report);
     assert_digests(
         "tiny hybrid iteration",
         (d.0, counters(&report.solver)),
         (0x47a5_5437_32ca_e85a, 0xf9b0_6b4c_831d_6c57),
+    );
+}
+
+/// Three noisy iterations of the tiny hybrid job, under ECMP and then under
+/// C4P, each selector on its own job with the hot expert rotating every
+/// iteration: after the first, every phase drains again over plans its
+/// cache already holds. The results digest folds each iteration and the
+/// RNG position after each selector's three; the counters digest folds
+/// every iteration's solver counters, `arena_hwm_bytes` included.
+#[test]
+fn warm_noisy_tiny_hybrid_iterations_are_unchanged() {
+    let topo = Topology::build(&ClosConfig::tiny(8));
+    let mut ecmp = EcmpSelector::new(0x7A2);
+    let mut master = C4pMaster::new(&topo, C4pConfig::default());
+    let selectors: [&mut dyn PathSelector; 2] = [&mut ecmp, &mut master];
+    let (mut d, mut c) = (Digest::new(), Digest::new());
+    for selector in selectors {
+        let mut job = tiny_hybrid_job(&topo);
+        let mut rng = DetRng::seed_from(9);
+        for it in 0..3u32 {
+            job.set_ep_skew(EpSkew::hot(it % 2, 3.0));
+            let report = job.run_iteration(&topo, &mut *selector, None, &mut rng);
+            assert!(!report.hung, "iteration {it} completes");
+            hybrid_iteration(&mut d, &report);
+            c.word(counters(&report.solver));
+            c.word(report.solver.arena_hwm_bytes);
+        }
+        assert!(job.plan_cache().hits() > 0, "warm iterations reuse plans");
+        d.word(rng.uniform().to_bits());
+    }
+    assert_digests(
+        "warm tiny hybrid iterations",
+        (d.0, c.0),
+        (0xb7b8_82c7_9bbb_9052, 0x0cd6_8455_c7c9_deb3),
     );
 }
 
