@@ -10,9 +10,10 @@
 //!   do. A single [`PathSelector`] serves all requests — matching the
 //!   paper's design where one C4P master is the control center for multiple
 //!   jobs/tenants (§III-B);
-//! * [`run_concurrent_cached`] — the same, reusing flow plans (and
-//!   noise-free drains) across calls through a [`PlanCache`]. Every
-//!   iteration loop runs through it; the other two call it without a cache.
+//! * [`run_concurrent_cached`] — the same, reusing flow plans, noise-free
+//!   drains and noisy drains' seed solves across calls through a
+//!   [`PlanCache`]. Every iteration loop runs through it; the other two
+//!   call it without a cache.
 //!
 //! Each call takes one path from plan to drain: every cache-missed
 //! request's flow keys — intra-node and network alike — are built up
@@ -24,7 +25,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use c4_netsim::{drain, DrainConfig, DrainReport, FlowKey, FlowSpec, PathChoice, PathSelector};
+use c4_netsim::{
+    drain, drain_seeded, DrainConfig, DrainReport, FlowKey, FlowSpec, PathChoice, PathSelector,
+};
 use c4_simcore::{scoped_map, ByteSize, DetRng, FastMap, ParallelPolicy, SimTime};
 use c4_telemetry::{
     AlgoKind, CollKind, CollRecord, ConnKey, DataType, RankRecord, WorkerTelemetry,
@@ -33,7 +36,7 @@ use c4_topology::{GpuId, LinkId, Topology};
 
 use crate::alltoall::{channel_pair, pair_channel, AllToAllPlan};
 use crate::comm::{CommConfig, Communicator};
-use crate::memo::{self, DrainMemo};
+use crate::memo::{self, DrainMemo, DrainSlot, SeedStamp};
 use crate::plan::{bus_factor, RingPlan};
 use crate::result::CollectiveResult;
 
@@ -119,6 +122,9 @@ struct PlanKey {
 struct PlanEntry {
     topo_version: u64,
     selector_token: u64,
+    /// When the plan was built: the cache's build count at the time, so a
+    /// rebuilt plan never carries the stamp of the plan it replaced.
+    build: u64,
     plan: PlanSpec,
 }
 
@@ -175,15 +181,47 @@ struct PlanEntry {
 /// or selector change keeps its slot: the next call replays only if the
 /// rebuilt plan presents the recorded inputs, and otherwise drains and
 /// overwrites the slot.
+///
+/// A noisy call cannot be replayed (its noise and CNP draws move the RNG),
+/// but its drain's first allocation does not depend on them: the seed
+/// solve, the event kernel's solve over every flow, reads only the routes,
+/// their link capacities and which flows have zero bytes. So the slot also
+/// keeps its last noisy drain's seed solve (per-flow rates, per-link
+/// bottleneck levels and the kernel's arena shape), stamped with what it
+/// was solved over:
+///
+/// * the build stamp of each request's plan (a cache-wide count each
+///   build advances, so equal stamps mean the same routes in the same
+///   order);
+/// * [`Topology::version`] (every link change moves it, so an equal
+///   version means the same capacity on every link);
+/// * the indices of the zero-byte flows (which the drain removes before it
+///   seeds).
+///
+/// A noisy call whose stamp equals the kept one hands the seed solve to
+/// [`c4_netsim::drain_seeded`], which restores it instead of running the
+/// kernel and otherwise drains as usual; any other noisy call runs the
+/// kernel. Either way the drain's seed solve replaces the kept one, so a
+/// slot holds at most one. Stamps compare exactly, not by hash, and do not
+/// rest on [`PlanCache::rebase`] receiving a complete set of changed links:
+/// a re-stamped plan still fails the version check. The report is
+/// bit-identical to a fresh drain's, its solver counters and
+/// `arena_hwm_bytes` included, and the RNG moves as it would; debug builds
+/// run the kernel on every restore anyway and assert that both agree bit
+/// for bit. Seeds go with their slots.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entries: FastMap<PlanKey, PlanEntry>,
     /// The drain memo, one slot per request set (its plan keys, in
     /// request order).
-    drains: FastMap<Vec<PlanKey>, DrainMemo>,
+    drains: FastMap<Vec<PlanKey>, DrainSlot>,
+    /// Plans built so far: the source of [`PlanEntry::build`].
+    builds: u64,
     hits: u64,
     misses: u64,
     drain_reuses: u64,
+    /// Seed solves handed to a drain to restore.
+    seed_restores: u64,
     build_wall_ms: f64,
 }
 
@@ -227,15 +265,15 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// Drops every cached plan and recorded drain (explicit
-    /// fault/steering invalidation).
+    /// Drops every cached plan, recorded drain and kept seed solve
+    /// (explicit fault/steering invalidation).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.drains.clear();
     }
 
     /// Drops the cached plans of one communicator id (all incarnations),
-    /// and every recorded drain.
+    /// and every recorded drain and kept seed solve.
     pub fn invalidate_comm(&mut self, comm: u64) {
         self.entries.retain(|k, _| k.comm != comm);
         self.drains.clear();
@@ -261,8 +299,9 @@ impl PlanCache {
     /// would no longer pick, not an invalid route — but for *down* links
     /// the set must be complete or [`PlanCache::any_route_through`] audits
     /// will flag the stale route. Dropping any plan drops every recorded drain
-    /// too; the drains of re-stamped plans stay, since the drain memo checks
-    /// the route capacities itself.
+    /// and kept seed solve too; those of re-stamped plans stay, since the
+    /// drain memo checks the route capacities itself and a seed solve's
+    /// stamp holds the topology version it was solved at.
     pub fn rebase(&mut self, topo: &Topology, affected: &[LinkId]) -> usize {
         let version = topo.version();
         let before = self.entries.len();
@@ -299,6 +338,7 @@ impl PlanCache {
         if let Some(report) = self
             .drains
             .get(&slot)
+            .and_then(|s| s.memo.as_ref())
             .and_then(|m| m.replay(topo, specs, cfg))
         {
             self.drain_reuses += 1;
@@ -320,8 +360,32 @@ impl PlanCache {
         }
         let report = drain(topo, specs, cfg, rng);
         if let Some(m) = DrainMemo::record(topo, specs, cfg, &report) {
-            self.drains.insert(slot, m);
+            self.drains.entry(slot).or_default().memo = Some(m);
         }
+        report
+    }
+
+    /// Drains `specs` under the noisy `cfg` for the request set `slot`,
+    /// restoring the slot's seed solve when its stamp still matches and
+    /// keeping this drain's in its place (see [the drain
+    /// memo](PlanCache#the-drain-memo)).
+    fn drain_seeded(
+        &mut self,
+        slot: Vec<PlanKey>,
+        topo: &Topology,
+        specs: &[FlowSpec],
+        cfg: &DrainConfig,
+        rng: &mut DetRng,
+    ) -> DrainReport {
+        let plans = slot.iter().map(|k| self.entries[k].build).collect();
+        let stamp = SeedStamp::new(plans, topo, specs);
+        let kept = &mut self.drains.entry(slot).or_default().seed;
+        let mut seed = kept
+            .take()
+            .and_then(|(was, seed)| (was == stamp).then_some(seed));
+        self.seed_restores += u64::from(seed.is_some());
+        let report = drain_seeded(topo, specs, cfg, rng, &mut seed);
+        *kept = seed.map(|seed| (stamp, seed));
         report
     }
 
@@ -543,11 +607,13 @@ fn plan_requests(
         );
         match (cache.as_deref_mut(), token) {
             (Some(c), Some(token)) => {
+                c.builds += 1;
                 c.entries.insert(
                     p.key.clone(),
                     PlanEntry {
                         topo_version: topo.version(),
                         selector_token: token,
+                        build: c.builds,
                         plan,
                     },
                 );
@@ -752,15 +818,17 @@ pub fn run_concurrent(
 /// caller wins; all remaining knobs (epoch, rate noise, CNP model) come
 /// from the first request. Results come back in request order.
 ///
-/// With a cache, every plan served from it and the merged drain
-/// noise-free, the call goes through the cache's [drain
-/// memo](PlanCache#the-drain-memo): when the specs, route-link capacities
-/// and fabric size equal those of this request set's last recorded drain,
-/// and the deadline leaves room, the recorded report is replayed, shifted
-/// to the new start, instead of drained. The results are bit-identical
-/// either way, the report's solver counters included (a replay carries
-/// those of the drain it replays), and the RNG is untouched either way.
-/// Noisy calls always drain.
+/// With a cache and every plan served from it, the call goes through the
+/// request set's slot in the cache's [drain memo](PlanCache#the-drain-memo).
+/// A noise-free call replays the slot's recorded report, shifted to the new
+/// start, instead of draining, when the specs, route-link capacities and
+/// fabric size equal those of its last recorded drain and the deadline
+/// leaves room; the RNG is untouched either way. A noisy call always
+/// drains, from the slot's kept seed solve when no plan was rebuilt since,
+/// the topology version is unchanged and the same flows have zero bytes.
+/// The results are bit-identical either way, the report's solver counters
+/// included (a replay carries those of the drain it replays, a restored
+/// seed solve counts as the solve it restores).
 ///
 /// # Panics
 ///
@@ -826,20 +894,19 @@ pub fn run_concurrent_cached(
         ..reqs[0].drain.clone()
     };
     // The drain memo's slot: the request set's plan keys, when every plan
-    // came from the cache and the drain is noise-free.
-    let slot: Option<Vec<PlanKey>> = if memo::replayable(&drain_cfg) {
-        sources
-            .iter()
-            .map(|s| match s {
-                PlanSource::Cached(key) => Some(key.clone()),
-                PlanSource::Owned(_) => None,
-            })
-            .collect()
-    } else {
-        None
-    };
+    // came from the cache.
+    let slot: Option<Vec<PlanKey>> = sources
+        .iter()
+        .map(|s| match s {
+            PlanSource::Cached(key) => Some(key.clone()),
+            PlanSource::Owned(_) => None,
+        })
+        .collect();
     let report = Arc::new(match (cache, slot) {
-        (Some(c), Some(slot)) => c.drain_memoized(slot, topo, &specs, &drain_cfg, rng),
+        (Some(c), Some(slot)) if memo::replayable(&drain_cfg) => {
+            c.drain_memoized(slot, topo, &specs, &drain_cfg, rng)
+        }
+        (Some(c), Some(slot)) => c.drain_seeded(slot, topo, &specs, &drain_cfg, rng),
         _ => drain(topo, &specs, &drain_cfg, rng),
     });
 
@@ -917,6 +984,8 @@ mod tests {
     use c4_netsim::{EcmpSelector, RailLocalSelector};
     use c4_simcore::SimDuration;
     use c4_topology::{ClosConfig, GpuId, NodeId};
+
+    use crate::alltoall::EpSkew;
 
     fn topo() -> Topology {
         Topology::build(&ClosConfig::testbed_128())
@@ -1329,11 +1398,22 @@ mod tests {
         cache: &mut PlanCache,
         rng: &mut DetRng,
     ) -> Vec<CollectiveResult> {
+        cached_matches_uncached_salted(t, reqs, 9, cache, rng)
+    }
+
+    /// [`cached_matches_uncached`] under ECMP salt `salt`.
+    fn cached_matches_uncached_salted(
+        t: &Topology,
+        reqs: &[CollectiveRequest<'_>],
+        salt: u64,
+        cache: &mut PlanCache,
+        rng: &mut DetRng,
+    ) -> Vec<CollectiveResult> {
         let mut uncached_rng = rng.clone();
         let cached = run_concurrent_cached(
             t,
             reqs,
-            &mut EcmpSelector::new(9),
+            &mut EcmpSelector::new(salt),
             None,
             rng,
             None,
@@ -1342,7 +1422,7 @@ mod tests {
         let uncached = run_concurrent(
             t,
             reqs,
-            &mut EcmpSelector::new(9),
+            &mut EcmpSelector::new(salt),
             None,
             &mut uncached_rng,
             None,
@@ -1564,6 +1644,162 @@ mod tests {
         // The fresh drain overwrote the slot: the next call replays it.
         cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
         assert_eq!(cache.drain_reuses(), 1);
+    }
+
+    /// `request(comm)` under 10 % rate noise and paper CNP accounting.
+    fn noisy_request(comm: &Communicator) -> CollectiveRequest<'_> {
+        CollectiveRequest {
+            drain: DrainConfig {
+                rate_noise: 0.1,
+                cnp: Some(c4_netsim::CnpModel::paper_default()),
+                ..DrainConfig::default()
+            },
+            ..request(comm)
+        }
+    }
+
+    /// Runs `reqs` through `cache` under ECMP salt `salt` (checked against
+    /// a cache-less run) and returns whether the call restored a seed
+    /// solve rather than running the kernel.
+    fn restores(
+        t: &Topology,
+        reqs: &[CollectiveRequest<'_>],
+        salt: u64,
+        cache: &mut PlanCache,
+        rng: &mut DetRng,
+    ) -> bool {
+        let before = cache.seed_restores;
+        cached_matches_uncached_salted(t, reqs, salt, cache, rng);
+        cache.seed_restores > before
+    }
+
+    #[test]
+    fn warm_noisy_calls_restore_their_seed_solve_bit_identically() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(47);
+        let mut results = Vec::new();
+        for seq in 0..3 {
+            let reqs = [&c1, &c2].map(|c| CollectiveRequest {
+                seq,
+                start: SimTime::from_secs(seq),
+                ..noisy_request(c)
+            });
+            results.push(cached_matches_uncached(&t, &reqs, &mut cache, &mut rng));
+        }
+        assert_eq!(cache.seed_restores, 2, "the second and third calls restore");
+        assert_eq!(cache.drain_reuses(), 0, "noisy drains are not replayed");
+        assert_ne!(
+            results[1][0].report.outcomes, results[2][0].report.outcomes,
+            "fresh noise"
+        );
+    }
+
+    #[test]
+    fn a_changed_route_link_runs_the_kernel() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let reqs = [noisy_request(&c1), noisy_request(&c2)];
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(48);
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert!(restores(&t, &reqs, 9, &mut cache, &mut rng));
+        // Degrade, then down, a host uplink the drain used, each time
+        // re-stamping the plans without naming the link: the plans still
+        // hit, and only the topology version tells the seed solve is stale.
+        let link = busiest_host_uplink(&t, &first[0]);
+        let changes: [fn(&mut c4_topology::Link); 2] =
+            [|l| l.set_degradation(0.5), |l| l.set_up(false)];
+        for change in changes {
+            change(t.link_mut(link));
+            assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
+            assert!(!restores(&t, &reqs, 9, &mut cache, &mut rng), "kernel");
+            assert!(restores(&t, &reqs, 9, &mut cache, &mut rng), "kept anew");
+        }
+        assert_eq!((cache.misses(), cache.hits()), (2, 10), "plans always hit");
+    }
+
+    #[test]
+    fn a_rebuilt_plan_runs_the_kernel() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let reqs = [noisy_request(&c1), noisy_request(&c2)];
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(49);
+        for (salt, restored) in [(9, false), (9, true), (10, false), (10, true)] {
+            assert_eq!(
+                restores(&t, &reqs, salt, &mut cache, &mut rng),
+                restored,
+                "salt {salt}"
+            );
+        }
+        assert_eq!(cache.misses(), 4, "a new salt rebuilds both plans");
+    }
+
+    #[test]
+    fn a_flow_whose_bytes_turn_zero_runs_the_kernel() {
+        let t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        // A hot expert of weight 0 draws no bytes: the pairs into rank 1
+        // become zero-byte flows, which a drain removes before it seeds.
+        let reqs = |skew: EpSkew| {
+            [&c1, &c2].map(|c| CollectiveRequest {
+                kind: CollKind::AllToAll,
+                count: 64 * 1024 * 1024,
+                config: CommConfig { ep_skew: skew },
+                ..noisy_request(c)
+            })
+        };
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(50);
+        let (uniform, cold) = (EpSkew::default(), EpSkew::hot(1, 0.0));
+        let zero_byte = cached_matches_uncached(&t, &reqs(cold), &mut PlanCache::new(), &mut rng)
+            [0]
+        .qp_outcomes
+        .iter()
+        .filter(|o| o.bytes == ByteSize::ZERO)
+        .count();
+        assert!(zero_byte > 0, "rank 1 receives nothing");
+        for (skew, restored) in [
+            (EpSkew::hot(1, 3.0), false),
+            (uniform, true),
+            (cold, false),
+            (cold, true),
+            (uniform, false),
+        ] {
+            assert_eq!(
+                restores(&t, &reqs(skew), 9, &mut cache, &mut rng),
+                restored,
+                "{skew:?}"
+            );
+        }
+        assert_eq!(cache.misses(), 2, "bytes never re-plan");
+    }
+
+    #[test]
+    fn clear_invalidate_and_a_plan_dropping_rebase_run_the_kernel() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let reqs = [noisy_request(&c1), noisy_request(&c2)];
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(51);
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        let link = busiest_host_uplink(&t, &first[0]);
+        type Invalidate = fn(&mut PlanCache, &mut Topology, LinkId);
+        let invalidations: [(&str, Invalidate); 3] = [
+            ("clear", |cache, _, _| cache.clear()),
+            ("invalidate_comm", |cache, _, _| cache.invalidate_comm(1)),
+            ("rebase", |cache, t, link| {
+                t.link_mut(link).set_degradation(0.5);
+                assert!(cache.rebase(t, &[link]) > 0, "a plan dropped");
+            }),
+        ];
+        for (what, invalidate) in invalidations {
+            assert!(restores(&t, &reqs, 9, &mut cache, &mut rng), "{what}");
+            invalidate(&mut cache, &mut t, link);
+            assert!(!restores(&t, &reqs, 9, &mut cache, &mut rng), "{what}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The drain memo: a BSP request set's last noise-free drain, kept with
-//! every input that drain read, so an iteration that presents the same
-//! inputs replays the report instead of draining again.
+//! The drain memo: per BSP request set, the last noise-free drain, kept
+//! with every input that drain read so an iteration that presents the same
+//! inputs replays the report instead of draining again, and the last noisy
+//! drain's seed solve.
 //!
 //! With `rate_noise == 0` and no CNP model, [`drain`] never steps onto the
 //! noise grid: it draws nothing from the RNG and never reads `epoch`. Its
@@ -18,17 +19,57 @@
 //! the distance to that deadline. Any other difference runs [`drain`] as
 //! usual.
 //!
+//! A request set's slot also keeps its last noisy drain's seed solve with a
+//! [`SeedStamp`] of what it was solved over; `PlanCache`'s docs give the
+//! rule that hands it to the next noisy drain.
+//!
 //! [`drain`]: c4_netsim::drain
 
 use std::iter;
 use std::sync::Arc;
 
-use c4_netsim::{DrainConfig, DrainReport, DrainSolverStats, FlowOutcome, FlowSpec};
+use c4_netsim::{DrainConfig, DrainReport, DrainSolverStats, FlowOutcome, FlowSpec, SeedSolve};
 use c4_simcore::{SimDuration, SimTime};
 use c4_topology::Topology;
 
 /// Slack a recorded or replayed drain must leave before its deadline.
 const DEADLINE_SLACK: SimDuration = SimDuration::from_nanos(1);
+
+/// One request set's slot: its last recorded noise-free drain and its
+/// last noisy drain's seed solve, with what that was solved over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DrainSlot {
+    pub(crate) memo: Option<DrainMemo>,
+    pub(crate) seed: Option<(SeedStamp, SeedSolve)>,
+}
+
+/// What a drain's seed solve was solved over, in terms the plan cache
+/// compares exactly: equal stamps mean the same routes in the same spec
+/// order, over the same link capacities, with the same flows removed up
+/// front.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SeedStamp {
+    /// The build stamp of each request's plan, in request order.
+    plans: Vec<u64>,
+    /// `Topology::version` at the drain.
+    topo_version: u64,
+    /// The zero-byte flows, which the drain removes before it seeds.
+    zero_byte: Vec<u32>,
+}
+
+impl SeedStamp {
+    /// The stamp of a drain of `specs` on `topo`, built from plans with
+    /// build stamps `plans` (in request order).
+    pub(crate) fn new(plans: Vec<u64>, topo: &Topology, specs: &[FlowSpec]) -> SeedStamp {
+        SeedStamp {
+            plans,
+            topo_version: topo.version(),
+            zero_byte: (0..specs.len() as u32)
+                .filter(|&f| specs[f as usize].bytes.as_bytes() == 0)
+                .collect(),
+        }
+    }
+}
 
 /// One recorded noise-free drain and the inputs it read.
 #[derive(Debug, Clone)]

@@ -24,7 +24,9 @@
 //! [`DrainConfig`]/[`DrainReport`] surface:
 //!
 //! * [`drain`] — the production path, an event-driven engine whose
-//!   per-event work is proportional to *what changed*, not to what exists:
+//!   per-event work is proportional to *what changed*, not to what exists
+//!   ([`drain_seeded`] is the same drain, keeping its seed solve for a
+//!   later drain of the same problem to restore):
 //!   * one persistent [`MaxMinState`] carries the base allocation;
 //!     completions become [`MaxMinState::remove_flow`], and the solver's
 //!     worklist re-rates only the flows whose bottleneck moved. Link loads
@@ -71,7 +73,7 @@ use c4_topology::{LinkKind, Topology};
 
 use crate::congestion::CnpModel;
 use crate::flow::{FlowOutcome, FlowSpec};
-use crate::maxmin::{self, MaxMinState, RouteTable};
+use crate::maxmin::{self, MaxMinState, RouteTable, SeedSolve};
 
 /// Configuration of one drain run.
 #[derive(Debug, Clone)]
@@ -149,7 +151,9 @@ pub struct DrainReport {
 /// `c4_collectives::PlanCache`) carries the counters of the drain it
 /// replays: they describe the work that produced the results, not work
 /// done by the replaying call. Summed over a run, they count that work
-/// once per result served.
+/// once per result served. Likewise a drain that restored a kept seed
+/// solve ([`drain_seeded`]) counts it as the full solve it restores, and
+/// reports the arena high-water mark that solve left.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DrainSolverStats {
     /// Events the drain loop processed (completions, noise-grid instants,
@@ -157,7 +161,8 @@ pub struct DrainSolverStats {
     pub events: u64,
     /// Flows in the drained spec set.
     pub flows: u64,
-    /// Full (seed) base-allocation solves over every live flow.
+    /// Full (seed) base-allocation solves over every live flow, a
+    /// restored seed solve included.
     pub full_solves: u64,
     /// Always 0. It counted the re-solves of a component-partitioned
     /// solver that no longer exists; the field keeps existing readers of
@@ -561,6 +566,42 @@ pub fn drain(
     cfg: &DrainConfig,
     rng: &mut DetRng,
 ) -> DrainReport {
+    drain_with(topo, specs, cfg, rng, None)
+}
+
+/// [`drain`], keeping its seed solve (the event kernel's solve of the
+/// drain's first allocation, see [`MaxMinState`]) in `seed`.
+///
+/// When `seed` holds a seed solve, the drain restores it instead of running
+/// the kernel; when it is empty, the drain leaves its own seed solve there
+/// (a drain that never allocates, having no flow to move or a deadline at
+/// its start, leaves `seed` as it was). The report is bit-identical either
+/// way, its [`DrainSolverStats`] included: a restored seed solve counts as
+/// the full solve it restores, and leaves the solver's arena at the
+/// capacities, hence the `arena_hwm_bytes`, that solve left. The caller
+/// vouches that a held seed solve came from a drain of the same problem:
+/// the same routes, in spec order, over the same link capacities, with the
+/// same zero-byte flows (bytes, noise and times may differ). Debug builds
+/// run the kernel on every restore anyway and assert that it agrees bit
+/// for bit.
+pub fn drain_seeded(
+    topo: &Topology,
+    specs: &[FlowSpec],
+    cfg: &DrainConfig,
+    rng: &mut DetRng,
+    seed: &mut Option<SeedSolve>,
+) -> DrainReport {
+    drain_with(topo, specs, cfg, rng, Some(seed))
+}
+
+/// The event-driven drain behind [`drain`] and [`drain_seeded`].
+fn drain_with(
+    topo: &Topology,
+    specs: &[FlowSpec],
+    cfg: &DrainConfig,
+    rng: &mut DetRng,
+    mut seed: Option<&mut Option<SeedSolve>>,
+) -> DrainReport {
     let nf = specs.len();
     let nl = topo.num_links();
     let src_port_of = sender_ports(topo, specs);
@@ -668,10 +709,14 @@ pub fn drain(
         }
         events += 1;
 
-        // 1. Bring the base allocation up to date: the first refresh seeds,
-        //    later ones propagate the last event's completions through the
+        // 1. Bring the base allocation up to date: the first refresh seeds
+        //    (restoring a kept seed solve, when one was handed in), later
+        //    ones propagate the last event's completions through the
         //    solver's worklist.
-        base.refresh();
+        match seed.as_deref_mut() {
+            Some(kept) => base.refresh_keeping(kept),
+            None => base.refresh(),
+        }
         let base_rates = base.current_rates();
 
         // 2. Apply the rate deltas of exactly the flows the solver re-rated
@@ -1718,31 +1763,42 @@ mod tests {
     /// drain goes on from a fallback re-seed, whose changed-flow feed lists
     /// every live flow; with 63 the worklist settles within budget. Both
     /// agree with the reference, noise-free and under noise plus CNP.
-    #[test]
-    fn a_fallback_reseed_mid_drain_agrees_with_the_reference() {
+    /// A chain of fabric links whose capacities rise along it, and `n`
+    /// chain flows (flow i crosses links i and i+1) plus a short flow on
+    /// link 0.
+    fn chain_problem(n: usize) -> (Topology, Vec<FlowSpec>) {
         let mut t = topo();
         let chain = t.fabric_links()[..65].to_vec();
         for (i, &l) in chain.iter().enumerate() {
             t.link_mut(l).set_degradation(0.5 * (1.0 + 0.01 * i as f64));
         }
-        let noisy = DrainConfig {
+        let mut specs: Vec<FlowSpec> = (0..n)
+            .map(|i| {
+                let route = chain[i..i + 2].to_vec();
+                FlowSpec::new(key(i, i + 1, 0), ByteSize::from_mib(4096), route)
+            })
+            .collect();
+        specs.push(FlowSpec::new(
+            key(0, 1, 1),
+            ByteSize::from_mib(1),
+            vec![chain[0]],
+        ));
+        (t, specs)
+    }
+
+    fn noisy() -> DrainConfig {
+        DrainConfig {
             rate_noise: 0.1,
             cnp: Some(CnpModel::paper_default()),
             ..DrainConfig::default()
-        };
+        }
+    }
+
+    #[test]
+    fn a_fallback_reseed_mid_drain_agrees_with_the_reference() {
         for (n, fallbacks) in [(63, 0), (64, 1)] {
-            let mut specs: Vec<FlowSpec> = (0..n)
-                .map(|i| {
-                    let route = chain[i..i + 2].to_vec();
-                    FlowSpec::new(key(i, i + 1, 0), ByteSize::from_mib(4096), route)
-                })
-                .collect();
-            specs.push(FlowSpec::new(
-                key(0, 1, 1),
-                ByteSize::from_mib(1),
-                vec![chain[0]],
-            ));
-            for cfg in [DrainConfig::default(), noisy.clone()] {
+            let (t, specs) = chain_problem(n);
+            for cfg in [DrainConfig::default(), noisy()] {
                 let what = format!("{n} chain flows, noise {}", cfg.rate_noise);
                 let (mut r1, mut r2) = (DetRng::seed_from(12), DetRng::seed_from(12));
                 let report = drain(&t, &specs, &cfg, &mut r1);
@@ -1757,6 +1813,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A drain restored from its own kept seed solve reports what the
+    /// drain that kept it did, bit for bit and with the RNG at the same
+    /// position, even through the 64-round fallback: the fallback re-seed
+    /// grows the restored arena as it grew the solved one, so
+    /// `arena_hwm_bytes` agrees too.
+    #[test]
+    fn a_restored_seed_solve_reports_what_the_solve_did() {
+        let (t, specs) = chain_problem(64);
+        let mut seed = None;
+        let (mut r1, mut r2) = (DetRng::seed_from(13), DetRng::seed_from(13));
+        let solved = drain_seeded(&t, &specs, &noisy(), &mut r1, &mut seed);
+        assert!(seed.is_some(), "the drain kept its seed solve");
+        assert_eq!(solved.solver.fallback_solves, 1);
+        let restored = drain_seeded(&t, &specs, &noisy(), &mut r2, &mut seed);
+        assert_eq!(restored, solved, "every result and counter");
+        assert!(restored.solver.arena_hwm_bytes > 0);
+        assert_eq!(r1.uniform().to_bits(), r2.uniform().to_bits());
+        let plain = drain(&t, &specs, &noisy(), &mut DetRng::seed_from(13));
+        assert_eq!(plain, solved, "keeping a seed solve changes nothing");
+        let held = seed.expect("the restored seed solve is handed back");
+
+        // A drain that never allocates hands its seed solve back untouched.
+        let at_start = DrainConfig {
+            deadline: Some(SimTime::ZERO),
+            ..noisy()
+        };
+        let mut seed = Some(held);
+        let cut = drain_seeded(&t, &specs, &at_start, &mut r2, &mut seed);
+        assert_eq!(cut.solver.full_solves, 0);
+        assert!(seed.is_some());
     }
 
     #[test]

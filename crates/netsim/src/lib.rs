@@ -71,9 +71,21 @@
 //!   Congestion scores come from one flag per link
 //!   ([`CnpModel::link_congested`]) and a per-flow count of congested
 //!   links, re-tested only on the links whose load moved.
-//! * **One serial solve path.** Seed solves run through a single reused
-//!   scratch arena. The drain never reads a thread budget, so its results
-//!   cannot depend on one.
+//! * **One serial solve path.** Seed solves run through a scratch arena
+//!   the state owns, cleared and reused by a fallback re-seed. The drain
+//!   never reads a thread budget, so its results cannot depend on one.
+//! * **A seed solve can be kept across drains.** A drain's first
+//!   allocation depends only on its routes, their link capacities and
+//!   which flows have zero bytes, never on bytes, noise or times.
+//!   [`drain_seeded`] keeps its seed solve (per-flow
+//!   rates, per-link levels, the arena's shape) in a [`SeedSolve`] and
+//!   restores a handed-in one instead of running the kernel; the state
+//!   then builds its subscriber lists, route minima and slack tallies from
+//!   it by the usual linear passes. The caller vouches that the problem is
+//!   the same (`c4_collectives::PlanCache` does, by exact stamps); debug
+//!   builds run the kernel anyway and assert bit-identity. The report,
+//!   its solver counters and `arena_hwm_bytes` included, is the one the
+//!   kernel would have given.
 //! * **Reference agreement.** The state's allocation matches the textbook
 //!   progressive-filling loop retained in [`maxmin::solve`] within 1e-9
 //!   relative — enforced continuously by `tests/maxmin_differential.rs`,
@@ -95,8 +107,8 @@ pub mod maxmin;
 pub mod selector;
 
 pub use congestion::CnpModel;
-pub use drain::{drain, drain_reference, DrainConfig, DrainReport, DrainSolverStats};
+pub use drain::{drain, drain_reference, drain_seeded, DrainConfig, DrainReport, DrainSolverStats};
 pub use flow::{FlowKey, FlowOutcome, FlowSpec};
 pub use hash::mix64;
-pub use maxmin::MaxMinState;
+pub use maxmin::{MaxMinState, SeedSolve};
 pub use selector::{EcmpSelector, PathChoice, PathSelector, RailLocalSelector};

@@ -228,10 +228,10 @@ impl Ord for LinkEvent {
 
 /// Reusable buffers for [`waterfill_event_into`]: every per-call allocation
 /// of the event kernel (index arenas, residual tables, the saturation
-/// heap). Buffers are **cleared, not freed** between solves, so repeated
-/// seed solves stop allocating once the largest problem has been seen;
-/// `hwm_bytes` records the arena's high-water mark for
-/// [`DrainSolverStats`](crate::DrainSolverStats).
+/// heap). Buffers are **cleared, not freed** between the seed solves of one
+/// [`MaxMinState`] (its first and any fallback re-seed), so a re-seed
+/// allocates only what the first did not; `hwm_bytes` records the arena's
+/// high-water mark for [`DrainSolverStats`](crate::DrainSolverStats).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolveScratch {
     active_count: Vec<u32>,
@@ -247,7 +247,47 @@ pub(crate) struct SolveScratch {
     hwm_bytes: usize,
 }
 
+/// The capacities of a [`SolveScratch`]'s buffers, in field order: what a
+/// seed solve leaves the arena holding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ArenaShape([usize; 9]);
+
 impl SolveScratch {
+    /// The arena's buffer capacities.
+    fn shape(&self) -> ArenaShape {
+        ArenaShape([
+            self.active_count.capacity(),
+            self.active.capacity(),
+            self.fol_offsets.capacity(),
+            self.fol_flows.capacity(),
+            self.cursor.capacity(),
+            self.remaining.capacity(),
+            self.base_level.capacity(),
+            self.stamp.capacity(),
+            self.heap.capacity(),
+        ])
+    }
+
+    /// Gives a fresh arena exactly `shape`'s capacities (allocated, not
+    /// written) and notes them, so it is the arena the seed solve that
+    /// left `shape` would have left: a later solve grows it, and reads its
+    /// high-water mark, exactly as after that seed solve.
+    fn reserve(&mut self, shape: ArenaShape) {
+        debug_assert_eq!(self.shape(), ArenaShape([0; 9]), "a fresh arena");
+        let [a, b, c, d, e, f, g, h, i] = shape.0;
+        self.active_count.reserve_exact(a);
+        self.active.reserve_exact(b);
+        self.fol_offsets.reserve_exact(c);
+        self.fol_flows.reserve_exact(d);
+        self.cursor.reserve_exact(e);
+        self.remaining.reserve_exact(f);
+        self.base_level.reserve_exact(g);
+        self.stamp.reserve_exact(h);
+        self.heap.reserve_exact(i);
+        debug_assert_eq!(self.shape(), shape, "exact capacities");
+        self.note_hwm();
+    }
+
     /// Records the arena's current footprint if it is a new high-water mark.
     fn note_hwm(&mut self) {
         let bytes = self.active_count.capacity() * 4
@@ -1179,6 +1219,13 @@ fn fill_level(cap: f64, demand: &mut [f64]) -> (f64, f64) {
 /// backstop, a worklist that has not settled after 64 rounds gives up and
 /// the state re-seeds with one exact solve.
 ///
+/// The first seed solve depends only on the capacities, the routes and the
+/// flows removed before it. A drain can keep its output in a [`SeedSolve`]
+/// and hand it to a later state of the same problem, whose first refresh
+/// then restores the rates, levels and arena shape and runs only the
+/// linear passes that build the worklist's tables from them (see
+/// [`drain_seeded`](crate::drain_seeded)).
+///
 /// [`with_flows`]: MaxMinState::with_flows
 /// [`remove_flow`]: MaxMinState::remove_flow
 /// [`rates`]: MaxMinState::rates
@@ -1193,11 +1240,59 @@ pub struct MaxMinState {
     routes: RouteTable,
     alive: Vec<bool>,
     rates: Vec<f64>,
-    /// Seed solves since construction.
+    /// Seed solves since construction, a restored one included.
     full_solves: u64,
-    /// Reusable solve arena (cleared, never freed).
+    /// This state's solve arena, cleared and reused (never freed) by a
+    /// fallback re-seed.
     scratch: SolveScratch,
     worklist: Worklist,
+}
+
+/// The output of one seed solve: the event kernel's per-flow rates, each
+/// link's bottleneck level and the shape of the arena it left. A drain
+/// keeps its first seed solve in one so that a later drain of the same
+/// problem (the same routes over the same capacities, with the same flows
+/// removed up front) can restore it instead of running the kernel again
+/// ([`drain_seeded`](crate::drain_seeded)).
+#[derive(Debug, Clone)]
+pub struct SeedSolve {
+    rates: Vec<f64>,
+    levels: Vec<f64>,
+    arena: ArenaShape,
+}
+
+impl SeedSolve {
+    /// Runs the event kernel over the live flows of a problem on a fresh
+    /// arena.
+    #[cfg(debug_assertions)]
+    fn solve(capacity: &[f64], routes: &RouteTable, alive: &[bool]) -> SeedSolve {
+        let mut scratch = SolveScratch::default();
+        let mut rates = vec![0.0; routes.len()];
+        let mut levels = Vec::new();
+        waterfill_event_into(
+            capacity,
+            routes,
+            |f| alive[f],
+            &mut rates,
+            &mut scratch,
+            &mut levels,
+        );
+        SeedSolve {
+            rates,
+            levels,
+            arena: scratch.shape(),
+        }
+    }
+
+    /// True when both hold the same rates and levels, bit for bit, and the
+    /// same arena shape.
+    #[cfg(debug_assertions)]
+    fn same_as(&self, other: &SeedSolve) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        bits(&self.rates) == bits(&other.rates)
+            && bits(&self.levels) == bits(&other.levels)
+            && self.arena == other.arena
+    }
 }
 
 /// Relative change below which a link's bottleneck level is not worth
@@ -1351,6 +1446,33 @@ impl MaxMinState {
         }
     }
 
+    /// [`refresh`](MaxMinState::refresh), keeping the first seed solve in
+    /// `seed`: when this refresh seeds and `seed` holds a seed solve, it
+    /// restores that instead of running the kernel; when `seed` is empty,
+    /// it solves and leaves the result there. The caller vouches that a
+    /// held seed solve is this state's first: the same routes over the
+    /// same capacities, with the same flows removed before it. Debug
+    /// builds run the kernel anyway and assert that it agrees bit for bit.
+    pub(crate) fn refresh_keeping(&mut self, seed: &mut Option<SeedSolve>) {
+        if self.worklist.seeded {
+            return self.refresh();
+        }
+        match seed {
+            Some(restored) => {
+                self.worklist.changed.clear();
+                self.seed_from(Some(restored));
+            }
+            None => {
+                self.refresh();
+                *seed = Some(SeedSolve {
+                    rates: self.rates.clone(),
+                    levels: self.worklist.mu.clone(),
+                    arena: self.scratch.shape(),
+                });
+            }
+        }
+    }
+
     /// The allocation as of the last [`refresh`]/[`rates`] call, without
     /// re-solving. Indexed by flow id; removed flows read 0.
     ///
@@ -1360,13 +1482,15 @@ impl MaxMinState {
         &self.rates
     }
 
-    /// How many seed solves this state has run (diagnostics/benchmarks).
+    /// How many seed solves this state has run, a restored one included
+    /// (diagnostics/benchmarks).
     pub fn full_solves(&self) -> u64 {
         self.full_solves
     }
 
-    /// High-water mark (bytes) of the reusable solve arena — how much
-    /// scratch the kernel retains between solves.
+    /// High-water mark (bytes) of the state's solve arena — how much
+    /// scratch the kernel retains between solves (a restored seed solve
+    /// leaves the arena its solve left).
     pub fn arena_hwm_bytes(&self) -> usize {
         self.scratch.hwm_bytes
     }
@@ -1418,34 +1542,54 @@ impl MaxMinState {
         self.worklist.fallback_solves
     }
 
-    /// (Re)seeds the worklist with one exact solve over every live flow:
-    /// rates come straight from the event kernel, `mu` from its per-link
-    /// saturation levels, and the subscriber CSR / route-min triples are
-    /// rebuilt. Every live flow is reported changed.
+    /// (Re)seeds the worklist with one exact solve over every live flow.
     fn seed(&mut self) {
+        self.seed_from(None);
+    }
+
+    /// Seeds the worklist: rates come from the event kernel, or from
+    /// `restored` (the kernel's output for this problem on a fresh arena,
+    /// which then takes that output's shape), `mu` from the per-link
+    /// saturation levels, and the subscriber CSR, route-min triples and
+    /// slack tallies are rebuilt. Every live flow is reported changed.
+    fn seed_from(&mut self, restored: Option<&SeedSolve>) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
-        for r in self.rates.iter_mut() {
-            *r = 0.0;
-        }
-        {
-            let MaxMinState {
-                capacity,
-                routes,
-                alive,
-                rates,
-                scratch,
-                worklist,
-                ..
-            } = self;
-            waterfill_event_into(
-                capacity,
-                routes,
-                |f| alive[f],
-                rates,
-                scratch,
-                &mut worklist.mu,
-            );
+        match restored {
+            Some(seed) => {
+                #[cfg(debug_assertions)]
+                assert!(
+                    seed.same_as(&SeedSolve::solve(&self.capacity, &self.routes, &self.alive)),
+                    "a restored seed solve is the kernel's, bit for bit"
+                );
+                self.rates.copy_from_slice(&seed.rates);
+                assert_eq!(seed.levels.len(), nl, "a seed solve of this problem");
+                self.worklist.mu.clear();
+                self.worklist.mu.extend_from_slice(&seed.levels);
+                self.scratch.reserve(seed.arena);
+            }
+            None => {
+                for r in self.rates.iter_mut() {
+                    *r = 0.0;
+                }
+                let MaxMinState {
+                    capacity,
+                    routes,
+                    alive,
+                    rates,
+                    scratch,
+                    worklist,
+                    ..
+                } = self;
+                waterfill_event_into(
+                    capacity,
+                    routes,
+                    |f| alive[f],
+                    rates,
+                    scratch,
+                    &mut worklist.mu,
+                );
+            }
         }
         let w = &mut self.worklist;
         // Subscriber CSR over alive routed flows (counting sort).
