@@ -1,8 +1,9 @@
 //! Regenerates **`BENCH_maxmin.json`**: median wall-clock timings of the
-//! max-min solver stack (from-scratch reference, incremental `MaxMinState`
-//! on the drain loop's one operation — a flow completion, timed on a fresh
-//! clone of the seeded state whose copy is not timed — and the two drain
-//! implementations end to end).
+//! max-min solver stack: the from-scratch reference solve; `MaxMinState`'s
+//! seed solve (a fresh state's first refresh); its one operation in the
+//! drain loop, a flow completion, timed as a run of successive completions
+//! on one copy of the seeded state (the copy is not timed) against a
+//! from-scratch re-solve; and the two drain implementations end to end.
 //!
 //! The workloads come from the shared builders in `c4_bench`, seeded from
 //! `--seed`, and the binary emits the machine-readable `c4-bench-v1`
@@ -29,19 +30,22 @@ struct Recorder {
 }
 
 impl Recorder {
+    /// Times a call that does the same work every time.
     fn measure(&mut self, name: &str, mut routine: impl FnMut()) -> f64 {
-        self.measure_with(name, || (), |_| routine())
+        self.measure_run(name, None, || (), |_, _| routine())
     }
 
-    /// Like [`Recorder::measure`], with an untimed fresh input per call.
-    fn measure_with<S>(
+    /// Times `calls` successive calls on one untimed input per sample (see
+    /// [`median_wall_us`]).
+    fn measure_run<S>(
         &mut self,
         name: &str,
+        calls: Option<usize>,
         setup: impl FnMut() -> S,
-        routine: impl FnMut(&mut S),
+        routine: impl FnMut(&mut S, usize),
     ) -> f64 {
-        let (median_us, samples, batch) = median_wall_us(BUDGET, setup, routine);
-        println!("{name:<56} median {median_us:>12.2} us  ({samples} samples of {batch})");
+        let (median_us, samples, calls) = median_wall_us(BUDGET, calls, setup, routine);
+        println!("{name:<56} median {median_us:>12.2} us  ({samples} samples of {calls})");
         let mut row = JsonValue::object();
         row.push("name", name)
             .push("median_us", median_us)
@@ -69,7 +73,22 @@ fn main() {
         });
     }
 
-    // One flow completes: re-solve from scratch vs incremental removal.
+    // The seed solve: a fresh state's first refresh, the event kernel over
+    // every flow plus the passes that build the worklist from its output.
+    // A drain that restores a kept seed solve skips the kernel.
+    for &(links, flows) in &shapes {
+        let (capacity, routes) = synth_maxmin_problem(links, flows, cli.seed);
+        rec.measure_run(
+            &format!("maxmin_seed/{links}l_{flows}f"),
+            Some(1),
+            || MaxMinState::with_flows(&capacity, &routes),
+            |s, _| {
+                std::hint::black_box(s.rates().len());
+            },
+        );
+    }
+
+    // Flows complete: re-solve from scratch vs incremental removal.
     for &(links, flows) in &shapes {
         let (capacity, routes) = synth_maxmin_problem(links, flows, cli.seed);
         let removed = flows / 2;
@@ -87,13 +106,15 @@ fn main() {
         );
         let mut state = MaxMinState::with_flows(&capacity, &routes);
         let _ = state.rates();
-        // Each sample re-solves a fresh clone of the seeded state; the
-        // clone is set-up, not part of the measured re-solve.
-        let incremental = rec.measure_with(
+        // Each sample completes the first half of the flows, one at a time
+        // and in id order, on one copy of the seeded state, as a drain's
+        // completions land on its one state; copying the state is set-up.
+        let incremental = rec.measure_run(
             &format!("maxmin_completion_resolve/{links}l_{flows}f/incremental"),
+            Some(flows / 2),
             || state.clone(),
-            |s| {
-                s.remove_flow(removed);
+            |s, f| {
+                s.remove_flow(f);
                 std::hint::black_box(s.rates().len());
             },
         );

@@ -364,41 +364,47 @@ pub fn synth_drain_specs(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> 
 /// `Instant` pair around it (0.02–0.04 µs) stays under 1 % of the sample.
 const MIN_SAMPLE: Duration = Duration::from_nanos(10_000);
 
-/// Runs `routine` repeatedly for up to `budget` (≥ 1 sample after the
-/// warm-up) and returns `(median_wall_us, samples, batch)`: criterion-style
-/// medians of one call for the `bench_maxmin` binary. Each call gets a
-/// fresh input from `setup`, which (like dropping the input afterwards) is
-/// not timed. A sample times a batch of calls back to back and reads the
-/// batch's time over its size. The warm-up, which is not sampled, sizes
-/// the batch: it doubles from 1 until one batch spans 10 µs, so a call
-/// that already does keeps a batch of 1.
+/// Times `routine` for up to `budget` (≥ 1 sample after the warm-up) and
+/// returns `(median_wall_us, samples, calls)`: criterion-style medians of
+/// one call for the `bench_maxmin` binary. A sample takes one input from
+/// `setup`, then times `calls` successive calls `routine(&mut input, i)`,
+/// `i` = 0, 1, …, on it, back to back, and reads their time over `calls`;
+/// neither `setup` nor dropping the input is timed. So a routine that
+/// changes its input times a run of successive steps on one state, as the
+/// drain takes them. With `calls` = `None`, for a routine that does the
+/// same work at every call, the warm-up (not sampled) sizes it: it doubles
+/// from 1 until one sample spans 10 µs, so a call that already does keeps
+/// 1.
 pub fn median_wall_us<S>(
     budget: Duration,
+    calls: Option<usize>,
     mut setup: impl FnMut() -> S,
-    mut routine: impl FnMut(&mut S),
+    mut routine: impl FnMut(&mut S, usize),
 ) -> (f64, usize, usize) {
-    let mut inputs: Vec<S> = Vec::new();
-    let mut time_batch = |batch: usize| {
-        inputs.extend((0..batch).map(|_| setup()));
+    let mut time_run = |calls: usize| {
+        let mut input = setup();
         let start = Instant::now();
-        for input in &mut inputs {
-            routine(input);
+        for i in 0..calls {
+            routine(&mut input, i);
         }
         let elapsed = start.elapsed();
-        inputs.clear();
+        drop(input);
         elapsed
     };
-    let mut batch = 1;
-    while time_batch(batch) < MIN_SAMPLE {
-        batch *= 2;
-    }
+    let calls = calls.unwrap_or_else(|| {
+        let mut calls = 1;
+        while time_run(calls) < MIN_SAMPLE {
+            calls *= 2;
+        }
+        calls
+    });
     let mut samples: Vec<f64> = Vec::new();
     let deadline = Instant::now() + budget;
     while samples.is_empty() || (Instant::now() < deadline && samples.len() < 1000) {
-        samples.push(time_batch(batch).as_secs_f64() * 1e6 / batch as f64);
+        samples.push(time_run(calls).as_secs_f64() * 1e6 / calls as f64);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    (samples[samples.len() / 2], samples.len(), batch)
+    (samples[samples.len() / 2], samples.len(), calls)
 }
 
 /// Prints a header banner for an experiment.
