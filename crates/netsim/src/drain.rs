@@ -1756,13 +1756,6 @@ mod tests {
         }
     }
 
-    /// A chain whose bottleneck levels settle one link per worklist round:
-    /// flow i crosses fabric links i and i+1, capacities rise along the
-    /// chain, and a short flow on link 0 completes first. With 64 chain
-    /// flows its removal exhausts the solver's 64-round budget, so the
-    /// drain goes on from a fallback re-seed, whose changed-flow feed lists
-    /// every live flow; with 63 the worklist settles within budget. Both
-    /// agree with the reference, noise-free and under noise plus CNP.
     /// A chain of fabric links whose capacities rise along it, and `n`
     /// chain flows (flow i crosses links i and i+1) plus a short flow on
     /// link 0.
@@ -1786,6 +1779,7 @@ mod tests {
         (t, specs)
     }
 
+    /// 10 % rate noise and paper CNP accounting.
     fn noisy() -> DrainConfig {
         DrainConfig {
             rate_noise: 0.1,
@@ -1794,6 +1788,13 @@ mod tests {
         }
     }
 
+    /// A chain whose bottleneck levels settle one link per worklist round:
+    /// flow i crosses fabric links i and i+1, capacities rise along the
+    /// chain, and a short flow on link 0 completes first. With 64 chain
+    /// flows its removal exhausts the solver's 64-round budget, so the
+    /// drain goes on from a fallback re-seed, whose changed-flow feed lists
+    /// every live flow; with 63 the worklist settles within budget. Both
+    /// agree with the reference, noise-free and under noise plus CNP.
     #[test]
     fn a_fallback_reseed_mid_drain_agrees_with_the_reference() {
         for (n, fallbacks) in [(63, 0), (64, 1)] {

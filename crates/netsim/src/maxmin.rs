@@ -270,8 +270,9 @@ impl SolveScratch {
 
     /// Gives a fresh arena exactly `shape`'s capacities (allocated, not
     /// written) and notes them, so it is the arena the seed solve that
-    /// left `shape` would have left: a later solve grows it, and reads its
-    /// high-water mark, exactly as after that seed solve.
+    /// left `shape` would have left: a later fallback re-seed grows it, and
+    /// moves its high-water mark, exactly as after that seed solve,
+    /// whatever sizes the kernel's buffers take.
     fn reserve(&mut self, shape: ArenaShape) {
         debug_assert_eq!(self.shape(), ArenaShape([0; 9]), "a fresh arena");
         let [a, b, c, d, e, f, g, h, i] = shape.0;
@@ -1422,7 +1423,7 @@ impl MaxMinState {
     pub fn refresh(&mut self) {
         self.worklist.changed.clear();
         if !self.worklist.seeded {
-            self.seed();
+            self.seed_from(None);
         } else if self.worklist.queue.n_next == 0 && self.worklist.pending.is_empty() {
             // Nothing was removed: no rate changed.
         } else if self.worklist.propagate(
@@ -1442,7 +1443,7 @@ impl MaxMinState {
             // The worklist did not settle within the round budget: fall
             // back to one exact seed solve.
             self.worklist.fallback_solves += 1;
-            self.seed();
+            self.seed_from(None);
         }
     }
 
@@ -1542,16 +1543,12 @@ impl MaxMinState {
         self.worklist.fallback_solves
     }
 
-    /// (Re)seeds the worklist with one exact solve over every live flow.
-    fn seed(&mut self) {
-        self.seed_from(None);
-    }
-
-    /// Seeds the worklist: rates come from the event kernel, or from
-    /// `restored` (the kernel's output for this problem on a fresh arena,
-    /// which then takes that output's shape), `mu` from the per-link
-    /// saturation levels, and the subscriber CSR, route-min triples and
-    /// slack tallies are rebuilt. Every live flow is reported changed.
+    /// (Re)seeds the worklist with one exact solve over every live flow:
+    /// rates come from the event kernel, or from `restored` (the kernel's
+    /// output for this problem on a fresh arena, which then takes that
+    /// output's shape), `mu` from the per-link saturation levels, and the
+    /// subscriber CSR, route-min triples and slack tallies are rebuilt.
+    /// Every live flow is reported changed.
     fn seed_from(&mut self, restored: Option<&SeedSolve>) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
