@@ -77,9 +77,9 @@
 //! * **A seed solve can be kept across drains.** A drain's first
 //!   allocation depends only on its routes, their link capacities and
 //!   which flows have zero bytes, never on bytes, noise or times.
-//!   [`drain_seeded`] keeps its seed solve (per-flow
-//!   rates, per-link levels, the arena's shape) in a [`SeedSolve`] and
-//!   restores a handed-in one instead of running the kernel; the state
+//!   [`drain_seeded`] keeps its seed solve (per-flow rates, per-link
+//!   levels, the arena's shape) in a [`SeedSolve`] and restores a
+//!   handed-in one instead of running the kernel; the state
 //!   then builds its subscriber lists, route minima and slack tallies from
 //!   it by the usual linear passes. The caller vouches that the problem is
 //!   the same (`c4_collectives::PlanCache` does, by exact stamps); debug

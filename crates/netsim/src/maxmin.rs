@@ -1289,9 +1289,13 @@ impl SeedSolve {
     /// same arena shape.
     #[cfg(debug_assertions)]
     fn same_as(&self, other: &SeedSolve) -> bool {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        bits(&self.rates) == bits(&other.rates)
-            && bits(&self.levels) == bits(&other.levels)
+        let same = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        same(&self.rates, &other.rates)
+            && same(&self.levels, &other.levels)
             && self.arena == other.arena
     }
 }
