@@ -187,8 +187,8 @@ struct PlanEntry {
 /// solve, the event kernel's solve over every flow, reads only the routes,
 /// their link capacities and which flows have zero bytes. So the slot also
 /// keeps its last noisy drain's seed solve (per-flow rates, per-link
-/// bottleneck levels and the kernel's arena shape), stamped with what it
-/// was solved over:
+/// bottleneck levels and the kernel arena's high-water mark), stamped with
+/// what it was solved over:
 ///
 /// * the build stamp of each request's plan (a cache-wide count each
 ///   build advances, so equal stamps mean the same routes in the same

@@ -577,8 +577,8 @@ pub fn drain(
 /// (a drain that never allocates, having no flow to move or a deadline at
 /// its start, leaves `seed` as it was). The report is bit-identical either
 /// way, its [`DrainSolverStats`] included: a restored seed solve counts as
-/// the full solve it restores, and leaves the solver's arena at the
-/// capacities, hence the `arena_hwm_bytes`, that solve left. The caller
+/// the full solve it restores and reports the `arena_hwm_bytes` that solve
+/// reached, through a later fallback re-seed too. The caller
 /// vouches that a held seed solve came from a drain of the same problem:
 /// the same routes, in spec order, over the same link capacities, with the
 /// same zero-byte flows (bytes, noise and times may differ). Debug builds
@@ -1819,7 +1819,7 @@ mod tests {
     /// A drain restored from its own kept seed solve reports what the
     /// drain that kept it did, bit for bit and with the RNG at the same
     /// position, even through the 64-round fallback: the fallback re-seed
-    /// grows the restored arena as it grew the solved one, so
+    /// reaches the high-water mark it reached after the solve, so
     /// `arena_hwm_bytes` agrees too.
     #[test]
     fn a_restored_seed_solve_reports_what_the_solve_did() {

@@ -78,7 +78,7 @@
 //!   allocation depends only on its routes, their link capacities and
 //!   which flows have zero bytes, never on bytes, noise or times.
 //!   [`drain_seeded`] keeps its seed solve (per-flow rates, per-link
-//!   levels, the arena's shape) in a [`SeedSolve`] and restores a
+//!   levels, the arena's high-water mark) in a [`SeedSolve`] and restores a
 //!   handed-in one instead of running the kernel; the state
 //!   then builds its subscriber lists, route minima and slack tallies from
 //!   it by the usual linear passes. The caller vouches that the problem is

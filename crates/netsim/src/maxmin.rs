@@ -247,48 +247,7 @@ pub(crate) struct SolveScratch {
     hwm_bytes: usize,
 }
 
-/// The capacities of a [`SolveScratch`]'s buffers, in field order: what a
-/// seed solve leaves the arena holding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ArenaShape([usize; 9]);
-
 impl SolveScratch {
-    /// The arena's buffer capacities.
-    fn shape(&self) -> ArenaShape {
-        ArenaShape([
-            self.active_count.capacity(),
-            self.active.capacity(),
-            self.fol_offsets.capacity(),
-            self.fol_flows.capacity(),
-            self.cursor.capacity(),
-            self.remaining.capacity(),
-            self.base_level.capacity(),
-            self.stamp.capacity(),
-            self.heap.capacity(),
-        ])
-    }
-
-    /// Gives a fresh arena exactly `shape`'s capacities (allocated, not
-    /// written) and notes them, so it is the arena the seed solve that
-    /// left `shape` would have left: a later fallback re-seed grows it, and
-    /// moves its high-water mark, exactly as after that seed solve,
-    /// whatever sizes the kernel's buffers take.
-    fn reserve(&mut self, shape: ArenaShape) {
-        debug_assert_eq!(self.shape(), ArenaShape([0; 9]), "a fresh arena");
-        let [a, b, c, d, e, f, g, h, i] = shape.0;
-        self.active_count.reserve_exact(a);
-        self.active.reserve_exact(b);
-        self.fol_offsets.reserve_exact(c);
-        self.fol_flows.reserve_exact(d);
-        self.cursor.reserve_exact(e);
-        self.remaining.reserve_exact(f);
-        self.base_level.reserve_exact(g);
-        self.stamp.reserve_exact(h);
-        self.heap.reserve_exact(i);
-        debug_assert_eq!(self.shape(), shape, "exact capacities");
-        self.note_hwm();
-    }
-
     /// Records the arena's current footprint if it is a new high-water mark.
     fn note_hwm(&mut self) {
         let bytes = self.active_count.capacity() * 4
@@ -1223,8 +1182,8 @@ fn fill_level(cap: f64, demand: &mut [f64]) -> (f64, f64) {
 /// The first seed solve depends only on the capacities, the routes and the
 /// flows removed before it. A drain can keep its output in a [`SeedSolve`]
 /// and hand it to a later state of the same problem, whose first refresh
-/// then restores the rates, levels and arena shape and runs only the
-/// linear passes that build the worklist's tables from them (see
+/// then restores the rates, levels and arena high-water mark and runs only
+/// the linear passes that build the worklist's tables from them (see
 /// [`drain_seeded`](crate::drain_seeded)).
 ///
 /// [`with_flows`]: MaxMinState::with_flows
@@ -1250,16 +1209,16 @@ pub struct MaxMinState {
 }
 
 /// The output of one seed solve: the event kernel's per-flow rates, each
-/// link's bottleneck level and the shape of the arena it left. A drain
-/// keeps its first seed solve in one so that a later drain of the same
-/// problem (the same routes over the same capacities, with the same flows
-/// removed up front) can restore it instead of running the kernel again
-/// ([`drain_seeded`](crate::drain_seeded)).
+/// link's bottleneck level and the high-water mark of the arena it left. A
+/// drain keeps its first seed solve in one so that a later drain of the
+/// same problem (the same routes over the same capacities, with the same
+/// flows removed up front) can restore it instead of running the kernel
+/// again ([`drain_seeded`](crate::drain_seeded)).
 #[derive(Debug, Clone)]
 pub struct SeedSolve {
     rates: Vec<f64>,
     levels: Vec<f64>,
-    arena: ArenaShape,
+    hwm_bytes: usize,
 }
 
 impl SeedSolve {
@@ -1281,12 +1240,12 @@ impl SeedSolve {
         SeedSolve {
             rates,
             levels,
-            arena: scratch.shape(),
+            hwm_bytes: scratch.hwm_bytes,
         }
     }
 
     /// True when both hold the same rates and levels, bit for bit, and the
-    /// same arena shape.
+    /// same high-water mark.
     #[cfg(debug_assertions)]
     fn same_as(&self, other: &SeedSolve) -> bool {
         let same = |a: &[f64], b: &[f64]| {
@@ -1296,7 +1255,7 @@ impl SeedSolve {
         };
         same(&self.rates, &other.rates)
             && same(&self.levels, &other.levels)
-            && self.arena == other.arena
+            && self.hwm_bytes == other.hwm_bytes
     }
 }
 
@@ -1472,7 +1431,7 @@ impl MaxMinState {
                 *seed = Some(SeedSolve {
                     rates: self.rates.clone(),
                     levels: self.worklist.mu.clone(),
-                    arena: self.scratch.shape(),
+                    hwm_bytes: self.scratch.hwm_bytes,
                 });
             }
         }
@@ -1549,8 +1508,8 @@ impl MaxMinState {
 
     /// (Re)seeds the worklist with one exact solve over every live flow:
     /// rates come from the event kernel, or from `restored` (the kernel's
-    /// output for this problem on a fresh arena, which then takes that
-    /// output's shape), `mu` from the per-link saturation levels, and the
+    /// output for this problem on a fresh arena, whose high-water mark the
+    /// arena then takes), `mu` from the per-link saturation levels, and the
     /// subscriber CSR, route-min triples and slack tallies are rebuilt.
     /// Every live flow is reported changed.
     fn seed_from(&mut self, restored: Option<&SeedSolve>) {
@@ -1567,7 +1526,14 @@ impl MaxMinState {
                 assert_eq!(seed.levels.len(), nl, "a seed solve of this problem");
                 self.worklist.mu.clear();
                 self.worklist.mu.extend_from_slice(&seed.levels);
-                self.scratch.reserve(seed.arena);
+                // The arena stays empty, at the solve's high-water mark. A
+                // fallback re-seed then reaches the mark the solve's arena
+                // would have: every buffer but the heap is sized by the
+                // state's link, flow and route-entry counts, the same for
+                // every seed of one state, and the heap grows from empty
+                // along the same doubling path as from the solve's size.
+                debug_assert_eq!(self.scratch.hwm_bytes, 0, "a fresh arena");
+                self.scratch.hwm_bytes = seed.hwm_bytes;
             }
             None => {
                 for r in self.rates.iter_mut() {
