@@ -1453,8 +1453,8 @@ impl MaxMinState {
     }
 
     /// High-water mark (bytes) of the state's solve arena — how much
-    /// scratch the kernel retains between solves (a restored seed solve
-    /// leaves the arena its solve left).
+    /// scratch the kernel retains between solves (after a restored seed
+    /// solve, the mark that solve reached).
     pub fn arena_hwm_bytes(&self) -> usize {
         self.scratch.hwm_bytes
     }
