@@ -153,7 +153,7 @@ pub struct DrainReport {
 /// done by the replaying call. Summed over a run, they count that work
 /// once per result served. Likewise a drain that restored a kept seed
 /// solve ([`drain_seeded`]) counts it as the full solve it restores, and
-/// reports the arena high-water mark that solve left.
+/// reports the arena high-water mark that solve reached.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DrainSolverStats {
     /// Events the drain loop processed (completions, noise-grid instants,
@@ -578,12 +578,12 @@ pub fn drain(
 /// its start, leaves `seed` as it was). The report is bit-identical either
 /// way, its [`DrainSolverStats`] included: a restored seed solve counts as
 /// the full solve it restores and reports the `arena_hwm_bytes` that solve
-/// reached, through a later fallback re-seed too. The caller
-/// vouches that a held seed solve came from a drain of the same problem:
-/// the same routes, in spec order, over the same link capacities, with the
-/// same zero-byte flows (bytes, noise and times may differ). Debug builds
-/// run the kernel on every restore anyway and assert that it agrees bit
-/// for bit.
+/// reached, through a later fallback re-seed too. The caller vouches that
+/// a held seed solve came from a drain of the same problem: the same
+/// routes, in spec order, over the same link capacities, with the same
+/// zero-byte flows (bytes, noise and times may differ). Debug builds run
+/// the kernel on every restore anyway and assert that it agrees bit for
+/// bit.
 pub fn drain_seeded(
     topo: &Topology,
     specs: &[FlowSpec],
