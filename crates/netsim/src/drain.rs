@@ -1360,6 +1360,62 @@ mod tests {
         ]
     }
 
+    /// The completion heap yields its entries in `(t_zero, flow)` order:
+    /// the earliest instant first, ties to the lower flow id. Random arms,
+    /// removals and pops are checked against the armed set's minimum after
+    /// every step. Half the instants are drawn from eight values, so many
+    /// tie, and flows are re-armed after a removal or a pop.
+    #[test]
+    fn the_completion_heap_pops_in_t_zero_then_flow_order() {
+        const NF: usize = 96;
+        let mut rng = DetRng::seed_from(31);
+        let mut heap = CompletionHeap::new(NF);
+        let mut armed: Vec<Option<f64>> = vec![None; NF];
+        let earliest = |armed: &[Option<f64>]| {
+            armed
+                .iter()
+                .enumerate()
+                .filter_map(|(f, t)| t.map(|t| (t, f)))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        };
+        let mut pops = 0;
+        for step in 0..20_000 {
+            let f = rng.index(NF);
+            match rng.index(4) {
+                0 | 1 => {
+                    if armed[f].is_none() {
+                        let t = if rng.chance(0.5) {
+                            rng.index(8) as f64 * 0.5
+                        } else {
+                            rng.uniform() * 4.0
+                        };
+                        heap.push(f, t);
+                        armed[f] = Some(t);
+                    }
+                }
+                2 => {
+                    heap.remove(f);
+                    armed[f] = None;
+                }
+                _ => {
+                    if let Some((_, g)) = heap.peek() {
+                        heap.remove(g);
+                        armed[g] = None;
+                        pops += 1;
+                    }
+                }
+            }
+            assert_eq!(heap.peek(), earliest(&armed), "step {step}");
+        }
+        assert!(pops > 1_000, "{pops} pops");
+        while let Some((t, f)) = heap.peek() {
+            assert_eq!(Some((t, f)), earliest(&armed));
+            heap.remove(f);
+            armed[f] = None;
+        }
+        assert!(armed.iter().all(Option::is_none), "every armed flow popped");
+    }
+
     #[test]
     fn single_flow_gets_port_bandwidth() {
         let t = topo();
