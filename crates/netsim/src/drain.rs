@@ -52,12 +52,20 @@
 //!   * CNPs integrate per (score, jitter) episode: one multiply when a
 //!     flow's score flips, at a grid redraw, at its completion and at the
 //!     drain end.
-//!   * the next completion comes from a binary min-heap over
+//!   * the next completion comes from a 4-ary min-heap over
 //!     `(t_zero, flow)` with each flow's position indexed: a re-rated flow's
 //!     entry is removed in place, so the heap holds one entry per armed flow
-//!     and never a stale one. Completions landing within the one-byte
-//!     tolerance of one instant batch their removals, so the solver
-//!     propagates once per batch rather than once per flow.
+//!     and never a stale one. The order is total, so pops do not depend on
+//!     the arity. Completions landing within the one-byte tolerance of one
+//!     instant batch their removals, so the solver propagates once per
+//!     batch rather than once per flow.
+//!   * per-flow state is laid out by what the event loop reads together:
+//!     one record per flow holds what re-rating, advancing and completing
+//!     it touch (rate, remaining bytes and their timestamp, the base rate
+//!     last added to the link loads, the score and its congested-link
+//!     count, the observed rate range) and a liveness flag kept in step
+//!     with the flow's finish time, so a re-rated flow costs one cache
+//!     line rather than one per array.
 //! * [`drain_reference`] — the retained from-scratch implementation: it
 //!   re-solves the whole allocation, capped by the throttles, at every
 //!   event and sums CNPs event by event. It consumes the RNG in exactly the
@@ -343,12 +351,15 @@ impl CnpEpisodes {
     }
 }
 
-/// The drain's projected completions: a binary min-heap over
+/// The drain's projected completions: a 4-ary min-heap over
 /// `(t_zero, flow)` — the instant (seconds since drain start) at which the
 /// flow's remaining bytes reach zero at its current rate, ties broken by
 /// flow id — with each flow's heap position indexed. A re-rated flow's
 /// entry is removed in place, so the heap holds at most one entry per flow
-/// and never a stale one.
+/// and never a stale one. The order is total, so the earliest entry, and
+/// with it every pop and completion batch, does not depend on the arity;
+/// four children per node halve the depth of a binary heap, and their
+/// 16-byte entries share one cache line.
 struct CompletionHeap {
     /// `(t_zero, flow)` in heap order.
     entries: Vec<(f64, u32)>,
@@ -358,6 +369,8 @@ struct CompletionHeap {
 
 impl CompletionHeap {
     const ABSENT: u32 = u32::MAX;
+    /// Children per node.
+    const ARITY: usize = 4;
 
     fn new(nf: usize) -> Self {
         CompletionHeap {
@@ -404,7 +417,7 @@ impl CompletionHeap {
     fn sift_up(&mut self, mut i: usize) {
         let e = self.entries[i];
         while i > 0 {
-            let parent = (i - 1) / 2;
+            let parent = (i - 1) / Self::ARITY;
             if !Self::before(e, self.entries[parent]) {
                 break;
             }
@@ -420,16 +433,16 @@ impl CompletionHeap {
         let e = self.entries[i];
         let n = self.entries.len();
         loop {
-            let left = 2 * i + 1;
-            if left >= n {
+            let first = Self::ARITY * i + 1;
+            if first >= n {
                 break;
             }
-            let right = left + 1;
-            let child = if right < n && Self::before(self.entries[right], self.entries[left]) {
-                right
-            } else {
-                left
-            };
+            let mut child = first;
+            for c in first + 1..n.min(first + Self::ARITY) {
+                if Self::before(self.entries[c], self.entries[child]) {
+                    child = c;
+                }
+            }
             if !Self::before(self.entries[child], e) {
                 break;
             }
@@ -442,19 +455,65 @@ impl CompletionHeap {
     }
 }
 
-/// Materializes a flow's lazily-tracked remaining bytes at `now_s`.
-///
-/// Between rate changes a flow's remaining declines linearly, so one
-/// multiply replaces the reference's per-event subtraction (the same series
-/// summed in one step — the drift is pure floating-point association, far
-/// inside the differential harness's 1e-9).
-#[inline]
-fn materialize(f: usize, now_s: f64, rate: f64, remaining: &mut [f64], touch_s: &mut [f64]) {
-    let elapsed = now_s - touch_s[f];
-    if elapsed > 0.0 && rate > 0.0 {
-        remaining[f] = (remaining[f] - rate * elapsed).max(0.0);
+/// What the event loop's steps 2–7 read and write of one flow, in one
+/// 64-byte record: a re-rated flow touches all of it, and a subscriber
+/// scan reads its liveness, congestion count and score together.
+#[derive(Debug, Clone, Copy)]
+struct FlowState {
+    /// Actual (possibly throttled) rate.
+    rate: f64,
+    /// Bytes left as of `touch_s`.
+    remaining: f64,
+    /// When `remaining` was last materialized (seconds since drain start).
+    touch_s: f64,
+    /// The base rate the flow last added to the link loads (0 before the
+    /// first refresh and after its completion).
+    base_prev: f64,
+    /// CNP congestion score: 1 when `nsat > 0`, else 0.
+    score: f64,
+    /// Slowest and fastest moving rate seen (`INFINITY` and 0 until one
+    /// is).
+    min_rate: f64,
+    max_rate: f64,
+    /// Congested links on the flow's route.
+    nsat: u32,
+    /// Not finished: false exactly when the drain's `finish` entry is set.
+    live: bool,
+    /// Listed in this event's moved flows.
+    in_moved: bool,
+}
+
+impl FlowState {
+    /// A flow with `bytes` to move; one with none is finished already.
+    fn new(bytes: f64) -> Self {
+        FlowState {
+            rate: 0.0,
+            remaining: bytes,
+            touch_s: 0.0,
+            base_prev: 0.0,
+            score: 0.0,
+            min_rate: f64::INFINITY,
+            max_rate: 0.0,
+            nsat: 0,
+            live: bytes > 0.0,
+            in_moved: false,
+        }
     }
-    touch_s[f] = now_s;
+
+    /// Materializes the lazily-tracked remaining bytes at `now_s`.
+    ///
+    /// Between rate changes a flow's remaining declines linearly, so one
+    /// multiply replaces the reference's per-event subtraction (the same
+    /// series summed in one step — the drift is pure floating-point
+    /// association, far inside the differential harness's 1e-9).
+    #[inline]
+    fn materialize(&mut self, now_s: f64) {
+        let elapsed = now_s - self.touch_s;
+        if elapsed > 0.0 && self.rate > 0.0 {
+            self.remaining = (self.remaining - self.rate * elapsed).max(0.0);
+        }
+        self.touch_s = now_s;
+    }
 }
 
 /// Links whose load or flow count moved since the last score update, in
@@ -496,20 +555,19 @@ impl Touched {
 /// link loads/counts, and marks the links so the next refresh
 /// re-tests their congestion flags.
 fn release_completed(
-    f: usize,
+    flow: &mut FlowState,
     route: &[u32],
-    base_prev: &mut [f64],
     link_load: &mut [f64],
     link_flows: &mut [u32],
     touched: &mut Touched,
 ) {
     for &l in route {
         let l = l as usize;
-        link_load[l] -= base_prev[f];
+        link_load[l] -= flow.base_prev;
         link_flows[l] -= 1;
         touched.touch(l);
     }
-    base_prev[f] = 0.0;
+    flow.base_prev = 0.0;
 }
 
 /// The drain's max-min problem over the links its flows use: the solver
@@ -607,20 +665,16 @@ fn drain_with(
     let src_port_of = sender_ports(topo, specs);
 
     let initial: Vec<f64> = specs.iter().map(|s| s.bytes.as_bytes() as f64).collect();
-    let mut remaining = initial.clone();
-    let mut finish: Vec<Option<SimTime>> = vec![None; nf];
-    let mut min_rate = vec![f64::INFINITY; nf];
-    let mut max_rate = vec![0.0_f64; nf];
+    // Incrementally-maintained per-flow state (see `FlowState`). Flows with
+    // zero bytes complete instantly. Their min_rate keeps the same "no
+    // moving rate observed" sentinel as stalled flows, so both report
+    // Bandwidth::ZERO through one path.
+    let mut flows: Vec<FlowState> = initial.iter().map(|&b| FlowState::new(b)).collect();
+    let mut finish: Vec<Option<SimTime>> = flows
+        .iter()
+        .map(|flow| (!flow.live).then_some(cfg.start))
+        .collect();
     let mut congested_flags = vec![false; nf];
-
-    // Flows with zero bytes complete instantly. Their min_rate keeps the
-    // same "no moving rate observed" sentinel as stalled flows, so both
-    // report Bandwidth::ZERO through one path.
-    for f in 0..nf {
-        if remaining[f] <= 0.0 {
-            finish[f] = Some(cfg.start);
-        }
-    }
 
     let mut noise = Noise::new(cfg, nf);
     let mut cnp = cfg.cnp.map(|model| CnpEpisodes {
@@ -638,10 +692,8 @@ fn drain_with(
     // compacted away (every pass skips them). Compaction waits until the
     // dead entries reach the live count, as `MaxMinState`'s dead-mass rule
     // does, so completions cost amortized O(1) here.
-    let mut active: Vec<u32> = (0..nf as u32)
-        .filter(|&f| finish[f as usize].is_none())
-        .collect();
-    let mut live = active.len();
+    let mut active: Vec<u32> = (0..nf as u32).filter(|&f| flows[f as usize].live).collect();
+    let mut n_live = active.len();
 
     // The persistent base (unthrottled) allocation, perturbed only by flow
     // completions. Noise needs no second solver: a throttle only ever
@@ -655,18 +707,12 @@ fn drain_with(
     // reference's full capped re-solve at 1e-9.
     let (mut base, orig_of) = dense_problem(topo, specs);
     let ndl = orig_of.len();
-    for (f, fin) in finish.iter().enumerate() {
-        if fin.is_some() {
+    for (f, flow) in flows.iter().enumerate() {
+        if !flow.live {
             base.remove_flow(f);
         }
     }
 
-    // Incrementally-maintained derived state. `rate` is each flow's actual
-    // (possibly throttled) rate; `touch_s` is when its `remaining` was last
-    // materialized.
-    let mut rate = vec![0.0_f64; nf];
-    let mut touch_s = vec![0.0_f64; nf];
-    let mut score = vec![0.0_f64; nf];
     let mut link_load = vec![0.0_f64; ndl];
     // Live flows per link: counted once here, decremented by completions.
     let mut link_flows = vec![0u32; ndl];
@@ -676,13 +722,12 @@ fn drain_with(
         }
     }
     // Congestion flags: `link_sat[l]` is `CnpModel::link_congested` for
-    // link `l`, and `nsat[f]` counts the congested links on flow `f`'s
+    // link `l`, and each flow's `nsat` counts the congested links on its
     // route, so a flow's score is `nsat > 0`.
     let mut link_sat = vec![false; ndl];
-    let mut nsat = vec![0u32; nf];
-    // Flows whose base rate or score moved this event, and their mask.
+    // Flows whose base rate or score moved this event (each flow's
+    // `in_moved` is its mask).
     let mut moved: Vec<u32> = Vec::new();
-    let mut in_moved = vec![false; nf];
     // Flows whose rate was set this event (they need exact per-event
     // remaining/dt bookkeeping; everything else rides the heap).
     let mut scan: Vec<usize> = Vec::new();
@@ -693,15 +738,14 @@ fn drain_with(
     let mut events = 0u64;
     let mut batched_instants = 0u64;
     let mut batched_completions = 0u64;
-    // Delta bookkeeping: `base_prev` mirrors the base rate each live flow
-    // last contributed to `link_load` (0 before the first refresh), so each
-    // refresh applies per-flow deltas instead of rebuilding loads;
-    // `touched` tracks the links those deltas (and completion-time
-    // releases) moved, the only links whose congestion flag can flip.
-    let mut base_prev = vec![0.0_f64; nf];
+    // Delta bookkeeping: each flow's `base_prev` mirrors the base rate it
+    // last contributed to `link_load`, so each refresh applies per-flow
+    // deltas instead of rebuilding loads; `touched` tracks the links those
+    // deltas (and completion-time releases) moved, the only links whose
+    // congestion flag can flip.
     let mut touched = Touched::new(ndl);
 
-    while live > 0 {
+    while n_live > 0 {
         if let Some(deadline) = cfg.deadline {
             if now >= deadline {
                 break;
@@ -727,19 +771,20 @@ fn drain_with(
         moved.clear();
         for &f in base.changed_flows() {
             let fu = f as usize;
-            if finish[fu].is_some() {
+            let flow = &mut flows[fu];
+            if !flow.live {
                 continue;
             }
-            let delta = base_rates[fu] - base_prev[fu];
+            let delta = base_rates[fu] - flow.base_prev;
             if delta != 0.0 {
                 for &l in base.route(fu) {
                     link_load[l as usize] += delta;
                     touched.touch(l as usize);
                 }
-                base_prev[fu] = base_rates[fu];
+                flow.base_prev = base_rates[fu];
             }
             moved.push(f);
-            in_moved[fu] = true;
+            flow.in_moved = true;
         }
         // A flipped flag moves the congested-link count of every live
         // subscriber, and a count crossing zero may flip that flow's score.
@@ -754,17 +799,17 @@ fn drain_with(
             }
             link_sat[l] = sat;
             for &f in base.subscribers(l) {
-                let fu = f as usize;
-                if finish[fu].is_some() {
+                let flow = &mut flows[f as usize];
+                if !flow.live {
                     continue;
                 }
                 if sat {
-                    nsat[fu] += 1;
+                    flow.nsat += 1;
                 } else {
-                    nsat[fu] -= 1;
+                    flow.nsat -= 1;
                 }
-                if !in_moved[fu] && (nsat[fu] > 0) != (score[fu] > 0.0) {
-                    in_moved[fu] = true;
+                if !flow.in_moved && (flow.nsat > 0) != (flow.score > 0.0) {
+                    flow.in_moved = true;
                     moved.push(f);
                 }
             }
@@ -775,13 +820,13 @@ fn drain_with(
         // flow id. That order fixes the CNP flushes and re-rates below, and
         // so the association of every per-port CNP sum and link-load update.
         for &f in &moved {
-            in_moved[f as usize] = false;
+            flows[f as usize].in_moved = false;
         }
         let mut kept = changed;
         for i in changed..moved.len() {
-            let f = moved[i] as usize;
-            if (nsat[f] > 0) != (score[f] > 0.0) {
-                moved[kept] = f as u32;
+            let flow = &flows[moved[i] as usize];
+            if (flow.nsat > 0) != (flow.score > 0.0) {
+                moved[kept] = moved[i];
                 kept += 1;
             }
         }
@@ -796,17 +841,18 @@ fn drain_with(
         touched.clear();
         for &f in &moved {
             let f = f as usize;
-            let s = if nsat[f] > 0 { 1.0 } else { 0.0 };
+            let flow = &mut flows[f];
+            let s = if flow.nsat > 0 { 1.0 } else { 0.0 };
             debug_assert_eq!(
                 s,
                 cnp_model.flow_score(base.route(f), &link_load, base.capacity(), &link_flows),
                 "flag-derived score of flow {f}"
             );
-            if s != score[f] {
+            if s != flow.score {
                 if let Some(c) = &mut cnp {
-                    c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
+                    c.flush(f, src_port_of[f], now_s, flow.score, noise.jitter[f]);
                 }
-                score[f] = s;
+                flow.score = s;
                 congested_flags[f] |= s > 0.0;
             }
         }
@@ -821,9 +867,9 @@ fn drain_with(
         if redraw {
             for &f in &active {
                 let f = f as usize;
-                if finish[f].is_none() {
+                if flows[f].live {
                     if let Some(c) = &mut cnp {
-                        c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
+                        c.flush(f, src_port_of[f], now_s, flows[f].score, noise.jitter[f]);
                     }
                     noise.draw(f, rng);
                 }
@@ -833,14 +879,15 @@ fn drain_with(
         let rerate = if redraw { &active } else { &moved };
         for &f in rerate {
             let f = f as usize;
-            if finish[f].is_some() {
+            let flow = &mut flows[f];
+            if !flow.live {
                 continue;
             }
-            let nr = noise.rate(f, base_rates[f], score[f]);
-            if nr.to_bits() != rate[f].to_bits() {
-                materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
+            let nr = noise.rate(f, base_rates[f], flow.score);
+            if nr.to_bits() != flow.rate.to_bits() {
+                flow.materialize(now_s);
                 heap.remove(f);
-                rate[f] = nr;
+                flow.rate = nr;
                 scan.push(f);
             }
         }
@@ -850,8 +897,9 @@ fn drain_with(
         //    and deadline clamps.
         let mut dt = f64::INFINITY;
         for &f in &scan {
-            if rate[f] > STALL_RATE {
-                dt = dt.min(remaining[f] / rate[f]);
+            let flow = &flows[f];
+            if flow.rate > STALL_RATE {
+                dt = dt.min(flow.remaining / flow.rate);
             }
         }
         while let Some((t_zero, f)) = heap.peek() {
@@ -867,9 +915,10 @@ fn drain_with(
             // the always-positive relative form, exactly as the reference
             // computes it, and track the flow by direct scan this event.
             heap.remove(f);
-            materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
-            if rate[f] > STALL_RATE {
-                dt = dt.min(remaining[f] / rate[f]);
+            let flow = &mut flows[f];
+            flow.materialize(now_s);
+            if flow.rate > STALL_RATE {
+                dt = dt.min(flow.remaining / flow.rate);
             }
             scan.push(f);
         }
@@ -887,7 +936,7 @@ fn drain_with(
             let revivable = noise.enabled()
                 && active
                     .iter()
-                    .any(|&f| finish[f as usize].is_none() && base_rates[f as usize] > STALL_RATE);
+                    .any(|&f| flows[f as usize].live && base_rates[f as usize] > STALL_RATE);
             if !revivable {
                 break;
             }
@@ -899,11 +948,12 @@ fn drain_with(
 
         // 5. Advance.
         for &f in &scan {
-            remaining[f] = (remaining[f] - rate[f] * dt).max(0.0);
-            touch_s[f] = next_s;
-            if rate[f] > STALL_RATE {
-                min_rate[f] = min_rate[f].min(rate[f]);
-                max_rate[f] = max_rate[f].max(rate[f]);
+            let flow = &mut flows[f];
+            flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
+            flow.touch_s = next_s;
+            if flow.rate > STALL_RATE {
+                flow.min_rate = flow.min_rate.min(flow.rate);
+                flow.max_rate = flow.max_rate.max(flow.rate);
             }
         }
         now_s = next_s;
@@ -915,7 +965,9 @@ fn drain_with(
         //    so the solver propagates them once next event.
         done.clear();
         for &f in &scan {
-            if remaining[f] <= 1.0 && finish[f].is_none() {
+            let flow = &mut flows[f];
+            if flow.remaining <= 1.0 && flow.live {
+                flow.live = false;
                 finish[f] = Some(now);
                 done.push(f);
             }
@@ -923,29 +975,30 @@ fn drain_with(
         while let Some((t_zero, f)) = heap.peek() {
             // An entry is due once the flow is inside the one-byte
             // tolerance, which precedes its zero instant by 1/rate.
-            if t_zero - 1.0 / rate[f] > now_s {
+            let flow = &mut flows[f];
+            if t_zero - 1.0 / flow.rate > now_s {
                 break;
             }
             heap.remove(f);
-            materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
-            if remaining[f] <= 1.0 {
+            flow.materialize(now_s);
+            if flow.remaining <= 1.0 {
                 // min/max folds happened when this rate episode began.
+                flow.live = false;
                 finish[f] = Some(now);
                 done.push(f);
             } else {
                 // Floating-point shy of the tolerance: re-arm.
-                heap.push(f, now_s + remaining[f] / rate[f]);
+                heap.push(f, now_s + flow.remaining / flow.rate);
             }
         }
         for &f in &done {
             base.remove_flow(f);
             if let Some(c) = &mut cnp {
-                c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
+                c.flush(f, src_port_of[f], now_s, flows[f].score, noise.jitter[f]);
             }
             release_completed(
-                f,
+                &mut flows[f],
                 base.route(f),
-                &mut base_prev,
                 &mut link_load,
                 &mut link_flows,
                 &mut touched,
@@ -955,14 +1008,15 @@ fn drain_with(
         // 7. Re-arm completion events for this event's re-rated movers, and
         //    retire the completed flows from the active list.
         for &f in &scan {
-            if finish[f].is_none() && rate[f] > STALL_RATE {
-                heap.push(f, now_s + remaining[f] / rate[f]);
+            let flow = &flows[f];
+            if flow.live && flow.rate > STALL_RATE {
+                heap.push(f, now_s + flow.remaining / flow.rate);
             }
         }
         if !done.is_empty() {
-            live -= done.len();
-            if active.len() - live >= live {
-                active.retain(|&f| finish[f as usize].is_none());
+            n_live -= done.len();
+            if active.len() - n_live >= n_live {
+                active.retain(|&f| flows[f as usize].live);
             }
             if done.len() >= 2 {
                 batched_instants += 1;
@@ -976,10 +1030,11 @@ fn drain_with(
     // open CNP episodes at the drain end.
     for &f in &active {
         let f = f as usize;
-        if finish[f].is_none() {
-            materialize(f, now_s, rate[f], &mut remaining, &mut touch_s);
+        let flow = &mut flows[f];
+        if flow.live {
+            flow.materialize(now_s);
             if let Some(c) = &mut cnp {
-                c.flush(f, src_port_of[f], now_s, score[f], noise.jitter[f]);
+                c.flush(f, src_port_of[f], now_s, flow.score, noise.jitter[f]);
             }
         }
     }
@@ -989,7 +1044,7 @@ fn drain_with(
     // reference's per-event accumulation (summing the same series).
     let mut link_bytes = vec![0.0_f64; nl];
     for f in 0..nf {
-        let moved = initial[f] - remaining[f];
+        let moved = initial[f] - flows[f].remaining;
         if moved > 0.0 {
             for &l in base.route(f) {
                 link_bytes[orig_of[l as usize] as usize] += moved;
@@ -1016,8 +1071,7 @@ fn drain_with(
         cfg,
         now,
         finish,
-        min_rate,
-        max_rate,
+        |f| (flows[f].min_rate, flows[f].max_rate),
         link_bytes,
         cnp.map_or_else(|| vec![0.0; topo.ports().len()], |c| c.accum),
         congested_flags,
@@ -1200,8 +1254,7 @@ pub fn drain_reference(
         cfg,
         now,
         finish,
-        min_rate,
-        max_rate,
+        |f| (min_rate[f], max_rate[f]),
         link_bytes,
         cnp_accum,
         congested_flags,
@@ -1215,15 +1268,15 @@ pub fn drain_reference(
 }
 
 /// Assembles the [`DrainReport`] from the loop's accumulators (shared by
-/// both implementations).
+/// both implementations). `observed(f)` is flow `f`'s slowest and fastest
+/// moving rate (`INFINITY` and 0 when it never moved).
 #[allow(clippy::too_many_arguments)]
 fn finalize_report(
     specs: &[FlowSpec],
     cfg: &DrainConfig,
     now: SimTime,
     finish: Vec<Option<SimTime>>,
-    min_rate: Vec<f64>,
-    max_rate: Vec<f64>,
+    observed: impl Fn(usize) -> (f64, f64),
     link_bytes: Vec<f64>,
     cnp_accum: Vec<f64>,
     congested_flags: Vec<bool>,
@@ -1244,6 +1297,7 @@ fn finalize_report(
         .iter()
         .enumerate()
         .map(|(f, s)| {
+            let (min_rate, max_rate) = observed(f);
             let mean = match finish[f] {
                 Some(t) => {
                     let secs = (t - cfg.start).as_secs_f64();
@@ -1261,12 +1315,12 @@ fn finalize_report(
                 start: cfg.start,
                 finish: finish[f],
                 mean_rate: mean,
-                min_rate: if min_rate[f].is_finite() {
-                    Bandwidth::from_bps(min_rate[f] * 8.0)
+                min_rate: if min_rate.is_finite() {
+                    Bandwidth::from_bps(min_rate * 8.0)
                 } else {
                     Bandwidth::ZERO
                 },
-                max_rate: Bandwidth::from_bps(max_rate[f] * 8.0),
+                max_rate: Bandwidth::from_bps(max_rate * 8.0),
             }
         })
         .collect();

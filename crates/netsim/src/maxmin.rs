@@ -604,13 +604,13 @@ pub fn residual(capacity: &[f64], routes: &[Vec<u32>], rates: &[f64]) -> Vec<f64
 }
 
 /// The bottleneck-level worklist behind [`MaxMinState`]: a Charny-style
-/// fixed point over per-link bottleneck levels `mu`.
+/// fixed point over per-link bottleneck levels.
 ///
-/// Invariants at quiescence: `mu[l]` is the water level at which link `l`
-/// saturates given its alive subscribers' demands (or [`UNBOUNDED`] when it
-/// never constrains anyone); each flow's `(min1, min1_link, min2)` caches
-/// the two smallest `mu` values on its route; and each flow's rate is
-/// `min1`. Removals mark route links dirty, and each round re-fills the
+/// Invariants at quiescence: link `l`'s level is the water level at which
+/// it saturates given its alive subscribers' demands (or [`UNBOUNDED`] when
+/// it never constrains anyone); each flow's [`RouteMin`] caches the two
+/// smallest levels on its route; and each flow's rate is `min1`. Removals
+/// mark route links dirty, and each round re-fills the
 /// links dirtied before it began, in ascending order, from their
 /// subscribers' demands — committing (and rescanning subscribers) only when
 /// the level moves by more than [`LEVEL_GATE`].
@@ -633,29 +633,20 @@ pub fn residual(capacity: &[f64], routes: &[Vec<u32>], rates: &[f64]) -> Vec<f64
 /// those of the unskipped worklist.
 #[derive(Debug, Clone, Default)]
 struct Worklist {
-    /// Whether `mu`/triples/subscribers are built (false until the first
-    /// seed solve).
+    /// Whether the link records, triples and subscribers are built (false
+    /// until the first seed solve).
     seeded: bool,
-    /// Bottleneck level per link.
-    mu: Vec<f64>,
+    /// Per link: its level, slack tally and fill-queue state.
+    links: Vec<LinkState>,
     /// Subscriber CSR: alive routed flows per link (stale entries are
     /// alive-checked; compacted when dead entries reach half the table).
     sub_offsets: Vec<u32>,
     sub_flows: Vec<u32>,
     /// CSR entries owned by removed flows (compaction trigger).
     sub_dead_entries: usize,
-    /// Smallest and second-smallest `mu` on each flow's route, plus the
-    /// link holding the smallest.
-    min1: Vec<f64>,
-    min1_link: Vec<u32>,
-    min2: Vec<f64>,
-    /// Slack tally per link over its alive subscribers' demands: the sum
-    /// of the finite ones and the count of those ≥ [`UNBOUNDED`]. Rebuilt
-    /// exactly by the seed and by every real fill of the link, adjusted
-    /// in place when a subscriber is removed or its demand moves.
-    dsum: Vec<f64>,
-    nbig: Vec<u32>,
-    /// Which links each round fills, and which links' last fill holds.
+    /// Per flow: the two smallest levels on its route.
+    mins: Vec<RouteMin>,
+    /// Which links each round fills.
     queue: FillQueue,
     /// Flows whose rate changed since the last refresh (mask-deduped).
     flow_mask: Vec<bool>,
@@ -695,32 +686,13 @@ impl Worklist {
         self.sub_dead_entries = 0;
     }
 
-    /// The slack test: link `l` has slack and keeps it, so its fill would
-    /// return [`UNBOUNDED`] again.
-    fn has_slack(&self, l: usize, cap: f64) -> bool {
-        self.mu[l] == UNBOUNDED
-            && self.nbig[l] == 0
-            && self.dsum[l] <= cap.max(0.0) * SLACK_FRACTION
-    }
-
-    /// Whether link `l`'s fill would commit nothing by either skip test.
-    fn skips(&self, l: usize, cap: f64) -> bool {
-        self.queue.kept(l) || self.has_slack(l, cap)
-    }
-
     /// Fills link `l` from its alive subscribers' demands: the level and
     /// keep threshold of [`fill_level`], and the link's exact slack tally.
     fn fill(&mut self, l: u32, cap: f64, alive: &[bool]) -> ((f64, f64), (f64, u32)) {
         let lu = l as usize;
         let subs =
             &self.sub_flows[self.sub_offsets[lu] as usize..self.sub_offsets[lu + 1] as usize];
-        let tally = gather_demands(
-            l,
-            subs,
-            alive,
-            (&self.min1, &self.min1_link, &self.min2),
-            &mut self.demand,
-        );
+        let tally = gather_demands(l, subs, alive, &self.mins, &mut self.demand);
         (fill_level(cap, &mut self.demand), tally)
     }
 
@@ -743,7 +715,7 @@ impl Worklist {
             // The round's fill candidates, in ascending link order: that
             // keeps propagation deterministic regardless of the order
             // removals arrived in.
-            self.queue.start_round();
+            self.queue.start_round(&mut self.links);
             #[cfg(debug_assertions)]
             let (dirty, mut walked) = (self.queue.take_marked(), 0usize);
             let mut i = 0;
@@ -753,7 +725,7 @@ impl Worklist {
                 #[cfg(debug_assertions)]
                 self.check_left_out(&dirty, &mut walked, bl, capacity, alive);
                 self.queue.at = bl;
-                if self.skips(l, capacity[l]) {
+                if self.links[l].skips(capacity[l]) {
                     #[cfg(debug_assertions)]
                     self.assert_skip_commits_nothing(bl, capacity[l], alive);
                     continue;
@@ -761,16 +733,17 @@ impl Worklist {
                 // Single-link progressive fill over the alive subscribers'
                 // demands; gathering them rebuilds the link's tally exactly,
                 // and the fill holds until its threshold is crossed.
-                let ((new_mu, keep_above), exact) = self.fill(bl, capacity[l], alive);
-                (self.dsum[l], self.nbig[l]) = exact;
-                self.queue.keep(l, keep_above);
-                let old_mu = self.mu[l];
-                if !level_moves(old_mu, new_mu) {
+                let ((new_level, keep_above), exact) = self.fill(bl, capacity[l], alive);
+                let link = &mut self.links[l];
+                (link.dsum, link.nbig) = exact;
+                link.keep(keep_above);
+                let old_level = link.level;
+                if !level_moves(old_level, new_level) {
                     continue;
                 }
-                self.mu[l] = new_mu;
+                link.level = new_level;
                 self.commits += 1;
-                self.rescan(bl, old_mu, capacity, routes, alive, rates);
+                self.rescan(bl, old_level, capacity, routes, alive, rates);
             }
             self.queue.at = u32::MAX;
             #[cfg(debug_assertions)]
@@ -779,20 +752,20 @@ impl Worklist {
         true
     }
 
-    /// After link `l`'s level moved from `old_mu`: rescans its subscribers'
-    /// route-min triples, re-rates the flows whose minimum moved, and marks
-    /// their other links dirty.
+    /// After link `l`'s level moved from `old_level`: rescans its
+    /// subscribers' route-min triples, re-rates the flows whose minimum
+    /// moved, and marks their other links dirty.
     fn rescan(
         &mut self,
         l: u32,
-        old_mu: f64,
+        old_level: f64,
         capacity: &[f64],
         routes: &RouteTable,
         alive: &[bool],
         rates: &mut [f64],
     ) {
         let lu = l as usize;
-        let new_mu = self.mu[lu];
+        let new_level = self.links[lu].level;
         for i in self.sub_offsets[lu] as usize..self.sub_offsets[lu + 1] as usize {
             let f = self.sub_flows[i] as usize;
             if !alive[f] {
@@ -801,30 +774,18 @@ impl Worklist {
             // `l` neither was nor becomes one of the flow's two smallest
             // levels, so the rescan would rebuild the same triple. (Every
             // level change rescans, so each triple matches the levels.)
-            if self.min1_link[f] != l && self.min2[f] < old_mu && self.min2[f] < new_mu {
+            let old = self.mins[f];
+            if old.min1_link != l && old.min2 < old_level && old.min2 < new_level {
                 continue;
             }
             let r = routes.route(f);
-            let (mut m1, mut m1l, mut m2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
-            for &rl in r {
-                let v = self.mu[rl as usize];
-                if v < m1 {
-                    m2 = m1;
-                    m1 = v;
-                    m1l = rl;
-                } else if v < m2 {
-                    m2 = v;
-                }
-            }
-            let old = (self.min1[f], self.min1_link[f], self.min2[f]);
-            if m1.to_bits() == old.0.to_bits() && m1l == old.1 && m2.to_bits() == old.2.to_bits() {
+            let new = RouteMin::over(r, &self.links);
+            if new.same_as(&old) {
                 continue;
             }
-            self.min1[f] = m1;
-            self.min1_link[f] = m1l;
-            self.min2[f] = m2;
-            if m1.to_bits() != rates[f].to_bits() {
-                rates[f] = m1;
+            self.mins[f] = new;
+            if new.min1.to_bits() != rates[f].to_bits() {
+                rates[f] = new.min1;
                 if !self.flow_mask[f] {
                     self.flow_mask[f] = true;
                     self.pending.push(f as u32);
@@ -832,18 +793,15 @@ impl Worklist {
             }
             // The flow's demand at `l` itself cannot have moved.
             for &rl in r.iter().filter(|&&rl| rl != l) {
-                let rlu = rl as usize;
-                let (od, nd) = (
-                    demand_at(old.0, old.1, old.2, rl),
-                    demand_at(m1, m1l, m2, rl),
-                );
+                let link = &mut self.links[rl as usize];
+                let (od, nd) = (old.demand_at(rl), new.demand_at(rl));
                 if od != nd {
-                    tally(&mut self.dsum, &mut self.nbig, rlu, od, false);
-                    tally(&mut self.dsum, &mut self.nbig, rlu, nd, true);
-                    self.queue.demand_moved(rlu, od, nd);
+                    link.tally(od, false);
+                    link.tally(nd, true);
+                    link.demand_moved(od, nd);
                 }
-                let slack = self.has_slack(rlu, capacity[rlu]);
-                self.queue.mark(rl, slack);
+                let slack = link.has_slack(capacity[rl as usize]);
+                self.queue.mark(rl, link, slack);
             }
         }
     }
@@ -865,9 +823,9 @@ impl Worklist {
         while let Some(&d) = dirty.get(*walked).filter(|&&d| d < below) {
             *walked += 1;
             let du = d as usize;
-            if self.queue.bits(du) & CAND == 0 {
+            if self.queue.bits(&self.links[du]) & CAND == 0 {
                 assert!(
-                    self.skips(du, capacity[du]),
+                    self.links[du].skips(capacity[du]),
                     "link {d} was left out of the round's fills but fails its skip tests"
                 );
                 self.assert_skip_commits_nothing(d, capacity[du], alive);
@@ -880,7 +838,7 @@ impl Worklist {
     #[cfg(debug_assertions)]
     fn assert_skip_commits_nothing(&mut self, l: u32, cap: f64, alive: &[bool]) {
         let ((level, _), _) = self.fill(l, cap, alive);
-        let old = self.mu[l as usize];
+        let old = self.links[l as usize].level;
         assert!(
             !level_moves(old, level),
             "skipped fill of link {l} would commit {level} over {old}"
@@ -894,7 +852,8 @@ fn level_moves(old: f64, new: f64) -> bool {
     new != old && (new - old).abs() / old.abs().max(new.abs()).max(1.0) > LEVEL_GATE
 }
 
-/// [`FillQueue`] flag bits. The round bits are relative to the link's stamp
+/// [`FillQueue`] flag bits, the low [`FLAG_BITS`] bits of a link's
+/// [`LinkState::marks`]. The round bits are relative to the link's stamp
 /// `s`: dirty for round `s` and a fill candidate of it ([`DIRTY`],
 /// [`CAND`]), and the same for round `s + 1` ([`DIRTY_NEXT`],
 /// [`CAND_NEXT`]).
@@ -904,8 +863,91 @@ const DIRTY_NEXT: u8 = 4;
 const CAND_NEXT: u8 = 8;
 /// Persistent bit: the link's last real fill still holds.
 const KEPT: u8 = 16;
+/// Flag bits below a link's round stamp.
+const FLAG_BITS: u32 = 5;
+const FLAG_MASK: u32 = (1 << FLAG_BITS) - 1;
+/// The last round a stamp can hold; the queue re-stamps every link before
+/// its round counter passes it.
+const ROUND_MAX: u32 = u32::MAX >> FLAG_BITS;
 
-/// Which links each worklist round fills, and which links' last fill holds.
+/// One link's worklist state: its level, slack tally, keep threshold, and
+/// round stamp and flag bits. A mark, a skip test and a fill read them
+/// together, so they share one 32-byte record.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkState {
+    /// Bottleneck level.
+    level: f64,
+    /// Slack tally over the alive subscribers' demands: the sum of the
+    /// finite ones (`dsum`) and the count of those ≥ [`UNBOUNDED`]
+    /// (`nbig`). Rebuilt exactly by the seed and by every real fill of the
+    /// link, adjusted in place when a subscriber is removed or its demand
+    /// moves.
+    dsum: f64,
+    /// The threshold of the link's last real fill.
+    keep_above: f64,
+    nbig: u32,
+    /// The round its flag bits are relative to, above the [`FLAG_BITS`]
+    /// flag bits.
+    marks: u32,
+}
+
+impl LinkState {
+    /// A freshly seeded link at `level`: no tally, no marks, not kept.
+    fn seeded(level: f64) -> LinkState {
+        LinkState {
+            level,
+            ..LinkState::default()
+        }
+    }
+
+    /// The slack test: the link has slack and keeps it, so its fill would
+    /// return [`UNBOUNDED`] again.
+    fn has_slack(&self, cap: f64) -> bool {
+        self.level == UNBOUNDED && self.nbig == 0 && self.dsum <= cap.max(0.0) * SLACK_FRACTION
+    }
+
+    /// Whether the link's fill would commit nothing by either skip test.
+    fn skips(&self, cap: f64) -> bool {
+        self.kept() || self.has_slack(cap)
+    }
+
+    /// Adds (`add`) or withdraws demand `d` from the slack tally.
+    #[inline]
+    fn tally(&mut self, d: f64, add: bool) {
+        match (d >= UNBOUNDED, add) {
+            (true, true) => self.nbig += 1,
+            (true, false) => self.nbig -= 1,
+            (false, true) => self.dsum += d,
+            (false, false) => self.dsum -= d,
+        }
+    }
+
+    /// Whether the link's last real fill still holds.
+    fn kept(&self) -> bool {
+        self.marks & KEPT as u32 != 0
+    }
+
+    /// Keeps the link after a real fill with threshold `keep_above`.
+    fn keep(&mut self, keep_above: f64) {
+        self.marks |= KEPT as u32;
+        self.keep_above = keep_above;
+    }
+
+    /// Un-keeps the link (a subscriber was removed).
+    fn unkeep(&mut self) {
+        self.marks &= !(KEPT as u32);
+    }
+
+    /// A subscriber's demand at the link moved from `old` to `new`: the
+    /// last fill holds only if both lie strictly above its threshold.
+    fn demand_moved(&mut self, old: f64, new: f64) {
+        if !(old > self.keep_above && new > self.keep_above) {
+            self.unkeep();
+        }
+    }
+}
+
+/// Which links each worklist round fills.
 ///
 /// A round's *dirty set* is every link marked since the previous round
 /// began. The unsplit worklist visits all of them in ascending order and
@@ -935,18 +977,14 @@ const KEPT: u8 = 16;
 /// real fill's level and commit nothing; a fill the gate rejected is
 /// rejected again.
 ///
-/// Per link the state is one stamp and one flag byte (plus the threshold):
-/// the round bits are kept relative to the stamped round and shifted when
-/// the link is next read, so starting a round touches only its candidates.
+/// The per-link state lives in each link's [`LinkState`]: one word holds
+/// the round stamp above the flag bits, beside the threshold. The round
+/// bits are kept relative to the stamped round and shifted when the link
+/// is next read, so starting a round touches only its candidates.
 #[derive(Debug, Clone, Default)]
 struct FillQueue {
     /// The current round (the last one started): marks are for the next.
     round: u32,
-    /// Per link: the round its flag bits are relative to.
-    stamp: Vec<u32>,
-    flags: Vec<u8>,
-    /// Per link: the threshold of its last real fill.
-    keep_above: Vec<f64>,
     /// How many links are dirty for the next round.
     n_next: usize,
     /// The next round's fill candidates, unordered.
@@ -962,15 +1000,9 @@ struct FillQueue {
 }
 
 impl FillQueue {
-    /// Clears every mark and un-keeps every link (a seed).
-    fn reset(&mut self, nl: usize) {
+    /// Clears every mark (a seed, which also resets the link records).
+    fn reset(&mut self) {
         self.round = 0;
-        self.stamp.clear();
-        self.stamp.resize(nl, 0);
-        self.flags.clear();
-        self.flags.resize(nl, 0);
-        self.keep_above.clear();
-        self.keep_above.resize(nl, 0.0);
         self.n_next = 0;
         self.next.clear();
         self.batch.clear();
@@ -979,10 +1011,10 @@ impl FillQueue {
         self.marked.clear();
     }
 
-    /// Link `l`'s flag bits relative to the current round.
-    fn bits(&self, l: usize) -> u8 {
-        let b = self.flags[l];
-        match self.round - self.stamp[l] {
+    /// A link's flag bits relative to the current round.
+    fn bits(&self, link: &LinkState) -> u8 {
+        let b = (link.marks & FLAG_MASK) as u8;
+        match self.round - (link.marks >> FLAG_BITS) {
             0 => b,
             1 => (b >> 2) & (DIRTY | CAND) | b & KEPT,
             _ => b & KEPT,
@@ -990,12 +1022,11 @@ impl FillQueue {
     }
 
     /// Starts the next round: its candidates become the batch.
-    fn start_round(&mut self) {
-        if self.round == u32::MAX {
+    fn start_round(&mut self, links: &mut [LinkState]) {
+        if self.round == ROUND_MAX {
             // Re-stamp every link before the counter wraps.
-            for l in 0..self.flags.len() {
-                self.flags[l] = self.bits(l);
-                self.stamp[l] = 0;
+            for link in links.iter_mut() {
+                link.marks = self.bits(link) as u32;
             }
             self.round = 0;
         }
@@ -1009,9 +1040,8 @@ impl FillQueue {
     /// Marks link `l` dirty for the next round and re-evaluates its skip
     /// tests (`slack` is the slack test's outcome) for the next round and,
     /// while it waits for its turn unvisited, for the current one.
-    fn mark(&mut self, l: u32, slack: bool) {
-        let lu = l as usize;
-        let mut bits = self.bits(lu);
+    fn mark(&mut self, l: u32, link: &mut LinkState, slack: bool) {
+        let mut bits = self.bits(link);
         if bits & DIRTY_NEXT == 0 {
             bits |= DIRTY_NEXT;
             self.n_next += 1;
@@ -1031,32 +1061,7 @@ impl FillQueue {
                 self.batch.insert(at, l);
             }
         }
-        self.flags[lu] = bits;
-        self.stamp[lu] = self.round;
-    }
-
-    /// Whether link `l`'s last real fill still holds.
-    fn kept(&self, l: usize) -> bool {
-        self.flags[l] & KEPT != 0
-    }
-
-    /// Keeps link `l` after a real fill with threshold `keep_above`.
-    fn keep(&mut self, l: usize, keep_above: f64) {
-        self.flags[l] |= KEPT;
-        self.keep_above[l] = keep_above;
-    }
-
-    /// Un-keeps link `l` (a subscriber was removed).
-    fn unkeep(&mut self, l: usize) {
-        self.flags[l] &= !KEPT;
-    }
-
-    /// A subscriber's demand at link `l` moved from `old` to `new`: the last
-    /// fill holds only if both lie strictly above its threshold.
-    fn demand_moved(&mut self, l: usize, old: f64, new: f64) {
-        if !(old > self.keep_above[l] && new > self.keep_above[l]) {
-            self.unkeep(l);
-        }
+        link.marks = self.round << FLAG_BITS | bits as u32;
     }
 
     /// Debug builds: the current round's full dirty set, ascending.
@@ -1068,27 +1073,55 @@ impl FillQueue {
     }
 }
 
-/// Flow demand at link `l` from its route-min triple: the smallest level on
-/// the flow's *other* links (the rate it could take if `l` did not
-/// constrain it). A pure function of the other links' levels, so a commit
-/// on `l` never moves a demand at `l` itself.
-#[inline]
-fn demand_at(min1: f64, min1_link: u32, min2: f64, l: u32) -> f64 {
-    if min1_link == l {
-        min2
-    } else {
-        min1
-    }
+/// The two smallest levels on a flow's route, and the link holding the
+/// smallest; one record, because a demand reads all three.
+#[derive(Debug, Clone, Copy)]
+struct RouteMin {
+    min1: f64,
+    min2: f64,
+    min1_link: u32,
 }
 
-/// Adds (`add`) or withdraws demand `d` from link `l`'s slack tally.
-#[inline]
-fn tally(dsum: &mut [f64], nbig: &mut [u32], l: usize, d: f64, add: bool) {
-    match (d >= UNBOUNDED, add) {
-        (true, true) => nbig[l] += 1,
-        (true, false) => nbig[l] -= 1,
-        (false, true) => dsum[l] += d,
-        (false, false) => dsum[l] -= d,
+impl RouteMin {
+    /// The triple of `route` over the links' current levels.
+    #[inline]
+    fn over(route: &[u32], links: &[LinkState]) -> RouteMin {
+        let mut m = RouteMin {
+            min1: f64::INFINITY,
+            min2: f64::INFINITY,
+            min1_link: u32::MAX,
+        };
+        for &l in route {
+            let v = links[l as usize].level;
+            if v < m.min1 {
+                m.min2 = m.min1;
+                m.min1 = v;
+                m.min1_link = l;
+            } else if v < m.min2 {
+                m.min2 = v;
+            }
+        }
+        m
+    }
+
+    /// True when both hold the same levels, bit for bit, and link.
+    fn same_as(&self, other: &RouteMin) -> bool {
+        self.min1.to_bits() == other.min1.to_bits()
+            && self.min1_link == other.min1_link
+            && self.min2.to_bits() == other.min2.to_bits()
+    }
+
+    /// The flow's demand at link `l`: the smallest level on its *other*
+    /// links (the rate it could take if `l` did not constrain it). A pure
+    /// function of the other links' levels, so a commit on `l` never moves
+    /// a demand at `l` itself.
+    #[inline]
+    fn demand_at(&self, l: u32) -> f64 {
+        if self.min1_link == l {
+            self.min2
+        } else {
+            self.min1
+        }
     }
 }
 
@@ -1099,7 +1132,7 @@ fn gather_demands(
     l: u32,
     subs: &[u32],
     alive: &[bool],
-    (min1, min1_link, min2): (&[f64], &[u32], &[f64]),
+    mins: &[RouteMin],
     demand: &mut Vec<f64>,
 ) -> (f64, u32) {
     demand.clear();
@@ -1109,7 +1142,7 @@ fn gather_demands(
         if !alive[f] {
             continue;
         }
-        let d = demand_at(min1[f], min1_link[f], min2[f], l);
+        let d = mins[f].demand_at(l);
         if d >= UNBOUNDED {
             big += 1;
         } else {
@@ -1354,13 +1387,13 @@ impl MaxMinState {
             w.flow_mask[f] = true;
             w.pending.push(f as u32);
         }
+        let mins = w.mins[f];
         for &l in r {
-            let lu = l as usize;
-            let d = demand_at(w.min1[f], w.min1_link[f], w.min2[f], l);
-            tally(&mut w.dsum, &mut w.nbig, lu, d, false);
-            w.queue.unkeep(lu);
-            let slack = w.has_slack(lu, capacity[lu]);
-            w.queue.mark(l, slack);
+            let link = &mut w.links[l as usize];
+            link.tally(mins.demand_at(l), false);
+            link.unkeep();
+            let slack = link.has_slack(capacity[l as usize]);
+            w.queue.mark(l, link, slack);
         }
         w.sub_dead_entries += r.len();
         if w.sub_dead_entries * 2 >= w.sub_flows.len() {
@@ -1430,7 +1463,7 @@ impl MaxMinState {
                 self.refresh();
                 *seed = Some(SeedSolve {
                     rates: self.rates.clone(),
-                    levels: self.worklist.mu.clone(),
+                    levels: self.worklist.links.iter().map(|l| l.level).collect(),
                     hwm_bytes: self.scratch.hwm_bytes,
                 });
             }
@@ -1509,13 +1542,14 @@ impl MaxMinState {
     /// (Re)seeds the worklist with one exact solve over every live flow:
     /// rates come from the event kernel, or from `restored` (the kernel's
     /// output for this problem on a fresh arena, whose high-water mark the
-    /// arena then takes), `mu` from the per-link saturation levels, and the
-    /// subscriber CSR, route-min triples and slack tallies are rebuilt.
-    /// Every live flow is reported changed.
+    /// arena then takes), each link record starts at its saturation level,
+    /// and the subscriber CSR, route-min triples and slack tallies are
+    /// rebuilt. Every live flow is reported changed.
     fn seed_from(&mut self, restored: Option<&SeedSolve>) {
         let nf = self.routes.len();
         let nl = self.capacity.len();
-        match restored {
+        let mut solved = Vec::new();
+        let levels = match restored {
             Some(seed) => {
                 #[cfg(debug_assertions)]
                 assert!(
@@ -1524,8 +1558,6 @@ impl MaxMinState {
                 );
                 self.rates.copy_from_slice(&seed.rates);
                 assert_eq!(seed.levels.len(), nl, "a seed solve of this problem");
-                self.worklist.mu.clear();
-                self.worklist.mu.extend_from_slice(&seed.levels);
                 // The arena stays empty, at the solve's high-water mark. A
                 // fallback re-seed then reaches the mark the solve's arena
                 // would have: every buffer but the heap is sized by the
@@ -1534,31 +1566,28 @@ impl MaxMinState {
                 // along the same doubling path as from the solve's size.
                 debug_assert_eq!(self.scratch.hwm_bytes, 0, "a fresh arena");
                 self.scratch.hwm_bytes = seed.hwm_bytes;
+                &seed.levels
             }
             None => {
                 for r in self.rates.iter_mut() {
                     *r = 0.0;
                 }
-                let MaxMinState {
-                    capacity,
-                    routes,
-                    alive,
-                    rates,
-                    scratch,
-                    worklist,
-                    ..
-                } = self;
+                let alive = &self.alive;
                 waterfill_event_into(
-                    capacity,
-                    routes,
+                    &self.capacity,
+                    &self.routes,
                     |f| alive[f],
-                    rates,
-                    scratch,
-                    &mut worklist.mu,
+                    &mut self.rates,
+                    &mut self.scratch,
+                    &mut solved,
                 );
+                &solved
             }
-        }
+        };
         let w = &mut self.worklist;
+        w.links.clear();
+        w.links
+            .extend(levels.iter().map(|&level| LinkState::seeded(level)));
         // Subscriber CSR over alive routed flows (counting sort).
         w.sub_offsets.clear();
         w.sub_offsets.resize(nl + 1, 0);
@@ -1592,40 +1621,16 @@ impl MaxMinState {
         }
         w.sub_dead_entries = 0;
         // Route-min triples from the seeded levels.
-        w.min1.clear();
-        w.min1.resize(nf, f64::INFINITY);
-        w.min1_link.clear();
-        w.min1_link.resize(nf, u32::MAX);
-        w.min2.clear();
-        w.min2.resize(nf, f64::INFINITY);
-        for f in 0..nf {
-            let (mut m1, mut m1l, mut m2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
-            for &l in self.routes.route(f) {
-                let v = w.mu[l as usize];
-                if v < m1 {
-                    m2 = m1;
-                    m1 = v;
-                    m1l = l;
-                } else if v < m2 {
-                    m2 = v;
-                }
-            }
-            w.min1[f] = m1;
-            w.min1_link[f] = m1l;
-            w.min2[f] = m2;
-        }
+        w.mins.clear();
+        w.mins
+            .extend((0..nf).map(|f| RouteMin::over(self.routes.route(f), &w.links)));
         // Slack tallies over the alive subscribers' demands.
-        w.dsum.clear();
-        w.dsum.resize(nl, 0.0);
-        w.nbig.clear();
-        w.nbig.resize(nl, 0);
         for f in (0..nf).filter(|&f| self.alive[f]) {
             for &l in self.routes.route(f) {
-                let d = demand_at(w.min1[f], w.min1_link[f], w.min2[f], l);
-                tally(&mut w.dsum, &mut w.nbig, l as usize, d, true);
+                w.links[l as usize].tally(w.mins[f].demand_at(l), true);
             }
         }
-        w.queue.reset(nl);
+        w.queue.reset();
         w.flow_mask.clear();
         w.flow_mask.resize(nf, false);
         w.pending.clear();
@@ -2000,7 +2005,7 @@ mod tests {
         let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
         s.remove_flow(2);
-        let held = s.worklist.queue.bits(2);
+        let held = s.worklist.queue.bits(&s.worklist.links[2]);
         assert_eq!(
             held & (DIRTY_NEXT | CAND_NEXT),
             DIRTY_NEXT,
@@ -2010,15 +2015,15 @@ mod tests {
         assert_eq!((s.spine_rounds(), s.spine_link_updates()), (3, 5));
     }
 
-    /// The round counter re-stamps every link before it wraps, so marks
-    /// made across the wrap keep their rounds: the mid-round script gives
-    /// the same counts.
+    /// The round counter re-stamps every link before it passes the last
+    /// round a stamp can hold, so marks made across the wrap keep their
+    /// rounds: the mid-round script gives the same counts.
     #[test]
     fn the_round_counter_wraps_without_losing_marks() {
         let (capacity, routes) = mid_round_problem();
         let mut s = MaxMinState::with_flows(&capacity, &routes);
         let _ = s.rates();
-        s.worklist.queue.round = u32::MAX - 1;
+        s.worklist.queue.round = ROUND_MAX - 1;
         assert_eq!(run_removals(&mut s, &capacity, &routes, &[2]), (3, 5));
     }
 
