@@ -358,8 +358,8 @@ impl CnpEpisodes {
 /// entry is removed in place, so the heap holds at most one entry per flow
 /// and never a stale one. The order is total, so the earliest entry, and
 /// with it every pop and completion batch, does not depend on the arity;
-/// four children per node halve the depth of a binary heap, and their
-/// 16-byte entries share one cache line.
+/// four children per node halve the depth of a binary heap, and a node's
+/// children sit side by side in 64 bytes.
 struct CompletionHeap {
     /// `(t_zero, flow)` in heap order.
     entries: Vec<(f64, u32)>,

@@ -865,6 +865,7 @@ const CAND_NEXT: u8 = 8;
 const KEPT: u8 = 16;
 /// Flag bits below a link's round stamp.
 const FLAG_BITS: u32 = 5;
+/// The flag bits of a link's marks.
 const FLAG_MASK: u32 = (1 << FLAG_BITS) - 1;
 /// The last round a stamp can hold; the queue re-stamps every link before
 /// its round counter passes it.
