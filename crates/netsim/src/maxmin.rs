@@ -893,14 +893,6 @@ struct LinkState {
 }
 
 impl LinkState {
-    /// A freshly seeded link at `level`: no tally, no marks, not kept.
-    fn seeded(level: f64) -> LinkState {
-        LinkState {
-            level,
-            ..LinkState::default()
-        }
-    }
-
     /// The slack test: the link has slack and keeps it, so its fill would
     /// return [`UNBOUNDED`] again.
     fn has_slack(&self, cap: f64) -> bool {
@@ -1586,9 +1578,12 @@ impl MaxMinState {
             }
         };
         let w = &mut self.worklist;
+        // No tally, no marks, nothing kept.
         w.links.clear();
-        w.links
-            .extend(levels.iter().map(|&level| LinkState::seeded(level)));
+        w.links.extend(levels.iter().map(|&level| LinkState {
+            level,
+            ..LinkState::default()
+        }));
         // Subscriber CSR over alive routed flows (counting sort).
         w.sub_offsets.clear();
         w.sub_offsets.resize(nl + 1, 0);
