@@ -983,7 +983,7 @@ mod tests {
     use super::*;
     use c4_netsim::{EcmpSelector, RailLocalSelector};
     use c4_simcore::SimDuration;
-    use c4_topology::{ClosConfig, GpuId, NodeId};
+    use c4_topology::{ClosConfig, GpuId, LinkKind, NodeId};
 
     use crate::alltoall::EpSkew;
 
@@ -1855,5 +1855,108 @@ mod tests {
                 "sharing node 1's NVLink/ports must cost bandwidth: {busbw}"
             );
         }
+    }
+
+    /// The stale-route rule against a brute-force scan of every hop, over
+    /// random changed-link sets: ids across several 64-bit words, ids above
+    /// every route link, duplicates, the empty set and PCIe links. `rebase`
+    /// drops exactly the stale entries with a hop in the set, re-stamps the
+    /// other stale ones and leaves current ones alone; `any_route_through`
+    /// answers what the scan answers.
+    #[test]
+    fn rebase_and_the_route_audit_agree_with_a_hop_scan() {
+        let mut t = topo();
+        let comms: Vec<Communicator> = [(0, 2, 1), (2, 4, 2), (6, 2, 3), (8, 4, 4), (12, 4, 5)]
+            .into_iter()
+            .map(|(first, nodes, id)| full_comm_at(&t, first, nodes, id))
+            .collect();
+        let mut cache = PlanCache::new();
+        let build = |t: &Topology, comms: &[Communicator], cache: &mut PlanCache| {
+            for comm in comms {
+                for kind in [CollKind::AllReduce, CollKind::AllToAll] {
+                    let req = CollectiveRequest {
+                        kind,
+                        ..request(comm)
+                    };
+                    plan_requests(t, &[req], &mut EcmpSelector::new(3), Some(cache));
+                }
+            }
+        };
+        // Three communicators' plans go stale; two are built at the new
+        // version and stay current.
+        build(&t, &comms[..3], &mut cache);
+        t.link_mut(LinkId::from_index(0));
+        build(&t, &comms[3..], &mut cache);
+        let version = t.version();
+        assert_eq!(cache.len(), 10);
+
+        let hops = |e: &PlanEntry| -> Vec<LinkId> {
+            let routes = e.plan.intra.iter().chain(&e.plan.inter);
+            routes.flat_map(|(_, r)| r.iter().copied()).collect()
+        };
+        let mut route_links: Vec<LinkId> = cache.entries.values().flat_map(hops).collect();
+        route_links.sort_unstable();
+        route_links.dedup();
+        let above = route_links.last().unwrap().index() + 1;
+        assert!(above > 4 * 64, "route links span several words");
+        let pcie: Vec<LinkId> = (0..t.num_links())
+            .map(LinkId::from_index)
+            .filter(|&l| matches!(t.link(l).kind(), LinkKind::PcieTx(_) | LinkKind::PcieRx(_)))
+            .collect();
+        assert!(pcie.iter().any(|l| route_links.contains(l)), "PCIe hops");
+
+        let mut rng = DetRng::seed_from(37);
+        let mut sets: Vec<Vec<LinkId>> = vec![Vec::new()];
+        for _ in 0..300 {
+            let mut set = Vec::new();
+            for _ in 0..rng.index(8) {
+                let link = match rng.index(4) {
+                    0 => route_links[rng.index(route_links.len())],
+                    1 => LinkId::from_index(rng.index(t.num_links())),
+                    2 => LinkId::from_index(above + rng.index(300)),
+                    _ => pcie[rng.index(pcie.len())],
+                };
+                set.push(link);
+                if rng.chance(0.25) {
+                    set.push(link);
+                }
+            }
+            sets.push(set);
+        }
+
+        let (mut some_dropped, mut some_kept) = (0, 0);
+        for set in &sets {
+            let through = |e: &PlanEntry| hops(e).iter().any(|l| set.contains(l));
+            assert_eq!(
+                cache.any_route_through(set),
+                cache.entries.values().any(through),
+                "audit of {set:?}"
+            );
+            let mut rebased = cache.clone();
+            let dropped = rebased.rebase(&t, set);
+            let mut expect_dropped = 0;
+            for (key, entry) in &cache.entries {
+                let stale = entry.topo_version != version;
+                match rebased.entries.get(key) {
+                    None => {
+                        assert!(stale && through(entry), "{key:?} dropped by {set:?}");
+                        expect_dropped += 1;
+                    }
+                    Some(kept) => {
+                        assert!(!(stale && through(entry)), "{key:?} kept by {set:?}");
+                        assert_eq!(kept.topo_version, version, "{key:?} re-stamped");
+                        assert_eq!(kept.build, entry.build, "{key:?} not rebuilt");
+                    }
+                }
+            }
+            assert_eq!(dropped, expect_dropped, "drop count of {set:?}");
+            assert_eq!(rebased.len(), cache.len() - dropped);
+            some_dropped += usize::from(dropped > 0);
+            some_kept += usize::from(dropped < 6);
+        }
+        assert!(
+            some_dropped > 100 && some_kept > 100,
+            "{some_dropped} {some_kept}"
+        );
     }
 }
