@@ -248,6 +248,7 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
 mod tests {
     use super::*;
     use crate::pipeline::LoadSample;
+    use crate::record::{AlgoKind, CollKind, CollRecord, DataType, RankRecord};
     use c4_simcore::SimTime;
 
     fn load(rank: u32, step: u64, value: f64) -> TelemetryEvent {
@@ -370,5 +371,73 @@ mod tests {
         });
         assert!(w.push(&comm).is_empty(), "no step axis on comm events");
         assert_eq!(w.watermark(), Some(999));
+    }
+
+    #[test]
+    fn unkeyed_and_valueless_events_only_move_the_watermark() {
+        // Loads are keyed and valued, rank reports keyed without a value,
+        // and collectives carry a tick (their seq) but no key — as conn and
+        // rank events do for the collective health detector.
+        let mut w = WindowedAggregate::new(
+            WindowSpec::sliding_steps(2, 2),
+            |e| match e {
+                TelemetryEvent::Load(l) => Some(l.rank),
+                TelemetryEvent::Rank(r) => Some(r.rank),
+                _ => None,
+            },
+            |e| match e {
+                TelemetryEvent::Load(l) => Some(l.value),
+                _ => None,
+            },
+        );
+        let unkeyed = |seq| {
+            TelemetryEvent::Coll(CollRecord {
+                comm: 1,
+                seq,
+                rank: 0,
+                kind: CollKind::AllReduce,
+                algo: AlgoKind::Ring,
+                dtype: DataType::F16,
+                count: 1,
+                start: SimTime::ZERO,
+                end: Some(SimTime::from_secs(1)),
+            })
+        };
+        let valueless = |step| {
+            TelemetryEvent::Rank(RankRecord {
+                comm: 1,
+                rank: 0,
+                step,
+                compute: SimDuration::from_secs(1),
+                ready_delay: SimDuration::ZERO,
+                arrived: SimTime::from_secs(step),
+            })
+        };
+        let sums = |panes: &[WindowPane<u32>]| -> Vec<(u32, u64, u64, f64)> {
+            let pane =
+                |p: &WindowPane<u32>| (p.key, p.start, p.aggregate.count(), p.aggregate.sum());
+            panes.iter().map(pane).collect()
+        };
+
+        assert!(w.push(&load(0, 0, 1.0)).is_empty());
+        assert!(w.push(&load(1, 1, 2.0)).is_empty());
+        let closed = w.push(&unkeyed(2));
+        assert_eq!(sums(&closed), [(0, 0, 1, 1.0), (1, 0, 1, 2.0)]);
+        assert_eq!(w.watermark(), Some(2));
+        assert!(w.panes.is_empty(), "the unkeyed event opened no pane");
+
+        assert!(w.push(&load(0, 3, 4.0)).is_empty());
+        let closed = w.push(&valueless(4));
+        assert_eq!(sums(&closed), [(0, 2, 1, 4.0)]);
+        assert_eq!(w.watermark(), Some(4));
+        assert!(w.panes.is_empty(), "the valueless event opened no pane");
+
+        // Behind the watermark neither counts as a late drop.
+        assert!(w.push(&unkeyed(0)).is_empty());
+        assert!(w.push(&valueless(1)).is_empty());
+        assert_eq!((w.late_dropped(), w.watermark()), (0, Some(4)));
+        assert!(w.push(&load(0, 1, 8.0)).is_empty());
+        assert_eq!(w.late_dropped(), 1, "a keyed, valued event does");
+        assert!(w.flush().is_empty());
     }
 }
