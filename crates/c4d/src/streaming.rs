@@ -391,6 +391,8 @@ pub struct CollHealthDetector {
     baseline_window: usize,
     /// Trailing window means per communicator (bounded).
     history: BTreeMap<u64, VecDeque<f64>>,
+    /// The buffer a baseline median sorts in.
+    sorted: Vec<f64>,
 }
 
 impl CollHealthDetector {
@@ -414,13 +416,18 @@ impl CollHealthDetector {
             slow_factor,
             baseline_window: baseline_window.max(1),
             history: BTreeMap::new(),
+            sorted: Vec::new(),
         }
     }
 
     /// Feeds one event; every event advances the watermark, completed
-    /// collectives also land in the duration windows.
+    /// collectives also land in the duration windows. A call that closes no
+    /// pane judges nothing and returns no verdict.
     pub fn feed(&mut self, event: &TelemetryEvent) -> Vec<StreamVerdict> {
         let panes = self.window.push(event);
+        if panes.is_empty() {
+            return Vec::new();
+        }
         self.judge_panes(panes)
     }
 
@@ -448,7 +455,7 @@ impl CollHealthDetector {
                 continue;
             };
             let history = self.history.entry(pane.key).or_default();
-            if let Some(baseline) = median(history) {
+            if let Some(baseline) = median(history, &mut self.sorted) {
                 if baseline > 0.0 && mean > baseline * self.slow_factor {
                     out.push(StreamVerdict::CollSlow {
                         comm: pane.key,
@@ -469,11 +476,13 @@ impl CollHealthDetector {
     }
 }
 
-fn median(values: &VecDeque<f64>) -> Option<f64> {
+/// The lower median of `values`, sorted in `sorted`.
+fn median(values: &VecDeque<f64>, sorted: &mut Vec<f64>) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = values.iter().copied().collect();
+    sorted.clear();
+    sorted.extend(values);
     sorted.sort_unstable_by(f64::total_cmp);
     Some(sorted[(sorted.len() - 1) / 2])
 }

@@ -302,14 +302,19 @@ impl PlanCache {
     /// and kept seed solve too; those of re-stamped plans stay, since the
     /// drain memo checks the route capacities itself and a seed solve's
     /// stamp holds the topology version it was solved at.
+    ///
+    /// Cost: one pass over `affected` builds a bitset of
+    /// `max(affected) / 64 + 1` words; then each hop of a stale entry's
+    /// routes costs one word test, whatever the length of `affected`.
     pub fn rebase(&mut self, topo: &Topology, affected: &[LinkId]) -> usize {
         let version = topo.version();
         let before = self.entries.len();
+        let affected = LinkSet::new(affected);
         self.entries.retain(|_, entry| {
             if entry.topo_version == version {
                 return true;
             }
-            if plan_routes_through(&entry.plan, affected) {
+            if plan_routes_through(&entry.plan, &affected) {
                 return false;
             }
             entry.topo_version = version;
@@ -394,20 +399,44 @@ impl PlanCache {
     /// Audit hook for the fleet controller's zero-stale-route invariant:
     /// after isolating a node and rebasing, no cache may still hold a plan
     /// through the victim's host links.
+    ///
+    /// Cost: like [`PlanCache::rebase`], one bitset build over `links`,
+    /// then one word test per hop of every cached route until a hop hits.
     pub fn any_route_through(&self, links: &[LinkId]) -> bool {
+        let links = LinkSet::new(links);
         self.entries
             .values()
-            .any(|e| plan_routes_through(&e.plan, links))
+            .any(|e| plan_routes_through(&e.plan, &links))
+    }
+}
+
+/// A set of links as a bitset over link ids: word `id / 64`, bit `id % 64`.
+/// It has as many words as its largest id needs; any larger id is absent.
+struct LinkSet(Vec<u64>);
+
+impl LinkSet {
+    fn new(links: &[LinkId]) -> LinkSet {
+        let words = links.iter().map(|l| l.index() / 64 + 1).max().unwrap_or(0);
+        let mut bits = vec![0u64; words];
+        for l in links {
+            bits[l.index() / 64] |= 1 << (l.index() % 64);
+        }
+        LinkSet(bits)
+    }
+
+    fn contains(&self, link: LinkId) -> bool {
+        let i = link.index();
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
     }
 }
 
 /// True when any route of `plan` (intra-node or network) uses one of
 /// `links`.
-fn plan_routes_through(plan: &PlanSpec, links: &[LinkId]) -> bool {
+fn plan_routes_through(plan: &PlanSpec, links: &LinkSet) -> bool {
     plan.intra
         .iter()
         .chain(&plan.inter)
-        .any(|(_, route)| route.iter().any(|l| links.contains(l)))
+        .any(|(_, route)| route.iter().any(|&l| links.contains(l)))
 }
 
 /// Where a request's plan lives after [`plan_requests`]: in the cache (by

@@ -170,7 +170,8 @@ impl<K: Ord + Clone> WindowedAggregate<K> {
         let Some(tick) = self.spec.axis.tick(event) else {
             return Vec::new();
         };
-        if let (Some(key), Some(value)) = ((self.key_fn)(event), (self.value_fn)(event)) {
+        let keyed = (self.key_fn)(event).and_then(|key| Some((key, (self.value_fn)(event)?)));
+        if let Some((key, value)) = keyed {
             let watermark = self.watermark();
             let mut landed = false;
             let mut start = if tick < self.spec.width {

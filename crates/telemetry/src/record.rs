@@ -1,6 +1,7 @@
 //! Record types for the four ACCL statistics streams (paper Fig 5/6).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use c4_simcore::{SimDuration, SimTime};
 use c4_topology::{GpuId, PortId};
@@ -184,7 +185,7 @@ impl CollRecord {
 }
 
 /// Identity of a transport connection (one QP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnKey {
     /// Communicator id.
     pub comm: u64,
@@ -196,6 +197,17 @@ pub struct ConnKey {
     pub src_gpu: GpuId,
     /// Receiving GPU.
     pub dst_gpu: GpuId,
+}
+
+/// Hashes three packed words, where the derived hash wrote five fields: the
+/// communicator, both GPUs, then channel and QP. The packing loses no bit,
+/// so keys equal under the derived `Eq` hash equal.
+impl Hash for ConnKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.comm);
+        state.write_u64(u64::from(self.src_gpu.0) << 32 | u64::from(self.dst_gpu.0));
+        state.write_u32(u32::from(self.channel) << 16 | u32::from(self.qp));
+    }
 }
 
 /// Aggregated transport statistics for one connection (`conn-stats.csv`):
