@@ -199,9 +199,9 @@ pub struct ConnKey {
     pub dst_gpu: GpuId,
 }
 
-/// Hashes three packed words, where the derived hash wrote five fields: the
-/// communicator, both GPUs, then channel and QP. The packing loses no bit,
-/// so keys equal under the derived `Eq` hash equal.
+/// Hashes three packed words: the communicator, both GPUs, then channel and
+/// QP. The packing loses no bit, so keys equal under the derived `Eq` hash
+/// equal.
 impl Hash for ConnKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.comm);
