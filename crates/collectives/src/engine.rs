@@ -1675,6 +1675,57 @@ mod tests {
         assert_eq!(cache.drain_reuses(), 1);
     }
 
+    #[test]
+    fn a_route_link_degraded_and_restored_still_replays() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(46);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Halve a route link and restore it before the next call: the
+        // version moved twice, but every route capacity is bit-equal again.
+        let link = busiest_host_uplink(&t, &first[0]);
+        let version = t.version();
+        t.link_mut(link).set_degradation(0.5);
+        t.link_mut(link).set_degradation(1.0);
+        assert_eq!(t.version(), version + 2);
+        assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1, "equal capacities replay");
+        // After that replay, degrading a route link drains afresh.
+        t.link_mut(link).set_degradation(0.5);
+        assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1, "the memo saw the capacity change");
+        assert_eq!((cache.misses(), cache.hits()), (2, 4), "plans still hit");
+    }
+
+    #[test]
+    fn a_route_capacity_change_is_checked_until_a_drain_replaces_the_record() {
+        let mut t = topo();
+        let (c1, c2) = overlapping_pair(&t);
+        let mut cache = PlanCache::new();
+        let mut rng = DetRng::seed_from(47);
+        let reqs = [request(&c1), request(&c2)];
+        let first = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        // Take a route link down: the fresh drain hangs, so it does not
+        // replace the record, and a second call at the same topology
+        // version must still see the changed capacity.
+        let link = busiest_host_uplink(&t, &first[0]);
+        t.link_mut(link).set_up(false);
+        assert_eq!(cache.rebase(&t, &[]), 0, "no plan dropped");
+        for _ in 0..2 {
+            let res = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+            assert!(res[0].hung(), "the downed link stalls the drain");
+        }
+        assert_eq!(cache.drain_reuses(), 0, "a changed capacity drains afresh");
+        // Bring it back: the kept record matches again and replays.
+        t.link_mut(link).set_up(true);
+        cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
+        assert_eq!(cache.drain_reuses(), 1, "the old record replays");
+    }
+
     /// `request(comm)` under 10 % rate noise and paper CNP accounting.
     fn noisy_request(comm: &Communicator) -> CollectiveRequest<'_> {
         CollectiveRequest {
