@@ -71,8 +71,12 @@ pub struct CollectiveRequest<'a> {
     pub config: CommConfig,
     /// Earliest possible start.
     pub start: SimTime,
-    /// Per-rank ready times (stragglers); the collective enters the network
-    /// when the last rank arrives. `None` = all ready at `start`.
+    /// Per-rank ready times (stragglers). The request starts when its last
+    /// rank arrives (or at `start`, if later): its result's `started` and
+    /// its telemetry's start. Its flows do not wait for that: a call drains
+    /// every request's flows from the earliest request start, so a request
+    /// that starts later has its flows move before it starts. `None` = all
+    /// ready at `start`.
     pub rank_ready: Option<&'a [SimTime]>,
     /// Network drain configuration (`start` is overridden).
     pub drain: DrainConfig,
@@ -161,17 +165,21 @@ struct PlanEntry {
 ///   compares equal by pointer);
 /// * the same effective capacity, to the bit, on every route link (a
 ///   down link reads 0);
-/// * the same link and port counts (the lengths of `link_bytes` and
-///   `cnp_per_port`).
+/// * the same port count (the length of `cnp_per_port`).
 ///
-/// Only a drain that completed every flow at least 1 ns before its
-/// deadline is recorded, and it is replayed only when the shifted drain
-/// also ends 1 ns or more before the call's deadline, so the deadline
-/// clamped neither run. Any other call drains afresh. The memo checks
-/// these inputs itself; its correctness does not rest on callers passing
-/// [`PlanCache::rebase`] a complete set of changed links. A replayed
-/// report is the recorded one, bit for bit, shifted in time, and its
-/// `cnp_per_port` is all zeros, as a noise-free drain's is. Its
+/// Every link change moves [`Topology::version`], so the memo keeps the
+/// version at which it last found the route capacities equal: at that
+/// version they still are, and only a call at another version compares
+/// their bits, re-stamping the version when they match. Only a drain that
+/// completed every flow at least 1 ns before its deadline is recorded, and
+/// it is replayed only when the shifted drain also ends 1 ns or more
+/// before the call's deadline, so the deadline clamped neither run. Any
+/// other call drains afresh. The memo checks these inputs itself; its
+/// correctness does not rest on callers passing [`PlanCache::rebase`] a
+/// complete set of changed links. A replayed report is the recorded one,
+/// bit for bit, shifted in time: it shares the recorded report's
+/// `link_bytes` table, and its `cnp_per_port` is all zeros, as a
+/// noise-free drain's is. Its
 /// [`DrainSolverStats`](c4_netsim::DrainSolverStats) are those of the drain
 /// it replays. Debug builds drain every replayed call afresh as well and
 /// assert that both reports are equal and that the RNG did not move.
@@ -342,8 +350,8 @@ impl PlanCache {
         debug_assert!(memo::replayable(cfg), "noisy drains are never memoized");
         if let Some(report) = self
             .drains
-            .get(&slot)
-            .and_then(|s| s.memo.as_ref())
+            .get_mut(&slot)
+            .and_then(|s| s.memo.as_mut())
             .and_then(|m| m.replay(topo, specs, cfg))
         {
             self.drain_reuses += 1;
@@ -680,7 +688,8 @@ fn build_request(
     let factor = bus_factor(req.kind, nranks);
     let edge_bytes = message_bytes.scaled(factor);
 
-    // BSP: the collective enters the network when the last rank arrives.
+    // The request starts when its last rank arrives; the call's drain
+    // starts at the earliest request start (see `run_concurrent_cached`).
     let min_ready = req
         .rank_ready
         .map(|r| r.iter().copied().min().unwrap_or(req.start))
@@ -841,7 +850,9 @@ pub fn run_concurrent(
 /// optionally reusing cached flow plans across calls (BSP iterations).
 ///
 /// Drain-config merge rule for the shared drain: `start` is the earliest
-/// request start; `deadline` is the **earliest** deadline of any request
+/// request start (a request starts when its last rank arrives), and every
+/// flow of the call moves from it, a later-starting request's included;
+/// `deadline` is the **earliest** deadline of any request
 /// (requests without a deadline don't constrain it) — the shared drain
 /// cannot outlive any one participant's give-up horizon, so the tightest
 /// caller wins; all remaining knobs (epoch, rate noise, CNP model) come
@@ -851,7 +862,7 @@ pub fn run_concurrent(
 /// request set's slot in the cache's [drain memo](PlanCache#the-drain-memo).
 /// A noise-free call replays the slot's recorded report, shifted to the new
 /// start, instead of draining, when the specs, route-link capacities and
-/// fabric size equal those of its last recorded drain and the deadline
+/// port count equal those of its last recorded drain and the deadline
 /// leaves room; the RNG is untouched either way. A noisy call always
 /// drains, from the slot's kept seed solve when no plan was rebuilt since,
 /// the topology version is unchanged and the same flows have zero bytes.
@@ -908,9 +919,9 @@ pub fn run_concurrent_cached(
         })
         .collect();
 
-    // One shared drain over all flows. Note: flows of late-starting requests
-    // are assumed active from the common start (the fluid model has no
-    // per-flow start offsets); BSP iteration experiments use aligned starts.
+    // One shared drain over all flows, from the earliest request start: the
+    // fluid model has no per-flow start offsets, so the flows of a request
+    // that starts later move before it starts.
     let common_start = built
         .iter()
         .map(|b| b.started)
@@ -1485,6 +1496,10 @@ mod tests {
         let replayed = cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
         assert_eq!(cache.drain_reuses(), 1, "the repeat is replayed");
         assert_eq!((cache.misses(), cache.hits()), (2, 2));
+        assert!(
+            Arc::ptr_eq(&first[0].report.link_bytes, &replayed[0].report.link_bytes),
+            "the replay shares the recorded table"
+        );
         for (a, b) in first.iter().zip(&replayed) {
             assert_eq!(b.started, later);
             assert_eq!(a.duration(), b.duration(), "shifted, not changed");
@@ -1493,18 +1508,10 @@ mod tests {
 
     /// The host uplink that carried the most bytes in `r`'s drain.
     fn busiest_host_uplink(t: &Topology, r: &CollectiveResult) -> LinkId {
-        r.report
-            .link_bytes
-            .iter()
-            .enumerate()
-            .filter(|&(l, _)| {
-                matches!(
-                    t.link(LinkId::from_index(l)).kind(),
-                    c4_topology::LinkKind::HostUp(_)
-                )
-            })
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(l, _)| LinkId::from_index(l))
+        (0..t.num_links())
+            .map(LinkId::from_index)
+            .filter(|&l| matches!(t.link(l).kind(), c4_topology::LinkKind::HostUp(_)))
+            .max_by(|&a, &b| r.report.bytes_on(a).total_cmp(&r.report.bytes_on(b)))
             .expect("the fabric has host uplinks")
     }
 
@@ -1644,11 +1651,7 @@ mod tests {
         let idle = t
             .port(t.nic(t.node(NodeId::from_index(10)).nics[0]).ports[0])
             .host_up;
-        assert_eq!(
-            first[0].report.link_bytes[idle.index()],
-            0.0,
-            "no route uses it"
-        );
+        assert_eq!(first[0].report.bytes_on(idle), 0.0, "no route uses it");
         t.link_mut(idle).set_degradation(0.5);
         cached_matches_uncached(&t, &reqs, &mut cache, &mut rng);
         assert_eq!((cache.misses(), cache.hits()), (4, 0), "both plans rebuilt");

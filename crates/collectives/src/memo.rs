@@ -6,18 +6,25 @@
 //! With `rate_noise == 0` and no CNP model, [`drain`] never steps onto the
 //! noise grid: it draws nothing from the RNG and never reads `epoch`. Its
 //! report is then a pure function of the flow specs (key, bytes, route),
-//! the capacity of every route link, the link and port counts that size
-//! `link_bytes` and `cnp_per_port`, and `start` and `deadline`. `start`
-//! only shifts the integer-nanosecond times: the loop works in seconds
-//! since the start. The deadline is read at every event but binds only on
-//! a step that would cross it. A drain that completed every flow 1 ns or
-//! more before its deadline was never clamped, since a binding clamp lands
-//! the clock on the deadline itself; only such a drain is recorded. Its
-//! replay, shifted to a new start, is not clamped either when it ends
-//! 1 ns or more before the new deadline: each step advances the clock by
-//! its length rounded to the nearest nanosecond, so no step was as long as
-//! the distance to that deadline. Any other difference runs [`drain`] as
-//! usual.
+//! the capacity of every route link, the port count that sizes
+//! `cnp_per_port`, and `start` and `deadline`. `start` only shifts the
+//! integer-nanosecond times: the loop works in seconds since the start.
+//! The deadline is read at every event but binds only on a step that would
+//! cross it. A drain that completed every flow 1 ns or more before its
+//! deadline was never clamped, since a binding clamp lands the clock on
+//! the deadline itself; only such a drain is recorded. Its replay, shifted
+//! to a new start, is not clamped either when it ends 1 ns or more before
+//! the new deadline: each step advances the clock by its length rounded to
+//! the nearest nanosecond, so no step was as long as the distance to that
+//! deadline. Any other difference runs [`drain`] as usual.
+//!
+//! Every link change moves `Topology::version`, so the route capacities are
+//! still the recorded ones while the version is the one at which they were
+//! last found equal: a replay compares their bits only after the version
+//! has moved, and re-stamps the version when they match. The seed stamp
+//! relies on the same rule, and like it, this does not rest on
+//! `PlanCache::rebase` receiving a complete set of changed links. A replay
+//! shares the recorded report's `link_bytes` table rather than copying it.
 //!
 //! A request set's slot also keeps its last noisy drain's seed solve with a
 //! [`SeedStamp`] of what it was solved over; `PlanCache`'s docs give the
@@ -30,7 +37,7 @@ use std::sync::Arc;
 
 use c4_netsim::{DrainConfig, DrainReport, DrainSolverStats, FlowOutcome, FlowSpec, SeedSolve};
 use c4_simcore::{SimDuration, SimTime};
-use c4_topology::Topology;
+use c4_topology::{LinkId, Topology};
 
 /// Slack a recorded or replayed drain must leave before its deadline.
 const DEADLINE_SLACK: SimDuration = SimDuration::from_nanos(1);
@@ -80,17 +87,17 @@ pub(crate) struct DrainMemo {
     specs: Vec<FlowSpec>,
     /// Capacity bits of every route link, in spec and route order.
     capacity_bits: Vec<u64>,
-    /// `Topology::num_links` (the length of `link_bytes`).
-    num_links: usize,
+    /// `Topology::version` at which the route capacities were last found
+    /// equal to `capacity_bits`.
+    checked_version: u64,
     /// The port count (the length of `cnp_per_port`).
     num_ports: usize,
     /// The recorded report's start; its times are shifted from here.
     start: SimTime,
     outcomes: Vec<FlowOutcome>,
     end: SimTime,
-    /// The non-zero entries of `link_bytes`, by link index: O(flows)
-    /// rather than O(fabric).
-    link_bytes: Vec<(u32, f64)>,
+    /// The recorded report's table, shared with every replay.
+    link_bytes: Arc<[(LinkId, f64)]>,
     congested_flows: usize,
     solver: DrainSolverStats,
 }
@@ -131,22 +138,15 @@ impl DrainMemo {
         if !report.all_completed() || !clear_of(report.end, cfg.deadline) {
             return None;
         }
-        let link_bytes = report
-            .link_bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.to_bits() != 0)
-            .map(|(l, &b)| (l as u32, b))
-            .collect();
         Some(DrainMemo {
             capacity_bits: capacity_bits(topo, specs).collect(),
+            checked_version: topo.version(),
             specs: specs.to_vec(),
-            num_links: topo.num_links(),
             num_ports: topo.ports().len(),
             start: cfg.start,
             outcomes: report.outcomes.clone(),
             end: report.end,
-            link_bytes,
+            link_bytes: Arc::clone(&report.link_bytes),
             congested_flows: report.congested_flows,
             solver: report.solver,
         })
@@ -157,28 +157,20 @@ impl DrainMemo {
     /// ends clear of `cfg.deadline`; `None` otherwise. `cfg` must be
     /// [`replayable`].
     pub(crate) fn replay(
-        &self,
+        &mut self,
         topo: &Topology,
         specs: &[FlowSpec],
         cfg: &DrainConfig,
     ) -> Option<DrainReport> {
-        let shift = |t: SimTime| cfg.start + (t - self.start);
-        let end = shift(self.end);
+        let end = cfg.start + (self.end - self.start);
         let replays = clear_of(end, cfg.deadline)
-            && self.num_links == topo.num_links()
             && self.num_ports == topo.ports().len()
             && self.specs == specs
-            && capacity_bits(topo, specs).eq(self.capacity_bits.iter().copied());
+            && self.capacities_hold(topo, specs);
         if !replays {
             return None;
         }
-        // Filled in place: collecting straight into the `Arc` saves the
-        // copy a `Vec` conversion would make of the whole table.
-        let mut link_bytes: Arc<[f64]> = iter::repeat_n(0.0, self.num_links).collect();
-        let dense = Arc::get_mut(&mut link_bytes).expect("a fresh Arc is unique");
-        for &(l, b) in &self.link_bytes {
-            dense[l as usize] = b;
-        }
+        let shift = |t: SimTime| cfg.start + (t - self.start);
         Some(DrainReport {
             outcomes: self
                 .outcomes
@@ -190,10 +182,25 @@ impl DrainMemo {
                 })
                 .collect(),
             end,
-            link_bytes,
+            link_bytes: Arc::clone(&self.link_bytes),
             cnp_per_port: iter::repeat_n(0.0, self.num_ports).collect(),
             congested_flows: self.congested_flows,
             solver: self.solver,
         })
+    }
+
+    /// True when the capacities of `specs`' route links equal the recorded
+    /// ones: at once while the topology version is the one they were last
+    /// found equal at, otherwise by comparing their bits, which re-stamps
+    /// the version on a match. `specs` must equal the recorded specs.
+    fn capacities_hold(&mut self, topo: &Topology, specs: &[FlowSpec]) -> bool {
+        if topo.version() == self.checked_version {
+            return true;
+        }
+        let equal = capacity_bits(topo, specs).eq(self.capacity_bits.iter().copied());
+        if equal {
+            self.checked_version = topo.version();
+        }
+        equal
     }
 }

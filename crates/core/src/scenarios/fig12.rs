@@ -244,12 +244,12 @@ fn run_inner(
         }
         clock += iter_secs;
         // Fig 13: per-uplink bandwidth this iteration.
-        let link_bytes = &results[0].report.link_bytes;
+        let report = &results[0].report;
         let ports: Vec<f64> = uplinks
             .iter()
-            .map(|l| {
+            .map(|&l| {
                 if iter_secs > 0.0 {
-                    link_bytes[l.index()] * 8.0 / iter_secs / 1e9
+                    report.bytes_on(l) * 8.0 / iter_secs / 1e9
                 } else {
                     0.0
                 }

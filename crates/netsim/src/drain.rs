@@ -74,10 +74,11 @@
 //!   association; `tests/maxmin_differential.rs` holds them to 1e-9 — with
 //!   identical RNG positions afterwards.
 
+use std::iter;
 use std::sync::Arc;
 
 use c4_simcore::{Bandwidth, DetRng, ParallelPolicy, SimDuration, SimTime};
-use c4_topology::{LinkKind, Topology};
+use c4_topology::{LinkId, LinkKind, Topology};
 
 use crate::congestion::CnpModel;
 use crate::flow::{FlowOutcome, FlowSpec};
@@ -132,12 +133,16 @@ pub struct DrainReport {
     pub outcomes: Vec<FlowOutcome>,
     /// When the drain ended (last completion, or deadline).
     pub end: SimTime,
-    /// Bytes carried per link (indexed by `LinkId`). Shared rather than
-    /// copied when one drain's report is split across several requests.
-    pub link_bytes: Arc<[f64]>,
+    /// Bytes carried per link, for the links that carried any: one
+    /// `(link, bytes)` entry per such link, ascending by link id, so the
+    /// table grows with the links the flows moved bytes over, not with the
+    /// fabric. [`DrainReport::bytes_on`] reads one link. Shared rather than
+    /// copied: by every result of a collective call, and by the plan
+    /// cache's replays of a recorded drain.
+    pub link_bytes: Arc<[(LinkId, f64)]>,
     /// Average CNPs/s received per sender port (indexed by `PortId`) over
-    /// the drain; all zeros when CNP accounting is off. Shared like
-    /// `link_bytes`.
+    /// the drain; all zeros when CNP accounting is off. Shared by every
+    /// result of a collective call.
     pub cnp_per_port: Arc<[f64]>,
     /// Number of flows that crossed at least one saturated shared link.
     pub congested_flows: usize,
@@ -229,6 +234,14 @@ impl DrainReport {
             .filter(|(_, o)| !o.completed())
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Bytes `link` carried over the drain: its `link_bytes` entry, or 0
+    /// when no flow moved bytes over it.
+    pub fn bytes_on(&self, link: LinkId) -> f64 {
+        self.link_bytes
+            .binary_search_by_key(&link, |&(l, _)| l)
+            .map_or(0.0, |i| self.link_bytes[i].1)
     }
 }
 
@@ -572,11 +585,12 @@ fn release_completed(
 
 /// The drain's max-min problem over the links its flows use: the solver
 /// state, whose route table (per flow, the sorted dense ids of its
-/// deduplicated links) is the drain's one route table, and the dense →
-/// original link table the byte accounting reads. Dense ids are assigned in
-/// order of first use — per flow, ascending original id — so ascending
+/// deduplicated links) is the drain's one route table, and the two link
+/// tables the byte accounting reads: dense → original id, and original →
+/// dense id (`u32::MAX` for a link no flow uses). Dense ids are assigned
+/// in order of first use — per flow, ascending original id — so ascending
 /// dense order, the worklist's batch order, follows the spec order.
-fn dense_problem(topo: &Topology, specs: &[FlowSpec]) -> (MaxMinState, Vec<u32>) {
+fn dense_problem(topo: &Topology, specs: &[FlowSpec]) -> (MaxMinState, Vec<u32>, Vec<u32>) {
     let mut dense_of = vec![u32::MAX; topo.num_links()];
     let mut orig_of: Vec<u32> = Vec::new();
     let mut capacity: Vec<f64> = Vec::new();
@@ -597,7 +611,7 @@ fn dense_problem(topo: &Topology, specs: &[FlowSpec]) -> (MaxMinState, Vec<u32>)
             dense_of[l as usize]
         }));
     }
-    (MaxMinState::from_table(capacity, routes), orig_of)
+    (MaxMinState::from_table(capacity, routes), orig_of, dense_of)
 }
 
 /// Sender port of each flow: the first HostUp link on its route.
@@ -661,7 +675,6 @@ fn drain_with(
     mut seed: Option<&mut Option<SeedSolve>>,
 ) -> DrainReport {
     let nf = specs.len();
-    let nl = topo.num_links();
     let src_port_of = sender_ports(topo, specs);
 
     let initial: Vec<f64> = specs.iter().map(|s| s.bytes.as_bytes() as f64).collect();
@@ -705,7 +718,7 @@ fn drain_with(
     // throttled flows pin to `base·φ`, the rest stay at their private
     // bottlenecks. The differential harness holds this identity against the
     // reference's full capped re-solve at 1e-9.
-    let (mut base, orig_of) = dense_problem(topo, specs);
+    let (mut base, orig_of, dense_of) = dense_problem(topo, specs);
     let ndl = orig_of.len();
     for (f, flow) in flows.iter().enumerate() {
         if !flow.live {
@@ -1041,16 +1054,37 @@ fn drain_with(
 
     // Per-link byte accounting: every link on a flow's route carried
     // exactly the bytes the flow moved, so one pass at the end replaces the
-    // reference's per-event accumulation (summing the same series).
-    let mut link_bytes = vec![0.0_f64; nl];
+    // reference's per-event accumulation (summing the same series). It sums
+    // over the dense ids, then marks the links that carried bytes in a
+    // bitset over original ids, so the report lists them in ascending id
+    // with neither a sort nor a pass over every fabric link.
+    let mut dense_bytes = vec![0.0_f64; ndl];
     for f in 0..nf {
         let moved = initial[f] - flows[f].remaining;
         if moved > 0.0 {
             for &l in base.route(f) {
-                link_bytes[orig_of[l as usize] as usize] += moved;
+                dense_bytes[l as usize] += moved;
             }
         }
     }
+    let mut marked = vec![0u64; dense_of.len().div_ceil(64)];
+    let mut carried = 0;
+    for (&b, &l) in dense_bytes.iter().zip(&orig_of) {
+        if b != 0.0 {
+            marked[l as usize / 64] |= 1 << (l % 64);
+            carried += 1;
+        }
+    }
+    let marked_links = marked.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        iter::from_fn(move || {
+            (word != 0).then(|| {
+                let l = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                l
+            })
+        })
+    });
 
     let solver = DrainSolverStats {
         events,
@@ -1072,7 +1106,8 @@ fn drain_with(
         now,
         finish,
         |f| (flows[f].min_rate, flows[f].max_rate),
-        link_bytes,
+        carried,
+        marked_links.map(|l| (l, dense_bytes[dense_of[l] as usize])),
         cnp.map_or_else(|| vec![0.0; topo.ports().len()], |c| c.accum),
         congested_flags,
         solver,
@@ -1255,7 +1290,8 @@ pub fn drain_reference(
         now,
         finish,
         |f| (min_rate[f], max_rate[f]),
-        link_bytes,
+        link_bytes.iter().filter(|&&b| b != 0.0).count(),
+        link_bytes.iter().copied().enumerate(),
         cnp_accum,
         congested_flags,
         DrainSolverStats {
@@ -1269,7 +1305,10 @@ pub fn drain_reference(
 
 /// Assembles the [`DrainReport`] from the loop's accumulators (shared by
 /// both implementations). `observed(f)` is flow `f`'s slowest and fastest
-/// moving rate (`INFINITY` and 0 when it never moved).
+/// moving rate (`INFINITY` and 0 when it never moved). `link_bytes` yields
+/// `(link index, bytes)` in ascending link order, `carried` of them with
+/// bytes ≠ 0: the report lists those, in one pass into one allocation of
+/// their number.
 #[allow(clippy::too_many_arguments)]
 fn finalize_report(
     specs: &[FlowSpec],
@@ -1277,7 +1316,8 @@ fn finalize_report(
     now: SimTime,
     finish: Vec<Option<SimTime>>,
     observed: impl Fn(usize) -> (f64, f64),
-    link_bytes: Vec<f64>,
+    carried: usize,
+    link_bytes: impl Iterator<Item = (usize, f64)>,
     cnp_accum: Vec<f64>,
     congested_flags: Vec<bool>,
     solver: DrainSolverStats,
@@ -1325,10 +1365,20 @@ fn finalize_report(
         })
         .collect();
 
+    // A mapped range is an exact-size iterator, so the `Arc` is allocated
+    // once, at its final size, with no `Vec` grown first.
+    let mut link_bytes = link_bytes.filter(|&(_, b)| b != 0.0);
+    let link_bytes = (0..carried)
+        .map(|_| {
+            let (l, b) = link_bytes.next().expect("`carried` counts them");
+            (LinkId::from_index(l), b)
+        })
+        .collect();
+
     DrainReport {
         outcomes,
         end,
-        link_bytes: link_bytes.into(),
+        link_bytes,
         cnp_per_port,
         congested_flows: congested_flags.iter().filter(|c| **c).count(),
         solver,
@@ -1655,7 +1705,7 @@ mod tests {
         let mut rng = DetRng::seed_from(6);
         let report = drain(&t, &[spec], &DrainConfig::default(), &mut rng);
         for l in route {
-            let carried = report.link_bytes[l.index()];
+            let carried = report.bytes_on(l);
             assert!(
                 (carried - bytes.as_bytes() as f64).abs() < 2.0,
                 "link {l} carried {carried}"
@@ -1858,12 +1908,13 @@ mod tests {
             assert!(close(secs(x), secs(y)), "{what}: flow {f} finish");
         }
         assert_eq!(a.congested_flows, b.congested_flows, "{what}");
-        for (x, y) in [
-            (&a.link_bytes, &b.link_bytes),
-            (&a.cnp_per_port, &b.cnp_per_port),
-        ] {
-            assert!(x.iter().zip(y.iter()).all(|(&x, &y)| close(x, y)), "{what}");
-        }
+        let mut links = a.link_bytes.iter().chain(b.link_bytes.iter());
+        assert!(
+            links.all(|&(l, _)| close(a.bytes_on(l), b.bytes_on(l))),
+            "{what}"
+        );
+        let (x, y) = (&a.cnp_per_port, &b.cnp_per_port);
+        assert!(x.iter().zip(y.iter()).all(|(&x, &y)| close(x, y)), "{what}");
     }
 
     /// A chain of fabric links whose capacities rise along it, and `n`

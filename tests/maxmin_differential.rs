@@ -165,8 +165,19 @@ fn random_specs(topo: &Topology, rng: &mut DetRng, n_flows: usize, salt: u64) ->
         .collect()
 }
 
-/// Asserts two drain reports agree within the 1e-9 differential tolerance.
-fn assert_reports_agree(inc: &DrainReport, reference: &DrainReport, what: &str) {
+/// `r`'s `link_bytes` expanded to one entry per link of a fabric of
+/// `num_links` links, 0 for a link that carried nothing.
+fn dense_link_bytes(r: &DrainReport, num_links: usize) -> Vec<f64> {
+    let mut dense = vec![0.0; num_links];
+    for &(l, b) in r.link_bytes.iter() {
+        dense[l.index()] = b;
+    }
+    dense
+}
+
+/// Asserts two drain reports on a fabric of `num_links` links agree within
+/// the 1e-9 differential tolerance.
+fn assert_reports_agree(inc: &DrainReport, reference: &DrainReport, num_links: usize, what: &str) {
     assert_eq!(inc.outcomes.len(), reference.outcomes.len());
     let secs = |t: SimTime| (t - SimTime::ZERO).as_secs_f64();
     for (f, (a, b)) in inc.outcomes.iter().zip(&reference.outcomes).enumerate() {
@@ -198,12 +209,11 @@ fn assert_reports_agree(inc: &DrainReport, reference: &DrainReport, what: &str) 
         inc.congested_flows, reference.congested_flows,
         "{what}: congested flow count"
     );
-    for (l, (&a, &b)) in inc
-        .link_bytes
-        .iter()
-        .zip(reference.link_bytes.iter())
-        .enumerate()
-    {
+    let (a, b) = (
+        dense_link_bytes(inc, num_links),
+        dense_link_bytes(reference, num_links),
+    );
+    for (l, (&a, &b)) in a.iter().zip(&b).enumerate() {
         assert!(close(a, b), "{what}: link {l} bytes {a} vs {b}");
     }
     for (p, (&a, &b)) in inc
@@ -216,9 +226,15 @@ fn assert_reports_agree(inc: &DrainReport, reference: &DrainReport, what: &str) 
     }
 }
 
-/// Two runs of the same [`drain`] must produce exactly equal reports — same
-/// completion instants, same bytes, same CNP series.
-fn assert_reports_identical(again: &DrainReport, first: &DrainReport, what: &str) {
+/// Two runs of the same [`drain`] on a fabric of `num_links` links must
+/// produce exactly equal reports — same completion instants, same bytes,
+/// same CNP series.
+fn assert_reports_identical(
+    again: &DrainReport,
+    first: &DrainReport,
+    num_links: usize,
+    what: &str,
+) {
     assert_eq!(again.outcomes.len(), first.outcomes.len());
     for (f, (a, b)) in again.outcomes.iter().zip(&first.outcomes).enumerate() {
         assert_eq!(a.finish, b.finish, "{what}: flow {f} finish");
@@ -233,8 +249,8 @@ fn assert_reports_identical(again: &DrainReport, first: &DrainReport, what: &str
     );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        bits(&again.link_bytes),
-        bits(&first.link_bytes),
+        bits(&dense_link_bytes(again, num_links)),
+        bits(&dense_link_bytes(first, num_links)),
         "{what}: link bytes"
     );
     assert_eq!(
@@ -242,6 +258,52 @@ fn assert_reports_identical(again: &DrainReport, first: &DrainReport, what: &str
         bits(&first.cnp_per_port),
         "{what}: cnp per port"
     );
+}
+
+/// A random drain problem: `n_flows` [`random_specs`] flows on a tiny Clos
+/// fabric of `nodes` nodes with `kill_links` route links killed or
+/// degraded, under noise kind `noise_kind` (none, 10 %, CNP, 25 % with CNP)
+/// and a deadline of `10^deadline_ms` ms (0: none).
+fn random_drain_problem(
+    nodes: usize,
+    n_flows: usize,
+    seed: u64,
+    noise_kind: usize,
+    kill_links: usize,
+    deadline_ms: u64,
+) -> (Topology, Vec<FlowSpec>, DrainConfig) {
+    let mut topo = Topology::build(&ClosConfig::tiny(nodes));
+    let mut rng = DetRng::seed_from(seed);
+    let specs = random_specs(&topo, &mut rng, n_flows, seed ^ 0xD1FF);
+
+    // Fault injection: kill random links that flows actually cross, so
+    // stalls and partial-capacity paths are exercised.
+    for k in 0..kill_links {
+        let victim = &specs[rng.index(specs.len())];
+        if victim.route.is_empty() {
+            continue;
+        }
+        let l = victim.route[rng.index(victim.route.len())];
+        // Alternate between fully dead and degraded links.
+        if k % 2 == 0 {
+            topo.link_mut(l).set_up(false);
+        } else {
+            topo.link_mut(l).set_degradation(0.25);
+        }
+    }
+
+    let cfg = DrainConfig {
+        start: SimTime::ZERO,
+        // Deadlines from "immediately" to "after every completion"; 0 means
+        // no deadline.
+        deadline: (deadline_ms > 0)
+            .then(|| SimTime::ZERO + SimDuration::from_millis(10u64.pow(deadline_ms as u32))),
+        epoch: SimDuration::from_micros(500),
+        rate_noise: [0.0, 0.1, 0.0, 0.25][noise_kind],
+        cnp: (noise_kind >= 2).then(CnpModel::paper_default),
+        ..DrainConfig::default()
+    };
+    (topo, specs, cfg)
 }
 
 proptest! {
@@ -258,43 +320,13 @@ proptest! {
         kill_links in 0usize..3,
         deadline_ms in 0u64..4,
     ) {
-        let mut topo = Topology::build(&ClosConfig::tiny(nodes));
-        let mut rng = DetRng::seed_from(seed);
-        let specs = random_specs(&topo, &mut rng, n_flows, seed ^ 0xD1FF);
-
-        // Fault injection: kill random links that flows actually cross, so
-        // stalls and partial-capacity paths are exercised.
-        for k in 0..kill_links {
-            let victim = &specs[rng.index(specs.len())];
-            if victim.route.is_empty() {
-                continue;
-            }
-            let l = victim.route[rng.index(victim.route.len())];
-            // Alternate between fully dead and degraded links.
-            if k % 2 == 0 {
-                topo.link_mut(l).set_up(false);
-            } else {
-                topo.link_mut(l).set_degradation(0.25);
-            }
-        }
-
-        let cfg = DrainConfig {
-            start: SimTime::ZERO,
-            // Deadlines from "immediately" to "after every completion";
-            // 0 means no deadline.
-            deadline: (deadline_ms > 0)
-                .then(|| SimTime::ZERO + SimDuration::from_millis(10u64.pow(deadline_ms as u32))),
-            epoch: SimDuration::from_micros(500),
-            rate_noise: [0.0, 0.1, 0.0, 0.25][noise_kind],
-            cnp: (noise_kind >= 2).then(CnpModel::paper_default),
-            ..DrainConfig::default()
-        };
-
+        let (topo, specs, cfg) =
+            random_drain_problem(nodes, n_flows, seed, noise_kind, kill_links, deadline_ms);
         let mut rng_a = DetRng::seed_from(seed ^ 0xAAAA);
         let mut rng_b = DetRng::seed_from(seed ^ 0xAAAA);
         let inc = drain(&topo, &specs, &cfg, &mut rng_a);
         let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-        assert_reports_agree(&inc, &reference, "random drain");
+        assert_reports_agree(&inc, &reference, topo.num_links(), "random drain");
 
         // The incremental drain must leave the RNG exactly where the
         // reference left its own — identical consumption order.
@@ -303,6 +335,54 @@ proptest! {
             rng_b.uniform().to_bits(),
             "drain must consume the RNG in exactly the reference's order"
         );
+    }
+
+    /// A report's `link_bytes` lists exactly the links that carried bytes:
+    /// ascending by id, with no zero entry, every route link of a completed
+    /// flow with bytes and no link off every route. Expanded to one entry
+    /// per link, both drains' tables agree within the differential
+    /// tolerance, and `bytes_on` reads that expansion.
+    #[test]
+    fn link_bytes_list_exactly_the_links_that_carried_bytes(
+        nodes in 2usize..5,
+        n_flows in 1usize..28,
+        seed in 0u64..1_000_000,
+        noise_kind in 0usize..4,
+        kill_links in 0usize..3,
+        deadline_ms in 0u64..4,
+    ) {
+        let (topo, specs, cfg) =
+            random_drain_problem(nodes, n_flows, seed, noise_kind, kill_links, deadline_ms);
+        let inc = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(seed));
+        let reference = drain_reference(&topo, &specs, &cfg, &mut DetRng::seed_from(seed));
+        let mut on_route = vec![false; topo.num_links()];
+        for s in &specs {
+            for &l in s.route.iter() {
+                on_route[l.index()] = true;
+            }
+        }
+        for (what, r) in [("drain", &inc), ("reference", &reference)] {
+            let table = &r.link_bytes;
+            assert!(table.windows(2).all(|w| w[0].0 < w[1].0), "{what}: ascending");
+            assert!(table.iter().all(|&(_, b)| b != 0.0), "{what}: a zero entry");
+            assert!(table.iter().all(|&(l, _)| on_route[l.index()]), "{what}: off-route link");
+            for (s, o) in specs.iter().zip(&r.outcomes) {
+                if o.completed() && s.bytes.as_bytes() > 0 {
+                    assert!(s.route.iter().all(|&l| r.bytes_on(l) > 0.0), "{what}: route link missing");
+                }
+            }
+            let dense = dense_link_bytes(r, topo.num_links());
+            for (l, &b) in dense.iter().enumerate() {
+                assert_eq!(r.bytes_on(LinkId::from_index(l)).to_bits(), b.to_bits(), "{what}: link {l}");
+            }
+        }
+        let (a, b) = (
+            dense_link_bytes(&inc, topo.num_links()),
+            dense_link_bytes(&reference, topo.num_links()),
+        );
+        for (l, (&a, &b)) in a.iter().zip(&b).enumerate() {
+            assert!(close(a, b), "link {l} bytes {a} vs {b}");
+        }
     }
 
     /// The exact shared-fabric shape the collective engine produces: many
@@ -351,7 +431,7 @@ proptest! {
         let mut rng_b = DetRng::seed_from(seed ^ 0xBBBB);
         let inc = drain(&topo, &specs, &cfg, &mut rng_a);
         let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-        assert_reports_agree(&inc, &reference, "collective-shaped drain");
+        assert_reports_agree(&inc, &reference, topo.num_links(), "collective-shaped drain");
     }
 }
 
@@ -429,7 +509,7 @@ proptest! {
         let mut rng_b = DetRng::seed_from(seed ^ 0xCCCC);
         let inc = drain(&topo, &specs, &cfg, &mut rng_a);
         let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-        assert_reports_agree(&inc, &reference, "noisy-at-scale drain");
+        assert_reports_agree(&inc, &reference, topo.num_links(), "noisy-at-scale drain");
         assert_eq!(
             rng_a.uniform().to_bits(),
             rng_b.uniform().to_bits(),
@@ -558,7 +638,7 @@ proptest! {
         let mut rng_b = DetRng::seed_from(seed ^ 0x16AA);
         let inc = drain(&topo, &specs, &cfg, &mut rng_a);
         let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-        assert_reports_agree(&inc, &reference, "16k-shaped drain");
+        assert_reports_agree(&inc, &reference, topo.num_links(), "16k-shaped drain");
         assert_eq!(
             rng_a.uniform().to_bits(),
             rng_b.uniform().to_bits(),
@@ -566,7 +646,7 @@ proptest! {
         );
 
         let again = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(seed ^ 0x16AA));
-        assert_reports_identical(&again, &inc, "16k-shaped repeat run");
+        assert_reports_identical(&again, &inc, topo.num_links(), "16k-shaped repeat run");
         if inc.solver.events >= 3 {
             assert!(
                 inc.solver.sparse_solves >= 1,
@@ -633,7 +713,12 @@ fn engine_flows_agree_with_reference_end_to_end() {
     let mut rng_b = DetRng::seed_from(42);
     let inc = drain(&topo, &specs, &cfg, &mut rng_a);
     let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-    assert_reports_agree(&inc, &reference, "engine allreduce flow set");
+    assert_reports_agree(
+        &inc,
+        &reference,
+        topo.num_links(),
+        "engine allreduce flow set",
+    );
 }
 
 /// Builds fully pod-disjoint "jobs": per selected node, two equal-size QPs
@@ -694,7 +779,7 @@ proptest! {
         let mut rng_b = DetRng::seed_from(seed ^ 0xBA7C);
         let inc = drain(&topo, &specs, &cfg, &mut rng_a);
         let reference = drain_reference(&topo, &specs, &cfg, &mut rng_b);
-        assert_reports_agree(&inc, &reference, "disjoint-pod batched drain");
+        assert_reports_agree(&inc, &reference, topo.num_links(), "disjoint-pod batched drain");
         assert_eq!(
             rng_a.uniform().to_bits(),
             rng_b.uniform().to_bits(),

@@ -4,7 +4,8 @@
 //! digests over 64-bit words, each compared against a recorded constant:
 //!
 //! * the **results** digest: for a drain, per flow the finish time and the
-//!   mean, min and max rate, then the drain end, `link_bytes`,
+//!   mean, min and max rate, then the drain end, `link_bytes` expanded to
+//!   one entry per fabric link (0 for a link that carried nothing),
 //!   `cnp_per_port` and the congested count (a testbed drain of mixed QPs
 //!   and an expert-parallel all-to-all); for a hybrid iteration, each
 //!   phase's comm count, duration and bus bandwidth, the total and the
@@ -53,7 +54,8 @@ impl Digest {
         self.word(v.to_bits());
     }
 
-    fn drain(&mut self, r: &DrainReport) {
+    /// Folds a drain on a fabric of `num_links` links.
+    fn drain(&mut self, r: &DrainReport, num_links: usize) {
         for o in &r.outcomes {
             self.word(o.finish.map_or(u64::MAX, SimTime::as_nanos));
             self.float(o.mean_rate.as_bytes_per_sec());
@@ -61,7 +63,11 @@ impl Digest {
             self.float(o.max_rate.as_bytes_per_sec());
         }
         self.word(r.end.as_nanos());
-        for &b in r.link_bytes.iter() {
+        let mut dense = vec![0.0; num_links];
+        for &(l, b) in r.link_bytes.iter() {
+            dense[l.index()] = b;
+        }
+        for b in dense {
             self.float(b);
         }
         for &c in r.cnp_per_port.iter() {
@@ -166,7 +172,7 @@ fn noisy_exact_drain_on_testbed_is_unchanged() {
     let report = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(42));
     assert!(report.all_completed(), "healthy testbed drains every flow");
     let mut d = Digest::new();
-    d.drain(&report);
+    d.drain(&report, topo.num_links());
     assert_digests(
         "testbed drain",
         (d.0, counters(&report.solver)),
@@ -231,7 +237,7 @@ fn noisy_alltoall_drain_is_unchanged() {
     let report = drain(&topo, &specs, &cfg, &mut DetRng::seed_from(16));
     assert!(report.all_completed(), "healthy fabric drains every pair");
     let mut d = Digest::new();
-    d.drain(&report);
+    d.drain(&report, topo.num_links());
     assert_digests(
         "all-to-all drain",
         (d.0, counters(&report.solver)),
